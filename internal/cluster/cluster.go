@@ -10,12 +10,11 @@ import (
 	"fmt"
 	"time"
 
+	"rex/internal/client"
 	"rex/internal/core"
 	"rex/internal/env"
-	"rex/internal/overload"
 	"rex/internal/readpath"
 	"rex/internal/reconfig"
-	"rex/internal/retry"
 	"rex/internal/storage"
 	"rex/internal/transport"
 )
@@ -53,11 +52,11 @@ type Options struct {
 	AdmissionTarget     time.Duration
 	AdmissionInterval   time.Duration
 	MaxAdmissionWaiters int
-	Seed            int64
-	DisableChecks   bool
-	DisablePruning  bool
-	TotalOrderTry   bool
-	Logf            func(string, ...any)
+	Seed                int64
+	DisableChecks       bool
+	DisablePruning      bool
+	TotalOrderTry       bool
+	Logf                func(string, ...any)
 	// NewLog and NewSnapshots build replica i's durable state; defaults are
 	// in-memory stores. The chaos engine swaps in fault-injecting wrappers.
 	NewLog       func(i int) storage.Log
@@ -369,37 +368,6 @@ func (c *Cluster) RestartFresh(i int) error {
 	return c.Restart(i)
 }
 
-// reconfigRetryTimeout bounds how long the membership-change helpers below
-// chase the primary (elections, an earlier change still in flight).
-const reconfigRetryTimeout = 30 * time.Second
-
-// onPrimary runs fn against the current primary, retrying through
-// elections and serialization conflicts until it is accepted.
-func (c *Cluster) onPrimary(fn func(r *core.Replica) error) error {
-	deadline := c.Env.Now() + reconfigRetryTimeout
-	var lastErr error = errors.New("cluster: no primary")
-	for c.Env.Now() < deadline {
-		if p := c.Primary(); p >= 0 {
-			if r := c.Replica(p); r != nil {
-				err := fn(r)
-				if err == nil {
-					return nil
-				}
-				lastErr = err
-				var np core.ErrNotPrimary
-				retriable := errors.As(err, &np) ||
-					errors.Is(err, core.ErrReconfigInFlight) ||
-					errors.Is(err, core.ErrStopped)
-				if !retriable {
-					return err
-				}
-			}
-		}
-		c.Env.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("cluster: membership change not accepted: %w", lastErr)
-}
-
 // addSlot grows the cluster's tables (and network) by one replica slot and
 // returns the new id. The replica itself is not started.
 func (c *Cluster) addSlot() int {
@@ -426,7 +394,7 @@ func (c *Cluster) addSlot() int {
 // automatically; use WaitVoter to block until then.
 func (c *Cluster) AddNode() (int, error) {
 	id := c.addSlot()
-	if err := c.onPrimary(func(r *core.Replica) error { return r.AddMember(id, "") }); err != nil {
+	if err := c.NewClient(0).AddMember(id, ""); err != nil {
 		return -1, err
 	}
 	if err := c.startReplica(id); err != nil {
@@ -439,7 +407,7 @@ func (c *Cluster) AddNode() (int, error) {
 // the pre-activation window, then parks itself in RoleRemoved; call Crash
 // to reap it once WaitRemoved observes the change.
 func (c *Cluster) RemoveNode(id int) error {
-	return c.onPrimary(func(r *core.Replica) error { return r.RemoveMember(id) })
+	return c.NewClient(0).RemoveMember(id)
 }
 
 // ReplaceNode swaps failed (or retiring) replica oldID for a brand-new one
@@ -447,7 +415,7 @@ func (c *Cluster) RemoveNode(id int) error {
 // replica's id.
 func (c *Cluster) ReplaceNode(oldID int) (int, error) {
 	id := c.addSlot()
-	if err := c.onPrimary(func(r *core.Replica) error { return r.ReplaceMember(oldID, id, "") }); err != nil {
+	if err := c.NewClient(0).ReplaceMember(oldID, id, ""); err != nil {
 		return -1, err
 	}
 	if err := c.startReplica(id); err != nil {
@@ -593,430 +561,56 @@ func (c *Cluster) StableStates(timeout time.Duration) (states map[int]string, fa
 	return nil, nil, errors.New("cluster: replica states did not stabilize in time")
 }
 
-// HistoryRecorder observes client operations as a concurrent history for
-// the linearizability checker (implemented by check.History).
-//
-// A recorder may additionally implement Discard(id uint64): when every
-// attempt of an operation was answered with a definite did-not-execute
-// NACK (shed, deadline-expired), the client discards the op instead of
-// recording an unknown outcome, which keeps the checker's search space
-// bounded under overload. The method is looked up by type assertion so
-// existing implementations keep compiling.
-type HistoryRecorder interface {
-	// Invoke records an operation's start and returns its id.
-	Invoke(client uint64, input []byte) uint64
-	// Return records a successful completion with the response bytes.
-	Return(id uint64, output []byte)
-	// Timeout marks the operation's outcome as unknown: it may or may not
-	// take effect at any point after the invocation.
-	Timeout(id uint64)
-}
+// Client is the shared client loop (internal/client) over a cluster's
+// in-process replicas.
+type Client = client.Client
 
-// opDiscarder is the optional HistoryRecorder extension (see above).
-type opDiscarder interface{ Discard(id uint64) }
-
-// DefaultMaxAttempts bounds one Do/DoTimeout call's redirect-and-retry
-// loop. With the backoff schedule below it gives a retry budget of a few
-// seconds — plenty for any election — so a request that still cannot land
-// (a partitioned majority, a stale map) fails with ErrTooManyAttempts
-// instead of spinning until the deadline.
-const DefaultMaxAttempts = 256
-
-// retry backoff: exponential from 1ms, jittered in [b/2, b], capped so a
-// long outage is probed every ~25ms rather than ever more rarely (see
-// internal/retry).
-const (
-	minRetryBackoff = time.Millisecond
-	maxRetryBackoff = 25 * time.Millisecond
-)
-
-// Client retry budget: a token bucket refilled by successes. Each retry
-// (not first attempts) spends a token; every success earns back
-// RetryBudgetRatio. The bucket starts full at RetryBudgetBurst, so
-// cold-start elections and short outages ride through; only sustained
-// failure — where retries become pure amplification — drains it. With
-// ratio 0.5, steady-state retry traffic is capped at 50% of goodput.
-const (
-	RetryBudgetRatio = 0.5
-	RetryBudgetBurst = 64
-)
-
-// ErrRetryBudget reports a request abandoned because the client's retry
-// budget ran dry: the cluster is failing faster than it is succeeding,
-// and more retries would only feed the overload.
-var ErrRetryBudget = fmt.Errorf("cluster: %w", retry.ErrBudgetExhausted)
-
-// ErrTooManyAttempts reports a request abandoned after MaxAttempts
-// redirects/retries. The outcome is unknown (like a timeout): the request
-// may still have been admitted by a primary the client gave up on.
-var ErrTooManyAttempts = errors.New("cluster: too many submit attempts")
-
-// ErrPermanent marks failures that no retry against this target can fix
-// (the in-process analogue of server.ErrPermanent): a stale sequence
-// number, or a target that provably cannot serve the request. The
-// redirect/retry loop returns it immediately instead of burning the
-// attempt budget, and a rebalance-aware router treats it as "refetch the
-// map and reroute" rather than "back off and retry the same group" —
-// the permanent/transient split that keeps leader churn (transient,
-// retry here) distinct from a stale shard map (permanent here, fixable
-// elsewhere).
-var ErrPermanent = errors.New("cluster: permanent failure")
-
-// IsPermanent reports whether err can never be fixed by retrying the
-// same target (suitable for shard.Router.IsPermanent).
-func IsPermanent(err error) bool { return errors.Is(err, ErrPermanent) }
-
-// Client submits requests with retry and primary discovery. `not primary`
-// hints are followed with jittered exponential backoff, and each call
-// gives up with ErrTooManyAttempts after MaxAttempts tries.
-type Client struct {
-	C   *Cluster
-	ID  uint64
-	seq uint64
-	// LastPrimary caches the replica to try first.
-	LastPrimary int
-	// MaxAttempts caps redirects/retries per call; 0 means
-	// DefaultMaxAttempts.
-	MaxAttempts int
-	// Recorder, when set, observes every Do/DoTimeout call — and every
-	// linearizable QueryLevel read — for the consistency checker.
-	Recorder HistoryRecorder
-	// BudgetExhausted counts calls abandoned on a dry retry budget
-	// (the client-side analogue of rex_retry_budget_exhausted_total).
-	BudgetExhausted uint64
-	// Shed counts attempts NACKed by server-side admission control.
-	Shed uint64
-
-	sess   readpath.SessionState
-	readRR int
-	bo     *retry.Backoff
-	budget *retry.Budget
-}
+// ErrPermanent marks failures no retry against the same target can fix
+// (client.ErrPermanent).
+var ErrPermanent = client.ErrPermanent
 
 // NewClient returns a client with the given unique id.
 func (c *Cluster) NewClient(id uint64) *Client {
-	return &Client{C: c, ID: id}
+	return client.New(inProcess{c}, id)
 }
 
-// backoffState lazily builds the client's shared backoff and retry
-// budget. The backoff seed derives from the client id: deterministic
-// under the simulator, decorrelated across clients.
-func (cl *Client) backoffState() (*retry.Backoff, *retry.Budget) {
-	if cl.bo == nil {
-		cl.bo = retry.NewBackoff(minRetryBackoff, maxRetryBackoff, int64(cl.ID)*0x9e3779b9+0x7f4a7c15)
-		cl.budget = retry.NewBudget(RetryBudgetRatio, RetryBudgetBurst)
+// inProcess is the client loop's transport over the cluster's replicas:
+// direct calls, with the cluster's Env as the clock. A crashed replica's
+// empty slot is client.ErrUnreachable.
+type inProcess struct{ c *Cluster }
+
+func (t inProcess) Size() int                                { return t.c.Size() }
+func (t inProcess) Now() time.Duration                       { return t.c.Env.Now() }
+func (t inProcess) Sleep(_ context.Context, d time.Duration) { t.c.Env.Sleep(d) }
+
+func (t inProcess) Submit(i int, cl, seq uint64, body []byte, budget time.Duration) ([]byte, readpath.Token, error) {
+	r := t.c.Replica(i)
+	if r == nil {
+		return nil, readpath.Token{}, client.ErrUnreachable
 	}
-	return cl.bo, cl.budget
+	return r.SubmitTokenDeadline(cl, seq, body, budget)
 }
 
-// Do submits one request, retrying across failovers until a response
-// arrives, the deadline passes, or the attempt budget runs out.
-func (cl *Client) Do(body []byte) ([]byte, error) {
-	return cl.doRetry(context.Background(), body, 30*time.Second)
+func (t inProcess) QueryLevel(i int, level readpath.Level, tok readpath.Token, q []byte, _ time.Duration) ([]byte, readpath.Token, error) {
+	r := t.c.Replica(i)
+	if r == nil {
+		return nil, tok, client.ErrUnreachable
+	}
+	return r.QueryLevel(level, tok, q)
 }
 
-// DoCtx is Do honoring ctx: cancellation or a ctx deadline aborts the
-// retry loop between attempts (an in-flight Submit still runs to
-// completion — the outcome is then recorded as unknown).
-func (cl *Client) DoCtx(ctx context.Context, body []byte) ([]byte, error) {
-	timeout := 30 * time.Second
-	if dl, ok := ctx.Deadline(); ok {
-		timeout = time.Until(dl)
+func (t inProcess) Query(i int, q []byte, _ time.Duration) ([]byte, error) {
+	r := t.c.Replica(i)
+	if r == nil {
+		return nil, client.ErrUnreachable
 	}
-	return cl.doRetry(ctx, body, timeout)
+	return r.Query(q)
 }
 
-// backoff sleeps one jittered exponential step of the client's shared
-// schedule (internal/retry); resetBackoff restarts it after a fresh
-// primary hint so redirects are followed promptly.
-func (cl *Client) backoff() {
-	bo, _ := cl.backoffState()
-	cl.C.Env.Sleep(bo.Next())
-}
-
-func (cl *Client) resetBackoff() {
-	bo, _ := cl.backoffState()
-	bo.Reset()
-}
-
-// pause sleeps a server-provided retry-after hint, capped so the hint
-// shapes the pause but the retry loop keeps owning the overall policy.
-func (cl *Client) pause(ra time.Duration) {
-	const maxPause = 50 * time.Millisecond
-	if ra <= 0 || ra > maxPause {
-		ra = maxPause
+func (t inProcess) Reconfig(i int, ch client.Change, _ time.Duration) error {
+	r := t.c.Replica(i)
+	if r == nil {
+		return client.ErrUnreachable
 	}
-	cl.C.Env.Sleep(ra)
-}
-
-// DoTimeout is Do with an explicit deadline.
-func (cl *Client) DoTimeout(body []byte, timeout time.Duration) ([]byte, error) {
-	return cl.doRetry(context.Background(), body, timeout)
-}
-
-func (cl *Client) doRetry(ctx context.Context, body []byte, timeout time.Duration) ([]byte, error) {
-	cl.seq++
-	seq := cl.seq
-	e := cl.C.Env
-	var opID uint64
-	if cl.Recorder != nil {
-		opID = cl.Recorder.Invoke(cl.ID, body)
-	}
-	maxAttempts := cl.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxAttempts
-	}
-	deadline := e.Now() + timeout
-	target := cl.LastPrimary
-	_, budget := cl.backoffState()
-	cl.resetBackoff()
-	// sawUnknown tracks whether any attempt's outcome is in doubt. While
-	// false, every attempt was answered with a definite did-not-execute
-	// NACK, so on final failure the op can be discarded from the history
-	// instead of haunting the checker as maybe-executes-anytime.
-	sawUnknown := false
-	// chargeRetry marks the next attempt as budget-consuming: retries
-	// after a shed re-offer load a server just refused for lack of
-	// capacity, so they spend tokens. Everything else — a down replica,
-	// a not-primary redirect, a crashed-mid-request ErrStopped — is
-	// fault churn, not overload, and stays free: it is already bounded
-	// by the op deadline, and charging it would make an ordinary
-	// election or restart storm drain the budget and abort ops the
-	// client could have ridden through.
-	chargeRetry := false
-	fail := func() {
-		if cl.Recorder == nil {
-			return
-		}
-		if !sawUnknown {
-			if d, ok := cl.Recorder.(opDiscarder); ok {
-				d.Discard(opID)
-				return
-			}
-		}
-		cl.Recorder.Timeout(opID)
-	}
-	for attempts := 0; e.Now() < deadline; attempts++ {
-		if err := ctx.Err(); err != nil {
-			// Canceled between attempts: an earlier attempt may still land,
-			// so the outcome is unknown.
-			fail()
-			return nil, err
-		}
-		if attempts >= maxAttempts {
-			fail()
-			return nil, fmt.Errorf("%w: gave up after %d attempts", ErrTooManyAttempts, attempts)
-		}
-		if chargeRetry && !budget.Allow() {
-			// The cluster is failing faster than it is succeeding; more
-			// retries from this client would only amplify the overload.
-			cl.BudgetExhausted++
-			fail()
-			return nil, fmt.Errorf("%w: after %d attempts", ErrRetryBudget, attempts)
-		}
-		chargeRetry = false
-		n := cl.C.Size()
-		r := cl.C.Replica(target % n)
-		if r == nil {
-			target++
-			cl.backoff()
-			continue
-		}
-		resp, tok, err := r.SubmitTokenDeadline(cl.ID, seq, body, deadline-e.Now())
-		if err == nil {
-			budget.Success()
-			cl.LastPrimary = target % n
-			cl.sess.Observe(tok)
-			if cl.Recorder != nil {
-				cl.Recorder.Return(opID, resp)
-			}
-			return resp, nil
-		}
-		switch {
-		case errors.Is(err, core.ErrStaleSeq):
-			// Permanent: no primary will ever accept this sequence number
-			// again, so retrying elsewhere only burns the attempt budget.
-			// An earlier admitted attempt is exactly what moved the dedup
-			// table, so the outcome is unknown.
-			sawUnknown = true
-			fail()
-			return nil, fmt.Errorf("%w: %w", ErrPermanent, err)
-		case errors.Is(err, overload.ErrDeadlineExceeded):
-			// The propagated deadline ran out before admission: provably
-			// never executed, and no retry can beat a deadline that has
-			// already passed.
-			fail()
-			return nil, err
-		case errors.Is(err, overload.ErrOverloaded):
-			// Shed before admission: provably never executed. Honor the
-			// retry-after hint against the same target — overload is not
-			// a routing problem — and make the retry spend budget: it is
-			// load offered to a server that just said it has none to spare.
-			cl.Shed++
-			chargeRetry = true
-			cl.pause(overload.RetryAfter(err))
-			continue
-		}
-		var np core.ErrNotPrimary
-		switch {
-		case errors.As(err, &np):
-			// Not-primary is a definite no-execute NACK, hint or not.
-			if np.Leader >= 0 {
-				target = np.Leader
-				// A fresh hint is authoritative; restart the backoff so
-				// the redirect is followed promptly.
-				cl.resetBackoff()
-			} else {
-				target++
-			}
-		default:
-			// ErrStopped and anything unclassified: the submit may have
-			// been admitted before the failure, so the outcome is unknown.
-			sawUnknown = true
-			target++
-		}
-		cl.backoff()
-	}
-	fail()
-	return nil, fmt.Errorf("cluster: request timed out after %v", timeout)
-}
-
-// Query runs a read-only query, preferring replica i but failing over to
-// the other replicas on ErrStopped or a missing replica — the same
-// transient classification Do gives writes.
-func (cl *Client) Query(i int, q []byte) ([]byte, error) {
-	n := cl.C.Size()
-	cl.resetBackoff()
-	var lastErr error = errors.New("cluster: replica down")
-	for attempt := 0; attempt < 2*n; attempt++ {
-		r := cl.C.Replica((i + attempt) % n)
-		if r == nil {
-			lastErr = errors.New("cluster: replica down")
-			cl.backoff()
-			continue
-		}
-		resp, err := r.Query(q)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !errors.Is(err, core.ErrStopped) {
-			return nil, err
-		}
-		cl.backoff()
-	}
-	return nil, lastErr
-}
-
-// QueryLevel runs a read at the given consistency level, with the same
-// retry/redirect classification Do gives writes. Linearizable reads chase
-// the primary (and are recorded into the client's history, when a
-// Recorder is set, exactly like writes — they claim a linearization
-// point, so the checker must hold them to it). Session and eventual reads
-// rotate over the likely secondaries, falling back to the primary when
-// the query is classified primary-only; session reads carry and refresh
-// the client's session token.
-func (cl *Client) QueryLevel(level readpath.Level, q []byte) ([]byte, error) {
-	return cl.QueryLevelTimeout(level, q, 30*time.Second)
-}
-
-// QueryLevelTimeout is QueryLevel with an explicit deadline.
-func (cl *Client) QueryLevelTimeout(level readpath.Level, q []byte, timeout time.Duration) ([]byte, error) {
-	if !level.Valid() {
-		return nil, fmt.Errorf("cluster: invalid consistency level %d", uint8(level))
-	}
-	e := cl.C.Env
-	lin := level == readpath.Linearizable
-	var opID uint64
-	if lin && cl.Recorder != nil {
-		opID = cl.Recorder.Invoke(cl.ID, q)
-	}
-	maxAttempts := cl.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxAttempts
-	}
-	deadline := e.Now() + timeout
-	toPrimary := lin
-	cl.resetBackoff()
-	var lastErr error
-	// A failed read is always discardable: reads mutate nothing and the
-	// caller never saw a response, so dropping the op cannot invalidate
-	// any other op's linearization.
-	failRead := func() {
-		if !lin || cl.Recorder == nil {
-			return
-		}
-		if d, ok := cl.Recorder.(opDiscarder); ok {
-			d.Discard(opID)
-			return
-		}
-		cl.Recorder.Timeout(opID)
-	}
-	for attempts := 0; e.Now() < deadline && attempts < maxAttempts; attempts++ {
-		n := cl.C.Size()
-		var i int
-		if toPrimary {
-			i = cl.LastPrimary % n
-		} else {
-			cl.readRR++
-			i = (cl.LastPrimary + 1 + cl.readRR) % n
-		}
-		r := cl.C.Replica(i)
-		if r == nil {
-			cl.backoff()
-			continue
-		}
-		var tok readpath.Token
-		if level == readpath.Session {
-			tok = cl.sess.Token()
-		}
-		resp, newTok, err := r.QueryLevel(level, tok, q)
-		if err == nil {
-			cl.sess.Observe(newTok)
-			if lin {
-				cl.LastPrimary = i
-				if cl.Recorder != nil {
-					cl.Recorder.Return(opID, resp)
-				}
-			}
-			return resp, nil
-		}
-		lastErr = err
-		var np core.ErrNotPrimary
-		switch {
-		case errors.As(err, &np):
-			if np.Leader >= 0 {
-				cl.LastPrimary = np.Leader
-				cl.resetBackoff()
-			} else {
-				cl.LastPrimary = (cl.LastPrimary + 1) % n
-			}
-			toPrimary = true
-		case errors.Is(err, readpath.ErrPrimaryOnly):
-			// Classified primary-only: stop probing secondaries. The
-			// primary serves any level.
-			toPrimary = true
-		case errors.Is(err, overload.ErrOverloaded):
-			// Shed by admission control: honor the retry-after hint. A
-			// weak read may still find capacity on another secondary, so
-			// keep rotating.
-			cl.Shed++
-			cl.pause(overload.RetryAfter(err))
-			continue
-		case errors.Is(err, core.ErrStopped),
-			errors.Is(err, readpath.ErrFrontierWait),
-			errors.Is(err, readpath.ErrLeaseWait):
-			// Transient: another replica (or the next election's winner)
-			// can serve it.
-		default:
-			failRead()
-			return nil, err
-		}
-		cl.backoff()
-	}
-	failRead()
-	if lastErr == nil {
-		lastErr = errors.New("cluster: no replica served the read")
-	}
-	return nil, fmt.Errorf("cluster: read failed after retries: %w", lastErr)
+	return ch.Apply(r)
 }
