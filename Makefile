@@ -12,11 +12,13 @@ test:
 
 # The concurrency-heavy packages under the race detector: the transport
 # torture tests, the core replica lifecycle tests (including the read
-# path and the conflict-elision property test), the reconfiguration
+# path and the conflict-elision property test), the client retry loop
+# with its TCP transport and the shard router, the reconfiguration
 # drills (node replacement under load), and the pinned-seed
 # consistent-read and conflict-class chaos scenarios.
 race:
 	$(GO) test -race ./internal/transport ./internal/core
+	$(GO) test -race ./internal/client ./internal/server ./internal/shard
 	$(GO) test -race -run 'TestReplacementDrill|TestRemovedIdentityRefused' ./internal/cluster/
 	$(GO) test -race -run 'TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
 	$(GO) test -race -run 'TestMigrationWindowProperty' ./internal/rebalance/

@@ -54,18 +54,6 @@ import (
 	"rex/internal/shard"
 )
 
-// fetchMap asks each server in turn for the shard map.
-func fetchMap(cl *server.Client, n int) (*shard.ShardMap, error) {
-	var err error
-	for i := 0; i < n; i++ {
-		var m *shard.ShardMap
-		if m, err = cl.FetchShardMap(i); err == nil {
-			return m, nil
-		}
-	}
-	return nil, err
-}
-
 func roleName(r core.Role) string {
 	switch r {
 	case core.RolePrimary:
@@ -273,14 +261,14 @@ func main() {
 
 	switch args[0] {
 	case "shardmap":
-		m, err := fetchMap(cl, len(addrs))
+		m, err := cl.LatestShardMap()
 		if err != nil {
 			log.Fatalf("rexctl: %v", err)
 		}
 		fmt.Println(m)
 		return
 	case "status":
-		m, err := fetchMap(cl, len(addrs))
+		m, err := cl.LatestShardMap()
 		if err != nil {
 			// Unsharded: one group, replica i on "node" i.
 			m = &shard.ShardMap{Version: 0, Nodes: len(addrs), Placement: [][]int{make([]int, len(addrs))}}
@@ -313,7 +301,7 @@ func main() {
 		fmt.Println("reconfiguration accepted")
 		return
 	case "rebalance":
-		m, err := fetchMap(cl, len(addrs))
+		m, err := cl.LatestShardMap()
 		if err != nil {
 			log.Fatalf("rexctl: fetch shard map: %v", err)
 		}
@@ -330,7 +318,7 @@ func main() {
 
 	var resp []byte
 	if *sharded {
-		m, err := fetchMap(cl, len(addrs))
+		m, err := cl.LatestShardMap()
 		if err != nil {
 			log.Fatalf("rexctl: fetch shard map: %v", err)
 		}

@@ -30,7 +30,7 @@ type Op struct {
 }
 
 // History records operations concurrently. It implements
-// cluster.HistoryRecorder; the now function supplies (virtual) time.
+// client.Recorder; the now function supplies (virtual) time.
 type History struct {
 	mu  sync.Mutex
 	now func() time.Duration

@@ -231,10 +231,6 @@ var (
 	// the primary at linearizable level.
 	ErrPrimaryOnly = errors.New("readpath: query must run on the primary")
 
-	// ErrNotPrimary: a linearizable read reached a non-primary. Clients
-	// follow the leader hint like a write would.
-	ErrNotPrimary = errors.New("readpath: linearizable reads require the primary")
-
 	// ErrFrontierWait: the replica's replayed frontier did not cover the
 	// session token within the wait budget. Transient — clients try
 	// another replica or fall back to the primary.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"rex/internal/env"
 	"rex/internal/obs"
 	"rex/internal/readpath"
 	"rex/internal/shard"
@@ -17,13 +18,6 @@ type Clock interface {
 	Now() time.Duration
 	Sleep(d time.Duration)
 }
-
-// realClock is the default Clock for TCP deployments.
-type realClock struct{ base time.Time }
-
-func (c realClock) Now() time.Duration    { return time.Since(c.base) }
-func (c realClock) Sleep(d time.Duration) { time.Sleep(d) }
-func newRealClock() Clock                 { return realClock{base: time.Now()} }
 
 // ErrProposeConflict reports that another coordinator won the map CAS.
 var ErrProposeConflict = errors.New("rebalance: map version conflict (another change in flight)")
@@ -52,7 +46,7 @@ type Coordinator struct {
 
 func (c *Coordinator) clock() Clock {
 	if c.Clock == nil {
-		c.Clock = newRealClock()
+		c.Clock = env.NewReal()
 	}
 	return c.Clock
 }
@@ -80,20 +74,7 @@ func (c *Coordinator) metric() *obs.Registry {
 // ctrl submits a control op to group g and unwraps the reply.
 func (c *Coordinator) ctrl(g int, op []byte) ([]byte, error) {
 	resp, err := c.Groups[g].Do(op)
-	if err != nil {
-		return nil, err
-	}
-	st, payload, err := shard.DecodeReply(resp)
-	if err != nil {
-		return nil, err
-	}
-	if st != shard.ReplyOK {
-		if st == shard.ReplyErr {
-			return nil, fmt.Errorf("%w: group %d: %s", shard.ErrRebalance, g, shard.ReplyErrMessage(payload))
-		}
-		return nil, fmt.Errorf("rebalance: group %d control op nacked (%d)", g, st)
-	}
-	return payload, nil
+	return unwrapCtrl(g, "control op", resp, err)
 }
 
 // ctrlQuery runs a linearizable control query against group g. The
@@ -102,6 +83,11 @@ func (c *Coordinator) ctrl(g int, op []byte) ([]byte, error) {
 // all writes admitted before the barrier.
 func (c *Coordinator) ctrlQuery(g int, q []byte) ([]byte, error) {
 	resp, err := c.Groups[g].QueryLevel(readpath.Linearizable, q)
+	return unwrapCtrl(g, "control query", resp, err)
+}
+
+// unwrapCtrl returns the payload of group g's reply to a control request.
+func unwrapCtrl(g int, what string, resp []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +99,7 @@ func (c *Coordinator) ctrlQuery(g int, q []byte) ([]byte, error) {
 		if st == shard.ReplyErr {
 			return nil, fmt.Errorf("%w: group %d: %s", shard.ErrRebalance, g, shard.ReplyErrMessage(payload))
 		}
-		return nil, fmt.Errorf("rebalance: group %d control query nacked (%d)", g, st)
+		return nil, fmt.Errorf("rebalance: group %d %s nacked (%d)", g, what, st)
 	}
 	return payload, nil
 }

@@ -149,36 +149,6 @@ func (n *Node) Groups() []int { return append([]int(nil), n.gids...) }
 // not place g here.
 func (n *Node) Replica(g int) *core.Replica { return n.reps[g] }
 
-// AddMember proposes admitting replica id to group g's membership. The
-// hosted replica must currently be g's primary (core.ErrNotPrimary
-// otherwise), exactly as for client submits.
-func (n *Node) AddMember(g, id int, addr string) error {
-	rep := n.reps[g]
-	if rep == nil {
-		return fmt.Errorf("shard: group %d not hosted on node %d", g, n.cfg.Node)
-	}
-	return rep.AddMember(id, addr)
-}
-
-// RemoveMember proposes retiring replica id from group g's membership.
-func (n *Node) RemoveMember(g, id int) error {
-	rep := n.reps[g]
-	if rep == nil {
-		return fmt.Errorf("shard: group %d not hosted on node %d", g, n.cfg.Node)
-	}
-	return rep.RemoveMember(id)
-}
-
-// ReplaceMember proposes swapping oldID for newID in group g's
-// membership in one committed change.
-func (n *Node) ReplaceMember(g, oldID, newID int, addr string) error {
-	rep := n.reps[g]
-	if rep == nil {
-		return fmt.Errorf("shard: group %d not hosted on node %d", g, n.cfg.Node)
-	}
-	return rep.ReplaceMember(oldID, newID, addr)
-}
-
 // Map returns the shard map the node was built from.
 func (n *Node) Map() *ShardMap { return n.cfg.Map }
 
