@@ -8,11 +8,15 @@
 package chaos
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"rex/internal/storage"
 )
+
+// errInjected is the error every armed append fails with; a replica
+// that crash-stopped on it is down, not faulty.
+var errInjected = errors.New("chaos: injected WAL write error")
 
 // FaultLog wraps a storage.Log and fails the next armed number of
 // Appends, modelling a dying disk under the consensus WAL. The paxos
@@ -59,7 +63,7 @@ func (l *FaultLog) Append(rec []byte) error {
 		l.armed--
 		l.injected++
 		l.mu.Unlock()
-		return fmt.Errorf("chaos: injected WAL write error")
+		return errInjected
 	}
 	l.mu.Unlock()
 	return l.inner.Append(rec)
@@ -79,7 +83,7 @@ func (l *FaultLog) AppendBatch(recs [][]byte) error {
 		l.armed -= n
 		l.injected += uint64(n)
 		l.mu.Unlock()
-		return fmt.Errorf("chaos: injected WAL write error (batch)")
+		return errInjected
 	}
 	l.mu.Unlock()
 	return l.inner.AppendBatch(recs)

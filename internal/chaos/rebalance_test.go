@@ -13,23 +13,19 @@ import (
 // client's session guarantees must all check out afterwards.
 func TestRebalanceScenario(t *testing.T) {
 	reg := obs.NewRegistry()
-	res := RunRebalanceScenario(RebalanceScenarioConfig{
-		Seed:    9,
-		Groups:  3,
-		Nodes:   3,
-		Clients: 4,
-	}, reg, t.Logf)
+	res := runScenario(t, Scenario{Name: "rebalance", Seed: 9, Groups: 3, Clients: 4}, reg, t.Logf)
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
 	}
 	if !res.OK {
-		t.Fatalf("scenario failed: %d splits, %d merges, %d moves, %d kills, map v%d",
-			res.Splits, res.Merges, res.Moves, res.Kills, res.MapVersion)
+		t.Fatalf("scenario failed: faults=%d %v", res.Faults, res.Counts)
 	}
-	if res.Splits < 1 || res.Merges < 1 || res.Moves < 1 {
-		t.Fatalf("plan incomplete: %d splits, %d merges, %d moves", res.Splits, res.Merges, res.Moves)
+	for _, name := range []string{"splits", "merges", "moves"} {
+		if res.Count(name) < 1 {
+			t.Errorf("plan incomplete: %s = %d, want >= 1", name, res.Count(name))
+		}
 	}
-	if res.Kills < 1 {
+	if res.Faults < 1 {
 		t.Fatalf("no primary was killed during the churn")
 	}
 	if res.Ops == 0 {

@@ -9,41 +9,31 @@ import (
 
 // TestShardScenarioIsolation kills one group's primary under load and
 // verifies the blast radius stays inside that group: the other groups
-// keep committing, the victim re-elects, and every group's history stays
+// keep committing, the victim re-elects, and the history stays
 // linearizable.
 func TestShardScenarioIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
-	res := RunShardScenario(ShardScenarioConfig{
-		Seed:    3,
-		Groups:  3,
-		Nodes:   3,
-		Clients: 6,
-		Phase:   700 * time.Millisecond,
+	res := runScenario(t, Scenario{
+		Name:     "shards",
+		Seed:     3,
+		Groups:   3,
+		Clients:  6,
+		Duration: 1400 * time.Millisecond,
 	}, reg, t.Logf)
 	for _, v := range res.Violations {
 		t.Errorf("violation: %s", v)
 	}
 	if !res.OK {
-		t.Fatalf("scenario failed (killed group %d replica %d, pre %v post %v)",
-			res.KilledGroup, res.KilledReplica, res.PreKill, res.PostKill)
+		t.Fatalf("scenario failed: %v", res.Counts)
 	}
-	if res.KilledGroup < 0 || res.KilledReplica < 0 {
-		t.Fatalf("no primary was killed: %+v", res)
+	if res.Count("killed_group") != 0 || res.Count("survivor_min_pct") < 50 {
+		t.Fatalf("seed 3 of 3 groups must kill group 0 and keep survivors at half speed: %v", res.Counts)
 	}
-	if res.Ops == 0 {
-		t.Fatal("no operations recorded")
-	}
-	if len(res.Checks) != 3 {
-		t.Fatalf("got %d per-group checks, want 3", len(res.Checks))
-	}
-	// The load must actually have exercised every group in both phases.
-	for g, r := range res.PreKill {
-		if r <= 0 {
-			t.Errorf("group %d idle before the kill", g)
-		}
+	if res.Ops == 0 || res.Parts != 24 {
+		t.Fatalf("ops=%d parts=%d, want ops > 0 over 24 keys", res.Ops, res.Parts)
 	}
 	snap := reg.Snapshot()
-	if snap.Counter("chaos_shard_primary_kills") != 1 {
-		t.Errorf("chaos_shard_primary_kills = %d, want 1", snap.Counter("chaos_shard_primary_kills"))
+	if snap.Counter("chaos_fault_crash_primary") != 1 || res.Faults != 1 {
+		t.Errorf("chaos_fault_crash_primary = %d, faults = %d, want 1 each", snap.Counter("chaos_fault_crash_primary"), res.Faults)
 	}
 }
