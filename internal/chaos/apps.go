@@ -42,15 +42,7 @@ func specFor(name string) (appSpec, error) {
 			factory: hashdb.New(hashdb.DefaultOptions()),
 			model:   check.KVModel(false),
 			gen: func(rng *rand.Rand, client uint64, seq int) []byte {
-				key := fmt.Sprintf("k%d", rng.Intn(chaosKeys))
-				switch r := rng.Intn(100); {
-				case r < 45:
-					return hashdb.GetReq(key)
-				case r < 90:
-					return hashdb.SetReq(key, []byte(fmt.Sprintf("c%d-n%d", client, seq)))
-				default:
-					return hashdb.DelReq(key)
-				}
+				return hashdbOp(rng, fmt.Sprintf("k%d", rng.Intn(chaosKeys)), fmt.Sprintf("c%d-n%d", client, seq))
 			},
 		}, nil
 	case "memcache":
