@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -246,13 +245,6 @@ func CommitPath() (CommitPathResult, error) {
 	}
 	res.Conflict = append(res.Conflict, conflictBench(16))
 	return res, nil
-}
-
-// WriteCommitPathJSON serializes r as indented JSON.
-func WriteCommitPathJSON(w io.Writer, r CommitPathResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // PrintCommitPath renders the suite as tables.

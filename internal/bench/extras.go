@@ -3,17 +3,14 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
 	"rex/internal/apps"
-	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/rexsync"
 	"rex/internal/sched"
 	"rex/internal/sim"
 	"rex/internal/trace"
-	"rex/internal/wire"
 )
 
 // PrintTable1 reproduces Table 1: synchronization primitives per
@@ -119,85 +116,6 @@ func PrintEdgeAblation(w io.Writer, threads int) {
 	t.Notes = append(t.Notes, "paper: pruning removes 58-99% of causal edges.")
 	t.Fprint(w)
 }
-
-// tryMicroApp is a TryLock-heavy micro-application for the partial-order
-// ablation (Fig. 4): one holder thread takes the lock for long stretches
-// while pollers TryLock and do independent work.
-func tryMicroApp() apps.App {
-	factory := func(rt *sched.Runtime, host *core.TimerHost) core.StateMachine {
-		return &trySM{
-			lock: rexsync.NewLock(rt, "try-lock"),
-		}
-	}
-	return apps.App{
-		Name:       "try-micro",
-		Title:      "TryLock partial-order micro-benchmark",
-		Primitives: []string{"Lock (TryLock)"},
-		Factory:    factory,
-		NewWorkload: func(seed int64) apps.Workload {
-			return &tryWorkload{rng: rand.New(rand.NewSource(seed))}
-		},
-	}
-}
-
-type trySM struct {
-	lock  *rexsync.Lock
-	held  uint64
-	fails uint64
-	polls uint64
-}
-
-func (s *trySM) Apply(ctx *core.Ctx, req []byte) []byte {
-	w := ctx.Worker()
-	d := wire.NewDecoder(req)
-	if d.Byte() == 1 { // holder
-		s.lock.Lock(w)
-		ctx.Compute(400 * time.Microsecond)
-		s.held++
-		s.lock.Unlock(w)
-		return []byte{1}
-	}
-	// Poller: TryLock, then independent computation either way. The
-	// outcome is part of the response, so result checking covers it.
-	got := byte(0)
-	if s.lock.TryLock(w) {
-		s.held++
-		s.lock.Unlock(w)
-		got = 1
-	}
-	ctx.Compute(50 * time.Microsecond)
-	return []byte{2, got}
-}
-
-func (s *trySM) WriteCheckpoint(w io.Writer) error {
-	e := wire.NewEncoder(nil)
-	e.Uvarint(s.held)
-	e.Uvarint(s.fails)
-	e.Uvarint(s.polls)
-	_, err := w.Write(e.Bytes())
-	return err
-}
-
-func (s *trySM) ReadCheckpoint(r io.Reader) error {
-	buf := make([]byte, 64)
-	n, _ := r.Read(buf)
-	d := wire.NewDecoder(buf[:n])
-	s.held = d.Uvarint()
-	s.fails = d.Uvarint()
-	s.polls = d.Uvarint()
-	return nil
-}
-
-type tryWorkload struct{ rng *rand.Rand }
-
-func (w *tryWorkload) Setup() [][]byte { return nil }
-func (w *tryWorkload) Next() []byte {
-	if w.rng.Intn(4) == 0 {
-		return []byte{1} // holder
-	}
-	return []byte{2} // poller
-}
-func (w *tryWorkload) Query() []byte { return []byte{2} }
 
 // PartialOrderResult compares replay cost between the paper's
 // partial-order TryLock recording (Fig. 4 right) and the naive total order
@@ -390,16 +308,31 @@ type DeltaAblationResult struct {
 // full-trace volume is the sum of prefix sizes: proposing the whole trace
 // in every instance.
 func DeltaAblation(app apps.App, threads int) DeltaAblationResult {
-	sizes := CollectDeltaSizes(app, threads)
 	var res DeltaAblationResult
 	var prefix uint64
-	for _, s := range sizes {
+	for _, s := range CollectDeltaSizes(app, threads) {
 		res.Instances++
 		res.DeltaBytes += uint64(s)
 		prefix += uint64(s)
 		res.FullBytes += prefix
 	}
 	return res
+}
+
+// CollectDeltaSizes runs a short Rex load and returns the committed delta
+// sizes observed by the primary, in instance order.
+func CollectDeltaSizes(app apps.App, threads int) []int {
+	const seed = 42
+	var sizes []int
+	simulate(24, func(r *rig) {
+		c, p := r.group(app, options(app, threads, 2*threads, seed))
+		r.clients(2*threads, 0, func(i int) op {
+			return appOp(app, seed, i, false, via(c.NewClient(uint64(100+i))))
+		})
+		r.e.Sleep(500 * time.Millisecond)
+		sizes = c.Replicas[p].DeltaSizes()
+	})
+	return sizes
 }
 
 // PrintDeltaAblation renders the delta-proposal ablation.

@@ -7,10 +7,7 @@ import (
 	"time"
 
 	"rex/internal/apps"
-	"rex/internal/cluster"
-	"rex/internal/env"
 	"rex/internal/obs"
-	"rex/internal/sim"
 )
 
 // Fig10Config scripts the §6.6 failover timeline on the thumbnail server:
@@ -68,133 +65,73 @@ type Fig10Sample struct {
 // Fig10 runs the failover timeline and returns per-bucket throughput.
 func Fig10(cfg Fig10Config) []Fig10Sample {
 	app := apps.Thumbnail()
-	e := sim.New(cfg.Cores)
 	var samples []Fig10Sample
-	e.Run(func() {
-		c := cluster.New(e, app.Factory, cluster.Options{
-			Replicas:        3,
-			Workers:         cfg.Threads,
-			Timers:          app.Timers,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  cfg.ElectionTimeout / 8,
-			ElectionTimeout: cfg.ElectionTimeout,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * cfg.Clients,
-			LagInstances:    32,
-			LagEvents:       1 << 12,
-			Seed:            cfg.Seed,
+	simulate(cfg.Cores, func(r *rig) {
+		o := options(app, cfg.Threads, cfg.Clients, cfg.Seed)
+		o.HeartbeatEvery = cfg.ElectionTimeout / 8
+		o.ElectionTimeout = cfg.ElectionTimeout
+		o.LagInstances, o.LagEvents = 32, 1<<12
+		c, p := r.group(app, o)
+		r.clients(cfg.Clients, 0, func(i int) op {
+			cl := c.NewClient(uint64(100 + i))
+			// Keep retrying through the outage; the request stream must
+			// resume as soon as a new primary serves.
+			return appOp(app, cfg.Seed, i, false, func(req []byte) error {
+				cl.DoTimeout(req, 60*time.Second)
+				return nil
+			})
 		})
-		if err := c.Start(); err != nil {
-			panic(err)
+
+		// Scripted control plane; each step labels the bucket after it.
+		checkpoint := func() {
+			if pr := c.Primary(); pr >= 0 {
+				c.Replicas[pr].Checkpoint()
+			}
 		}
-		p, err := c.WaitPrimary(5 * time.Second)
-		if err != nil {
-			panic(err)
+		script := []struct {
+			at   time.Duration
+			what string
+			do   func()
+		}{
+			{cfg.Checkpoint1, "checkpoint 1", checkpoint},
+			{cfg.Checkpoint2, "checkpoint 2", checkpoint},
+			{cfg.KillAt, "primary killed", func() { c.Crash(p) }},
+			{cfg.RestartAt, "old primary rejoins", func() {
+				if err := c.Restart(p); err != nil {
+					panic(err)
+				}
+			}},
 		}
-		var done uint64
-		mu := e.NewMutex()
-		stop := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("client-%d", i), func() {
-				defer g.Done()
-				cl := c.NewClient(uint64(100 + i))
-				wl := app.NewWorkload(cfg.Seed + int64(i) + 1)
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
+		events := make(map[int]string)
+		for _, step := range script {
+			events[int(step.at/cfg.BucketEvery)+1] = step.what
+		}
+		r.e.Go("script", func() {
+			for _, step := range script {
+				for r.e.Now() < step.at {
+					if r.stopping() {
 						return
 					}
-					// Keep retrying through the outage; the request stream
-					// must resume as soon as a new primary serves.
-					cl.DoTimeout(wl.Next(), 60*time.Second)
-					mu.Lock()
-					done++
-					mu.Unlock()
+					r.e.Sleep(10 * time.Millisecond)
 				}
-			})
-		}
-
-		// Scripted control plane.
-		events := make(map[int]string)
-		e.Go("script", func() {
-			wait := func(until time.Duration) bool {
-				for e.Now() < until {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return false
-					}
-					e.Sleep(10 * time.Millisecond)
-				}
-				return true
-			}
-			mark := func(at time.Duration, what string) {
-				mu.Lock()
-				events[int(at/cfg.BucketEvery)] = what
-				mu.Unlock()
-			}
-			if !wait(cfg.Checkpoint1) {
-				return
-			}
-			mark(cfg.Checkpoint1, "checkpoint 1")
-			if pr := c.Primary(); pr >= 0 {
-				c.Replicas[pr].Checkpoint()
-			}
-			if !wait(cfg.Checkpoint2) {
-				return
-			}
-			mark(cfg.Checkpoint2, "checkpoint 2")
-			if pr := c.Primary(); pr >= 0 {
-				c.Replicas[pr].Checkpoint()
-			}
-			if !wait(cfg.KillAt) {
-				return
-			}
-			mark(cfg.KillAt, "primary killed")
-			c.Crash(p)
-			if !wait(cfg.RestartAt) {
-				return
-			}
-			mark(cfg.RestartAt, "old primary rejoins")
-			if err := c.Restart(p); err != nil {
-				panic(err)
+				step.do()
 			}
 		})
 
 		// Sample throughput per bucket.
-		start := e.Now()
-		last := uint64(0)
-		for e.Now()-start < cfg.EndAt {
-			e.Sleep(cfg.BucketEvery)
-			mu.Lock()
-			cur := done
-			mu.Unlock()
-			at := e.Now() - start
+		start := r.e.Now()
+		for r.e.Now()-start < cfg.EndAt {
+			w := r.measureFor(cfg.BucketEvery)
+			at := r.e.Now() - start
 			samples = append(samples, Fig10Sample{
 				At:         at,
-				Throughput: float64(cur-last) / cfg.BucketEvery.Seconds(),
+				Throughput: w.rate(w.total()),
+				Event:      events[int(at/cfg.BucketEvery)],
 			})
-			last = cur
 		}
-		mu.Lock()
-		stop = true
-		for i := range samples {
-			if ev, ok := events[int(samples[i].At/cfg.BucketEvery)-1]; ok {
-				samples[i].Event = ev
-			}
-		}
-		mu.Unlock()
 		if pr := c.Primary(); pr >= 0 && len(samples) > 0 {
 			samples[len(samples)-1].Metrics = c.Replicas[pr].Metrics()
 		}
-		g.Wait()
-		c.Stop()
 	})
 	return samples
 }

@@ -7,10 +7,7 @@ import (
 
 	"rex/internal/apps"
 	"rex/internal/apps/lockserver"
-	"rex/internal/cluster"
-	"rex/internal/env"
 	"rex/internal/obs"
-	"rex/internal/sim"
 )
 
 // Fig9Config parameterizes the §6.5 query-semantics experiment: a fixed
@@ -69,110 +66,34 @@ func Fig9(cfg Fig9Config, onPrimary bool) []Fig9Row {
 }
 
 func fig9Point(cfg Fig9Config, app apps.App, updateThreads int, onPrimary bool) Fig9Row {
-	e := sim.New(cfg.Cores)
-	var row Fig9Row
-	e.Run(func() {
-		c := cluster.New(e, app.Factory, cluster.Options{
-			Replicas:        3,
-			Workers:         updateThreads,
-			Timers:          app.Timers,
-			ReadWorkers:     cfg.QueryThreads,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  96 * updateThreads,
-			Seed:            cfg.Seed,
-		})
-		if err := c.Start(); err != nil {
-			panic(err)
-		}
-		p, err := c.WaitPrimary(5 * time.Second)
-		if err != nil {
-			panic(err)
-		}
-		setupCl := c.NewClient(1)
-		setup := app.NewWorkload(cfg.Seed).Setup()
-		if len(setup) > 500 {
-			setup = setup[:500]
-		}
-		for _, req := range setup {
-			if _, err := setupCl.Do(req); err != nil {
-				panic(err)
-			}
-		}
-		target := (p + 1) % 3
+	const (
+		update = iota
+		query
+	)
+	row := Fig9Row{UpdateThreads: updateThreads}
+	simulate(cfg.Cores, func(r *rig) {
+		updaters := 24 * updateThreads
+		o := options(app, updateThreads, updaters, cfg.Seed)
+		o.ReadWorkers = cfg.QueryThreads
+		c, p := r.group(app, o)
+		setup(app, cfg.Seed, 500, via(c.NewClient(1)))
+		target := c.Replicas[(p+1)%3]
 		if onPrimary {
-			target = p
+			target = c.Replicas[p]
 		}
-		var updates, queries uint64
-		mu := e.NewMutex()
-		stop := false
-		g := env.NewGroup(e)
-		for i := 0; i < 24*updateThreads; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("updater-%d", i), func() {
-				defer g.Done()
-				cl := c.NewClient(uint64(100 + i))
-				wl := app.NewWorkload(cfg.Seed + int64(i) + 1)
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					if _, err := cl.Do(wl.Next()); err != nil {
-						return
-					}
-					mu.Lock()
-					updates++
-					mu.Unlock()
-				}
-			})
-		}
-		for i := 0; i < cfg.QueryThreads; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("querier-%d", i), func() {
-				defer g.Done()
-				wl := app.NewWorkload(cfg.Seed + 1000 + int64(i))
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					if _, err := c.Replicas[target].Query(wl.Query()); err != nil {
-						return
-					}
-					mu.Lock()
-					queries++
-					mu.Unlock()
-				}
-			})
-		}
-		e.Sleep(cfg.Warmup)
-		mu.Lock()
-		u0, q0 := updates, queries
-		mu.Unlock()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		u1, q1 := updates, queries
-		stop = true
-		mu.Unlock()
-		snap := c.Replicas[target].Metrics()
-		g.Wait()
-		c.Stop()
-		secs := cfg.Measure.Seconds()
-		row = Fig9Row{
-			UpdateThreads: updateThreads,
-			UpdateTput:    float64(u1-u0) / secs,
-			QueryTput:     float64(q1-q0) / secs,
-			Metrics:       snap,
-		}
+		r.clients(updaters, 0, func(i int) op {
+			return appOp(app, cfg.Seed, i, false, via(c.NewClient(uint64(100+i))))
+		})
+		r.clients(cfg.QueryThreads, 0, func(i int) op {
+			wl := app.NewWorkload(cfg.Seed + 1000 + int64(i))
+			return func() (int, bool, error) {
+				_, err := target.Query(wl.Query())
+				return query, false, err
+			}
+		})
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		row.UpdateTput, row.QueryTput = w.rate(w.count(update)), w.rate(w.count(query))
+		row.Metrics = target.Metrics()
 	})
 	return row
 }

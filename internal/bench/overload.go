@@ -1,17 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
+	"rex/internal/apps"
 	"rex/internal/apps/hashdb"
-	"rex/internal/cluster"
-	"rex/internal/env"
-	"rex/internal/obs"
-	"rex/internal/sim"
 )
 
 // The overload suite draws the goodput-vs-offered-load curve that
@@ -105,24 +101,19 @@ type OverloadResult struct {
 // the target arrival rate in ops/s; 0 runs the closed-loop saturation
 // probe instead. protected toggles admission control.
 func runOverloadPoint(cfg OverloadConfig, protected bool, offered float64) OverloadPoint {
-	pt := OverloadPoint{Mode: "peak"}
-	opts := cluster.Options{
-		Replicas:            cfg.Replicas,
-		Workers:             cfg.Workers,
-		Timers:              hashdb.Timers(),
-		ProposeEvery:        2 * time.Millisecond,
-		HeartbeatEvery:      20 * time.Millisecond,
-		ElectionTimeout:     100 * time.Millisecond,
-		StatusEvery:         20 * time.Millisecond,
-		MaxOutstanding:      cfg.MaxOutstanding,
-		MaxAdmissionWaiters: cfg.MaxAdmissionWaiters,
-		AdmissionTarget:     cfg.AdmissionTarget,
-		AdmissionInterval:   cfg.AdmissionInterval,
-		Seed:                cfg.Seed,
-	}
-	if protected {
-		pt.Mode = "protected"
-	} else {
+	const (
+		good = iota
+		failed
+	)
+	app := apps.HashDB()
+	opts := options(app, cfg.Workers, 0, cfg.Seed)
+	opts.Replicas = cfg.Replicas
+	opts.MaxOutstanding = cfg.MaxOutstanding
+	opts.MaxAdmissionWaiters = cfg.MaxAdmissionWaiters
+	opts.AdmissionTarget = cfg.AdmissionTarget
+	opts.AdmissionInterval = cfg.AdmissionInterval
+	pt := OverloadPoint{Mode: "protected"}
+	if !protected {
 		// The contrast cell: the same pipeline depth (capacity is the
 		// same provisioned machine) but an unbounded patience queue and
 		// no CoDel — every arrival waits out its full sojourn instead of
@@ -136,131 +127,41 @@ func runOverloadPoint(cfg OverloadConfig, protected bool, offered float64) Overl
 	// and bursts to catch up, so the fleet sustains the offered rate as
 	// long as one op (bounded by the deadline) fits in two intervals.
 	clients := cfg.ClosedClients
+	// The saturation probe is about capacity, not deadline misses:
+	// closed-loop clients wait out the queue.
+	timeout := 10 * cfg.OpDeadline
 	if offered > 0 {
 		// Worst case a generator's op burns its whole deadline (sheds
 		// pause-and-retry inside DoTimeout), so per-worker throughput
 		// floors at 1/deadline; 2x headroom keeps the offered rate real.
-		clients = int(offered * cfg.OpDeadline.Seconds() * 2)
-		if clients < 32 {
-			clients = 32
-		}
-		if clients > 1024 {
-			clients = 1024
-		}
+		clients = min(max(int(offered*cfg.OpDeadline.Seconds()*2), 32), 1024)
+		timeout = cfg.OpDeadline
 	}
 	pt.Clients = clients
 
-	e := sim.New(cfg.Cores)
-	e.Run(func() {
-		c := cluster.New(e, hashdb.New(hashdb.DefaultOptions()), opts)
-		if err := c.Start(); err != nil {
-			panic(err)
-		}
-		if _, err := c.WaitPrimary(5 * time.Second); err != nil {
-			panic(err)
-		}
-
-		key := func(k uint64) string { return fmt.Sprintf("key-%06d", k) }
-		val := make([]byte, cfg.ValueBytes)
-		for i := range val {
-			val[i] = byte('a' + i%26)
-		}
-
-		overloadCounters := func() (sheds, deadline uint64) {
-			for i := 0; i < c.Size(); i++ {
-				if r := c.Replica(i); r != nil {
-					m := r.Metrics()
-					sheds += m.Counter("rex_shed_total")
-					deadline += m.Counter("rex_deadline_exceeded_total")
+	simulate(cfg.Cores, func(r *rig) {
+		c, _ := r.group(app, opts)
+		val := value(cfg.ValueBytes)
+		r.counters = replicaCounters(c, "rex_shed_total", "rex_deadline_exceeded_total")
+		r.clients(clients, offered, func(i int) op {
+			cl := c.NewClient(uint64(10_000 + i))
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
+			zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Keys-1))
+			return func() (int, bool, error) {
+				t0 := r.e.Now()
+				_, err := cl.DoTimeout(hashdb.SetReq(key(int(zipf.Uint64())), val), timeout)
+				if err == nil && r.e.Now()-t0 <= timeout {
+					return good, true, nil
 				}
+				return failed, false, nil
 			}
-			return
-		}
-
-		var attempts, good, failed uint64
-		lat := obs.NewHistogram()
-		mu := e.NewMutex()
-		stop := false
-		measuring := false
-		begin := e.Now()
-		g := env.NewGroup(e)
-		for i := 0; i < clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("overload-client-%d", i), func() {
-				defer g.Done()
-				cl := c.NewClient(uint64(10_000 + i))
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
-				zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Keys-1))
-				var interval time.Duration
-				next := begin
-				if offered > 0 {
-					interval = time.Duration(float64(clients) / offered * float64(time.Second))
-					// Stagger the fleet's phases so arrivals spread uniformly
-					// instead of thundering in once per interval.
-					next += time.Duration(float64(i) / offered * float64(time.Second))
-				}
-				for {
-					if offered > 0 {
-						// Open loop: hold the arrival schedule; if the last op
-						// ran long, fire immediately to catch up.
-						if now := e.Now(); now < next {
-							e.Sleep(next - now)
-						}
-						next += interval
-					}
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					timeout := cfg.OpDeadline
-					if offered == 0 {
-						// The saturation probe is about capacity, not deadline
-						// misses: closed-loop clients wait out the queue.
-						timeout = 10 * cfg.OpDeadline
-					}
-					t0 := e.Now()
-					_, err := cl.DoTimeout(hashdb.SetReq(key(zipf.Uint64()), val), timeout)
-					d := e.Now() - t0
-					mu.Lock()
-					if measuring {
-						attempts++
-						if err == nil && d <= timeout {
-							good++
-							lat.Observe(d)
-						} else {
-							failed++
-						}
-					}
-					mu.Unlock()
-				}
-			})
-		}
-
-		e.Sleep(cfg.Warmup)
-		s0, d0 := overloadCounters()
-		mu.Lock()
-		measuring = true
-		mu.Unlock()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		measuring = false
-		stop = true
-		mu.Unlock()
-		s1, d1 := overloadCounters()
-		g.Wait()
-		c.Stop()
-
-		secs := cfg.Measure.Seconds()
-		pt.OfferedRPS = float64(attempts) / secs
-		pt.GoodputRPS = float64(good) / secs
-		pt.FailRPS = float64(failed) / secs
-		pt.ShedRPS = float64(s1-s0) / secs
-		pt.DeadlineRPS = float64(d1-d0) / secs
-		pt.P50Ms = float64(lat.Quantile(0.50)) / float64(time.Millisecond)
-		pt.P99Ms = float64(lat.Quantile(0.99)) / float64(time.Millisecond)
+		})
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		pt.OfferedRPS = w.rate(w.total())
+		pt.GoodputRPS, pt.FailRPS = w.rate(w.count(good)), w.rate(w.count(failed))
+		pt.ShedRPS = w.rate(w.counters["rex_shed_total"])
+		pt.DeadlineRPS = w.rate(w.counters["rex_deadline_exceeded_total"])
+		pt.P50Ms, pt.P99Ms = w.ms(0.50), w.ms(0.99)
 	})
 	return pt
 }
@@ -307,13 +208,6 @@ func RunOverloadBench(cfg OverloadConfig, logf func(string, ...any)) (OverloadRe
 		res.Points = append(res.Points, pt)
 	}
 	return res, nil
-}
-
-// WriteOverloadJSON serializes the suite result.
-func WriteOverloadJSON(w io.Writer, r OverloadResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // PrintOverloadBench renders the suite as one table.

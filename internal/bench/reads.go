@@ -1,18 +1,14 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
+	"rex/internal/apps"
 	"rex/internal/apps/hashdb"
-	"rex/internal/cluster"
-	"rex/internal/env"
-	"rex/internal/obs"
 	"rex/internal/readpath"
-	"rex/internal/sim"
 )
 
 // The read-scaling suite measures what the consistent read path buys on a
@@ -94,6 +90,10 @@ type ReadScalingResult struct {
 
 // runReadPoint measures one (replicas, level) cell on a fresh simulator.
 func runReadPoint(replicas int, level readpath.Level, cfg ReadScalingConfig) ReadPoint {
+	const (
+		read = iota
+		write
+	)
 	name := "linearizable"
 	if level == readpath.Session {
 		name = "session"
@@ -105,136 +105,43 @@ func runReadPoint(replicas int, level readpath.Level, cfg ReadScalingConfig) Rea
 		Clients:     cfg.Clients,
 		ReadPercent: cfg.ReadPercent,
 	}
-	e := sim.New(cfg.Cores)
-	e.Run(func() {
-		c := cluster.New(e, hashdb.New(hashdb.DefaultOptions()), cluster.Options{
-			Replicas:        replicas,
-			Workers:         cfg.Workers,
-			ReadWorkers:     cfg.ReadWorkers,
-			Timers:          hashdb.Timers(),
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * cfg.Clients,
-			Seed:            cfg.Seed,
-		})
-		if err := c.Start(); err != nil {
-			panic(err)
-		}
-		if _, err := c.WaitPrimary(5 * time.Second); err != nil {
-			panic(err)
-		}
-
-		key := func(k uint64) string { return fmt.Sprintf("key-%06d", k) }
-		val := make([]byte, cfg.ValueBytes)
-		for i := range val {
-			val[i] = byte('a' + i%26)
-		}
-
+	simulate(cfg.Cores, func(r *rig) {
+		app := apps.HashDB()
+		o := options(app, cfg.Workers, cfg.Clients, cfg.Seed)
+		o.Replicas, o.ReadWorkers = replicas, cfg.ReadWorkers
+		c, _ := r.group(app, o)
+		val := value(cfg.ValueBytes)
 		// Prefill so reads in the measured window always hit.
-		setup := env.NewGroup(e)
-		setupWorkers := 16
-		for w := 0; w < setupWorkers; w++ {
-			w := w
-			setup.Add(1)
-			e.Go(fmt.Sprintf("reads-setup-%d", w), func() {
-				defer setup.Done()
-				cl := c.NewClient(uint64(1 + w))
-				for k := w; k < cfg.Keys; k += setupWorkers {
-					if _, err := cl.Do(hashdb.SetReq(key(uint64(k)), val)); err != nil {
-						panic(fmt.Sprintf("bench: reads prefill: %v", err))
-					}
+		r.prefill(cfg.Keys, func(w int) func(int) error {
+			send := via(c.NewClient(uint64(1 + w)))
+			return func(k int) error { return send(hashdb.SetReq(key(k), val)) }
+		})
+		r.counters = replicaCounters(c, "rex_follower_reads_total", "rex_lease_reads_total", "rex_lease_confirm_reads_total")
+		r.clients(cfg.Clients, 0, func(i int) op {
+			cl := c.NewClient(uint64(10_000 + i))
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
+			zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
+			return func() (int, bool, error) {
+				k := key(int(zipf.Uint64()))
+				if rng.Intn(100) < cfg.ReadPercent {
+					_, err := cl.QueryLevel(level, hashdb.GetReq(k))
+					return read, true, err
 				}
-			})
-		}
-		setup.Wait()
-
-		readCounters := func() (follower, lease, confirm uint64) {
-			for i := 0; i < c.Size(); i++ {
-				if r := c.Replica(i); r != nil {
-					m := r.Metrics()
-					follower += m.Counter("rex_follower_reads_total")
-					lease += m.Counter("rex_lease_reads_total")
-					confirm += m.Counter("rex_lease_confirm_reads_total")
-				}
+				_, err := cl.Do(hashdb.SetReq(k, val))
+				return write, false, err
 			}
-			return
+		})
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		reads := w.count(read)
+		pt.ReadsPerSec, pt.WritesPerSec = w.rate(reads), w.rate(w.count(write))
+		pt.Throughput = w.rate(w.total())
+		pt.ReadP50Ms, pt.ReadP99Ms = w.ms(0.50), w.ms(0.99)
+		if reads > 0 {
+			pt.FollowerShare = float64(w.counters["rex_follower_reads_total"]) / float64(reads)
 		}
-
-		var reads, writes uint64
-		lat := obs.NewHistogram()
-		mu := e.NewMutex()
-		stop := false
-		measuring := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("reads-client-%d", i), func() {
-				defer g.Done()
-				cl := c.NewClient(uint64(10_000 + i))
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
-				zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Keys-1))
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					k := key(zipf.Uint64())
-					if rng.Intn(100) < cfg.ReadPercent {
-						t0 := e.Now()
-						if _, err := cl.QueryLevel(level, hashdb.GetReq(k)); err != nil {
-							return
-						}
-						d := e.Now() - t0
-						mu.Lock()
-						if measuring {
-							lat.Observe(d)
-							reads++
-						}
-						mu.Unlock()
-					} else {
-						if _, err := cl.Do(hashdb.SetReq(k, val)); err != nil {
-							return
-						}
-						mu.Lock()
-						if measuring {
-							writes++
-						}
-						mu.Unlock()
-					}
-				}
-			})
-		}
-
-		e.Sleep(cfg.Warmup)
-		f0c, l0, c0 := readCounters()
-		mu.Lock()
-		measuring = true
-		mu.Unlock()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		measuring = false
-		stop = true
-		mu.Unlock()
-		f1, l1, c1 := readCounters()
-		g.Wait()
-		c.Stop()
-
-		secs := cfg.Measure.Seconds()
-		pt.ReadsPerSec = float64(reads) / secs
-		pt.WritesPerSec = float64(writes) / secs
-		pt.Throughput = float64(reads+writes) / secs
-		pt.ReadP50Ms = float64(lat.Quantile(0.50)) / float64(time.Millisecond)
-		pt.ReadP99Ms = float64(lat.Quantile(0.99)) / float64(time.Millisecond)
-		if total := reads; total > 0 {
-			pt.FollowerShare = float64(f1-f0c) / float64(total)
-		}
-		if linTotal := (l1 - l0) + (c1 - c0); linTotal > 0 {
-			pt.LeaseShare = float64(l1-l0) / float64(linTotal)
+		lease := w.counters["rex_lease_reads_total"]
+		if lin := lease + w.counters["rex_lease_confirm_reads_total"]; lin > 0 {
+			pt.LeaseShare = float64(lease) / float64(lin)
 		}
 	})
 	return pt
@@ -260,13 +167,6 @@ func RunReadScaling(cfg ReadScalingConfig, logf func(string, ...any)) (ReadScali
 		}
 	}
 	return res, nil
-}
-
-// WriteReadScalingJSON serializes the suite result.
-func WriteReadScalingJSON(w io.Writer, r ReadScalingResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // PrintReadScaling renders the suite as one table.

@@ -6,12 +6,11 @@ import (
 	"math/rand"
 	"time"
 
+	"rex/internal/apps"
 	"rex/internal/apps/hashdb"
 	"rex/internal/cluster"
-	"rex/internal/env"
 	"rex/internal/obs"
 	"rex/internal/shard"
-	"rex/internal/sim"
 )
 
 // The rebalance suite measures what a live range migration costs the
@@ -91,42 +90,54 @@ type RebalanceBenchResult struct {
 
 const rebalanceMoveAt = uint64(1) << 62 // split point: group 0's upper half
 
-// runRebalanceLoad drives the fixed client population against mc and
-// returns a measure function: measureUntil(stopped) samples the aggregate
-// and surviving-range committed-write counters over a window.
-func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult, logf func(string, ...any)) error {
-	var runErr error
-	e := sim.New(cfg.Cores)
-	e.Run(func() {
+// inMoved reports whether key k's hash lies in the moved span [2^62, 2^63).
+func inMoved(k int) bool {
+	h := shard.HashKey([]byte(key(k)))
+	return h >= rebalanceMoveAt && h < uint64(1)<<63
+}
+
+// Op kinds of the rebalance suite.
+const (
+	rebalanceSurviving = iota
+	rebalanceMoved
+)
+
+// rebalanceGroups deploys the suite's two hashdb groups over m.
+func rebalanceGroups(r *rig, cfg RebalanceBenchConfig, m *shard.ShardMap) *cluster.MultiCluster {
+	app := apps.HashDB()
+	o := options(app, cfg.Workers, cfg.Clients, cfg.Seed)
+	o.ReadWorkers, o.LiveRebalance = 2, true
+	return r.groups(app, m, o)
+}
+
+// rebalanceLoad starts the fixed client population on mc, counting writes
+// to the moved span and to the surviving ranges apart.
+func rebalanceLoad(r *rig, cfg RebalanceBenchConfig, mc *cluster.MultiCluster) {
+	val := value(cfg.ValueBytes)
+	r.clients(cfg.Clients, 0, func(i int) op {
+		put := routedPut(mc.NewRouter(uint64(10_000+i*100)), hashdb.SetReq, val)
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
+		return func() (int, bool, error) {
+			k := rng.Intn(cfg.Keys)
+			kind := rebalanceSurviving
+			if inMoved(k) {
+				kind = rebalanceMoved
+			}
+			return kind, false, put(k)
+		}
+	})
+}
+
+// runRebalanceBench measures the live-move deployment: steady state, the
+// move itself, and after the flip.
+func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult) (runErr error) {
+	simulate(cfg.Cores, func(r *rig) {
 		m, err := shard.NewShardMap(1, 2, cfg.Nodes, cfg.ReplicasPerGroup)
 		if err != nil {
 			runErr = err
 			return
 		}
-		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
-			Workers:         cfg.Workers,
-			ReadWorkers:     2,
-			Timers:          hashdb.Timers(),
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * cfg.Clients,
-			Seed:            cfg.Seed,
-			LiveRebalance:   true,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := mc.Start(); err != nil {
-			runErr = err
-			return
-		}
-		if err := mc.WaitAllPrimaries(5 * time.Second); err != nil {
-			runErr = err
-			return
-		}
+		mc := rebalanceGroups(r, cfg, m)
 
 		// Split group 0's range first (metadata only), so the move ships
 		// the span [2^62, 2^63) — about a quarter of the keys.
@@ -137,120 +148,48 @@ func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult, logf
 			runErr = fmt.Errorf("bench: pre-split: %v", err)
 			return
 		}
-
-		key := func(k int) string { return fmt.Sprintf("key-%06d", k) }
-		inMoved := func(k int) bool {
-			h := shard.HashKey([]byte(key(k)))
-			return h >= rebalanceMoveAt && h < uint64(1)<<63
-		}
 		for k := 0; k < cfg.Keys; k++ {
 			if inMoved(k) {
 				res.MovedKey++
 			}
 		}
-		val := make([]byte, cfg.ValueBytes)
-		for i := range val {
-			val[i] = byte('a' + i%26)
-		}
-
 		// Prefill so the moved span actually has bytes to ship.
-		setup := env.NewGroup(e)
-		setupWorkers := 16
-		for w := 0; w < setupWorkers; w++ {
-			w := w
-			setup.Add(1)
-			e.Go(fmt.Sprintf("rebalance-setup-%d", w), func() {
-				defer setup.Done()
-				r := mc.NewRouter(uint64(1 + w*100))
-				for k := w; k < cfg.Keys; k += setupWorkers {
-					if _, err := r.Do([]byte(key(k)), hashdb.SetReq(key(k), val)); err != nil {
-						panic(fmt.Sprintf("bench: rebalance prefill: %v", err))
-					}
-				}
-			})
-		}
-		setup.Wait()
-
-		var doneAll, doneSurv uint64
-		mu := e.NewMutex()
-		stop := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("rebalance-client-%d", i), func() {
-				defer g.Done()
-				r := mc.NewRouter(uint64(10_000 + i*100))
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					k := rng.Intn(cfg.Keys)
-					if _, err := r.Do([]byte(key(k)), hashdb.SetReq(key(k), val)); err != nil {
-						return
-					}
-					mu.Lock()
-					doneAll++
-					if !inMoved(k) {
-						doneSurv++
-					}
-					mu.Unlock()
-				}
-			})
-		}
-
-		snapshot := func() (uint64, uint64) {
-			mu.Lock()
-			defer mu.Unlock()
-			return doneAll, doneSurv
-		}
+		val := value(cfg.ValueBytes)
+		r.prefill(cfg.Keys, func(w int) func(int) error {
+			return routedPut(mc.NewRouter(uint64(1+w*100)), hashdb.SetReq, val)
+		})
+		rebalanceLoad(r, cfg, mc)
 
 		// Window 1: steady state.
-		e.Sleep(cfg.Warmup)
-		a0, s0 := snapshot()
-		e.Sleep(cfg.Steady)
-		a1, s1 := snapshot()
-		secs := cfg.Steady.Seconds()
-		res.SteadyRPS = float64(a1-a0) / secs
-		res.SteadySurviving = float64(s1-s0) / secs
+		steady := r.steady(cfg.Warmup, cfg.Steady)
+		res.SteadyRPS = steady.rate(steady.total())
+		res.SteadySurviving = steady.rate(steady.count(rebalanceSurviving))
 
-		// Window 2: the live move. The window is exactly the move's own
-		// duration — propose through finalize.
-		moveDone := false
-		var moveErr error
-		t0 := e.Now()
-		a2, s2 := snapshot()
-		mover := env.GoEach(e, "rebalance-mover", 1, func(int) {
-			_, err := cd.Move(rebalanceMoveAt, 1)
-			mu.Lock()
-			moveDone = true
-			moveErr = err
-			mu.Unlock()
-		})
-		for {
-			mu.Lock()
-			d := moveDone
-			mu.Unlock()
-			if d {
-				break
+		// Window 2: the live move, from propose until the first 2 ms poll
+		// after finalize.
+		move := r.measure(func() {
+			moved := r.e.NewChan(1)
+			r.e.Go("rebalance-mover", func() {
+				_, err := cd.Move(rebalanceMoveAt, 1)
+				moved.Send(err)
+			})
+			for {
+				if err, ok, _ := moved.TryRecv(); ok {
+					if err != nil {
+						runErr = fmt.Errorf("bench: move: %v", err)
+					}
+					return
+				}
+				r.e.Sleep(2 * time.Millisecond)
 			}
-			e.Sleep(2 * time.Millisecond)
-		}
-		mover.Wait()
-		if moveErr != nil {
-			runErr = fmt.Errorf("bench: move: %v", moveErr)
+		})
+		if runErr != nil {
 			return
 		}
-		a3, s3 := snapshot()
-		moveSecs := (e.Now() - t0).Seconds()
-		res.MoveSeconds = moveSecs
-		if moveSecs > 0 {
-			res.MoveRPS = float64(a3-a2) / moveSecs
-			res.MoveSurviving = float64(s3-s2) / moveSecs
+		res.MoveSeconds = move.secs
+		if move.secs > 0 {
+			res.MoveRPS = move.rate(move.total())
+			res.MoveSurviving = move.rate(move.count(rebalanceSurviving))
 		}
 		if res.SteadySurviving > 0 {
 			res.SurvivingRatio = res.MoveSurviving / res.SteadySurviving
@@ -259,17 +198,8 @@ func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult, logf
 		res.MoveRangeFraction = 0.25
 
 		// Window 3: after the flip.
-		a4, s4 := snapshot()
-		_ = s4
-		e.Sleep(cfg.Post)
-		a5, _ := snapshot()
-		res.PostRPS = float64(a5-a4) / cfg.Post.Seconds()
-
-		mu.Lock()
-		stop = true
-		mu.Unlock()
-		g.Wait()
-		mc.Stop()
+		post := r.measureFor(cfg.Post)
+		res.PostRPS = post.rate(post.total())
 	})
 	return runErr
 }
@@ -277,11 +207,8 @@ func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult, logf
 // runRebalanceStatic measures the same workload on a deployment
 // bootstrapped directly into the post-move map shape — the "never
 // migrated" baseline.
-func runRebalanceStatic(cfg RebalanceBenchConfig) (float64, error) {
-	var rps float64
-	var runErr error
-	e := sim.New(cfg.Cores)
-	e.Run(func() {
+func runRebalanceStatic(cfg RebalanceBenchConfig) (rps float64, runErr error) {
+	simulate(cfg.Cores, func(r *rig) {
 		m, err := shard.NewShardMap(1, 2, cfg.Nodes, cfg.ReplicasPerGroup)
 		if err != nil {
 			runErr = err
@@ -298,76 +225,9 @@ func runRebalanceStatic(cfg RebalanceBenchConfig) (float64, error) {
 			runErr = err
 			return
 		}
-		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), shape, cluster.Options{
-			Workers:         cfg.Workers,
-			ReadWorkers:     2,
-			Timers:          hashdb.Timers(),
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * cfg.Clients,
-			Seed:            cfg.Seed,
-			LiveRebalance:   true,
-		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := mc.Start(); err != nil {
-			runErr = err
-			return
-		}
-		if err := mc.WaitAllPrimaries(5 * time.Second); err != nil {
-			runErr = err
-			return
-		}
-
-		key := func(k int) string { return fmt.Sprintf("key-%06d", k) }
-		val := make([]byte, cfg.ValueBytes)
-		for i := range val {
-			val[i] = byte('a' + i%26)
-		}
-		var done uint64
-		mu := e.NewMutex()
-		stop := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("rebalance-static-client-%d", i), func() {
-				defer g.Done()
-				r := mc.NewRouter(uint64(10_000 + i*100))
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					k := key(rng.Intn(cfg.Keys))
-					if _, err := r.Do([]byte(k), hashdb.SetReq(k, val)); err != nil {
-						return
-					}
-					mu.Lock()
-					done++
-					mu.Unlock()
-				}
-			})
-		}
-		e.Sleep(cfg.Warmup)
-		mu.Lock()
-		start := done
-		mu.Unlock()
-		e.Sleep(cfg.Post)
-		mu.Lock()
-		end := done
-		stop = true
-		mu.Unlock()
-		g.Wait()
-		mc.Stop()
-		rps = float64(end-start) / cfg.Post.Seconds()
+		rebalanceLoad(r, cfg, rebalanceGroups(r, cfg, shape))
+		w := r.steady(cfg.Warmup, cfg.Post)
+		rps = w.rate(w.total())
 	})
 	return rps, runErr
 }
@@ -379,7 +239,7 @@ func RunRebalanceBench(cfg RebalanceBenchConfig, logf func(string, ...any)) (Reb
 	if logf != nil {
 		logf("rebalance: live move deployment...")
 	}
-	if err := runRebalanceBench(cfg, &res, logf); err != nil {
+	if err := runRebalanceBench(cfg, &res); err != nil {
 		return res, err
 	}
 	if logf != nil {

@@ -5,11 +5,8 @@ import (
 	"time"
 
 	"rex/internal/apps"
-	"rex/internal/cluster"
 	"rex/internal/core"
-	"rex/internal/env"
 	"rex/internal/obs"
-	"rex/internal/sim"
 	"rex/internal/smr"
 	"rex/internal/storage"
 	"rex/internal/transport"
@@ -27,11 +24,8 @@ type RunConfig struct {
 	SetupCap int
 	Seed     int64
 
-	ReadWorkers    int
 	PipelineDepth  int
 	DisablePruning bool
-	TotalOrderTry  bool
-	DisableChecks  bool
 	// DisableConflictElision keeps class-owned lock events in the trace;
 	// the conflict-class experiment measures its delta-size cost.
 	DisableConflictElision bool
@@ -99,57 +93,26 @@ type RunResult struct {
 // handlers directly, native-mode primitives.
 func RunNative(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
-	e := sim.New(cfg.Cores)
 	var res RunResult
-	e.Run(func() {
-		host, err := core.NewNativeHost(e, cfg.Threads, cfg.App.Timers, cfg.Seed, cfg.App.Factory)
+	simulate(cfg.Cores, func(r *rig) {
+		host, err := core.NewNativeHost(r.e, cfg.Threads, cfg.App.Timers, cfg.Seed, cfg.App.Factory)
 		if err != nil {
 			panic(err)
 		}
-		setup := cfg.App.NewWorkload(cfg.Seed).Setup()
-		if len(setup) > cfg.SetupCap {
-			setup = setup[:cfg.SetupCap]
-		}
-		for _, req := range setup {
+		r.teardown = append(r.teardown, host.Stop)
+		setup(cfg.App, cfg.Seed, cfg.SetupCap, func(req []byte) error {
 			host.Apply(0, req)
-		}
+			return nil
+		})
 		host.StartTimers()
-		var done uint64
-		mu := e.NewMutex()
-		stop := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Threads; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("native-worker-%d", i), func() {
-				defer g.Done()
-				wl := cfg.App.NewWorkload(cfg.Seed + int64(i) + 1)
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					host.Apply(i, wl.Next())
-					mu.Lock()
-					done++
-					mu.Unlock()
-				}
+		r.clients(cfg.Threads, 0, func(i int) op {
+			return appOp(cfg.App, cfg.Seed, i, false, func(req []byte) error {
+				host.Apply(i, req)
+				return nil
 			})
-		}
-		e.Sleep(cfg.Warmup)
-		mu.Lock()
-		start := done
-		mu.Unlock()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		finished := done
-		stop = true
-		mu.Unlock()
-		g.Wait()
-		host.Stop()
-		res.Throughput = float64(finished-start) / cfg.Measure.Seconds()
+		})
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		res.Throughput = w.rate(w.total())
 	})
 	return res
 }
@@ -157,116 +120,42 @@ func RunNative(cfg RunConfig) RunResult {
 // RunRex measures a 3-replica Rex cluster.
 func RunRex(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
-	e := sim.New(cfg.Cores)
 	var res RunResult
-	e.Run(func() {
-		c := cluster.New(e, cfg.App.Factory, cluster.Options{
-			Replicas:        3,
-			Workers:         cfg.Threads,
-			Timers:          cfg.App.Timers,
-			ReadWorkers:     cfg.ReadWorkers,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * cfg.Clients,
-			Seed:            cfg.Seed,
-			DisableChecks:          cfg.DisableChecks,
-			DisablePruning:         cfg.DisablePruning,
-			TotalOrderTry:          cfg.TotalOrderTry,
-			DisableConflictElision: cfg.DisableConflictElision,
+	simulate(cfg.Cores, func(r *rig) {
+		o := options(cfg.App, cfg.Threads, cfg.Clients, cfg.Seed)
+		o.PipelineDepth = cfg.PipelineDepth
+		o.DisablePruning = cfg.DisablePruning
+		o.DisableConflictElision = cfg.DisableConflictElision
+		c, p := r.group(cfg.App, o)
+		setup(cfg.App, cfg.Seed, cfg.SetupCap, via(c.NewClient(1)))
+		r.clients(cfg.Clients, 0, func(i int) op {
+			return appOp(cfg.App, cfg.Seed, i, true, via(c.NewClient(uint64(100+i))))
 		})
-		if err := c.Start(); err != nil {
-			panic(err)
+		primary, secondary := c.Replicas[p], c.Replicas[(p+1)%3]
+		r.counters = func() map[string]uint64 {
+			sec, pri := secondary.Stats(), primary.Stats()
+			return map[string]uint64{"waited": sec.WaitedEvents, "events": pri.EventsProposed,
+				"edges": pri.EdgesProposed, "bytes": pri.BytesCommitted, "req": pri.ReqBytes, "elided": pri.ElidedOps}
 		}
-		p, err := c.WaitPrimary(5 * time.Second)
-		if err != nil {
-			panic(err)
-		}
-		setupCl := c.NewClient(1)
-		setup := cfg.App.NewWorkload(cfg.Seed).Setup()
-		if len(setup) > cfg.SetupCap {
-			setup = setup[:cfg.SetupCap]
-		}
-		for _, req := range setup {
-			if _, err := setupCl.Do(req); err != nil {
-				panic(err)
-			}
-		}
-		var done uint64
-		lat := obs.NewHistogram()
-		mu := e.NewMutex()
-		stop := false
-		measuring := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("client-%d", i), func() {
-				defer g.Done()
-				cl := c.NewClient(uint64(100 + i))
-				wl := cfg.App.NewWorkload(cfg.Seed + int64(i) + 1)
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					t0 := e.Now()
-					if _, err := cl.Do(wl.Next()); err != nil {
-						return
-					}
-					d := e.Now() - t0
-					mu.Lock()
-					if measuring {
-						lat.Observe(d)
-					}
-					done++
-					mu.Unlock()
-				}
-			})
-		}
-		secondary := (p + 1) % 3
-		e.Sleep(cfg.Warmup)
-		mu.Lock()
-		startDone := done
-		measuring = true
-		mu.Unlock()
-		s0 := c.Replicas[secondary].Stats()
-		p0 := c.Replicas[p].Stats()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		endDone := done
-		measuring = false
-		stop = true
-		mu.Unlock()
-		s1 := c.Replicas[secondary].Stats()
-		p1 := c.Replicas[p].Stats()
-		res.Primary = c.Replicas[p].Metrics()
-		res.ElidedOps = p1.ElidedOps - p0.ElidedOps
-		g.Wait()
-		c.Stop()
-		res.P50 = lat.Quantile(0.50)
-		res.P95 = lat.Quantile(0.95)
-		res.P99 = lat.Quantile(0.99)
-
-		secs := cfg.Measure.Seconds()
-		res.Throughput = float64(endDone-startDone) / secs
-		res.WaitedPerSec = float64(s1.WaitedEvents-s0.WaitedEvents) / secs
-		events := float64(p1.EventsProposed - p0.EventsProposed)
-		res.EventsPerSec = events / secs
-		totalBytes := float64(p1.BytesCommitted - p0.BytesCommitted)
-		reqBytes := float64(p1.ReqBytes - p0.ReqBytes)
-		syncBytes := totalBytes - reqBytes
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		res.Primary = primary.Metrics()
+		res.ElidedOps = w.counters["elided"]
+		res.P50, res.P95, res.P99 = w.lat.Quantile(0.50), w.lat.Quantile(0.95), w.lat.Quantile(0.99)
+		reqs := float64(w.total())
+		res.Throughput = w.rate(w.total())
+		res.WaitedPerSec = w.rate(w.counters["waited"])
+		events := float64(w.counters["events"])
+		res.EventsPerSec = w.rate(w.counters["events"])
+		totalBytes := float64(w.counters["bytes"])
+		syncBytes := totalBytes - float64(w.counters["req"])
 		if events > 0 {
 			res.BytesPerEvent = syncBytes / events
-			res.EdgesPerEvent = float64(p1.EdgesProposed-p0.EdgesProposed) / events
+			res.EdgesPerEvent = float64(w.counters["edges"]) / events
 		}
 		if totalBytes > 0 {
 			res.SyncShare = syncBytes / totalBytes
 		}
-		if reqs := float64(endDone - startDone); reqs > 0 {
+		if reqs > 0 {
 			res.EventsPerReq = events / reqs
 		}
 	})
@@ -277,16 +166,19 @@ func RunRex(cfg RunConfig) RunResult {
 // Paxos, sequential execution.
 func RunRSM(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
-	e := sim.New(cfg.Cores)
 	var res RunResult
-	e.Run(func() {
+	simulate(cfg.Cores, func(r *rig) {
 		const n = 3
+		e := r.e
 		net := transport.NewNetwork(e, n, 500*time.Microsecond, cfg.Seed)
 		reps := make([]*smr.Replica, n)
 		for i := 0; i < n; i++ {
 			i := i
-			build := func() {
-				r, err := smr.NewReplica(smr.Config{
+			// Give each SMR replica its own simulated machine, like Rex.
+			m := e.AddMachine(cfg.Cores)
+			done := e.NewChan(1)
+			e.GoOn(m, fmt.Sprintf("rsm-replica-%d-boot", i), func() {
+				rep, err := smr.NewReplica(smr.Config{
 					ID: i, N: n, Env: e,
 					Endpoint:        net.Endpoint(i),
 					Log:             storage.NewMemLog(),
@@ -301,82 +193,39 @@ func RunRSM(cfg RunConfig) RunResult {
 				if err != nil {
 					panic(err)
 				}
-				r.Start()
-				reps[i] = r
-			}
-			// Give each SMR replica its own simulated machine, like Rex.
-			m := e.AddMachine(cfg.Cores)
-			done := e.NewChan(1)
-			e.GoOn(m, fmt.Sprintf("rsm-replica-%d-boot", i), func() {
-				build()
+				rep.Start()
+				reps[i] = rep
+				r.teardown = append(r.teardown, rep.Stop)
 				done.Send(struct{}{})
 			})
 			done.Recv()
 		}
 		leader := -1
-		deadline := e.Now() + 5*time.Second
-		for leader < 0 && e.Now() < deadline {
-			for i, r := range reps {
-				if r.IsLeader() {
+		for deadline := e.Now() + 5*time.Second; leader < 0 && e.Now() < deadline; e.Sleep(5 * time.Millisecond) {
+			for i, rep := range reps {
+				if rep.IsLeader() {
 					leader = i
 				}
 			}
-			e.Sleep(5 * time.Millisecond)
 		}
 		if leader < 0 {
 			panic("bench: no SMR leader")
 		}
-		setup := cfg.App.NewWorkload(cfg.Seed).Setup()
-		if len(setup) > cfg.SetupCap {
-			setup = setup[:cfg.SetupCap]
-		}
-		for i, req := range setup {
-			if _, err := reps[leader].Submit(1, uint64(i+1), req); err != nil {
-				panic(err)
+		// submit sends requests as one SMR client, numbering them 1, 2, ...
+		submit := func(client uint64) func([]byte) error {
+			seq := uint64(0)
+			return func(req []byte) error {
+				seq++
+				_, err := reps[leader].Submit(client, seq, req)
+				return err
 			}
 		}
-		var done uint64
-		mu := e.NewMutex()
-		stop := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("rsm-client-%d", i), func() {
-				defer g.Done()
-				wl := cfg.App.NewWorkload(cfg.Seed + int64(i) + 1)
-				seq := uint64(0)
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					seq++
-					if _, err := reps[leader].Submit(uint64(100+i), seq, wl.Next()); err != nil {
-						return
-					}
-					mu.Lock()
-					done++
-					mu.Unlock()
-				}
-			})
-		}
-		e.Sleep(cfg.Warmup)
-		mu.Lock()
-		start := done
-		mu.Unlock()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		end := done
-		stop = true
-		mu.Unlock()
-		g.Wait()
-		for _, r := range reps {
-			r.Stop()
-		}
-		res.Throughput = float64(end-start) / cfg.Measure.Seconds()
+		setup(cfg.App, cfg.Seed, cfg.SetupCap, submit(1))
+		r.clients(cfg.Clients, 0, func(i int) op {
+			return appOp(cfg.App, cfg.Seed, i, false, submit(uint64(100+i)))
+		})
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		res.Throughput = w.rate(w.total())
 	})
 	return res
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,11 +9,7 @@ import (
 	"rex/internal/apps"
 	"rex/internal/apps/hashdb"
 	"rex/internal/apps/lsmkv"
-	"rex/internal/cluster"
-	"rex/internal/env"
-	"rex/internal/obs"
 	"rex/internal/shard"
-	"rex/internal/sim"
 )
 
 // The shard-scaling suite measures what partitioning buys: the same four
@@ -131,120 +126,37 @@ func runShardPoint(ka keyedApp, groups int, cfg ShardScalingConfig) ShardPoint {
 		ReplicasPerGroup: cfg.ReplicasPerGroup,
 		Clients:          cfg.Clients,
 	}
-	e := sim.New(cfg.Cores)
-	e.Run(func() {
+	simulate(cfg.Cores, func(r *rig) {
 		m, err := shard.NewShardMap(1, groups, cfg.Nodes, cfg.ReplicasPerGroup)
 		if err != nil {
 			panic(err)
 		}
-		mc, err := cluster.NewMulti(e, ka.app.Factory, m, cluster.Options{
-			Workers:         cfg.Workers,
-			Timers:          ka.app.Timers,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * cfg.Clients,
-			Seed:            cfg.Seed,
+		mc := r.groups(ka.app, m, options(ka.app, cfg.Workers, cfg.Clients, cfg.Seed))
+		val := value(cfg.ValueBytes)
+		r.prefill(cfg.Keys, func(w int) func(int) error {
+			return routedPut(mc.NewRouter(uint64(1+w*100)), ka.write, val)
 		})
-		if err != nil {
-			panic(err)
-		}
-		if err := mc.Start(); err != nil {
-			panic(err)
-		}
-		if err := mc.WaitAllPrimaries(5 * time.Second); err != nil {
-			panic(err)
-		}
-
-		key := func(k int) string { return fmt.Sprintf("key-%06d", k) }
-		val := make([]byte, cfg.ValueBytes)
-		for i := range val {
-			val[i] = byte('a' + i%26)
-		}
-
-		// Prefill the key space in parallel so the measured window never
-		// pays first-touch costs.
-		setup := env.NewGroup(e)
-		setupWorkers := 16
-		for w := 0; w < setupWorkers; w++ {
-			w := w
-			setup.Add(1)
-			e.Go(fmt.Sprintf("shard-setup-%d", w), func() {
-				defer setup.Done()
-				r := mc.NewRouter(uint64(1 + w*100))
-				for k := w; k < cfg.Keys; k += setupWorkers {
-					if _, err := r.Do([]byte(key(k)), ka.write(key(k), val)); err != nil {
-						panic(fmt.Sprintf("bench: shard prefill: %v", err))
-					}
-				}
-			})
-		}
-		setup.Wait()
-
-		var done uint64
-		perGroup := make([]uint64, groups)
-		lat := obs.NewHistogram()
-		mu := e.NewMutex()
-		stop := false
-		measuring := false
-		g := env.NewGroup(e)
-		for i := 0; i < cfg.Clients; i++ {
-			i := i
-			g.Add(1)
-			e.Go(fmt.Sprintf("shard-client-%d", i), func() {
-				defer g.Done()
-				// Each client gets its own router (cluster clients are not
-				// concurrency-safe); id ranges are spaced so every group
-				// sees unique client ids.
-				r := mc.NewRouter(uint64(10_000 + i*100))
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
-				for {
-					mu.Lock()
-					s := stop
-					mu.Unlock()
-					if s {
-						return
-					}
-					k := key(rng.Intn(cfg.Keys))
-					t0 := e.Now()
-					if _, err := r.Do([]byte(k), ka.write(k, val)); err != nil {
-						return
-					}
-					d := e.Now() - t0
-					mu.Lock()
-					if measuring {
-						lat.Observe(d)
-						perGroup[r.GroupFor([]byte(k))]++
-					}
-					done++
-					mu.Unlock()
-				}
-			})
-		}
-
-		e.Sleep(cfg.Warmup)
-		mu.Lock()
-		startDone := done
-		measuring = true
-		mu.Unlock()
-		e.Sleep(cfg.Measure)
-		mu.Lock()
-		endDone := done
-		measuring = false
-		stop = true
-		mu.Unlock()
-		g.Wait()
-		mc.Stop()
-
-		secs := cfg.Measure.Seconds()
-		pt.Throughput = float64(endDone-startDone) / secs
+		// Each client's op counts under the group its key routed to.
+		r.clients(cfg.Clients, 0, func(i int) op {
+			// Each client gets its own router (cluster clients are not
+			// concurrency-safe); id ranges are spaced so every group sees
+			// unique client ids.
+			rt := mc.NewRouter(uint64(10_000 + i*100))
+			put := routedPut(rt, ka.write, val)
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
+			return func() (int, bool, error) {
+				k := rng.Intn(cfg.Keys)
+				err := put(k)
+				return rt.GroupFor([]byte(key(k))), true, err
+			}
+		})
+		w := r.steady(cfg.Warmup, cfg.Measure)
+		pt.Throughput = w.rate(w.total())
 		pt.PerGroup = make([]float64, groups)
-		for gi, n := range perGroup {
-			pt.PerGroup[gi] = float64(n) / secs
+		for g := range pt.PerGroup {
+			pt.PerGroup[g] = w.rate(w.count(g))
 		}
-		pt.P50Ms = float64(lat.Quantile(0.50)) / float64(time.Millisecond)
-		pt.P99Ms = float64(lat.Quantile(0.99)) / float64(time.Millisecond)
+		pt.P50Ms, pt.P99Ms = w.ms(0.50), w.ms(0.99)
 	})
 	return pt
 }
@@ -273,13 +185,6 @@ func RunShardScaling(cfg ShardScalingConfig, logf func(string, ...any)) (ShardSc
 		}
 	}
 	return res, nil
-}
-
-// WriteShardScalingJSON serializes the suite result.
-func WriteShardScalingJSON(w io.Writer, r ShardScalingResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // PrintShardScaling renders the suite as one table per app.

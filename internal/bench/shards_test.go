@@ -60,7 +60,7 @@ func TestShardScalingSmoke(t *testing.T) {
 		t.Errorf("2-group speedup %.2f, want >= 1.3", s)
 	}
 	var buf bytes.Buffer
-	if err := WriteShardScalingJSON(&buf, res); err != nil {
+	if err := WriteJSON(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	var back ShardScalingResult

@@ -55,7 +55,6 @@ type Options struct {
 	Seed                int64
 	DisableChecks       bool
 	DisablePruning      bool
-	TotalOrderTry       bool
 	Logf                func(string, ...any)
 	// NewLog and NewSnapshots build replica i's durable state; defaults are
 	// in-memory stores. The chaos engine swaps in fault-injecting wrappers.
@@ -235,7 +234,6 @@ func (c *Cluster) config(i int) core.Config {
 		DisableVersionChecks:             c.Opts.DisableChecks,
 		DisableResultChecks:              c.Opts.DisableChecks,
 		DisablePruning:                   c.Opts.DisablePruning,
-		TotalOrderTryFail:                c.Opts.TotalOrderTry,
 		Seed:                             c.Opts.Seed,
 		Logf:                             c.Opts.Logf,
 		UnsafeReplayNoEdgeWaits:          c.Opts.UnsafeReplayNoEdgeWaits,

@@ -171,9 +171,8 @@ type Config struct {
 	// validity checks (used by ablation benchmarks).
 	DisableVersionChecks bool
 	DisableResultChecks  bool
-	// DisablePruning and TotalOrderTryFail select the §4.2 ablations.
-	DisablePruning    bool
-	TotalOrderTryFail bool
+	// DisablePruning selects the §4.2 edge-pruning ablation.
+	DisablePruning bool
 	// DisableConflictElision keeps lock events on conflict-class-owned
 	// resources in the trace even when the executing request's class owns
 	// them (classified dispatch is unaffected). Must be set identically on

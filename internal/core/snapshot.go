@@ -312,7 +312,6 @@ func (r *Replica) rebuild() error {
 		rt := sched.NewRuntime(r.e, threads, sched.ModeNative)
 		rt.CheckVersions = !r.cfg.DisableVersionChecks
 		rt.DisablePruning = r.cfg.DisablePruning
-		rt.TotalOrderTryFail = r.cfg.TotalOrderTryFail
 		rt.DisableConflictElision = r.cfg.DisableConflictElision
 		rt.UnsafeSkipEdgeWaits = r.cfg.UnsafeReplayNoEdgeWaits
 		rt.Obs = r.obs.replay
