@@ -70,7 +70,10 @@ func Fig10(cfg Fig10Config) []Fig10Sample {
 		o := options(app, cfg.Threads, cfg.Clients, cfg.Seed)
 		o.HeartbeatEvery = cfg.ElectionTimeout / 8
 		o.ElectionTimeout = cfg.ElectionTimeout
-		o.LagInstances, o.LagEvents = 32, 1<<12
+		// A tighter replay-backlog limit than the default is what makes
+		// the rejoining replica's catch-up visible as the paper's rejoin
+		// sag (§6.6).
+		o.LagEvents = 1 << 12
 		c, p := r.group(app, o)
 		r.clients(cfg.Clients, 0, func(i int) op {
 			cl := c.NewClient(uint64(100 + i))

@@ -38,13 +38,13 @@ func TestGoldenSweeps(t *testing.T) {
 	}{
 		{Scenario{Name: "generic", Duration: 3 * time.Second}, []goldenCounts{
 			{508, 28, 480, 8},
-			{1135, 0, 1135, 6},
-			{1038, 0, 1038, 8},
-			{882, 0, 882, 8},
+			{1179, 0, 1179, 6},
+			{1101, 0, 1101, 8},
+			{931, 0, 931, 8},
 			{777, 12, 769, 6},
 			{1180, 0, 1180, 8},
-			{840, 4, 836, 8},
-			{1343, 0, 1343, 6},
+			{840, 0, 840, 8},
+			{1024, 0, 1024, 6},
 		}},
 		{Scenario{Name: "shards", Groups: 4, Duration: 3 * time.Second}, []goldenCounts{
 			{7922, 0, 7922, 32},
@@ -55,22 +55,22 @@ func TestGoldenSweeps(t *testing.T) {
 			{1527, 0, 1527, 42},
 		}},
 		{Scenario{Name: "reconfig", Duration: 2 * time.Second}, []goldenCounts{
-			{929, 0, 929, 8},
-			{905, 0, 905, 6},
-			{1073, 0, 1073, 8},
-			{1020, 0, 1020, 8},
+			{942, 0, 942, 8},
+			{944, 0, 944, 6},
+			{1077, 0, 1077, 8},
+			{1021, 0, 1021, 8},
 		}},
 		{Scenario{Name: "recovery", Duration: 4 * time.Second}, []goldenCounts{
-			{1305, 0, 1305, 8},
-			{1139, 0, 1139, 6},
-			{1214, 0, 1214, 8},
+			{1339, 0, 1339, 8},
+			{1224, 0, 1224, 6},
+			{1065, 0, 1065, 8},
 			{1242, 0, 1242, 8},
 		}},
 		{Scenario{Name: "conflicts", Duration: 4 * time.Second}, []goldenCounts{
-			{982, 0, 982, 19},
-			{1156, 0, 1156, 19},
-			{1203, 0, 1203, 19},
-			{960, 0, 960, 19},
+			{961, 0, 961, 19},
+			{1135, 0, 1135, 19},
+			{1231, 0, 1231, 19},
+			{964, 0, 964, 19},
 		}},
 	}
 	for _, sw := range sweeps {

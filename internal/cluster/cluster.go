@@ -44,8 +44,9 @@ type Options struct {
 	MaxLogInstances int64
 	StatusEvery     time.Duration
 	MaxOutstanding  int
-	LagInstances    uint64
-	LagEvents       uint64
+	// LagEvents is the replay backlog past which a secondary throttles
+	// the primary (core.Config.LagLimitEvents); 0 takes the core default.
+	LagEvents uint64
 	// AdmissionTarget/AdmissionInterval/MaxAdmissionWaiters tune the
 	// primary's CoDel admission gate (core.Config); zero takes the core
 	// defaults, negative AdmissionTarget disables shedding.
@@ -226,7 +227,6 @@ func (c *Cluster) config(i int) core.Config {
 		StatusEvery:                      c.Opts.StatusEvery,
 		MaxLogInstancesWithoutCheckpoint: c.Opts.MaxLogInstances,
 		MaxOutstanding:                   c.Opts.MaxOutstanding,
-		LagLimitInstances:                c.Opts.LagInstances,
 		LagLimitEvents:                   c.Opts.LagEvents,
 		AdmissionTarget:                  c.Opts.AdmissionTarget,
 		AdmissionInterval:                c.Opts.AdmissionInterval,

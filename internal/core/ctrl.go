@@ -64,8 +64,16 @@ func (r *Replica) ctrlLoop() {
 		switch m.Kind {
 		case ctrlStatus:
 			r.mu.Lock()
-			r.peers[from] = peerStatus{applied: m.Applied, backlog: m.Backlog, at: r.e.Now()}
-			promo := r.promotionForLocked(from, m.Applied, m.Backlog)
+			// Measure the instance lag once, on arrival: comparing the
+			// report with a later frontier would count its age as lag
+			// (DESIGN.md §5, "Flow control").
+			var lag uint64
+			if m.Applied < r.applied {
+				lag = r.applied - m.Applied
+			}
+			st := peerStatus{lag: lag, backlog: m.Backlog, at: r.e.Now()}
+			r.peers[from] = st
+			promo := r.promotionForLocked(from, st)
 			r.cond.Broadcast()
 			r.mu.Unlock()
 			if promo != nil {

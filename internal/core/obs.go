@@ -53,14 +53,15 @@ type replicaMetrics struct {
 	// Overload-protection series (DESIGN.md "Overload & admission
 	// control"): the admission gate's queue shape and everything shed
 	// instead of queued.
-	admissionWait     *obs.Histogram // time writes waited at the admission gate
-	admissionWaiters  *obs.Gauge     // submitters currently blocked at the gate
-	admissionPressure *obs.Gauge     // degradation level in force (0/1/2)
-	shedTotal         *obs.Counter   // everything shed, any cause
-	shedWrites        *obs.Counter   // writes shed by the CoDel gate
-	shedReads         *obs.Counter   // reads shed under pressure (any level)
-	deadlineExceeded  *obs.Counter   // requests failed fast on an expired deadline
-	degradedReads     *obs.Counter   // linearizable reads served lease-only under pressure
+	admissionWait      *obs.Histogram // time writes waited at the admission gate
+	admissionThrottled *obs.Counter   // writes that waited on a lagging voter (flow control)
+	admissionWaiters   *obs.Gauge     // submitters currently blocked at the gate
+	admissionPressure  *obs.Gauge     // degradation level in force (0/1/2)
+	shedTotal          *obs.Counter   // everything shed, any cause
+	shedWrites         *obs.Counter   // writes shed by the CoDel gate
+	shedReads          *obs.Counter   // reads shed under pressure (any level)
+	deadlineExceeded   *obs.Counter   // requests failed fast on an expired deadline
+	degradedReads      *obs.Counter   // linearizable reads served lease-only under pressure
 
 	paxos  *paxos.Metrics
 	replay *sched.ReplayObs
@@ -94,14 +95,15 @@ func newReplicaMetrics(reg *obs.Registry) *replicaMetrics {
 		readWait:      reg.Histogram("rex_read_wait_seconds"),
 		readTimeouts:  reg.Counter("rex_read_wait_timeouts_total"),
 
-		admissionWait:     reg.Histogram("rex_admission_wait_seconds"),
-		admissionWaiters:  reg.Gauge("rex_admission_waiters"),
-		admissionPressure: reg.Gauge("rex_admission_pressure"),
-		shedTotal:         reg.Counter("rex_shed_total"),
-		shedWrites:        reg.Counter("rex_shed_writes_total"),
-		shedReads:         reg.Counter("rex_shed_reads_total"),
-		deadlineExceeded:  reg.Counter("rex_deadline_exceeded_total"),
-		degradedReads:     reg.Counter("rex_degraded_reads_total"),
+		admissionWait:      reg.Histogram("rex_admission_wait_seconds"),
+		admissionThrottled: reg.Counter("rex_admission_throttled_total"),
+		admissionWaiters:   reg.Gauge("rex_admission_waiters"),
+		admissionPressure:  reg.Gauge("rex_admission_pressure"),
+		shedTotal:          reg.Counter("rex_shed_total"),
+		shedWrites:         reg.Counter("rex_shed_writes_total"),
+		shedReads:          reg.Counter("rex_shed_reads_total"),
+		deadlineExceeded:   reg.Counter("rex_deadline_exceeded_total"),
+		degradedReads:      reg.Counter("rex_degraded_reads_total"),
 
 		paxos:  paxos.NewMetrics(),
 		replay: sched.NewReplayObs(),

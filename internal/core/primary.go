@@ -61,7 +61,7 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 	if budget > 0 {
 		deadline = entered + budget
 	}
-	waiting := false
+	waiting, lagWaited := false, false
 	leaveWait := func() {
 		if waiting {
 			waiting = false
@@ -102,7 +102,8 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		}
 		// Flow control: bound speculation depth and wait for lagging live
 		// secondaries (§6.2).
-		if r.outstanding < r.cfg.MaxOutstanding && !r.throttledLocked() {
+		lagging := r.throttledLocked()
+		if r.outstanding < r.cfg.MaxOutstanding && !lagging {
 			break
 		}
 		// The gate is full. Shed instead of queueing when the wait queue
@@ -122,6 +123,10 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 			if deadline > 0 {
 				r.spawnCondWatchdog(deadline)
 			}
+		}
+		if lagging && !lagWaited {
+			lagWaited = true
+			r.obs.admissionThrottled.Inc()
 		}
 		r.cond.Wait()
 	}
@@ -182,9 +187,10 @@ func (r *Replica) tokenLocked() readpath.Token {
 
 // throttledLocked implements the primary's aggressive flow control: it
 // reports true while any recently-heard-from secondary is too far behind,
-// either in committed instances applied or in replay backlog. A silent
-// peer (crashed or partitioned) stops counting after a grace period so a
-// dead replica cannot stall the cluster.
+// either in committed instances applied (as measured when its last report
+// arrived) or in replay backlog. A silent peer (crashed or partitioned)
+// stops counting after a grace period so a dead replica cannot stall the
+// cluster.
 func (r *Replica) throttledLocked() bool {
 	now := r.e.Now()
 	stale := 8 * r.cfg.StatusEvery
@@ -201,7 +207,7 @@ func (r *Replica) throttledLocked() bool {
 		if now-st.at > stale {
 			continue
 		}
-		if st.applied+r.cfg.LagLimitInstances < r.applied {
+		if st.lag > r.cfg.LagLimitInstances {
 			return true
 		}
 		if st.backlog > r.cfg.LagLimitEvents {

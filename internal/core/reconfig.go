@@ -169,14 +169,14 @@ func (r *Replica) applyMeta(inst uint64, val []byte) bool {
 // promotionForLocked decides whether a peer's replay-status report should
 // trigger its promotion from learner to voter, returning the encoded
 // proposal (to be proposed outside the lock) or nil.
-func (r *Replica) promotionForLocked(from int, applied, backlog uint64) []byte {
+func (r *Replica) promotionForLocked(from int, st peerStatus) []byte {
 	if r.role != RolePrimary || r.reconfigInflight || r.removed {
 		return nil
 	}
 	if from != r.pendingPromote || !r.member.IsLearner(from) {
 		return nil
 	}
-	if applied+r.cfg.JoinLagInstances < r.applied || backlog > r.cfg.LagLimitEvents {
+	if st.lag > r.cfg.JoinLagInstances || st.backlog > r.cfg.LagLimitEvents {
 		return nil
 	}
 	next, err := r.member.WithPromote(from)

@@ -146,7 +146,12 @@ type Config struct {
 	// MaxOutstanding bounds admitted-but-unanswered requests (speculation
 	// depth). LagLimitInstances and LagLimitEvents bound how far a live
 	// secondary may fall behind before the primary throttles admission
-	// (§6.2's aggressive flow control).
+	// (§6.2's aggressive flow control). A secondary's instance lag is
+	// measured once, when its status report arrives, against the
+	// primary's applied frontier at that moment. Comparing the report
+	// with a later frontier would count its age as lag: one StatusEvery
+	// times the commit rate, which on a fast write path alone exceeds
+	// the limit and throttles a caught-up secondary.
 	MaxOutstanding    int
 	LagLimitInstances uint64
 	LagLimitEvents    uint64
@@ -270,8 +275,11 @@ type dedupEntry struct {
 	resp []byte
 }
 
+// peerStatus is a secondary's last replay-status report as the primary
+// received it: lag is the primary's applied frontier minus the reported
+// one, measured at receipt; backlog is the reported replay backlog.
 type peerStatus struct {
-	applied uint64
+	lag     uint64
 	backlog uint64
 	at      time.Duration
 }
