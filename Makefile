@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet staticcheck bench bench-json chaos check
+.PHONY: all build test race vet fmt staticcheck bench bench-json chaos check
 
 all: build
 
@@ -12,7 +12,8 @@ test:
 
 # The concurrency-heavy packages under the race detector: the transport
 # torture tests, the core replica lifecycle tests (including the read
-# path and the conflict-elision property test), the client retry loop
+# path and the conflict-elision property test), the consensus proposer
+# and the membership encoding it schedules, the client retry loop
 # with its TCP transport and the shard router, the sharded cluster and
 # the reconfiguration drills (node replacement under load), the
 # pinned-seed consistent-read, conflict-class and overload chaos
@@ -20,6 +21,7 @@ test:
 # exactly this target.
 race:
 	$(GO) test -race ./internal/transport ./internal/core
+	$(GO) test -race ./internal/paxos ./internal/reconfig
 	$(GO) test -race ./internal/client ./internal/server ./internal/shard
 	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused' ./internal/cluster/
 	$(GO) test -race -run 'TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
@@ -27,6 +29,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any file is not gofmt-formatted, listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # staticcheck is optional locally (skipped when not installed); CI
 # installs and runs it unconditionally.
@@ -69,4 +75,4 @@ chaos:
 	$(GO) run ./cmd/rexchaos -scenario overload -scenarios 4 -seed 1
 	$(GO) run ./cmd/rexchaos -scenario rebalance -scenarios 2 -seed 1 -groups 3
 
-check: build vet staticcheck test race chaos
+check: build fmt vet staticcheck test race chaos

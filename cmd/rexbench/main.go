@@ -106,7 +106,6 @@ func run(args []string, out, errOut io.Writer) int {
 		{name: "edges", fig: func() { bench.PrintEdgeAblation(out, *threads) }},
 		{name: "ablate-partialorder", fig: func() { bench.PrintPartialOrderAblation(out, *threads) }},
 		{name: "ablate-delta", fig: func() { bench.PrintDeltaAblation(out, *threads) }},
-		{name: "ablate-pipeline", fig: func() { bench.PrintPipelineAblation(out, *threads) }},
 		{name: "commitpath", suite: func() (any, error) {
 			res, err := bench.CommitPath()
 			bench.PrintCommitPath(out, res)

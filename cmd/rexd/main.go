@@ -48,7 +48,7 @@ func main() {
 	workers := flag.Int("workers", 8, "request worker threads (per group)")
 	readWorkers := flag.Int("read-workers", 2, "read-only query threads (per group)")
 	maxInflight := flag.Int("max-inflight", 0, "per-group concurrent client requests before the server NACKs with retry-after (0 = default 1024, negative = unbounded)")
-	maxOutstanding := flag.Int("max-outstanding", 0, "admitted-but-unanswered requests per group, i.e. propose pipeline depth (0 = default 1024)")
+	maxOutstanding := flag.Int("max-outstanding", 0, "admitted-but-unanswered requests per group, i.e. speculation depth (0 = default 1024)")
 	admissionTarget := flag.Duration("admission-target", 0, "CoDel sojourn target before the admission gate sheds (0 = default 25ms, negative = disable shedding)")
 	admissionInterval := flag.Duration("admission-interval", 0, "CoDel control interval (0 = default 100ms)")
 	maxAdmissionWaiters := flag.Int("max-admission-waiters", 0, "submitters allowed to block at the admission gate before arrivals are shed outright (0 = 4x -max-outstanding)")

@@ -259,43 +259,6 @@ func PrintPartialOrderAblation(w io.Writer, pollers int) {
 	t.Fprint(w)
 }
 
-// PipelineResult compares the paper's one-active-instance design against
-// the §3.1 piggyback alternative (several open instances).
-type PipelineResult struct {
-	Depth1Tput float64
-	Depth4Tput float64
-}
-
-// PipelineAblation measures whether limiting Rex to one active consensus
-// instance costs throughput (the paper argues it does not: "this
-// simplification does not come at the expense of performance").
-func PipelineAblation(app apps.App, threads int) PipelineResult {
-	base := RunConfig{
-		App: app, Threads: threads,
-		Warmup: 150 * time.Millisecond, Measure: 500 * time.Millisecond,
-	}
-	d1 := RunRex(base)
-	deep := base
-	deep.PipelineDepth = 4
-	d4 := RunRex(deep)
-	return PipelineResult{Depth1Tput: d1.Throughput, Depth4Tput: d4.Throughput}
-}
-
-// PrintPipelineAblation renders the pipeline ablation.
-func PrintPipelineAblation(w io.Writer, threads int) {
-	r := PipelineAblation(apps.LockServer(), threads)
-	t := &Table{
-		Title: "Ablation (§3.1): one active instance vs pipelined proposals",
-		Cols:  []string{"pipeline depth", "Rex throughput (req/s)"},
-	}
-	t.AddRow("1 (paper's design)", f0(r.Depth1Tput))
-	t.AddRow("4 (piggyback)", f0(r.Depth4Tput))
-	t.Notes = append(t.Notes,
-		"paper: the one-active-instance simplification \"does not come at the expense of",
-		"performance\" — the pipelined variant should not be meaningfully faster.")
-	t.Fprint(w)
-}
-
 // DeltaAblation compares the one-active-instance delta proposals (§3.1)
 // against hypothetical full-trace proposals, in proposal bytes.
 type DeltaAblationResult struct {

@@ -207,17 +207,3 @@ func TestTraceStats(t *testing.T) {
 		t.Errorf("events/request = %.1f, expected at least req-begin/end plus lock events", s.EventsPerReq)
 	}
 }
-
-func TestPipelineAblation(t *testing.T) {
-	r := PipelineAblation(apps.LockServer(), 8)
-	t.Logf("pipeline depth 1: %.0f req/s; depth 4: %.0f req/s", r.Depth1Tput, r.Depth4Tput)
-	if r.Depth1Tput <= 0 || r.Depth4Tput <= 0 {
-		t.Fatal("pipeline ablation produced zero throughput")
-	}
-	// The paper's claim: one active instance does not cost performance.
-	// Allow the pipelined variant a small win, but it must not dominate.
-	if r.Depth4Tput > 1.5*r.Depth1Tput {
-		t.Errorf("pipelining won big (%.0f vs %.0f): the paper's simplification claim would not hold in this configuration",
-			r.Depth4Tput, r.Depth1Tput)
-	}
-}

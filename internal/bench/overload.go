@@ -114,7 +114,7 @@ func runOverloadPoint(cfg OverloadConfig, protected bool, offered float64) Overl
 	opts.AdmissionInterval = cfg.AdmissionInterval
 	pt := OverloadPoint{Mode: "protected"}
 	if !protected {
-		// The contrast cell: the same pipeline depth (capacity is the
+		// The contrast cell: the same speculation depth (capacity is the
 		// same provisioned machine) but an unbounded patience queue and
 		// no CoDel — every arrival waits out its full sojourn instead of
 		// being shed early.

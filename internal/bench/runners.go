@@ -24,7 +24,6 @@ type RunConfig struct {
 	SetupCap int
 	Seed     int64
 
-	PipelineDepth  int
 	DisablePruning bool
 	// DisableConflictElision keeps class-owned lock events in the trace;
 	// the conflict-class experiment measures its delta-size cost.
@@ -123,7 +122,6 @@ func RunRex(cfg RunConfig) RunResult {
 	var res RunResult
 	simulate(cfg.Cores, func(r *rig) {
 		o := options(cfg.App, cfg.Threads, cfg.Clients, cfg.Seed)
-		o.PipelineDepth = cfg.PipelineDepth
 		o.DisablePruning = cfg.DisablePruning
 		o.DisableConflictElision = cfg.DisableConflictElision
 		c, p := r.group(cfg.App, o)

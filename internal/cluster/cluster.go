@@ -19,6 +19,10 @@ import (
 	"rex/internal/transport"
 )
 
+// netDelay is the one-way delay of the simulated network a cluster builds
+// when Options.Endpoints is unset.
+const netDelay = 500 * time.Microsecond
+
 // Options tune the cluster; zero values take defaults suited to the
 // simulator.
 type Options struct {
@@ -26,16 +30,13 @@ type Options struct {
 	Workers         int
 	Timers          int
 	ReadWorkers     int
-	NetDelay        time.Duration
 	ProposeEvery    time.Duration
-	PipelineDepth   int
 	HeartbeatEvery  time.Duration
 	ElectionTimeout time.Duration
-	// LeaseDuration/ClockSkewBound/ReadWaitTimeout tune the read path
-	// (core.Config); zero takes the core defaults, negative LeaseDuration
-	// disables the quorum read lease.
+	// LeaseDuration/ReadWaitTimeout tune the read path (core.Config); zero
+	// takes the core defaults, negative LeaseDuration disables the quorum
+	// read lease.
 	LeaseDuration   time.Duration
-	ClockSkewBound  time.Duration
 	ReadWaitTimeout time.Duration
 	CheckpointEvery time.Duration
 	// MaxLogInstances is the log-growth checkpoint floor
@@ -100,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 4
-	}
-	if o.NetDelay == 0 {
-		o.NetDelay = 500 * time.Microsecond
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -176,7 +174,7 @@ func New(e env.Env, factory core.Factory, opts Options) *Cluster {
 		mu:      e.NewMutex(),
 	}
 	if opts.Endpoints == nil {
-		c.Net = transport.NewNetwork(e, opts.Replicas, opts.NetDelay, opts.Seed)
+		c.Net = transport.NewNetwork(e, opts.Replicas, netDelay, opts.Seed)
 	}
 	for i := 0; i < opts.Replicas; i++ {
 		c.Logs = append(c.Logs, opts.NewLog(i))
@@ -217,11 +215,9 @@ func (c *Cluster) config(i int) core.Config {
 		Timers:                           c.Opts.Timers,
 		ReadWorkers:                      c.Opts.ReadWorkers,
 		ProposeEvery:                     c.Opts.ProposeEvery,
-		PipelineDepth:                    c.Opts.PipelineDepth,
 		HeartbeatEvery:                   c.Opts.HeartbeatEvery,
 		ElectionTimeout:                  et,
 		LeaseDuration:                    c.Opts.LeaseDuration,
-		ClockSkewBound:                   c.Opts.ClockSkewBound,
 		ReadWaitTimeout:                  c.Opts.ReadWaitTimeout,
 		CheckpointEvery:                  c.Opts.CheckpointEvery,
 		StatusEvery:                      c.Opts.StatusEvery,

@@ -54,7 +54,7 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 	mc := &MultiCluster{
 		Env:  e,
 		Map:  m,
-		Net:  transport.NewNetwork(e, m.Nodes, opts.NetDelay, opts.Seed),
+		Net:  transport.NewNetwork(e, m.Nodes, netDelay, opts.Seed),
 		Live: opts.LiveRebalance,
 	}
 	nodeMachines := make([]int, m.Nodes)

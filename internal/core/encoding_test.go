@@ -114,7 +114,7 @@ func TestConfigDefaults(t *testing.T) {
 	cfg := (&Config{}).withDefaults()
 	if cfg.Workers <= 0 || cfg.ProposeEvery <= 0 || cfg.HeartbeatEvery <= 0 ||
 		cfg.ElectionTimeout <= 0 || cfg.MaxOutstanding <= 0 ||
-		cfg.LagLimitInstances == 0 || cfg.LagLimitEvents == 0 {
+		cfg.StatusEvery <= 0 || cfg.LagLimitEvents == 0 {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"rex/internal/sim"
 )
 
-// lagLimit is core.Config's default LagLimitInstances, which the
-// cluster's replicas run with.
+// lagLimit is the replica's fixed instance-lag limit for flow control
+// (lagLimitInstances in core).
 const lagLimit = 64
 
 // flowCluster starts a 3-replica cluster reporting status every
@@ -59,7 +59,7 @@ func throttled(r *core.Replica) uint64 {
 }
 
 // A caught-up secondary must never throttle the primary, even when the
-// primary commits more than LagLimitInstances instances per status
+// primary commits more than lagLimit instances per status
 // period: a report's age is not lag.
 func TestFlowControlIgnoresReportAge(t *testing.T) {
 	e := sim.New(8)
@@ -90,7 +90,7 @@ func TestFlowControlIgnoresReportAge(t *testing.T) {
 
 // A secondary that really lags — its inbound link from the primary is
 // slow — throttles admission within one status period of its lag
-// passing LagLimitInstances.
+// passing lagLimit.
 func TestFlowControlThrottlesLaggingSecondary(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
@@ -114,7 +114,7 @@ func TestFlowControlThrottlesLaggingSecondary(t *testing.T) {
 			}
 		}
 		if lagAt == 0 {
-			t.Fatal("the slowed secondary never fell LagLimitInstances behind")
+			t.Fatal("the slowed secondary never fell lagLimit instances behind")
 		}
 		if n := throttled(pr); n == 0 {
 			t.Fatalf("secondary %d lags but admission was never throttled", s)

@@ -207,7 +207,7 @@ func (r *Replica) throttledLocked() bool {
 		if now-st.at > stale {
 			continue
 		}
-		if st.lag > r.cfg.LagLimitInstances {
+		if st.lag > lagLimitInstances {
 			return true
 		}
 		if st.backlog > r.cfg.LagLimitEvents {
@@ -418,8 +418,8 @@ func (r *Replica) releaseResponsesLocked() {
 
 // proposePump collects the recorder's growth and proposes it (§3.1). It is
 // demand-driven rather than fixed-cadence: the recorder wakes it on the
-// first event/request after a drain, applyLoop wakes it when a committed
-// instance opens pipeline room, and proposeTicker wakes it every
+// first event/request after a drain, applyLoop wakes it when its open
+// instance commits, and proposeTicker wakes it every
 // ProposeEvery as the max-delay backstop. It also carries the one-time
 // rebase marker after a promotion.
 func (r *Replica) proposePump() {
@@ -431,32 +431,21 @@ func (r *Replica) proposePump() {
 	}
 }
 
-// pumpDrain proposes until the recorder is empty or pacing defers: the
-// first open instance goes out immediately (sub-cap commit latency at low
-// load), additional pipelined instances require ProposeBatchEvents of
-// backlog or the ProposeEvery cap since the last proposal, and a full
-// pipeline waits for a commit to wake the pump again. Re-collecting until
-// empty also closes the race with the recorder's edge-triggered notify (an
-// append landing between the drain and the re-arm is picked up here).
+// pumpDrain proposes the recorder's backlog as one delta unless a delta
+// is already in consensus: Rex keeps at most one active instance (§3.1),
+// so the pump waits for that commit to wake it again. When idle the delta
+// goes out immediately (sub-cap commit latency at low load). Re-collecting
+// until empty also closes the race with the recorder's edge-triggered
+// notify (an append landing between the drain and the re-arm is picked up
+// here).
 func (r *Replica) pumpDrain() {
 	for {
 		r.mu.Lock()
-		if r.stopped || r.role != RolePrimary {
+		if r.stopped || r.role != RolePrimary || r.proposing {
 			r.mu.Unlock()
 			return
 		}
 		now := r.e.Now()
-		if r.proposeInflight > 0 {
-			if r.proposeInflight >= r.cfg.PipelineDepth {
-				r.mu.Unlock()
-				return // a commit re-wakes us
-			}
-			if r.rt.Recorder().PendingEvents() < r.cfg.ProposeBatchEvents &&
-				now-r.lastProposeAt < r.cfg.ProposeEvery {
-				r.mu.Unlock()
-				return // the ticker re-checks at the cap
-			}
-		}
 		d := r.rt.Recorder().Collect()
 		if r.pendingRebase != nil {
 			d.Rebase = r.pendingRebase
@@ -466,9 +455,8 @@ func (r *Replica) pumpDrain() {
 			r.mu.Unlock()
 			return
 		}
-		r.proposeInflight++
-		r.lastProposeAt = now
-		r.proposeTimes = append(r.proposeTimes, now)
+		r.proposing = true
+		r.proposedAt = now
 		r.mu.Unlock()
 		val := d.EncodeBytesHint(r.lastDeltaBytes)
 		r.lastDeltaBytes = len(val)

@@ -22,7 +22,7 @@ func (r *Replica) Membership() reconfig.Membership {
 // AddMember proposes admitting id (reachable at addr; empty in-process) as
 // a non-voting learner. Primary-only; one change in flight at a time. The
 // learner catches up via checkpoint transfer and the chosen log, and is
-// promoted to voter automatically once within JoinLagInstances of the
+// promoted to voter automatically once within joinLagInstances of the
 // primary's applied frontier.
 func (r *Replica) AddMember(id int, addr string) error {
 	return r.proposeChange(id, func(m reconfig.Membership) (reconfig.Membership, error) {
@@ -82,7 +82,7 @@ func (r *Replica) proposeChange(promoteTarget int, mut func(reconfig.Membership)
 		r.mu.Unlock()
 		return err
 	}
-	next.Alpha = r.alphaLocked()
+	next.Alpha = reconfig.DefaultAlpha
 	r.reconfigInflight = true
 	if promoteTarget >= 0 {
 		r.pendingPromote = promoteTarget
@@ -91,17 +91,6 @@ func (r *Replica) proposeChange(promoteTarget int, mut func(reconfig.Membership)
 	r.logf("proposing membership change: %v", next)
 	r.node.Propose(reconfig.EncodeValue(next))
 	return nil
-}
-
-// alphaLocked derives the activation horizon: beyond the pipeline depth so
-// no open instance straddles the boundary with the wrong quorum, and never
-// below the default.
-func (r *Replica) alphaLocked() uint64 {
-	a := uint64(r.cfg.PipelineDepth) + 2
-	if a < reconfig.DefaultAlpha {
-		a = reconfig.DefaultAlpha
-	}
-	return a
 }
 
 // applyMeta folds a non-delta consensus value (a committed membership or
@@ -176,14 +165,14 @@ func (r *Replica) promotionForLocked(from int, st peerStatus) []byte {
 	if from != r.pendingPromote || !r.member.IsLearner(from) {
 		return nil
 	}
-	if st.lag > r.cfg.JoinLagInstances || st.backlog > r.cfg.LagLimitEvents {
+	if st.lag > joinLagInstances || st.backlog > r.cfg.LagLimitEvents {
 		return nil
 	}
 	next, err := r.member.WithPromote(from)
 	if err != nil {
 		return nil
 	}
-	next.Alpha = r.alphaLocked()
+	next.Alpha = reconfig.DefaultAlpha
 	r.reconfigInflight = true
 	return reconfig.EncodeValue(next)
 }

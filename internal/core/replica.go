@@ -71,10 +71,6 @@ type Config struct {
 	// membership that lists itself as a learner (or not at all — it learns
 	// of its own admission from the chosen log).
 	Members *reconfig.Membership
-	// JoinLagInstances is how close (in committed instances) a learner must
-	// be to the primary's applied frontier before the primary proposes its
-	// promotion to voter.
-	JoinLagInstances uint64
 	// OnMembership, if set, is called (from the apply task, no locks held)
 	// whenever a membership change commits — the hook deployments use to
 	// update transport address books.
@@ -96,28 +92,16 @@ type Config struct {
 	// ProposeEvery is the max-delay cap on trace collection (§3.1:
 	// "periodically proposes the up-to-date trace"). The pump is
 	// demand-driven — the recorder wakes it on the first event or request
-	// after a drain, and commits wake it when pipeline room opens — so
-	// this cadence only bounds how stale a proposal can get when every
-	// edge-triggered wake-up is deferred by the batching thresholds.
-	ProposeEvery time.Duration
-	// ProposeBatchEvents is the minimum recorder backlog required to open
-	// an ADDITIONAL pipelined consensus instance. The first instance is
-	// always proposed immediately on demand (commit latency at low load);
-	// later ones wait for this much growth or the ProposeEvery cap, so a
-	// hot recorder cannot flood consensus with per-event deltas.
-	ProposeBatchEvents int
-	// PipelineDepth is how many consensus instances may be open at once:
-	// 1 (default) is the paper's one-active-instance design; higher values
-	// enable the §3.1 piggyback alternative.
-	PipelineDepth   int
+	// after a drain, and the commit of its open instance wakes it again —
+	// so this cadence only bounds how stale a proposal can get when an
+	// edge-triggered wake-up is lost.
+	ProposeEvery    time.Duration
 	HeartbeatEvery  time.Duration
 	ElectionTimeout time.Duration
-	// LeaseDuration and ClockSkewBound tune the quorum read lease
-	// (paxos.Config): 0 takes the consensus defaults (4×HeartbeatEvery,
-	// duration/8), negative LeaseDuration disables leases — linearizable
-	// reads then always pay a consensus barrier.
-	LeaseDuration  time.Duration
-	ClockSkewBound time.Duration
+	// LeaseDuration tunes the quorum read lease (paxos.Config): 0 takes
+	// the consensus default (4×HeartbeatEvery), negative disables leases —
+	// linearizable reads then always pay a consensus barrier.
+	LeaseDuration time.Duration
 	// ReadWaitTimeout bounds how long a read blocks on admission: a
 	// linearizable read waiting for observed writes to commit (or for
 	// its barrier), a session read waiting for replay to cover the
@@ -144,7 +128,7 @@ type Config struct {
 	StatusEvery time.Duration
 
 	// MaxOutstanding bounds admitted-but-unanswered requests (speculation
-	// depth). LagLimitInstances and LagLimitEvents bound how far a live
+	// depth). LagLimitEvents and lagLimitInstances bound how far a live
 	// secondary may fall behind before the primary throttles admission
 	// (§6.2's aggressive flow control). A secondary's instance lag is
 	// measured once, when its status report arrives, against the
@@ -152,9 +136,8 @@ type Config struct {
 	// with a later frontier would count its age as lag: one StatusEvery
 	// times the commit rate, which on a fast write path alone exceeds
 	// the limit and throttles a caught-up secondary.
-	MaxOutstanding    int
-	LagLimitInstances uint64
-	LagLimitEvents    uint64
+	MaxOutstanding int
+	LagLimitEvents uint64
 
 	// Overload protection (DESIGN.md "Overload & admission control").
 	// AdmissionTarget is the CoDel sojourn target: when completed
@@ -199,6 +182,16 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
+const (
+	// lagLimitInstances is the committed-instance lag past which a live
+	// voter throttles the primary's admission (see MaxOutstanding).
+	lagLimitInstances = 64
+	// joinLagInstances is how close (in committed instances) a learner
+	// must be to the primary's applied frontier before the primary
+	// proposes its promotion to voter.
+	joinLagInstances = 16
+)
+
 func (c *Config) withDefaults() Config {
 	cfg := *c
 	if cfg.Workers <= 0 {
@@ -209,12 +202,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.ProposeEvery <= 0 {
 		cfg.ProposeEvery = 2 * time.Millisecond
-	}
-	if cfg.ProposeBatchEvents <= 0 {
-		cfg.ProposeBatchEvents = 256
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 1
 	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 20 * time.Millisecond
@@ -228,9 +215,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 1024
 	}
-	if cfg.LagLimitInstances == 0 {
-		cfg.LagLimitInstances = 64
-	}
 	if cfg.LagLimitEvents == 0 {
 		cfg.LagLimitEvents = 1 << 14
 	}
@@ -242,9 +226,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if cfg.MaxAdmissionWaiters <= 0 {
 		cfg.MaxAdmissionWaiters = 4 * cfg.MaxOutstanding
-	}
-	if cfg.JoinLagInstances == 0 {
-		cfg.JoinLagInstances = 16
 	}
 	if cfg.MaxLogInstancesWithoutCheckpoint == 0 {
 		cfg.MaxLogInstancesWithoutCheckpoint = 4096
@@ -317,7 +298,7 @@ type Replica struct {
 	// replica has applied (commit-time view; the paxos layer tracks the
 	// activation-time view). reconfigInflight serializes changes at the
 	// primary; pendingPromote is the learner id the primary will promote
-	// once its reported lag is within JoinLagInstances (-1: none);
+	// once its reported lag is within joinLagInstances (-1: none);
 	// removed latches once a membership excluding this replica activates.
 	member           reconfig.Membership
 	reconfigInflight bool
@@ -375,15 +356,15 @@ type Replica struct {
 	pendingBarriers map[uint64]env.Chan
 
 	// Propose-pump state. proposeWake (cap 1) is the demand edge: the
-	// recorder pokes it on new work, applyLoop pokes it when a commit
-	// opens pipeline room, and a ticker pokes it every ProposeEvery as
-	// the max-delay backstop. proposeInflight/lastProposeAt/proposeTimes
-	// are under mu; lastDeltaBytes is owned by the pump task alone.
-	proposeWake     env.Chan
-	proposeInflight int
-	lastProposeAt   time.Duration
-	proposeTimes    []time.Duration // FIFO propose stamps, for propose→commit
-	lastDeltaBytes  int             // size hint for the next delta encode
+	// recorder pokes it on new work, applyLoop pokes it when the pump's
+	// open instance commits, and a ticker pokes it every ProposeEvery as
+	// the max-delay backstop. proposing (a delta is in consensus) and
+	// proposedAt (when it went out, for propose→commit) are under mu;
+	// lastDeltaBytes is owned by the pump task alone.
+	proposeWake    env.Chan
+	proposing      bool
+	proposedAt     time.Duration
+	lastDeltaBytes int // size hint for the next delta encode
 
 	// Checkpointing.
 	// Checkpoint pause happens in two phases: request workers pause at
@@ -496,8 +477,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 		HeartbeatEvery:  cfg.HeartbeatEvery,
 		ElectionTimeout: cfg.ElectionTimeout,
 		LeaseDuration:   cfg.LeaseDuration,
-		ClockSkewBound:  cfg.ClockSkewBound,
-		PipelineDepth:   cfg.PipelineDepth,
 		Seed:            cfg.Seed,
 		Logf:            cfg.Logf,
 		Metrics:         r.obs.paxos,
@@ -679,8 +658,7 @@ func (r *Replica) failPendingLocked() {
 	}
 	r.outstanding = 0
 	r.workQ = nil
-	r.proposeInflight = 0
-	r.proposeTimes = nil
+	r.proposing = false
 	r.resetClassDispatchLocked()
 	r.cond.Broadcast()
 }
@@ -839,14 +817,11 @@ func (r *Replica) applyLoop() {
 		var applyErr error
 		wakePump := false
 		if r.role == RolePrimary {
-			// One of our proposals closed: pipeline room opened, so wake
-			// the pump (it paces additional instances on backlog/cap).
-			if r.proposeInflight > 0 {
-				r.proposeInflight--
-				if len(r.proposeTimes) > 0 {
-					r.obs.proposeCommit.Observe(r.e.Now() - r.proposeTimes[0])
-					r.proposeTimes = r.proposeTimes[1:]
-				}
+			// The pump's open instance closed: wake it to propose the
+			// backlog that built up meanwhile.
+			if r.proposing {
+				r.proposing = false
+				r.obs.proposeCommit.Observe(r.e.Now() - r.proposedAt)
 				wakePump = true
 			}
 			applyErr = r.tr.Apply(d)
@@ -1048,8 +1023,7 @@ func (r *Replica) promote(chosenAt uint64) {
 	r.pendingRebase = cut.Clone()
 	r.role = RolePrimary
 	r.curLeader = r.cfg.ID
-	r.proposeInflight = 0
-	r.proposeTimes = nil
+	r.proposing = false
 	r.markBase = (r.applied << 20) | uint64(r.cfg.ID)<<12
 	r.nextMarkID = 0
 	r.pending = make(map[uint64]*pendingReq)

@@ -161,11 +161,15 @@ func TestWireDeadlineSubMillisecondRoundsUp(t *testing.T) {
 
 func TestWireDeadlineRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
-		"zero":            {0x00},
-		"oversized":       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge uvarint
-		"truncated":       {0x80},                                                       // continuation bit, no next byte
-		"trailing":        {0x05, 0x99},                                                 // valid deadline + junk
-		"beyond max by 1": func() []byte { e := wire.NewEncoder(nil); e.Uvarint(uint64(MaxWireDeadline/time.Millisecond) + 1); return e.Bytes() }(),
+		"zero":      {0x00},
+		"oversized": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // huge uvarint
+		"truncated": {0x80},                                                       // continuation bit, no next byte
+		"trailing":  {0x05, 0x99},                                                 // valid deadline + junk
+		"beyond max by 1": func() []byte {
+			e := wire.NewEncoder(nil)
+			e.Uvarint(uint64(MaxWireDeadline/time.Millisecond) + 1)
+			return e.Bytes()
+		}(),
 	}
 	for name, buf := range cases {
 		if _, err := DecodeWireDeadline(wire.NewDecoder(buf)); err == nil {

@@ -18,9 +18,9 @@ import (
 //
 // The leader sorts the acked stamps of the active voters (counting
 // itself at its latest send time) and takes the Quorum()-th largest:
-// call it S. Until S + LeaseDuration - ClockSkewBound (leader clock), a
+// call it S. Until S + LeaseDuration - LeaseDuration/8 (leader clock), a
 // quorum of voters is still inside its silent window: receive time >=
-// send time, and clocks drift by at most ClockSkewBound over a lease
+// send time, and clocks drift by at most LeaseDuration/8 over a lease
 // interval. Any competing election needs promises from a quorum, and
 // quorums intersect, so no new leader can complete phase 1 before the
 // lease expires — reads served under the lease cannot miss a newer
@@ -91,7 +91,7 @@ func (n *Node) recomputeLease() {
 		n.leaseExpiry.Store(0)
 		return
 	}
-	n.leaseExpiry.Store(int64(base + n.cfg.LeaseDuration - n.cfg.ClockSkewBound))
+	n.leaseExpiry.Store(int64(base + n.cfg.LeaseDuration - n.cfg.LeaseDuration/8))
 }
 
 // dropLease clears all lease state on both sides: called on deposition,

@@ -34,7 +34,6 @@ type Config struct {
 	// simulator).
 	HeartbeatEvery  time.Duration
 	ElectionTimeout time.Duration
-	Tick            time.Duration
 	Seed            int64
 
 	// LeaseDuration is the quorum read-lease window piggybacked on
@@ -42,17 +41,6 @@ type Config struct {
 	// disables leases entirely. Must stay well below ElectionTimeout or
 	// grant suppression will delay recovery from a dead leader.
 	LeaseDuration time.Duration
-	// ClockSkewBound is the allowance for clock-rate drift between
-	// replicas over one lease window, subtracted from the leader's
-	// computed expiry. 0 defaults to LeaseDuration/8.
-	ClockSkewBound time.Duration
-
-	// PipelineDepth is the number of consensus instances that may be open
-	// concurrently. 1 (the default) is the paper's one-active-instance
-	// design (§3.1); higher values implement the paper's piggyback
-	// alternative: an acceptor accepts instance i+1 only if it has
-	// accepted instance i, so committed traces still chain without holes.
-	PipelineDepth int
 
 	// OnCommitted fires for every chosen instance in order. It runs on the
 	// node's event loop and must not block for long.
@@ -105,6 +93,8 @@ type Node struct {
 	inbox env.Chan
 	rng   *rand.Rand
 
+	tick time.Duration // timer period: HeartbeatEvery/2, or 10ms
+
 	// Acceptor state (durable).
 	promised Ballot
 	accepted map[uint64]acceptedEntry
@@ -127,11 +117,12 @@ type Node struct {
 	promises   map[int]*message
 	prepSent   time.Duration
 
-	// Proposer state. inflight holds the open instances (at most
-	// PipelineDepth); nextPropose is the next instance to open.
+	// Proposer state. The leader keeps at most one consensus instance
+	// open (§3.1): open is that instance (nil when none), and the next one
+	// to open is always chosenSeq, so each proposal extends the trace
+	// committed before it.
 	proposeQ      [][]byte
-	inflight      map[uint64]*inflightState
-	nextPropose   uint64
+	open          *inflightState
 	announceAfter bool // fire OnBecomeLeader once re-proposals commit
 
 	lastHeartbeat    time.Duration
@@ -169,11 +160,11 @@ type Node struct {
 	// releases the sends and callbacks. Persistence therefore still
 	// happens before any state is advertised, exactly as in the
 	// record-per-fsync design.
-	walEnc   *wire.Encoder
-	walEnds  []int    // arena offset after each pending record
-	walRecs  [][]byte // scratch sub-slice view passed to AppendBatch
-	outbox   []outMsg
-	commits  []commitNote
+	walEnc  *wire.Encoder
+	walEnds []int    // arena offset after each pending record
+	walRecs [][]byte // scratch sub-slice view passed to AppendBatch
+	outbox  []outMsg
+	commits []commitNote
 }
 
 // outMsg is a deferred send; to < 0 broadcasts.
@@ -192,8 +183,9 @@ type commitNote struct {
 	promote bool
 }
 
-// inflightState tracks one open phase-2 instance at the leader.
+// inflightState tracks the leader's open phase-2 instance.
 type inflightState struct {
+	inst   uint64
 	val    []byte
 	acks   map[int]bool
 	sentAt time.Duration
@@ -230,15 +222,6 @@ type ChosenState struct {
 // available via Chosen()/ChosenSeq() before Start and do not re-fire
 // OnCommitted.
 func NewNode(cfg Config) (*Node, error) {
-	if cfg.Tick <= 0 {
-		cfg.Tick = cfg.HeartbeatEvery / 2
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 10 * time.Millisecond
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 1
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics()
 	}
@@ -248,16 +231,17 @@ func NewNode(cfg Config) (*Node, error) {
 	case cfg.LeaseDuration == 0:
 		cfg.LeaseDuration = 4 * cfg.HeartbeatEvery
 	}
-	if cfg.ClockSkewBound <= 0 {
-		cfg.ClockSkewBound = cfg.LeaseDuration / 8
+	tick := cfg.HeartbeatEvery / 2
+	if tick <= 0 {
+		tick = 10 * time.Millisecond
 	}
 	n := &Node{
 		cfg:        cfg,
 		inbox:      cfg.Env.NewChan(0),
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)*0x9e3779b9)),
+		tick:       tick,
 		accepted:   make(map[uint64]acceptedEntry),
 		pendingVal: make(map[uint64][]byte),
-		inflight:   make(map[uint64]*inflightState),
 		curLeader:  -1,
 		leaseTo:    -1,
 		grantAt:    make(map[int]time.Duration),
@@ -505,7 +489,7 @@ func (n *Node) Start() {
 	})
 	e.Go(fmt.Sprintf("paxos-%d-tick", n.cfg.ID), func() {
 		for {
-			e.Sleep(n.cfg.Tick)
+			e.Sleep(n.tick)
 			if !n.inbox.Send(tickMsg{}) {
 				return
 			}
@@ -701,13 +685,10 @@ func (n *Node) handleTick() {
 			n.stampHeartbeat(hb, now)
 			n.broadcast(hb)
 		}
-		// Retransmit stuck proposals (lost Accept or Accepted), in
-		// instance order so the acceptor-side chaining guard is satisfied.
-		for inst := n.chosenSeq; inst < n.nextPropose; inst++ {
-			if st, ok := n.inflight[inst]; ok && now-st.sentAt >= 4*n.cfg.Tick {
-				st.sentAt = now
-				n.broadcast(&message{Kind: mAccept, Ballot: n.prepBallot, Inst: inst, Val: st.val, Epoch: n.epochAt(inst)})
-			}
+		// Retransmit a stuck proposal (lost Accept or Accepted).
+		if st := n.open; st != nil && now-st.sentAt >= 4*n.tick {
+			st.sentAt = now
+			n.broadcast(&message{Kind: mAccept, Ballot: n.prepBallot, Inst: st.inst, Val: st.val, Epoch: n.epochAt(st.inst)})
 		}
 		return
 	}
@@ -719,7 +700,7 @@ func (n *Node) handleTick() {
 		}
 		return
 	}
-	if n.preparing && now-n.prepSent >= 4*n.cfg.Tick {
+	if n.preparing && now-n.prepSent >= 4*n.tick {
 		// Retransmit the Prepare (lost messages).
 		n.prepSent = now
 		n.broadcast(&message{Kind: mPrepare, Ballot: n.prepBallot, FromInst: n.chosenSeq, Epoch: n.activeEpoch})
@@ -764,7 +745,7 @@ func (n *Node) observeBallot(b Ballot) {
 		if n.isLeader && newLeader != n.cfg.ID {
 			n.cfg.logf("deposed by ballot %v", b)
 			n.isLeader = false
-			n.inflight = make(map[uint64]*inflightState)
+			n.open = nil
 			n.proposeQ = nil
 			n.dropLease()
 		}
@@ -905,8 +886,9 @@ func (n *Node) tryCompleteElection() {
 		return // still catching up; LearnReply will re-trigger
 	}
 	// Phase 1 complete: adopt the highest-ballot accepted value for every
-	// open instance (with pipelining there can be several) and re-run
-	// phase 2 for them in order.
+	// instance at or past chosenSeq and re-run phase 2 for them in order.
+	// There can be several: an acceptor that missed the commit of one
+	// instance still holds it next to the one opened after it.
 	for _, p := range n.promises {
 		for i := range p.Accepted {
 			a := p.Accepted[i]
@@ -924,7 +906,6 @@ func (n *Node) tryCompleteElection() {
 	n.leaderBallot = n.prepBallot
 	n.lastHeartbeat = 0
 	n.dropLease() // fresh leadership starts with no grants banked
-	n.nextPropose = n.chosenSeq
 	n.cfg.Metrics.LeaderWins.Inc()
 	n.cfg.logf("won election with ballot %v at instance %d", n.prepBallot, n.chosenSeq)
 	if a, ok := n.accepted[n.chosenSeq]; ok {
@@ -977,10 +958,12 @@ func (n *Node) onAccept(m *message, from int) {
 	n.electionDeadline = n.cfg.Env.Now() + n.electionTimeout()
 	if m.Inst >= n.chosenSeq {
 		if m.Inst > n.chosenSeq {
-			// Piggyback chaining (§3.1): accept instance i only if i-1 was
-			// accepted (or already chosen), so the committed sequence of
-			// traces can never have a hole. The leader retransmits in
-			// order, so a dropped predecessor heals itself.
+			// Hole freedom (§3.1): accept instance i only if i-1 was
+			// accepted here (or already chosen), so every accepted trace
+			// delta extends one this acceptor holds and the committed
+			// sequence can never have a hole. An acceptor that missed i-1
+			// learns it from the commit or the next heartbeat, and the
+			// leader re-sends its open instance until it is chosen.
 			if _, ok := n.accepted[m.Inst-1]; !ok {
 				return
 			}
@@ -996,41 +979,32 @@ func (n *Node) onAccepted(m *message, from int) {
 	if !n.isLeader || m.Ballot != n.prepBallot {
 		return
 	}
-	st, ok := n.inflight[m.Inst]
-	if !ok {
+	st := n.open
+	if st == nil || st.inst != m.Inst {
 		return
 	}
 	st.acks[from] = true
-	// Commit in instance order: only the lowest open instance may close.
-	// Acks are counted against the membership governing the instance, so a
-	// pipeline spanning an activation boundary uses the right quorum on
-	// both sides and learner acks never count.
-	for {
-		low, ok := n.inflight[n.chosenSeq]
-		if !ok {
-			return
-		}
-		cfgm := n.configAt(n.chosenSeq)
-		got := 0
-		for id := range low.acks {
-			if cfgm.IsVoter(id) {
-				got++
-			}
-		}
-		if got < cfgm.Quorum() {
-			return
-		}
-		inst, val := n.chosenSeq, low.val
-		n.cfg.Metrics.CommitLatency.Observe(n.cfg.Env.Now() - low.sentAt)
-		delete(n.inflight, inst)
-		n.broadcast(&message{Kind: mCommit, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: n.epochAt(inst)})
-		// broadcast includes self; commitValue runs when the self-message
-		// arrives. Commit locally right away instead for promptness.
-		n.commitValue(inst, val, n.cfg.ID)
-		if !n.isLeader {
-			return
+	// The open instance closes once it is the next to choose. Acks are
+	// counted against the membership governing the instance, so learner
+	// acks never count.
+	if st.inst != n.chosenSeq {
+		return
+	}
+	cfgm := n.configAt(st.inst)
+	got := 0
+	for id := range st.acks {
+		if cfgm.IsVoter(id) {
+			got++
 		}
 	}
+	if got < cfgm.Quorum() {
+		return
+	}
+	n.cfg.Metrics.CommitLatency.Observe(n.cfg.Env.Now() - st.sentAt)
+	n.broadcast(&message{Kind: mCommit, Ballot: n.prepBallot, Inst: st.inst, Val: st.val, Epoch: n.epochAt(st.inst)})
+	// broadcast includes self; commitValue runs when the self-message
+	// arrives. Commit locally right away instead for promptness.
+	n.commitValue(st.inst, st.val, n.cfg.ID)
 }
 
 func (n *Node) onHeartbeat(m *message, from int) {
@@ -1087,6 +1061,10 @@ func (n *Node) commitValue(inst uint64, val []byte, from int) {
 		return
 	}
 	for {
+		if n.open != nil && n.open.inst == inst {
+			// Chosen, whether our quorum or a peer's commit taught us.
+			n.open = nil
+		}
 		n.persistChosen(inst, val)
 		n.chosen = append(n.chosen, val)
 		n.chosenSeq++
@@ -1123,35 +1101,31 @@ func (n *Node) commitValue(inst uint64, val []byte, from int) {
 
 func (n *Node) startPhase2(inst uint64, val []byte) {
 	n.cfg.Metrics.Proposals.Inc()
-	n.inflight[inst] = &inflightState{
+	n.open = &inflightState{
+		inst:   inst,
 		val:    val,
 		acks:   make(map[int]bool),
 		sentAt: n.cfg.Env.Now(),
 	}
-	if inst >= n.nextPropose {
-		n.nextPropose = inst + 1
-	}
 	n.broadcast(&message{Kind: mAccept, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: n.epochAt(inst)})
 }
 
+// proposeNext opens instance chosenSeq when none is open: with the head of
+// the propose queue or, when the queue is empty and a scheduled membership
+// has not activated yet, with a no-op. Activation happens only when
+// chosenSeq crosses the horizon, and with no client traffic nothing else
+// advances it.
 func (n *Node) proposeNext() {
-	if !n.isLeader || n.announceAfter {
+	if !n.isLeader || n.announceAfter || n.open != nil {
 		return
 	}
-	if n.nextPropose < n.chosenSeq {
-		n.nextPropose = n.chosenSeq
-	}
-	for len(n.inflight) < n.cfg.PipelineDepth && len(n.proposeQ) > 0 {
+	switch {
+	case len(n.proposeQ) > 0:
 		val := n.proposeQ[0]
 		n.proposeQ = n.proposeQ[1:]
-		n.startPhase2(n.nextPropose, val)
-	}
-	// A scheduled membership activates only when chosenSeq crosses its
-	// horizon; with no client traffic nothing else advances the counter,
-	// so the leader pads with no-ops until the boundary is crossed.
-	if len(n.inflight) == 0 && len(n.proposeQ) == 0 &&
-		n.configs[len(n.configs)-1].FromInst > n.chosenSeq {
-		n.startPhase2(n.nextPropose, reconfig.PaddingValue())
+		n.startPhase2(n.chosenSeq, val)
+	case n.configs[len(n.configs)-1].FromInst > n.chosenSeq:
+		n.startPhase2(n.chosenSeq, reconfig.PaddingValue())
 	}
 }
 

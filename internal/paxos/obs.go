@@ -36,20 +36,20 @@ type Metrics struct {
 // NewMetrics allocates all series.
 func NewMetrics() *Metrics {
 	return &Metrics{
-		Elections:     obs.NewCounter(),
-		LeaderWins:    obs.NewCounter(),
-		NacksSent:     obs.NewCounter(),
-		NacksRecv:     obs.NewCounter(),
-		LearnReqs:     obs.NewCounter(),
-		Commits:       obs.NewCounter(),
-		Proposals:     obs.NewCounter(),
-		Heartbeats:    obs.NewCounter(),
+		Elections:       obs.NewCounter(),
+		LeaderWins:      obs.NewCounter(),
+		NacksSent:       obs.NewCounter(),
+		NacksRecv:       obs.NewCounter(),
+		LearnReqs:       obs.NewCounter(),
+		Commits:         obs.NewCounter(),
+		Proposals:       obs.NewCounter(),
+		Heartbeats:      obs.NewCounter(),
 		EpochNacks:      obs.NewCounter(),
 		Reconfigs:       obs.NewCounter(),
 		LeaseGrants:     obs.NewCounter(),
 		LeaseSuppressed: obs.NewCounter(),
-		CommitLatency: obs.NewHistogram(),
-		PersistBatch:  obs.NewSizeHistogram(),
+		CommitLatency:   obs.NewHistogram(),
+		PersistBatch:    obs.NewSizeHistogram(),
 	}
 }
 

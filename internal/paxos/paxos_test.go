@@ -24,9 +24,15 @@ type cluster struct {
 }
 
 func newCluster(e *sim.Env, n int, seed int64) *cluster {
+	return newClusterOn(e, transport.NewNetwork(e, n, time.Millisecond, seed), n, seed, nil)
+}
+
+// newClusterOn builds n nodes over net. wrap, when set, interposes on
+// node i's endpoint.
+func newClusterOn(e *sim.Env, net *transport.Network, n int, seed int64, wrap func(i int, ep transport.Endpoint) transport.Endpoint) *cluster {
 	c := &cluster{
 		e:       e,
-		net:     transport.NewNetwork(e, n, time.Millisecond, seed),
+		net:     net,
 		commits: make([][]string, n),
 		mu:      e.NewMutex(),
 	}
@@ -34,11 +40,15 @@ func newCluster(e *sim.Env, n int, seed int64) *cluster {
 		i := i
 		log := storage.NewMemLog()
 		c.logs = append(c.logs, log)
+		ep := net.Endpoint(i)
+		if wrap != nil {
+			ep = wrap(i, ep)
+		}
 		node, err := NewNode(Config{
 			ID:              i,
 			N:               n,
 			Env:             e,
-			Endpoint:        c.net.Endpoint(i),
+			Endpoint:        ep,
 			Log:             log,
 			HeartbeatEvery:  20 * time.Millisecond,
 			ElectionTimeout: 100 * time.Millisecond,
@@ -387,41 +397,16 @@ func TestProposalAtFollowerIsDropped(t *testing.T) {
 	})
 }
 
-func TestPipelinedProposals(t *testing.T) {
-	// With PipelineDepth > 1, several instances are open concurrently and
-	// still commit in order with identical sequences on every replica.
+func TestBurstProposalsCommitInOrder(t *testing.T) {
+	// A burst queued faster than one instance commits still goes through
+	// one open instance at a time, in order, with identical sequences on
+	// every replica.
 	e := sim.New(4)
 	e.Run(func() {
 		const n = 3
-		net := transport.NewNetwork(e, n, 2*time.Millisecond, 21)
-		c := &cluster{e: e, net: net, commits: make([][]string, n), mu: e.NewMutex()}
-		for i := 0; i < n; i++ {
-			i := i
-			log := storage.NewMemLog()
-			c.logs = append(c.logs, log)
-			node, err := NewNode(Config{
-				ID: i, N: n, Env: e,
-				Endpoint:        net.Endpoint(i),
-				Log:             log,
-				HeartbeatEvery:  20 * time.Millisecond,
-				ElectionTimeout: 100 * time.Millisecond,
-				PipelineDepth:   4,
-				Seed:            21,
-				OnCommitted: func(inst uint64, val []byte) {
-					c.mu.Lock()
-					c.commits[i] = append(c.commits[i], string(val))
-					c.mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.nodes = append(c.nodes, node)
-		}
+		c := newClusterOn(e, transport.NewNetwork(e, n, 2*time.Millisecond, 21), n, 21, nil)
 		c.start()
 		lead := c.waitLeader(t, 2*time.Second)
-		// Burst-propose: with a 2ms one-way delay and depth 4, these
-		// overlap in flight.
 		for i := 0; i < 40; i++ {
 			c.nodes[lead].Propose([]byte(fmt.Sprintf("v%d", i)))
 		}
@@ -441,38 +426,14 @@ func TestPipelinedProposals(t *testing.T) {
 	})
 }
 
-func TestPipelinedFailoverReproposesAllOpenInstances(t *testing.T) {
-	// Kill a pipelined leader mid-burst: the new leader must re-propose
-	// every possibly-committed open instance before announcing, and no
-	// committed value may be lost or reordered.
+func TestFailoverMidBurstLeavesNoHole(t *testing.T) {
+	// Kill the leader mid-burst: the new leader must re-propose every
+	// possibly-committed instance before announcing, and no committed
+	// value may be lost or reordered.
 	e := sim.New(4)
 	e.Run(func() {
 		const n = 3
-		net := transport.NewNetwork(e, n, 2*time.Millisecond, 31)
-		c := &cluster{e: e, net: net, commits: make([][]string, n), mu: e.NewMutex()}
-		for i := 0; i < n; i++ {
-			i := i
-			log := storage.NewMemLog()
-			c.logs = append(c.logs, log)
-			node, err := NewNode(Config{
-				ID: i, N: n, Env: e,
-				Endpoint:        net.Endpoint(i),
-				Log:             log,
-				HeartbeatEvery:  20 * time.Millisecond,
-				ElectionTimeout: 100 * time.Millisecond,
-				PipelineDepth:   4,
-				Seed:            31,
-				OnCommitted: func(inst uint64, val []byte) {
-					c.mu.Lock()
-					c.commits[i] = append(c.commits[i], string(val))
-					c.mu.Unlock()
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.nodes = append(c.nodes, node)
-		}
+		c := newClusterOn(e, transport.NewNetwork(e, n, 2*time.Millisecond, 31), n, 31, nil)
 		c.start()
 		lead := c.waitLeader(t, 2*time.Second)
 		for i := 0; i < 20; i++ {
@@ -517,5 +478,85 @@ func TestPipelinedFailoverReproposesAllOpenInstances(t *testing.T) {
 			}
 		}
 		c.stop()
+	})
+}
+
+// acceptGuard interposes on a node's endpoint and checks every outgoing
+// mAccept against the node's own chosen sequence at send time.
+type acceptGuard struct {
+	transport.Endpoint
+	node    func() *Node
+	accepts *int
+	bad     *[]string
+}
+
+func (g *acceptGuard) Send(to int, payload []byte) {
+	if m, err := decodeMessage(payload); err == nil && m.Kind == mAccept {
+		*g.accepts++
+		if seq := g.node().ChosenSeq(); m.Inst > seq {
+			*g.bad = append(*g.bad, fmt.Sprintf("node %d sent accept for %d at chosen seq %d", g.ID(), m.Inst, seq))
+		}
+	}
+	g.Endpoint.Send(to, payload)
+}
+
+func TestAcceptOnlyPastChosenSeq(t *testing.T) {
+	// The §3.1 invariant: a leader opens instance i+1 only after it has
+	// learned that instance i is chosen, so no node ever sends an accept
+	// for an instance past its own chosen sequence — not under loss, not
+	// across a leader isolation and the takeover's re-proposals.
+	e := sim.New(4)
+	e.Run(func() {
+		const n = 3
+		var accepts int
+		var bad []string
+		var c *cluster
+		c = newClusterOn(e, transport.NewNetwork(e, n, 2*time.Millisecond, 41), n, 41,
+			func(i int, ep transport.Endpoint) transport.Endpoint {
+				return &acceptGuard{Endpoint: ep, node: func() *Node { return c.nodes[i] }, accepts: &accepts, bad: &bad}
+			})
+		c.net.SetLoss(0.05)
+		c.start()
+		lead := c.waitLeader(t, 5*time.Second)
+		for i := 0; i < 30; i++ {
+			c.nodes[lead].Propose([]byte(fmt.Sprintf("a%d", i)))
+		}
+		e.Sleep(20 * time.Millisecond)
+		c.net.Isolate(lead, true)
+		next := -1
+		for deadline := e.Now() + 5*time.Second; next < 0 && e.Now() < deadline; e.Sleep(10 * time.Millisecond) {
+			for i, nd := range c.nodes {
+				if i != lead && nd.IsLeader() {
+					next = i
+				}
+			}
+		}
+		if next < 0 {
+			t.Fatal("no new leader after isolating the old one")
+		}
+		for i := 0; i < 30; i++ {
+			c.nodes[next].Propose([]byte(fmt.Sprintf("b%d", i)))
+		}
+		e.Sleep(time.Second)
+		c.net.Isolate(lead, false)
+		e.Sleep(2 * time.Second)
+		c.stop()
+
+		for _, b := range bad {
+			t.Error(b)
+		}
+		if accepts < 60 {
+			t.Fatalf("only %d accepts sent; the burst did not exercise phase 2", accepts)
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		t.Logf("%d accepts sent; commits per node: %d %d %d", accepts, len(c.commits[0]), len(c.commits[1]), len(c.commits[2]))
+		for i := range c.commits {
+			for j := range c.commits[i] {
+				if j < len(c.commits[next]) && c.commits[i][j] != c.commits[next][j] {
+					t.Fatalf("node %d diverges at %d: %q vs %q", i, j, c.commits[i][j], c.commits[next][j])
+				}
+			}
+		}
 	})
 }

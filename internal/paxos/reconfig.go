@@ -12,8 +12,9 @@ import (
 // chosen at some instance i; it takes effect at instance i+α. The node keeps
 // a small schedule of configs ordered by activation instance: configAt(inst)
 // is the membership governing that instance's quorum and epoch. Instances in
-// [i, i+α) therefore keep the proposing epoch's quorum — in-flight pipelined
-// instances are never stranded — while everything ≥ i+α uses the new one.
+// [i, i+α) therefore keep the proposing epoch's quorum — an instance opened
+// or re-proposed before the change is learned is never stranded — while
+// everything ≥ i+α uses the new one.
 //
 // Messages that drive voting (prepare, accept, heartbeat) carry the sender's
 // epoch for the governing instance; a receiver whose governing epoch is newer
@@ -151,7 +152,7 @@ func (n *Node) checkActivation() {
 	if n.isLeader && !active.IsVoter(n.cfg.ID) {
 		n.cfg.logf("lost voting rights in epoch %d; stepping down", active.Epoch)
 		n.isLeader = false
-		n.inflight = make(map[uint64]*inflightState)
+		n.open = nil
 		n.proposeQ = nil
 	}
 	if n.preparing && !active.IsVoter(n.cfg.ID) {

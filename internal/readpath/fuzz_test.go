@@ -46,9 +46,9 @@ func FuzzTokenRoundTrip(f *testing.F) {
 func FuzzTokenDecode(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte{0x00})
-	f.Add([]byte{0x80})                               // truncated uvarint
-	f.Add([]byte{0x01, 0x02, 0x03, 0xff})             // truncated cut
-	f.Add((Token{Epoch: 2, Applied: 9}).EncodeBytes()) // valid
+	f.Add([]byte{0x80})                                                 // truncated uvarint
+	f.Add([]byte{0x01, 0x02, 0x03, 0xff})                               // truncated cut
+	f.Add((Token{Epoch: 2, Applied: 9}).EncodeBytes())                  // valid
 	f.Add([]byte{0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // giant cut length
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tok, err := DecodeTokenBytes(data)

@@ -5,10 +5,9 @@
 // A membership change is an ordinary consensus value: the primary proposes
 // the encoded next Membership at some instance i, and once chosen it takes
 // effect at instance i+α. Every instance in [i, i+α) still uses the quorum
-// of the epoch that proposed it, so in-flight pipelined instances are never
-// stranded; every instance ≥ i+α uses the new quorum. α is chosen at
-// propose time to exceed the proposer's pipeline depth so no open instance
-// can straddle the boundary with the wrong quorum.
+// of the epoch that proposed it; every instance ≥ i+α uses the new quorum.
+// Rex keeps one consensus instance open at a time, so the proposer always
+// picks DefaultAlpha; each membership value still carries its own α.
 //
 // Members come in two flavors: voters participate in promise/accept/election
 // quorums; learners receive commits (and snapshots) but never vote. A fresh
@@ -33,8 +32,8 @@ const valueMagic = 0xC7
 // encVersion is the membership encoding version, bumped on layout changes.
 const encVersion = 1
 
-// DefaultAlpha is the activation horizon used when the proposer does not
-// derive one from its pipeline depth.
+// DefaultAlpha is the activation horizon the primary proposes every
+// membership change with.
 const DefaultAlpha = 10
 
 // Membership is one epoch of cluster configuration. Epochs are assigned

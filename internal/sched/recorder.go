@@ -109,18 +109,6 @@ func (r *Recorder) AddMark(m trace.Mark) {
 	r.maybeNotify()
 }
 
-// PendingEvents reports how many recorded events have not been collected
-// yet; the primary's flow control uses it to bound speculation.
-func (r *Recorder) PendingEvents() int {
-	n := 0
-	for _, b := range r.threads {
-		b.mu.Lock()
-		n += len(b.events)
-		b.mu.Unlock()
-	}
-	return n
-}
-
 // Collect drains everything recorded since the last Collect into a delta
 // based at the current collection frontier. It snapshots thread buffers
 // one at a time — deliberately without a global barrier — so the delta may

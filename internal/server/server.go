@@ -2,37 +2,45 @@
 // TCP protocol, used by cmd/rexd and cmd/rexctl. One server can host
 // several shard groups' replicas (one process, one listener).
 //
-// Request frame:  [4-byte len][1-byte kind][uvarint group][uvarint client][uvarint seq][body]
-// Response frame: [4-byte len][1-byte status][body]
+// A connection carries one request at a time. Both directions use
+// length-prefixed frames:
 //
-// Kinds: 1 = submit (replicated), 2 = query (local read-only), 3 = fetch
-// the shard map (group/client/seq ignored), 4 = group status, 5 = propose
-// a membership change (body: client.Change's op + ids + addr), 6 = fetch
-// the group's committed membership, 7 = leveled query (body: level byte +
-// session token + query; ok body: refreshed token + response), 8 = submit
-// returning a session token (ok body: token + response).
+//	request:  [4-byte len][kind][uvarint group][uvarint client][uvarint seq][bytes body][uvarint deadline_ms]?
+//	response: [4-byte len][status][body]
 //
-// Protocol v4 (live rebalancing): on a rebalance-enabled node, kind 3
-// answers with the LIVE shard map read from group 0's replicated state —
-// not the static bootstrap map — so clients that get a wrong-group NACK
-// (a rebalance envelope reply carrying the newer map version, riding
-// inside an ordinary StatusOK body) can self-update. The frame layout is
-// unchanged; v3 clients still parse every frame.
+// Lengths are big-endian and count everything after the prefix; "bytes"
+// is a uvarint length followed by that many bytes. The trailing deadline
+// is optional: when present it is the client's remaining budget in
+// milliseconds (overload.AppendWireDeadline), and a submit whose budget
+// runs out before it executes is answered with status 5. group, client
+// and seq are ignored by kinds that do not need them.
 //
-// Protocol v5 (overload protection): a request frame may carry one
-// OPTIONAL trailing field after the body — the client's remaining
-// deadline budget in milliseconds as a uvarint (overload.
-// AppendWireDeadline). v4 frames simply omit it, and v4 servers ignored
-// trailing bytes, so both directions interoperate. Two statuses were
-// added: 4 = overloaded (the request was shed before execution; body is
-// a uvarint retry-after hint in milliseconds) and 5 = deadline exceeded
-// (the propagated deadline expired before execution; body is a
-// message). Both guarantee the request did NOT execute.
-// Status: 0 = ok (body is the response), 1 = not primary (body is a
-// varint leader hint, -1 unknown), 2 = error (body is a message; the
-// request may succeed elsewhere or later), 3 = failed permanently (body
-// is a message; retrying cannot help), 4 = overloaded (retry after the
-// hinted delay), 5 = deadline exceeded (not executed; give up).
+// Kinds:
+//
+//	2 query       local read-only query of the group's replica
+//	3 shard map   the shard map; a rebalance-enabled node answers with the
+//	              live map from group 0's replicated state, so a client
+//	              NACKed for a wrong group can refresh it
+//	4 status      role byte, varint leader, uvarint applied, completed
+//	              and outstanding request counts
+//	5 reconfig    propose a membership change (body: client.Change's op
+//	              byte, uvarint id and new id, bytes addr)
+//	6 membership  the group's committed membership
+//	7 leveled     body: level byte, bytes session token, bytes query; ok
+//	  query       body: bytes refreshed token, bytes response
+//	8 submit      replicated request (client, seq deduplicate); ok body:
+//	              bytes session token, bytes response
+//
+// Any other kind, including the retired 1, is answered StatusError
+// "unknown request kind".
+//
+// Statuses: 0 ok (body is the response); 1 not primary (body is a varint
+// leader hint, -1 unknown); 2 error (body is a message; the request may
+// succeed elsewhere or later); 3 failed permanently (body is a message;
+// retrying cannot help); 4 overloaded (shed before execution; body is a
+// uvarint retry-after hint in milliseconds); 5 deadline exceeded (the
+// propagated deadline expired before execution; body is a message). 4 and
+// 5 guarantee the request did not execute.
 //
 // Framing is defensive: an oversized length prefix gets an error response
 // and the connection is dropped (the stream cannot be resynced), and a
@@ -62,7 +70,6 @@ import (
 
 // Protocol constants.
 const (
-	KindSubmit      byte = 1
 	KindQuery       byte = 2
 	KindShardMap    byte = 3
 	KindStatus      byte = 4
@@ -290,8 +297,8 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 	if d.Err() != nil {
 		return StatusError, []byte("malformed request")
 	}
-	// Protocol v5: the optional trailing deadline budget. A garbage
-	// trailer is a malformed frame, not a silently dropped field.
+	// The optional trailing deadline budget. A garbage trailer is a
+	// malformed frame, not a silently dropped field.
 	budget, err := overload.DecodeWireDeadline(d)
 	if err != nil {
 		return StatusError, []byte(fmt.Sprintf("malformed request: %v", err))
@@ -300,8 +307,7 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		if s.smap == nil {
 			return StatusError, []byte("server: not sharded (no shard map)")
 		}
-		// Protocol v4: a rebalance-enabled node hosting the map home
-		// serves the live map from replicated state; anything else (home
+		// A rebalance-enabled node hosting the map home serves the live map from replicated state; anything else (home
 		// group elsewhere, replica still catching up) falls back to the
 		// static bootstrap map — clients converge via NACK-driven
 		// refetches against a node that does host the home.
@@ -323,20 +329,17 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 	// The per-group in-flight budget guards the load-bearing kinds at
 	// the server edge: past it, NACK without doing any replica work.
 	switch kind {
-	case KindSubmit, KindSubmitToken, KindQuery, KindQueryLevel:
+	case KindSubmitToken, KindQuery, KindQueryLevel:
 		if !s.admitGroup(int(group)) {
 			return StatusOverloaded, overloadedBody(serverRetryAfter)
 		}
 		defer s.releaseGroup(int(group))
 	}
 	switch kind {
-	case KindSubmit, KindSubmitToken:
+	case KindSubmitToken:
 		resp, tok, err := rep.SubmitTokenDeadline(client, seq, body, budget)
-		switch {
-		case err != nil:
+		if err != nil {
 			return errStatus(err)
-		case kind == KindSubmit:
-			return StatusOK, resp
 		}
 		return StatusOK, tokenResp(tok, resp)
 	case KindQuery:
@@ -733,8 +736,8 @@ func (t *tcpTransport) conn(i int) (net.Conn, error) {
 }
 
 // roundTrip frames one request to replica i and reads the answer. budget
-// bounds the network I/O and rides along as the request's deadline
-// (protocol v5), so every hop can fail fast instead of doing doomed work.
+// bounds the network I/O and rides along as the request's trailing
+// deadline, so every hop can fail fast instead of doing doomed work.
 func (t *tcpTransport) roundTrip(i int, kind byte, id, seq uint64, body []byte, budget time.Duration) (byte, []byte, error) {
 	e := wire.NewEncoder(nil)
 	e.Byte(kind)

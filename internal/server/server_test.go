@@ -553,9 +553,18 @@ func TestClientProtocolFraming(t *testing.T) {
 			wantMsg:    "unknown request kind",
 		},
 		{
+			name: "retired submit kind",
+			send: func(conn net.Conn) {
+				f := request(1, 0, 1, 1, []byte("x"))
+				writeRaw(conn, uint32(len(f)), f)
+			},
+			wantStatus: int(StatusError),
+			wantMsg:    "unknown request kind",
+		},
+		{
 			name: "unknown group",
 			send: func(conn net.Conn) {
-				f := request(KindSubmit, 7, 1, 1, []byte("x"))
+				f := request(KindSubmitToken, 7, 1, 1, []byte("x"))
 				writeRaw(conn, uint32(len(f)), f)
 			},
 			// Permanent: placement is static, retrying cannot help.
@@ -566,7 +575,7 @@ func TestClientProtocolFraming(t *testing.T) {
 			name: "malformed body",
 			send: func(conn net.Conn) {
 				// A bare kind byte: the decoder runs out of input.
-				writeRaw(conn, 1, []byte{KindSubmit})
+				writeRaw(conn, 1, []byte{KindSubmitToken})
 			},
 			wantStatus: int(StatusError),
 			wantMsg:    "malformed",
@@ -718,13 +727,13 @@ func TestDeadlineFrameRejectsGarbage(t *testing.T) {
 		})
 	}
 
-	// A well-formed v5 frame with a valid deadline still succeeds.
+	// A well-formed frame with a valid deadline still succeeds.
 	cl := NewClient(7, []string{addr})
 	defer cl.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := cl.DoCtx(ctx, hashdb.SetReq("k2", []byte("v2"))); err != nil {
-		t.Fatalf("v5 framed request: %v", err)
+		t.Fatalf("deadline-framed request: %v", err)
 	}
 }
 
