@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck bench bench-json chaos check
+.PHONY: all build test race vet fmt staticcheck bench bench-json chaos realbench check
 
 all: build
 
@@ -75,4 +75,10 @@ chaos:
 	$(GO) run ./cmd/rexchaos -scenario overload -scenarios 4 -seed 1
 	$(GO) run ./cmd/rexchaos -scenario rebalance -scenarios 2 -seed 1 -groups 3
 
-check: build fmt vet staticcheck test race chaos
+# realbench/ is its own module, so the root's build and tests never
+# compile it: vet it and run its smoke tests so an API change cannot
+# break the benchmark unseen.
+realbench:
+	cd realbench && $(GO) vet ./... && $(GO) test .
+
+check: build fmt vet staticcheck test race chaos realbench

@@ -25,10 +25,12 @@ func main() {
 	e := rex.NewSimEnv(8)
 	e.Run(func() {
 		c := rex.NewCluster(e, app.Factory, rex.ClusterOptions{
-			Replicas:        3,
-			Workers:         4,
-			Timers:          app.Timers, // the LSM compaction background task
-			CheckpointEvery: 400 * time.Millisecond,
+			Replicas: 3,
+			Template: rex.Config{
+				Workers:         4,
+				Timers:          app.Timers, // the LSM compaction background task
+				CheckpointEvery: 400 * time.Millisecond,
+			},
 		})
 		if err := c.Start(); err != nil {
 			panic(err)

@@ -24,9 +24,11 @@ func main() {
 	e := rex.NewSimEnv(8)
 	e.Run(func() {
 		c := rex.NewCluster(e, app.Factory, rex.ClusterOptions{
-			Replicas:    3,
-			Workers:     4,
-			ReadWorkers: 2, // the native-mode query pool (hybrid execution)
+			Replicas: 3,
+			Template: rex.Config{
+				Workers:     4,
+				ReadWorkers: 2, // the native-mode query pool (hybrid execution)
+			},
 		})
 		if err := c.Start(); err != nil {
 			panic(err)

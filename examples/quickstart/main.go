@@ -91,7 +91,7 @@ func main() {
 	e.Run(func() {
 		c := rex.NewCluster(e, newCounters, rex.ClusterOptions{
 			Replicas: 3,
-			Workers:  4,
+			Template: rex.Config{Workers: 4}, // every replica's configuration
 		})
 		if err := c.Start(); err != nil {
 			panic(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/sim"
 )
@@ -20,14 +21,15 @@ func TestAllAppsReplicate(t *testing.T) {
 			e := sim.New(8)
 			e.Run(func() {
 				c := cluster.New(e, app.Factory, cluster.Options{
-					Replicas:        3,
-					Workers:         4,
-					Timers:          app.Timers,
-					ReadWorkers:     1,
-					ProposeEvery:    2 * time.Millisecond,
-					HeartbeatEvery:  20 * time.Millisecond,
-					ElectionTimeout: 100 * time.Millisecond,
-					Seed:            7,
+					Replicas: 3,
+					Template: core.Config{
+						Workers:         4,
+						Timers:          app.Timers,
+						ReadWorkers:     1,
+						HeartbeatEvery:  20 * time.Millisecond,
+						ElectionTimeout: 100 * time.Millisecond,
+						Seed:            7,
+					},
 				})
 				if err := c.Start(); err != nil {
 					t.Fatalf("start: %v", err)
@@ -95,13 +97,14 @@ func TestAppsSurviveFailover(t *testing.T) {
 			e := sim.New(8)
 			e.Run(func() {
 				c := cluster.New(e, app.Factory, cluster.Options{
-					Replicas:        3,
-					Workers:         4,
-					Timers:          app.Timers,
-					ProposeEvery:    2 * time.Millisecond,
-					HeartbeatEvery:  20 * time.Millisecond,
-					ElectionTimeout: 100 * time.Millisecond,
-					Seed:            13,
+					Replicas: 3,
+					Template: core.Config{
+						Workers:         4,
+						Timers:          app.Timers,
+						HeartbeatEvery:  20 * time.Millisecond,
+						ElectionTimeout: 100 * time.Millisecond,
+						Seed:            13,
+					},
 				})
 				if err := c.Start(); err != nil {
 					t.Fatalf("start: %v", err)

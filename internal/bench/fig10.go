@@ -68,12 +68,12 @@ func Fig10(cfg Fig10Config) []Fig10Sample {
 	var samples []Fig10Sample
 	simulate(cfg.Cores, func(r *rig) {
 		o := options(app, cfg.Threads, cfg.Clients, cfg.Seed)
-		o.HeartbeatEvery = cfg.ElectionTimeout / 8
-		o.ElectionTimeout = cfg.ElectionTimeout
+		o.Template.HeartbeatEvery = cfg.ElectionTimeout / 8
+		o.Template.ElectionTimeout = cfg.ElectionTimeout
 		// A tighter replay-backlog limit than the default is what makes
 		// the rejoining replica's catch-up visible as the paper's rejoin
 		// sag (§6.6).
-		o.LagEvents = 1 << 12
+		o.Template.LagLimitEvents = 1 << 12
 		c, p := r.group(app, o)
 		r.clients(cfg.Clients, 0, func(i int) op {
 			cl := c.NewClient(uint64(100 + i))

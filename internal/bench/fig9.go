@@ -74,7 +74,7 @@ func fig9Point(cfg Fig9Config, app apps.App, updateThreads int, onPrimary bool) 
 	simulate(cfg.Cores, func(r *rig) {
 		updaters := 24 * updateThreads
 		o := options(app, updateThreads, updaters, cfg.Seed)
-		o.ReadWorkers = cfg.QueryThreads
+		o.Template.ReadWorkers = cfg.QueryThreads
 		c, p := r.group(app, o)
 		setup(app, cfg.Seed, 500, via(c.NewClient(1)))
 		target := c.Replicas[(p+1)%3]

@@ -108,10 +108,10 @@ func runOverloadPoint(cfg OverloadConfig, protected bool, offered float64) Overl
 	app := apps.HashDB()
 	opts := options(app, cfg.Workers, 0, cfg.Seed)
 	opts.Replicas = cfg.Replicas
-	opts.MaxOutstanding = cfg.MaxOutstanding
-	opts.MaxAdmissionWaiters = cfg.MaxAdmissionWaiters
-	opts.AdmissionTarget = cfg.AdmissionTarget
-	opts.AdmissionInterval = cfg.AdmissionInterval
+	opts.Template.MaxOutstanding = cfg.MaxOutstanding
+	opts.Template.MaxAdmissionWaiters = cfg.MaxAdmissionWaiters
+	opts.Template.AdmissionTarget = cfg.AdmissionTarget
+	opts.Template.AdmissionInterval = cfg.AdmissionInterval
 	pt := OverloadPoint{Mode: "protected"}
 	if !protected {
 		// The contrast cell: the same speculation depth (capacity is the
@@ -119,8 +119,8 @@ func runOverloadPoint(cfg OverloadConfig, protected bool, offered float64) Overl
 		// no CoDel — every arrival waits out its full sojourn instead of
 		// being shed early.
 		pt.Mode = "unprotected"
-		opts.MaxAdmissionWaiters = 1 << 16
-		opts.AdmissionTarget = -1
+		opts.Template.MaxAdmissionWaiters = 1 << 16
+		opts.Template.AdmissionTarget = -1
 	}
 
 	// Open-loop fleet sizing: each generator paces itself to an interval

@@ -108,7 +108,7 @@ func runReadPoint(replicas int, level readpath.Level, cfg ReadScalingConfig) Rea
 	simulate(cfg.Cores, func(r *rig) {
 		app := apps.HashDB()
 		o := options(app, cfg.Workers, cfg.Clients, cfg.Seed)
-		o.Replicas, o.ReadWorkers = replicas, cfg.ReadWorkers
+		o.Replicas, o.Template.ReadWorkers = replicas, cfg.ReadWorkers
 		c, _ := r.group(app, o)
 		val := value(cfg.ValueBytes)
 		// Prefill so reads in the measured window always hit.

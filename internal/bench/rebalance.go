@@ -106,7 +106,7 @@ const (
 func rebalanceGroups(r *rig, cfg RebalanceBenchConfig, m *shard.ShardMap) *cluster.MultiCluster {
 	app := apps.HashDB()
 	o := options(app, cfg.Workers, cfg.Clients, cfg.Seed)
-	o.ReadWorkers, o.LiveRebalance = 2, true
+	o.Template.ReadWorkers, o.LiveRebalance = 2, true
 	return r.groups(app, m, o)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"rex/internal/apps"
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/obs"
 	"rex/internal/shard"
@@ -63,14 +64,15 @@ func simulate(cores int, body func(r *rig)) {
 // four outstanding requests per client.
 func options(app apps.App, workers, clients int, seed int64) cluster.Options {
 	return cluster.Options{
-		Workers:         workers,
-		Timers:          app.Timers,
-		ProposeEvery:    2 * time.Millisecond,
-		HeartbeatEvery:  20 * time.Millisecond,
-		ElectionTimeout: 100 * time.Millisecond,
-		StatusEvery:     20 * time.Millisecond,
-		MaxOutstanding:  4 * clients,
-		Seed:            seed,
+		Template: core.Config{
+			Workers:         workers,
+			Timers:          app.Timers,
+			HeartbeatEvery:  20 * time.Millisecond,
+			ElectionTimeout: 100 * time.Millisecond,
+			StatusEvery:     20 * time.Millisecond,
+			MaxOutstanding:  4 * clients,
+			Seed:            seed,
+		},
 	}
 }
 

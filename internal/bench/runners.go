@@ -122,8 +122,8 @@ func RunRex(cfg RunConfig) RunResult {
 	var res RunResult
 	simulate(cfg.Cores, func(r *rig) {
 		o := options(cfg.App, cfg.Threads, cfg.Clients, cfg.Seed)
-		o.DisablePruning = cfg.DisablePruning
-		o.DisableConflictElision = cfg.DisableConflictElision
+		o.Template.DisablePruning = cfg.DisablePruning
+		o.Template.DisableConflictElision = cfg.DisableConflictElision
 		c, p := r.group(cfg.App, o)
 		setup(cfg.App, cfg.Seed, cfg.SetupCap, via(c.NewClient(1)))
 		r.clients(cfg.Clients, 0, func(i int) op {
@@ -182,7 +182,6 @@ func RunRSM(cfg RunConfig) RunResult {
 					Log:             storage.NewMemLog(),
 					Factory:         cfg.App.Factory,
 					Timers:          cfg.App.Timers,
-					BatchEvery:      2 * time.Millisecond,
 					HeartbeatEvery:  20 * time.Millisecond,
 					ElectionTimeout: 100 * time.Millisecond,
 					MaxOutstanding:  4 * cfg.Clients,

@@ -201,15 +201,17 @@ func runJournalLoad(t *testing.T, seed int64, buggy bool) []string {
 	var violations []string
 	e.Run(func() {
 		c := cluster.New(e, newJournal(), cluster.Options{
-			Replicas:                3,
-			Workers:                 2,
-			ProposeEvery:            2 * time.Millisecond,
-			HeartbeatEvery:          20 * time.Millisecond,
-			ElectionTimeout:         100 * time.Millisecond,
-			StatusEvery:             20 * time.Millisecond,
-			Seed:                    seed,
-			DisableChecks:           buggy,
-			UnsafeReplayNoEdgeWaits: buggy,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:                 2,
+				HeartbeatEvery:          20 * time.Millisecond,
+				ElectionTimeout:         100 * time.Millisecond,
+				StatusEvery:             20 * time.Millisecond,
+				Seed:                    seed,
+				DisableVersionChecks:    buggy,
+				DisableResultChecks:     buggy,
+				UnsafeReplayNoEdgeWaits: buggy,
+			},
 		})
 		if err := c.Start(); err != nil {
 			violations = append(violations, err.Error())

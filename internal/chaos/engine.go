@@ -127,15 +127,16 @@ func (sc Scenario) Run(reg *obs.Registry, logf func(string, ...any)) Result {
 
 func (r *execution) run() {
 	opts := cluster.Options{
-		Workers:         2,
-		Timers:          r.spec.timers,
-		ProposeEvery:    2 * time.Millisecond,
-		HeartbeatEvery:  20 * time.Millisecond,
-		ElectionTimeout: 100 * time.Millisecond,
-		StatusEvery:     20 * time.Millisecond,
-		CheckpointEvery: 200 * time.Millisecond,
-		Seed:            r.Seed,
-		Logf:            r.logf,
+		Template: core.Config{
+			Workers:         2,
+			Timers:          r.spec.timers,
+			HeartbeatEvery:  20 * time.Millisecond,
+			ElectionTimeout: 100 * time.Millisecond,
+			StatusEvery:     20 * time.Millisecond,
+			CheckpointEvery: 200 * time.Millisecond,
+			Seed:            r.Seed,
+			Logf:            r.logf,
+		},
 		NewLog: func(i int) storage.Log {
 			f := NewFaultLog(storage.NewMemLog())
 			r.faults[i] = f

@@ -261,9 +261,9 @@ func reconfigPreset(r *execution) {
 // least one rex_resync_total increment must show the resync path fired.
 func recoveryPreset(r *execution) {
 	r.options = func(o *cluster.Options) {
-		o.ElectionTimeout = 120 * time.Millisecond
-		o.CheckpointEvery = 0  // periodic checkpoints off: the old livelock setup
-		o.MaxLogInstances = 48 // the log-growth floor is the only checkpoint driver
+		o.Template.ElectionTimeout = 120 * time.Millisecond
+		o.Template.CheckpointEvery = 0                   // periodic checkpoints off: the old livelock setup
+		o.Template.MaxLogInstancesWithoutCheckpoint = 48 // the log-growth floor is the only checkpoint driver
 	}
 	r.load = r.appLoad
 	r.nemesis = func() {
@@ -345,9 +345,9 @@ func isolatePrimaries(r *execution, xor int64, gapMin, gapMax int, failovers *in
 func readsPreset(r *execution) {
 	var failovers int
 	r.options = func(o *cluster.Options) {
-		o.ElectionTimeout = 120 * time.Millisecond
-		o.ReadWorkers = 2
-		o.ReadWaitTimeout = 300 * time.Millisecond
+		o.Template.ElectionTimeout = 120 * time.Millisecond
+		o.Template.ReadWorkers = 2
+		o.Template.ReadWaitTimeout = 300 * time.Millisecond
 	}
 	r.load = func(ci int, rng *rand.Rand) func(int) time.Duration {
 		cl := r.client(ci)
@@ -413,8 +413,8 @@ func readsPreset(r *execution) {
 func conflictsPreset(r *execution) {
 	var failovers, sweeps int
 	r.options = func(o *cluster.Options) {
-		o.ElectionTimeout = 120 * time.Millisecond
-		o.Workers = 4 // spread conflict classes over several threads
+		o.Template.ElectionTimeout = 120 * time.Millisecond
+		o.Template.Workers = 4 // spread conflict classes over several threads
 	}
 	r.load = func(ci int, rng *rand.Rand) func(int) time.Duration {
 		cl := r.client(ci)
@@ -494,13 +494,13 @@ func overloadPreset(r *execution) {
 	var monitor *env.Group
 	clients := make([]*cluster.Client, r.Clients)
 	r.options = func(o *cluster.Options) {
-		o.ElectionTimeout = 120 * time.Millisecond
-		o.ReadWorkers = 2
-		o.ReadWaitTimeout = 300 * time.Millisecond
-		o.MaxOutstanding = overloadMaxOutstanding
-		o.MaxAdmissionWaiters = overloadMaxWaiters
-		o.AdmissionTarget = 5 * time.Millisecond
-		o.AdmissionInterval = 25 * time.Millisecond
+		o.Template.ElectionTimeout = 120 * time.Millisecond
+		o.Template.ReadWorkers = 2
+		o.Template.ReadWaitTimeout = 300 * time.Millisecond
+		o.Template.MaxOutstanding = overloadMaxOutstanding
+		o.Template.MaxAdmissionWaiters = overloadMaxWaiters
+		o.Template.AdmissionTarget = 5 * time.Millisecond
+		o.Template.AdmissionInterval = 25 * time.Millisecond
 	}
 	r.load = func(ci int, rng *rand.Rand) func(int) time.Duration {
 		// Every worker is its own client hammering the hot-key set in a
@@ -708,7 +708,7 @@ func rebalancePreset(r *execution) {
 	keys := 12 * r.Groups
 	r.endsLoad = true
 	r.options = func(o *cluster.Options) {
-		o.ReadWorkers = 2
+		o.Template.ReadWorkers = 2
 		o.LiveRebalance = true
 	}
 	r.load = func(ci int, rng *rand.Rand) func(int) time.Duration {

@@ -7,6 +7,7 @@ import (
 
 	"rex/internal/apps/hashdb"
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/readpath"
 	"rex/internal/sim"
 	"rex/internal/wire"
@@ -22,10 +23,12 @@ func TestLinearizableReadAfterPrimaryCrash(t *testing.T) {
 	e.Run(func() {
 		failure = func() error {
 			c := cluster.New(e, hashdb.New(hashdb.DefaultOptions()), cluster.Options{
-				Workers:     2,
-				Timers:      hashdb.Timers(),
-				ReadWorkers: 1,
-				Seed:        3,
+				Template: core.Config{
+					Workers:     2,
+					Timers:      hashdb.Timers(),
+					ReadWorkers: 1,
+					Seed:        3,
+				},
 			})
 			if err := c.Start(); err != nil {
 				return err

@@ -23,41 +23,20 @@ import (
 // when Options.Endpoints is unset.
 const netDelay = 500 * time.Microsecond
 
-// Options tune the cluster; zero values take defaults suited to the
-// simulator.
+// Options describe an in-process cluster: the replicas' configuration
+// and what the harness itself owns. Zero values take defaults suited to
+// the simulator.
 type Options struct {
-	Replicas        int
-	Workers         int
-	Timers          int
-	ReadWorkers     int
-	ProposeEvery    time.Duration
-	HeartbeatEvery  time.Duration
-	ElectionTimeout time.Duration
-	// LeaseDuration/ReadWaitTimeout tune the read path (core.Config); zero
-	// takes the core defaults, negative LeaseDuration disables the quorum
-	// read lease.
-	LeaseDuration   time.Duration
-	ReadWaitTimeout time.Duration
-	CheckpointEvery time.Duration
-	// MaxLogInstances is the log-growth checkpoint floor
-	// (core.Config.MaxLogInstancesWithoutCheckpoint): 0 takes the core
-	// default, negative disables it.
-	MaxLogInstances int64
-	StatusEvery     time.Duration
-	MaxOutstanding  int
-	// LagEvents is the replay backlog past which a secondary throttles
-	// the primary (core.Config.LagLimitEvents); 0 takes the core default.
-	LagEvents uint64
-	// AdmissionTarget/AdmissionInterval/MaxAdmissionWaiters tune the
-	// primary's CoDel admission gate (core.Config); zero takes the core
-	// defaults, negative AdmissionTarget disables shedding.
-	AdmissionTarget     time.Duration
-	AdmissionInterval   time.Duration
-	MaxAdmissionWaiters int
-	Seed                int64
-	DisableChecks       bool
-	DisablePruning      bool
-	Logf                func(string, ...any)
+	Replicas int
+	// Template configures every replica. config(i) copies it and
+	// overwrites the fields the cluster owns: ID, N, Env, Endpoint, Log,
+	// Snapshots and Factory. A zero Seed becomes 1; it also seeds the
+	// simulated network.
+	Template core.Config
+	// Derive, when set, adjusts replica i's config after the cluster has
+	// filled in its own fields (cfg.ID is i). NewMulti uses it to apply
+	// shard.ReplicaConfig, the per-group derivation sharded processes use.
+	Derive func(cfg core.Config) core.Config
 	// NewLog and NewSnapshots build replica i's durable state; defaults are
 	// in-memory stores. The chaos engine swaps in fault-injecting wrappers.
 	NewLog       func(i int) storage.Log
@@ -73,20 +52,6 @@ type Options struct {
 	// replica. The shard package uses this so every group hosted on one
 	// node shares that node's CPU cores, like colocated processes do.
 	Machines []int
-	// ElectionTimeoutOf, when set, overrides ElectionTimeout per replica.
-	// The shard package biases replica 0 (the map's preferred primary)
-	// with a shorter timeout so per-group primaries land where the
-	// placement rotation put them.
-	ElectionTimeoutOf func(i int) time.Duration
-	// UnsafeReplayNoEdgeWaits injects a replication bug (replay releases
-	// events before their causal predecessors) so tests can prove the
-	// consistency checker catches real divergence. Never set outside tests.
-	UnsafeReplayNoEdgeWaits bool
-	// DisableConflictElision keeps class-owned lock events in the trace
-	// (core.Config.DisableConflictElision); benchmarks use it to measure
-	// the delta-size win of conflict-class elision. Must be identical on
-	// every replica.
-	DisableConflictElision bool
 	// LiveRebalance (NewMulti only) wraps every group's application with
 	// the rebalance ownership layer (internal/rebalance): the map gets
 	// hash ranges, group 0 hosts the map consensus sequence, routers from
@@ -99,11 +64,8 @@ func (o Options) withDefaults() Options {
 	if o.Replicas <= 0 {
 		o.Replicas = 3
 	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
+	if o.Template.Seed == 0 {
+		o.Template.Seed = 1
 	}
 	if o.NewLog == nil {
 		o.NewLog = func(int) storage.Log { return storage.NewMemLog() }
@@ -174,7 +136,7 @@ func New(e env.Env, factory core.Factory, opts Options) *Cluster {
 		mu:      e.NewMutex(),
 	}
 	if opts.Endpoints == nil {
-		c.Net = transport.NewNetwork(e, opts.Replicas, netDelay, opts.Seed)
+		c.Net = transport.NewNetwork(e, opts.Replicas, netDelay, opts.Template.Seed)
 	}
 	for i := 0; i < opts.Replicas; i++ {
 		c.Logs = append(c.Logs, opts.NewLog(i))
@@ -199,42 +161,18 @@ func (c *Cluster) config(i int) core.Config {
 	if ep == nil {
 		ep = c.Net.Endpoint
 	}
-	et := c.Opts.ElectionTimeout
-	if c.Opts.ElectionTimeoutOf != nil {
-		et = c.Opts.ElectionTimeoutOf(i)
+	cfg := c.Opts.Template
+	cfg.ID = i
+	cfg.N = c.Opts.Replicas
+	cfg.Env = c.Env
+	cfg.Endpoint = ep(i)
+	cfg.Log = c.Logs[i]
+	cfg.Snapshots = c.Snaps[i]
+	cfg.Factory = c.Factory
+	if c.Opts.Derive != nil {
+		cfg = c.Opts.Derive(cfg)
 	}
-	return core.Config{
-		ID:                               i,
-		N:                                c.Opts.Replicas,
-		Env:                              c.Env,
-		Endpoint:                         ep(i),
-		Log:                              c.Logs[i],
-		Snapshots:                        c.Snaps[i],
-		Factory:                          c.Factory,
-		Workers:                          c.Opts.Workers,
-		Timers:                           c.Opts.Timers,
-		ReadWorkers:                      c.Opts.ReadWorkers,
-		ProposeEvery:                     c.Opts.ProposeEvery,
-		HeartbeatEvery:                   c.Opts.HeartbeatEvery,
-		ElectionTimeout:                  et,
-		LeaseDuration:                    c.Opts.LeaseDuration,
-		ReadWaitTimeout:                  c.Opts.ReadWaitTimeout,
-		CheckpointEvery:                  c.Opts.CheckpointEvery,
-		StatusEvery:                      c.Opts.StatusEvery,
-		MaxLogInstancesWithoutCheckpoint: c.Opts.MaxLogInstances,
-		MaxOutstanding:                   c.Opts.MaxOutstanding,
-		LagLimitEvents:                   c.Opts.LagEvents,
-		AdmissionTarget:                  c.Opts.AdmissionTarget,
-		AdmissionInterval:                c.Opts.AdmissionInterval,
-		MaxAdmissionWaiters:              c.Opts.MaxAdmissionWaiters,
-		DisableVersionChecks:             c.Opts.DisableChecks,
-		DisableResultChecks:              c.Opts.DisableChecks,
-		DisablePruning:                   c.Opts.DisablePruning,
-		Seed:                             c.Opts.Seed,
-		Logf:                             c.Opts.Logf,
-		UnsafeReplayNoEdgeWaits:          c.Opts.UnsafeReplayNoEdgeWaits,
-		DisableConflictElision:           c.Opts.DisableConflictElision,
-	}
+	return cfg
 }
 
 // startReplica constructs and starts replica i on its machine (if the

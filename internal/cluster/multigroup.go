@@ -38,11 +38,11 @@ type MultiCluster struct {
 func MultiStoreIndex(group, replica int) int { return group*256 + replica }
 
 // NewMulti builds (but does not start) a multi-group cluster over m.
-// opts applies per group; Replicas is taken from the map, Seed is
-// decorrelated per group, and NewLog/NewSnapshots are called with
-// MultiStoreIndex(group, replica). Replica 0 of each group — the map's
-// preferred primary — gets a shortened election timeout so primaries land
-// where the placement rotation put them.
+// opts applies per group; Replicas is taken from the map, every replica's
+// config is derived from opts.Template by shard.ReplicaConfig (the
+// derivation sharded processes use: group id, per-group seed, replica 0's
+// shortened election timeout), and NewLog/NewSnapshots are called with
+// MultiStoreIndex(group, replica).
 func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) (*MultiCluster, error) {
 	if opts.LiveRebalance {
 		m.EnsureRanges()
@@ -54,7 +54,7 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 	mc := &MultiCluster{
 		Env:  e,
 		Map:  m,
-		Net:  transport.NewNetwork(e, m.Nodes, netDelay, opts.Seed),
+		Net:  transport.NewNetwork(e, m.Nodes, netDelay, opts.Template.Seed),
 		Live: opts.LiveRebalance,
 	}
 	nodeMachines := make([]int, m.Nodes)
@@ -69,15 +69,10 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 	for n := 0; n < m.Nodes; n++ {
 		mc.Muxes = append(mc.Muxes, shard.NewNodeMux(e, mc.Net.Endpoint(n), m, n))
 	}
-	baseET := opts.ElectionTimeout
-	if baseET <= 0 {
-		baseET = 150 * time.Millisecond // core's default
-	}
 	for g := 0; g < m.Groups(); g++ {
 		g := g
 		og := opts
 		og.Replicas = m.Replicas(g)
-		og.Seed = opts.Seed + int64(g)*1009
 		og.Endpoints = func(i int) transport.Endpoint {
 			return mc.Muxes[m.Placement[g][i]].Endpoint(g)
 		}
@@ -85,15 +80,7 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 		for i := range og.Machines {
 			og.Machines[i] = nodeMachines[m.Placement[g][i]]
 		}
-		// Paxos picks base + rand(0..base); halving replica 0's base puts
-		// its whole range below the others', so absent faults each group
-		// elects the map's preferred primary.
-		og.ElectionTimeoutOf = func(i int) time.Duration {
-			if i == 0 {
-				return baseET / 2
-			}
-			return baseET
-		}
+		og.Derive = func(cfg core.Config) core.Config { return shard.ReplicaConfig(cfg, g, cfg.ID) }
 		baseLog, baseSnaps := opts.NewLog, opts.NewSnapshots
 		og.NewLog = func(i int) storage.Log { return baseLog(MultiStoreIndex(g, i)) }
 		og.NewSnapshots = func(i int) storage.SnapshotStore { return baseSnaps(MultiStoreIndex(g, i)) }

@@ -3,11 +3,14 @@ package cluster_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"rex/internal/apps/hashdb"
 	"rex/internal/cluster"
+	"rex/internal/core"
+	"rex/internal/readpath"
 	"rex/internal/shard"
 	"rex/internal/sim"
 )
@@ -32,12 +35,13 @@ func TestMultiClusterShardedFailover(t *testing.T) {
 			return
 		}
 		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
-			Workers:         2,
-			Timers:          hashdb.Timers(),
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			Seed:            7,
+			Template: core.Config{
+				Workers:         2,
+				Timers:          hashdb.Timers(),
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				Seed:            7,
+			},
 		})
 		if err != nil {
 			fail("new multi: %v", err)
@@ -124,11 +128,13 @@ func TestMultiClusterRotatesPrimaries(t *testing.T) {
 	e.Run(func() {
 		m, _ := shard.NewShardMap(1, 4, 4, 3)
 		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
-			Workers:         2,
-			Timers:          hashdb.Timers(),
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			Seed:            11,
+			Template: core.Config{
+				Workers:         2,
+				Timers:          hashdb.Timers(),
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				Seed:            11,
+			},
 		})
 		if err != nil {
 			failure = err.Error()
@@ -154,6 +160,72 @@ func TestMultiClusterRotatesPrimaries(t *testing.T) {
 		}
 		if len(nodes) != 4 {
 			failure = fmt.Sprintf("primaries on %d distinct nodes, want 4", len(nodes))
+		}
+	})
+	if failure != "" {
+		t.Fatal(failure)
+	}
+}
+
+// TestMultiClusterStampsGroupInSessionTokens checks that NewMulti derives
+// replicas the way sharded processes do: each group stamps its id into
+// the session tokens it mints, and a secondary refuses a token minted by
+// another group.
+func TestMultiClusterStampsGroupInSessionTokens(t *testing.T) {
+	e := sim.New(2)
+	var failure string
+	fail := func(format string, args ...any) {
+		if failure == "" {
+			failure = fmt.Sprintf(format, args...)
+		}
+	}
+	e.Run(func() {
+		m, _ := shard.NewShardMap(1, 2, 3, 3)
+		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
+			Template: core.Config{
+				Workers:         2,
+				Timers:          hashdb.Timers(),
+				ReadWorkers:     1,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				Seed:            5,
+			},
+		})
+		if err != nil {
+			fail("new multi: %v", err)
+			return
+		}
+		if err := mc.Start(); err != nil {
+			fail("start: %v", err)
+			return
+		}
+		defer mc.Stop()
+		if err := mc.WaitAllPrimaries(10 * time.Second); err != nil {
+			fail("%v", err)
+			return
+		}
+		toks := make([]readpath.Token, m.Groups())
+		for g := range toks {
+			p := mc.Groups[g].Replica(mc.Primary(g))
+			_, tok, err := p.SubmitToken(uint64(700+g), 1, hashdb.SetReq("k", []byte("v")))
+			if err != nil {
+				fail("group %d write: %v", g, err)
+				return
+			}
+			if tok.Group != g {
+				fail("group %d minted a token for group %d", g, tok.Group)
+				return
+			}
+			toks[g] = tok
+		}
+		sec := mc.Groups[0].Replica((mc.Primary(0) + 1) % m.Replicas(0))
+		if _, _, err := sec.QueryLevel(readpath.Session, toks[0], hashdb.GetReq("k")); err != nil {
+			fail("group 0 secondary refused its own group's token: %v", err)
+			return
+		}
+		_, _, err = sec.QueryLevel(readpath.Session, toks[1], hashdb.GetReq("k"))
+		if err == nil || !strings.Contains(err.Error(), "group 1 presented to group 0") {
+			fail("group 0 secondary served a group-1 token: err = %v", err)
 		}
 	})
 	if failure != "" {

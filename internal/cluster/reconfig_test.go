@@ -35,14 +35,15 @@ func TestReplacementDrill(t *testing.T) {
 	}
 	e.Run(func() {
 		c := cluster.New(e, newLedger(), cluster.Options{
-			Replicas:        3,
-			Workers:         2,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			CheckpointEvery: 200 * time.Millisecond,
-			Seed:            31,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         2,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				StatusEvery:     20 * time.Millisecond,
+				CheckpointEvery: 200 * time.Millisecond,
+				Seed:            31,
+			},
 		})
 		if err := c.Start(); err != nil {
 			fail("start: %v", err)
@@ -183,13 +184,14 @@ func TestSelfRemovalRedirects(t *testing.T) {
 	var failure string
 	e.Run(func() {
 		c := cluster.New(e, newLedger(), cluster.Options{
-			Replicas:        3,
-			Workers:         2,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			Seed:            33,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         2,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				StatusEvery:     20 * time.Millisecond,
+				Seed:            33,
+			},
 		})
 		if err := c.Start(); err != nil {
 			failure = fmt.Sprintf("start: %v", err)
@@ -246,13 +248,14 @@ func TestRemovedIdentityRefused(t *testing.T) {
 	var failure string
 	e.Run(func() {
 		c := cluster.New(e, newLedger(), cluster.Options{
-			Replicas:        3,
-			Workers:         2,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			Seed:            32,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         2,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				StatusEvery:     20 * time.Millisecond,
+				Seed:            32,
+			},
 		})
 		if err := c.Start(); err != nil {
 			failure = fmt.Sprintf("start: %v", err)

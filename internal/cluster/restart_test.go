@@ -75,14 +75,15 @@ func TestRepeatedRestartCycles(t *testing.T) {
 	var failure string
 	e.Run(func() {
 		c := cluster.New(e, newLedger(), cluster.Options{
-			Replicas:        3,
-			Workers:         2,
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			CheckpointEvery: 150 * time.Millisecond,
-			Seed:            7,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         2,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				StatusEvery:     20 * time.Millisecond,
+				CheckpointEvery: 150 * time.Millisecond,
+				Seed:            7,
+			},
 		})
 		if err := c.Start(); err != nil {
 			failure = fmt.Sprintf("start: %v", err)

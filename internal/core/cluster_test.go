@@ -244,15 +244,16 @@ func waitConverged(t *testing.T, e env.Env, c *cluster.Cluster, timeout time.Dur
 
 func defaultOpts() cluster.Options {
 	return cluster.Options{
-		Replicas:        3,
-		Workers:         4,
-		Timers:          1,
-		ReadWorkers:     2,
-		ProposeEvery:    2 * time.Millisecond,
-		HeartbeatEvery:  20 * time.Millisecond,
-		ElectionTimeout: 100 * time.Millisecond,
-		StatusEvery:     20 * time.Millisecond,
-		Seed:            11,
+		Replicas: 3,
+		Template: core.Config{
+			Workers:         4,
+			Timers:          1,
+			ReadWorkers:     2,
+			HeartbeatEvery:  20 * time.Millisecond,
+			ElectionTimeout: 100 * time.Millisecond,
+			StatusEvery:     20 * time.Millisecond,
+			Seed:            11,
+		},
 	}
 }
 
@@ -519,7 +520,7 @@ func TestCheckpointCompactionAndFreshJoin(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := defaultOpts()
-		opts.CheckpointEvery = 250 * time.Millisecond
+		opts.Template.CheckpointEvery = 250 * time.Millisecond
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
@@ -637,7 +638,7 @@ func TestComputeHeavyRequestsRunConcurrently(t *testing.T) {
 		e := sim.New(8)
 		e.Run(func() {
 			opts := defaultOpts()
-			opts.Workers = workers
+			opts.Template.Workers = workers
 			c := cluster.New(e, newTKV, opts)
 			if err := c.Start(); err != nil {
 				t.Fatal(err)
@@ -687,7 +688,7 @@ func TestTraceGarbageCollection(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := defaultOpts()
-		opts.CheckpointEvery = 200 * time.Millisecond
+		opts.Template.CheckpointEvery = 200 * time.Millisecond
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {
 			t.Fatal(err)

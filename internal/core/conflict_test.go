@@ -9,6 +9,7 @@ import (
 
 	"rex/internal/apps/hashdb"
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/readpath"
 	"rex/internal/sim"
@@ -65,15 +66,16 @@ func runConflictWorkload(t *testing.T, scheds [][][]byte, disableElision bool) (
 			GetCost:   15 * time.Microsecond,
 		})
 		c := cluster.New(e, factory, cluster.Options{
-			Replicas:               3,
-			Workers:                4,
-			Timers:                 hashdb.Timers(),
-			ProposeEvery:           2 * time.Millisecond,
-			HeartbeatEvery:         20 * time.Millisecond,
-			ElectionTimeout:        100 * time.Millisecond,
-			StatusEvery:            20 * time.Millisecond,
-			Seed:                   11,
-			DisableConflictElision: disableElision,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:                4,
+				Timers:                 hashdb.Timers(),
+				HeartbeatEvery:         20 * time.Millisecond,
+				ElectionTimeout:        100 * time.Millisecond,
+				StatusEvery:            20 * time.Millisecond,
+				Seed:                   11,
+				DisableConflictElision: disableElision,
+			},
 		})
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
@@ -152,7 +154,7 @@ func TestSessionReadTokenAcrossRebuild(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := defaultOpts()
-		opts.ReadWaitTimeout = 300 * time.Millisecond
+		opts.Template.ReadWaitTimeout = 300 * time.Millisecond
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
@@ -194,8 +196,8 @@ func TestSessionReadTokenAcrossRebuild(t *testing.T) {
 		if !errors.Is(err, readpath.ErrFrontierWait) {
 			t.Fatalf("impossible token: got %v, want ErrFrontierWait", err)
 		}
-		if waited >= opts.ReadWaitTimeout {
-			t.Fatalf("impossible token stalled %v (budget %v); want fail-fast", waited, opts.ReadWaitTimeout)
+		if waited >= opts.Template.ReadWaitTimeout {
+			t.Fatalf("impossible token stalled %v (budget %v); want fail-fast", waited, opts.Template.ReadWaitTimeout)
 		}
 		c.Stop()
 	})
@@ -210,7 +212,7 @@ func TestLinearizableReadWaitBound(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := defaultOpts()
-		opts.ReadWaitTimeout = 300 * time.Millisecond
+		opts.Template.ReadWaitTimeout = 300 * time.Millisecond
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
@@ -239,9 +241,9 @@ func TestLinearizableReadWaitBound(t *testing.T) {
 		if err == nil {
 			t.Fatal("isolated primary served a linearizable read")
 		}
-		if waited > opts.ReadWaitTimeout+100*time.Millisecond {
+		if waited > opts.Template.ReadWaitTimeout+100*time.Millisecond {
 			t.Fatalf("linearizable read waited %v, want <= one ReadWaitTimeout (%v) plus grace",
-				waited, opts.ReadWaitTimeout)
+				waited, opts.Template.ReadWaitTimeout)
 		}
 		c.Net.Isolate(p, false)
 		c.Stop()

@@ -112,8 +112,8 @@ func TestHashResponseStable(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := (&Config{}).withDefaults()
-	if cfg.Workers <= 0 || cfg.ProposeEvery <= 0 || cfg.HeartbeatEvery <= 0 ||
-		cfg.ElectionTimeout <= 0 || cfg.MaxOutstanding <= 0 ||
+	if cfg.Workers <= 0 || cfg.HeartbeatEvery <= 0 ||
+		cfg.ElectionTimeout != DefaultElectionTimeout || cfg.MaxOutstanding <= 0 ||
 		cfg.StatusEvery <= 0 || cfg.LagLimitEvents == 0 {
 		t.Errorf("defaults incomplete: %+v", cfg)
 	}

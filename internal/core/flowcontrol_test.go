@@ -23,8 +23,8 @@ const lagLimit = 64
 func flowCluster(t *testing.T, e env.Env, statusEvery time.Duration) (*cluster.Cluster, int) {
 	t.Helper()
 	o := defaultOpts()
-	o.StatusEvery = statusEvery
-	o.AdmissionTarget = -1
+	o.Template.StatusEvery = statusEvery
+	o.Template.AdmissionTarget = -1
 	c := cluster.New(e, newTKV, o)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)

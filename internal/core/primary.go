@@ -420,7 +420,7 @@ func (r *Replica) releaseResponsesLocked() {
 // demand-driven rather than fixed-cadence: the recorder wakes it on the
 // first event/request after a drain, applyLoop wakes it when its open
 // instance commits, and proposeTicker wakes it every
-// ProposeEvery as the max-delay backstop. It also carries the one-time
+// proposeEvery as the max-delay backstop. It also carries the one-time
 // rebase marker after a promotion.
 func (r *Replica) proposePump() {
 	for {
@@ -468,10 +468,10 @@ func (r *Replica) pumpDrain() {
 
 // proposeTicker is the pump's liveness backstop: whatever edge-triggered
 // wake-ups were deferred or lost, pending growth is proposed at most
-// ProposeEvery late.
+// proposeEvery late.
 func (r *Replica) proposeTicker() {
 	for {
-		if !r.sleepInterruptible(r.cfg.ProposeEvery) {
+		if !r.sleepInterruptible(proposeEvery) {
 			return
 		}
 		r.wakePump()

@@ -91,12 +91,13 @@ func runRacy(t *testing.T, fixed bool) (faultErr error) {
 	e := sim.New(8)
 	e.Run(func() {
 		c := cluster.New(e, newRacy(fixed), cluster.Options{
-			Replicas:        3,
-			Workers:         4,
-			ProposeEvery:    time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			Seed:            3,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         4,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				Seed:            3,
+			},
 		})
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
@@ -184,12 +185,13 @@ func TestClusterConvergesUnderMessageLoss(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		c := cluster.New(e, newRacy(true), cluster.Options{
-			Replicas:        3,
-			Workers:         4,
-			ProposeEvery:    time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 150 * time.Millisecond,
-			Seed:            17,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         4,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 150 * time.Millisecond,
+				Seed:            17,
+			},
 		})
 		c.Net.SetLoss(0.05)
 		c.Net.SetJitter(time.Millisecond)

@@ -62,7 +62,7 @@ func TestLinearizableReadBarrierPath(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := defaultOpts()
-		opts.LeaseDuration = -1 // force the barrier leg
+		opts.Template.LeaseDuration = -1 // force the barrier leg
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {
 			t.Fatal(err)

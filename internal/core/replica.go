@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"rex/internal/env"
@@ -89,13 +88,6 @@ type Config struct {
 	Timers      int
 	ReadWorkers int
 
-	// ProposeEvery is the max-delay cap on trace collection (§3.1:
-	// "periodically proposes the up-to-date trace"). The pump is
-	// demand-driven — the recorder wakes it on the first event or request
-	// after a drain, and the commit of its open instance wakes it again —
-	// so this cadence only bounds how stale a proposal can get when an
-	// edge-triggered wake-up is lost.
-	ProposeEvery    time.Duration
 	HeartbeatEvery  time.Duration
 	ElectionTimeout time.Duration
 	// LeaseDuration tunes the quorum read lease (paxos.Config): 0 takes
@@ -183,6 +175,15 @@ type Config struct {
 }
 
 const (
+	// proposeEvery is the max-delay cap on trace collection (§3.1:
+	// "periodically proposes the up-to-date trace"). The pump is
+	// demand-driven — the recorder wakes it on the first event or request
+	// after a drain, and the commit of its open instance wakes it again —
+	// so this cadence only bounds how stale a proposal can get when an
+	// edge-triggered wake-up is lost.
+	proposeEvery = 2 * time.Millisecond
+	// DefaultElectionTimeout is Config.ElectionTimeout's zero-value default.
+	DefaultElectionTimeout = 150 * time.Millisecond
 	// lagLimitInstances is the committed-instance lag past which a live
 	// voter throttles the primary's admission (see MaxOutstanding).
 	lagLimitInstances = 64
@@ -200,14 +201,11 @@ func (c *Config) withDefaults() Config {
 	if cfg.ReadWorkers < 0 {
 		cfg.ReadWorkers = 0
 	}
-	if cfg.ProposeEvery <= 0 {
-		cfg.ProposeEvery = 2 * time.Millisecond
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 20 * time.Millisecond
 	}
 	if cfg.ElectionTimeout <= 0 {
-		cfg.ElectionTimeout = 150 * time.Millisecond
+		cfg.ElectionTimeout = DefaultElectionTimeout
 	}
 	if cfg.StatusEvery <= 0 {
 		cfg.StatusEvery = 25 * time.Millisecond
@@ -357,7 +355,7 @@ type Replica struct {
 
 	// Propose-pump state. proposeWake (cap 1) is the demand edge: the
 	// recorder pokes it on new work, applyLoop pokes it when the pump's
-	// open instance commits, and a ticker pokes it every ProposeEvery as
+	// open instance commits, and a ticker pokes it every proposeEvery as
 	// the max-delay backstop. proposing (a delta is in consensus) and
 	// proposedAt (when it went out, for propose→commit) are under mu;
 	// lastDeltaBytes is owned by the pump task alone.
@@ -991,30 +989,6 @@ func (r *Replica) promote(chosenAt uint64) {
 		r.mu.Unlock()
 		r.fault(fmt.Errorf("rex: promotion truncate to executed cut: %w", err))
 		return
-	}
-	if os.Getenv("REX_DEBUG_VERSIONS") != "" {
-		expect := make(map[uint32]uint64)
-		for t := range r.tr.Threads {
-			l := &r.tr.Threads[t]
-			for i, ev := range l.Events {
-				_ = i
-				switch ev.Kind {
-				case trace.KindLockAcq, trace.KindLockRel, trace.KindTryAcq,
-					trace.KindCondWaitBegin, trace.KindCondWake,
-					trace.KindWLockAcq, trace.KindWLockRel,
-					trace.KindSemAcq, trace.KindSemRel,
-					trace.KindCondSignal, trace.KindCondBroadcast:
-					expect[ev.Res]++
-				}
-			}
-		}
-		got := r.rt.VersionsSnapshot()
-		for res, want := range expect {
-			if int(res) < len(got) && got[res] != want {
-				fmt.Printf("VERSION MISMATCH at promotion: replica %d res %d (%s): runtime=%d trace=%d\n",
-					r.cfg.ID, res, r.rt.ResourceName(res), got[res], want)
-			}
-		}
 	}
 	r.lcc = cut.Clone()
 	reqBase := r.tr.ReqsBase + uint64(len(r.tr.Reqs))

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/sim"
 )
@@ -24,15 +25,16 @@ func TestPromoteDemoteChurnResync(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := cluster.Options{
-			Replicas:        3,
-			Workers:         4,
-			Timers:          1,
-			ProposeEvery:    time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 120 * time.Millisecond,
-			CheckpointEvery: 0,  // periodic checkpoints off: the old livelock setup
-			MaxLogInstances: 24, // the log-growth floor is the only checkpoint driver
-			Seed:            29,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:                          4,
+				Timers:                           1,
+				HeartbeatEvery:                   20 * time.Millisecond,
+				ElectionTimeout:                  120 * time.Millisecond,
+				CheckpointEvery:                  0,  // periodic checkpoints off: the old livelock setup
+				MaxLogInstancesWithoutCheckpoint: 24, // the log-growth floor is the only checkpoint driver
+				Seed:                             29,
+			},
 		}
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {

@@ -15,7 +15,7 @@ func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMach
 		if r.genEnded(gen) {
 			return
 		}
-		if rt.Mode() != sched.ModeReplay {
+		if r.Role() == RolePrimary {
 			return // promoted: the primary initiates marks, it doesn't serve them
 		}
 		rep := rt.Replayer()
@@ -99,19 +99,25 @@ func (r *Replica) statusLoop() {
 			continue
 		}
 		applied := r.applied
-		rt := r.rt
+		rep := r.replayerLocked()
 		r.mu.Unlock()
-		r.broadcastCtrl(&ctrlMsg{Kind: ctrlStatus, Applied: applied, Backlog: runtimeBacklog(rt)})
+		r.broadcastCtrl(&ctrlMsg{Kind: ctrlStatus, Applied: applied, Backlog: replayBacklogOf(rep)})
 	}
 }
 
-// runtimeBacklog sums the replay backlog (committed-but-unexecuted
-// events across threads) of rt, 0 when rt is not replaying.
-func runtimeBacklog(rt *sched.Runtime) uint64 {
-	if rt == nil || rt.Mode() != sched.ModeReplay {
-		return 0
+// replayerLocked returns the current runtime's replayer while it is
+// replaying, nil otherwise. The mode is read under r.mu because promote
+// switches it there; rebuild sets it before publishing the runtime.
+func (r *Replica) replayerLocked() *sched.Replayer {
+	if r.rt == nil || r.rt.Mode() != sched.ModeReplay {
+		return nil
 	}
-	rep := rt.Replayer()
+	return r.rt.Replayer()
+}
+
+// replayBacklogOf sums rep's replay backlog (committed-but-unexecuted
+// events across threads), 0 for a nil replayer.
+func replayBacklogOf(rep *sched.Replayer) uint64 {
 	if rep == nil {
 		return 0
 	}
@@ -130,7 +136,7 @@ func runtimeBacklog(rt *sched.Runtime) uint64 {
 // the read path sheds weak follower reads past the lag limit.
 func (r *Replica) replayBacklog() uint64 {
 	r.mu.Lock()
-	rt := r.rt
+	rep := r.replayerLocked()
 	r.mu.Unlock()
-	return runtimeBacklog(rt)
+	return replayBacklogOf(rep)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"rex/internal/sched"
-	"rex/internal/trace"
-)
+import "rex/internal/trace"
 
 // Stats is a point-in-time view of a replica's counters, used by the
 // benchmark harness to reproduce the paper's measurements.
@@ -37,11 +34,12 @@ func (r *Replica) Stats() Stats {
 		Outstanding:    r.outstanding,
 	}
 	rt := r.rt
+	rep := r.replayerLocked()
 	r.mu.Unlock()
+	if rep != nil {
+		s.ReplayedEvents, s.WaitedEvents = rep.Stats()
+	}
 	if rt != nil {
-		if rep := rt.Replayer(); rep != nil && rt.Mode() == sched.ModeReplay {
-			s.ReplayedEvents, s.WaitedEvents = rep.Stats()
-		}
 		s.ElidedOps = rt.ElidedOps()
 	}
 	return s

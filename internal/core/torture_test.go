@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/sim"
 )
@@ -20,14 +21,15 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	e := sim.New(8)
 	e.Run(func() {
 		opts := cluster.Options{
-			Replicas:        3,
-			Workers:         4,
-			Timers:          1,
-			ProposeEvery:    time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 120 * time.Millisecond,
-			CheckpointEvery: 300 * time.Millisecond,
-			Seed:            23,
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         4,
+				Timers:          1,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 120 * time.Millisecond,
+				CheckpointEvery: 300 * time.Millisecond,
+				Seed:            23,
+			},
 		}
 		c := cluster.New(e, newTKV, opts)
 		if err := c.Start(); err != nil {

@@ -115,7 +115,13 @@ func (t Token) Covers(o Token) bool {
 // covered, wedging the session. The newer epoch's Applied and Cut are
 // kept wholesale; Applied is monotone across epochs, so no freshness is
 // lost.
+//
+// A token with no observations takes o wholesale, group included: a
+// fresh session adopts the group of the first token it sees.
 func (t Token) Merge(o Token) Token {
+	if t.Zero() {
+		return o
+	}
 	if o.Epoch != t.Epoch {
 		if o.Epoch > t.Epoch {
 			return o

@@ -152,3 +152,21 @@ func TestSession(t *testing.T) {
 		t.Fatal("reset session should hold the zero token")
 	}
 }
+
+func TestSessionAdoptsFirstTokensGroup(t *testing.T) {
+	// Regression: a fresh session merged its first token into the zero
+	// token, whose Group (0) survived the equal-epoch merge, so every
+	// later session read to group g >= 1 was refused as a group-0 token.
+	for _, epoch := range []uint64{0, 3} {
+		var s SessionState
+		s.Observe(Token{Group: 2, Epoch: epoch, Applied: 5, Cut: trace.Cut{1, 4}})
+		got := s.Token()
+		if got.Group != 2 || got.Epoch != epoch || got.Applied != 5 || !got.Cut.Equal(trace.Cut{1, 4}) {
+			t.Fatalf("epoch %d: session token = %+v, want group 2's token", epoch, got)
+		}
+		s.Observe(Token{Group: 2, Epoch: epoch, Applied: 7, Cut: trace.Cut{2, 4}})
+		if got := s.Token(); got.Group != 2 || got.Applied != 7 {
+			t.Fatalf("epoch %d: second observation lost the group: %+v", epoch, got)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"rex/internal/apps/hashdb"
 	"rex/internal/check"
 	"rex/internal/cluster"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/obs"
 	"rex/internal/readpath"
@@ -59,15 +60,16 @@ func TestMigrationWindowProperty(t *testing.T) {
 			return
 		}
 		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
-			Workers:         2,
-			ReadWorkers:     2,
-			Timers:          hashdb.Timers(),
-			ProposeEvery:    2 * time.Millisecond,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			CheckpointEvery: 200 * time.Millisecond,
-			Seed:            21,
-			LiveRebalance:   true,
+			Template: core.Config{
+				Workers:         2,
+				ReadWorkers:     2,
+				Timers:          hashdb.Timers(),
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				CheckpointEvery: 200 * time.Millisecond,
+				Seed:            21,
+			},
+			LiveRebalance: true,
 		})
 		if err != nil {
 			fail("new multi: %v", err)

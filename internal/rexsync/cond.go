@@ -36,7 +36,7 @@ func NewCond(rt *sched.Runtime, name string, lock *Lock) *Cond {
 	if lock.Class() != 0 {
 		panic("rexsync: Cond " + name + " bound to conflict-class lock " + lock.name)
 	}
-	id := rt.RegisterResource(name)
+	id := rt.RegisterResource()
 	return &Cond{
 		rt:   rt,
 		id:   id,

@@ -56,7 +56,7 @@ type Lock struct {
 // created in a deterministic order across replicas (normally at state
 // machine construction).
 func NewLock(rt *sched.Runtime, name string) *Lock {
-	id := rt.RegisterResource(name)
+	id := rt.RegisterResource()
 	return &Lock{
 		rt:   rt,
 		id:   id,

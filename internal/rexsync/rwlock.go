@@ -109,7 +109,7 @@ type RWLock struct {
 
 // NewRWLock creates a readers–writer lock registered with the runtime.
 func NewRWLock(rt *sched.Runtime, name string) *RWLock {
-	id := rt.RegisterResource(name)
+	id := rt.RegisterResource()
 	return &RWLock{
 		rt:   rt,
 		id:   id,

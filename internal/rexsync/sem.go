@@ -57,7 +57,7 @@ type Semaphore struct {
 
 // NewSemaphore creates a semaphore with n initial units.
 func NewSemaphore(rt *sched.Runtime, name string, n int) *Semaphore {
-	id := rt.RegisterResource(name)
+	id := rt.RegisterResource()
 	return &Semaphore{
 		rt:   rt,
 		id:   id,

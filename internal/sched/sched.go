@@ -106,9 +106,8 @@ type Runtime struct {
 	rec     *Recorder
 	rep     *Replayer
 
-	resMu    env.Mutex
-	nextRes  uint32
-	resNames map[uint32]string
+	resMu   env.Mutex
+	nextRes uint32
 	// versions[id] is resource id's version counter (§5.1). Versions live
 	// in the runtime — not in the wrapper objects — because they are
 	// replicated state: a checkpoint captures them and a restore puts them
@@ -127,7 +126,6 @@ func NewRuntime(e env.Env, n int, mode Mode) *Runtime {
 		mode:          mode,
 		baseVC:        vclock.New(n),
 		resMu:         e.NewMutex(),
-		resNames:      make(map[uint32]string),
 	}
 	for i := 0; i < n; i++ {
 		rt.workers = append(rt.workers, &Worker{
@@ -173,12 +171,11 @@ func (rt *Runtime) BaseVC() vclock.VC { return rt.baseVC }
 // resources (locks, condition variables, semaphores) in a deterministic
 // order — normally at state-machine construction — so ids agree across
 // replicas.
-func (rt *Runtime) RegisterResource(name string) uint32 {
+func (rt *Runtime) RegisterResource() uint32 {
 	rt.resMu.Lock()
 	defer rt.resMu.Unlock()
 	rt.nextRes++
 	id := rt.nextRes
-	rt.resNames[id] = name
 	for uint32(len(rt.versions)) <= id {
 		rt.versions = append(rt.versions, new(uint64))
 	}
@@ -213,16 +210,6 @@ func (rt *Runtime) RestoreVersions(v []uint64) {
 			*rt.versions[i] = val
 		}
 	}
-}
-
-// ResourceName returns the registered name of a resource id.
-func (rt *Runtime) ResourceName(id uint32) string {
-	rt.resMu.Lock()
-	defer rt.resMu.Unlock()
-	if n, ok := rt.resNames[id]; ok {
-		return n
-	}
-	return fmt.Sprintf("res#%d", id)
 }
 
 // StartRecord switches the runtime into record mode starting from cut: the

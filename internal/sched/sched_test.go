@@ -373,12 +373,12 @@ func TestVersionSlotsSurviveRegistryGrowth(t *testing.T) {
 
 func testVersionSlots(t *testing.T, e *sim.Env) {
 	rt := NewRuntime(e, 1, ModeNative)
-	id1 := rt.RegisterResource("first")
+	id1 := rt.RegisterResource()
 	p1 := rt.Version(id1)
 	*p1 = 42
 	// Register many more resources: the slice must not invalidate p1.
 	for i := 0; i < 1000; i++ {
-		rt.RegisterResource("more")
+		rt.RegisterResource()
 	}
 	if *rt.Version(id1) != 42 {
 		t.Error("version slot lost after registry growth")

@@ -291,6 +291,20 @@ func TestShardedTCPEndToEnd(t *testing.T) {
 			t.Fatalf("get %s = %q", key, resp)
 		}
 	}
+	// Session reads over both groups: each group client's session token
+	// must carry its own group, or every group other than 0 refuses it.
+	for i := 0; i < 16; i++ {
+		key := fmt.Sprintf("shard-key-%d", i)
+		resp, err := router.QueryLevel([]byte(key), readpath.Session, hashdb.GetReq(key))
+		if err != nil {
+			t.Errorf("session get %s (group %d): %v", key, router.GroupFor([]byte(key)), err)
+			continue
+		}
+		d := wire.NewDecoder(resp)
+		if ok := d.Bool(); !ok || string(d.BytesVal()) != fmt.Sprintf("v%d", i) {
+			t.Errorf("session get %s = %q", key, resp)
+		}
+	}
 
 	// Any node serves the deployment's map, byte-identical to ours.
 	cl := NewClient(999, clientAddrs)

@@ -26,10 +26,10 @@ type NodeConfig struct {
 	NewLog       func(g int) (storage.Log, error)
 	NewSnapshots func(g int) (storage.SnapshotStore, error)
 
-	// Template seeds every group's core.Config. The per-group fields —
-	// ID, N, Env, Endpoint, Log, Snapshots, Seed, Metrics, and the
-	// election-timeout bias — are overwritten; everything else (Factory,
-	// Workers, Timers, tuning) passes through unchanged.
+	// Template seeds every group's core.Config through ReplicaConfig. The
+	// per-replica fields — ID, N, Env, Endpoint, Log, Snapshots, Metrics
+	// and ReplicaConfig's group fields — are overwritten; everything else
+	// (Factory, Workers, Timers, tuning) passes through unchanged.
 	Template core.Config
 
 	// Metrics, when set, receives each group's full series set under a
@@ -84,11 +84,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg.Metrics.Gauge("rex_shard_node").Set(int64(cfg.Node))
 	}
 	for _, g := range gids {
-		rc := cfg.Template
+		rc := ReplicaConfig(cfg.Template, g, cfg.Map.ReplicaOn(g, cfg.Node))
 		rc.Env = cfg.Env
-		rc.ID = cfg.Map.ReplicaOn(g, cfg.Node)
 		rc.N = cfg.Map.Replicas(g)
-		rc.Group = g // session tokens are per-group; stamp the id
 		rc.Endpoint = n.mux.Endpoint(g)
 		var err error
 		if rc.Log, err = cfg.NewLog(g); err != nil {
@@ -96,18 +94,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		if rc.Snapshots, err = cfg.NewSnapshots(g); err != nil {
 			return nil, fmt.Errorf("shard: group %d snapshots: %w", g, err)
-		}
-		// Decorrelate per-group randomness (election jitter above all):
-		// identical seeds would make colocated groups' timers fire in
-		// lockstep.
-		rc.Seed = cfg.Template.Seed + int64(g)*1009 + int64(rc.ID)*17
-		// The map's preferred primary (replica 0) gets half the election
-		// timeout — Paxos picks base + rand(0..base), so its whole jitter
-		// range sits below the others' and each group's primary lands
-		// where the placement rotation put it, spreading leader load over
-		// the nodes.
-		if rc.ID == 0 && rc.ElectionTimeout > 0 {
-			rc.ElectionTimeout = rc.ElectionTimeout / 2
 		}
 		if cfg.Metrics != nil {
 			rc.Metrics = cfg.Metrics.Labeled("group", strconv.Itoa(g))
@@ -122,6 +108,31 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		n.reps[g] = rep
 	}
 	return n, nil
+}
+
+// ReplicaConfig derives replica id of group g from a template. Every
+// host of a sharded deployment — NewNode in a process, cluster.NewMulti
+// in the simulator — builds its replicas through it, so both stamp the
+// same group state.
+func ReplicaConfig(tmpl core.Config, g, id int) core.Config {
+	rc := tmpl
+	rc.ID = id
+	rc.Group = g // session tokens are per-group; stamp the id
+	// Decorrelate per-group randomness (election jitter above all):
+	// identical seeds would make colocated groups' timers fire in
+	// lockstep. Paxos mixes the replica id into its own stream.
+	rc.Seed = tmpl.Seed + int64(g)*1009
+	// The map's preferred primary (replica 0) gets half the election
+	// timeout — Paxos picks base + rand(0..base), so its whole jitter
+	// range sits below the others' and each group's primary lands where
+	// the placement rotation put it, spreading leader load over the nodes.
+	if id == 0 {
+		if rc.ElectionTimeout <= 0 {
+			rc.ElectionTimeout = core.DefaultElectionTimeout
+		}
+		rc.ElectionTimeout /= 2
+	}
+	return rc
 }
 
 // Start brings every hosted replica up.

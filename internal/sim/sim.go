@@ -128,9 +128,6 @@ func (s *Env) Now() time.Duration {
 // re-panics with that value.
 func (s *Env) Run(main func()) {
 	s.mainDone = make(chan struct{})
-	if os.Getenv("REX_SIM_WATCHDOG") != "" {
-		go s.watchdog()
-	}
 	s.spawn("main", main, true)
 	s.mu.Lock()
 	first := s.pickNextLocked()
@@ -142,33 +139,6 @@ func (s *Env) Run(main func()) {
 	s.killAll()
 	if s.panicVal != nil {
 		panic(fmt.Sprintf("sim: task panic: %v\n%s", s.panicVal, s.panicText))
-	}
-}
-
-// watchdog (debug, REX_SIM_WATCHDOG=1): dumps scheduler state when virtual
-// time freezes for several real seconds.
-func (s *Env) watchdog() {
-	var lastNow int64 = -1
-	var lastSeq uint64
-	for {
-		time.Sleep(5 * time.Second)
-		s.mu.Lock()
-		if s.stopped {
-			s.mu.Unlock()
-			return
-		}
-		frozen := s.now == lastNow && s.timerSeq == lastSeq
-		lastNow, lastSeq = s.now, s.timerSeq
-		if frozen {
-			dump := s.dumpLocked()
-			cur := "nil"
-			if s.cur != nil {
-				cur = fmt.Sprintf("%d %q (%s)", s.cur.id, s.cur.name, s.cur.state)
-			}
-			fmt.Printf("SIM WATCHDOG: frozen at %v; cur=%s ready=%d timers=%d\n%s\n",
-				time.Duration(s.now), cur, len(s.readyQ), s.timers.Len(), dump)
-		}
-		s.mu.Unlock()
 	}
 }
 

@@ -22,6 +22,10 @@ import (
 	"rex/internal/wire"
 )
 
+// batchEvery is the pump's batching period: requests queued within it
+// share one consensus instance.
+const batchEvery = 2 * time.Millisecond
+
 // Config configures an SMR replica.
 type Config struct {
 	ID       int
@@ -32,7 +36,6 @@ type Config struct {
 	Factory  core.Factory
 	Timers   int
 
-	BatchEvery      time.Duration
 	HeartbeatEvery  time.Duration
 	ElectionTimeout time.Duration
 	MaxOutstanding  int
@@ -93,9 +96,6 @@ type Replica struct {
 
 // NewReplica builds an SMR replica.
 func NewReplica(cfg Config) (*Replica, error) {
-	if cfg.BatchEvery <= 0 {
-		cfg.BatchEvery = 2 * time.Millisecond
-	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 20 * time.Millisecond
 	}
@@ -243,7 +243,7 @@ func (r *Replica) Submit(client, seq uint64, body []byte) ([]byte, error) {
 // pump proposes batches and injects due timer pseudo-requests.
 func (r *Replica) pump() {
 	for {
-		r.e.Sleep(r.cfg.BatchEvery)
+		r.e.Sleep(batchEvery)
 		r.mu.Lock()
 		if r.stopped {
 			r.mu.Unlock()

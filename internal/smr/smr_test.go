@@ -25,7 +25,6 @@ func startCluster(t *testing.T, e *sim.Env, app apps.App) []*Replica {
 			Log:             storage.NewMemLog(),
 			Factory:         app.Factory,
 			Timers:          app.Timers,
-			BatchEvery:      2 * time.Millisecond,
 			HeartbeatEvery:  20 * time.Millisecond,
 			ElectionTimeout: 100 * time.Millisecond,
 			Seed:            5,

@@ -174,7 +174,9 @@ func NewSimEnv(cores int) *SimEnv { return sim.New(cores) }
 type (
 	// Cluster is an in-process replica group with a simulated network.
 	Cluster = cluster.Cluster
-	// ClusterOptions tunes an in-process cluster.
+	// ClusterOptions describes an in-process cluster: its size and durable
+	// stores, plus Template, the Config every replica is built from (the
+	// cluster fills in ID, N, Env, Endpoint, Log, Snapshots and Factory).
 	ClusterOptions = cluster.Options
 	// Client submits requests with retry and primary discovery.
 	Client = cluster.Client
