@@ -17,10 +17,12 @@ test:
 # with its TCP transport and the shard router, the sharded cluster and
 # the reconfiguration drills (node replacement under load), the
 # pinned-seed consistent-read, conflict-class and overload chaos
-# scenarios, and the live-rebalancing migration property. CI runs
-# exactly this target.
+# scenarios, the live-rebalancing migration property, and the trace
+# storage, replay scheduler and recorded-synchronization packages. CI
+# runs exactly this target.
 race:
 	$(GO) test -race ./internal/transport ./internal/core
+	$(GO) test -race ./internal/trace ./internal/sched ./internal/rexsync
 	$(GO) test -race ./internal/paxos ./internal/reconfig
 	$(GO) test -race ./internal/client ./internal/server ./internal/shard
 	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused' ./internal/cluster/

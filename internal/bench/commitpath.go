@@ -147,8 +147,8 @@ func walBench(writers, appendsPer, recordBytes int) (WALBenchResult, error) {
 func commitPathDelta(n int) *trace.Delta {
 	d := &trace.Delta{Base: trace.Cut{0, 0}, Threads: make([]trace.ThreadLog, 2)}
 	for i := 0; i < n; i++ {
-		d.Threads[0].Append(0, trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: uint64(i)}, nil)
-		d.Threads[1].Append(1, trace.Event{Kind: trace.KindLockAcq, Res: 2, Arg: uint64(i)},
+		d.Threads[0].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: uint64(i)}, nil)
+		d.Threads[1].Append(trace.Event{Kind: trace.KindLockAcq, Res: 2, Arg: uint64(i)},
 			[]trace.EventID{{Thread: 0, Clock: int32(i + 1)}})
 	}
 	return d

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rex/internal/apps"
+	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/rexsync"
 	"rex/internal/sched"
@@ -267,35 +268,25 @@ type DeltaAblationResult struct {
 	FullBytes  uint64
 }
 
-// DeltaAblation measures one application's proposal volume both ways. The
-// full-trace volume is the sum of prefix sizes: proposing the whole trace
-// in every instance.
+// DeltaAblation measures one application's proposal volume both ways, on
+// a short Rex load as seen by the primary. The full-trace volume is the sum
+// of prefix sizes: proposing the whole trace in every instance.
 func DeltaAblation(app apps.App, threads int) DeltaAblationResult {
-	var res DeltaAblationResult
-	var prefix uint64
-	for _, s := range CollectDeltaSizes(app, threads) {
-		res.Instances++
-		res.DeltaBytes += uint64(s)
-		prefix += uint64(s)
-		res.FullBytes += prefix
-	}
-	return res
-}
-
-// CollectDeltaSizes runs a short Rex load and returns the committed delta
-// sizes observed by the primary, in instance order.
-func CollectDeltaSizes(app apps.App, threads int) []int {
 	const seed = 42
-	var sizes []int
+	var st core.Stats
 	simulate(24, func(r *rig) {
 		c, p := r.group(app, options(app, threads, 2*threads, seed))
 		r.clients(2*threads, 0, func(i int) op {
 			return appOp(app, seed, i, false, via(c.NewClient(uint64(100+i))))
 		})
 		r.e.Sleep(500 * time.Millisecond)
-		sizes = c.Replicas[p].DeltaSizes()
+		st = c.Replicas[p].Stats()
 	})
-	return sizes
+	return DeltaAblationResult{
+		Instances:  int(st.DeltasCommitted),
+		DeltaBytes: st.BytesCommitted,
+		FullBytes:  st.FullTraceBytes,
+	}
 }
 
 // PrintDeltaAblation renders the delta-proposal ablation.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"rex/internal/sched"
 	"rex/internal/trace"
 )
 
@@ -14,7 +13,7 @@ func TestSnapshotBlobRoundTrip(t *testing.T) {
 		MarkID: 77,
 		Inst:   123,
 		Cut:    trace.Cut{4, 9, 0},
-		LiveReqs: []sched.IndexedReq{
+		LiveReqs: []trace.IndexedReq{
 			{Idx: 3, Req: trace.Req{Client: 1, Seq: 2, Body: []byte("abc")}},
 			{Idx: 9, Req: trace.Req{Client: 4, Seq: 1, Body: nil}},
 		},

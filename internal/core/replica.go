@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -407,7 +408,9 @@ type Replica struct {
 	edgesProposed  uint64
 	reqsProposed   uint64
 	reqBytesProp   uint64 // request payload bytes inside committed deltas
-	deltaSizes     []int  // encoded bytes per committed instance
+
+	deltasCommitted uint64
+	fullTraceBytes  uint64 // sum of bytesProposed as of each committed delta
 }
 
 type committedEvt struct {
@@ -685,16 +688,15 @@ func (r *Replica) resetClassDispatchLocked() {
 // unmatched req-begin.
 func (r *Replica) inFlightAtPromotionLocked() int {
 	open := make(map[uint64]bool)
-	for t := range r.tr.Threads {
-		l := &r.tr.Threads[t]
-		for _, ev := range l.Events {
+	for t := 0; t < r.tr.NumThreads(); t++ {
+		r.tr.EachEvent(t, 0, math.MaxInt32, func(ev trace.Event) {
 			switch ev.Kind {
 			case trace.KindReqBegin:
 				open[uint64(ev.Res)] = true
 			case trace.KindReqEnd:
 				delete(open, uint64(ev.Res))
 			}
-		}
+		})
 	}
 	return len(open)
 }
@@ -756,8 +758,11 @@ func (r *Replica) noteResyncLocked() bool {
 }
 
 // applyLoop consumes committed deltas from Paxos and folds them into the
-// replica's view of the committed trace.
+// replica's view of the committed trace. Each delta is decoded into one
+// reused scratch Delta, which Apply copies out of; request bodies keep
+// aliasing the committed value.
 func (r *Replica) applyLoop() {
+	var d trace.Delta
 	for {
 		evt, ok := r.nextCommit()
 		if !ok {
@@ -771,8 +776,7 @@ func (r *Replica) applyLoop() {
 			}
 			continue
 		}
-		d, err := trace.DecodeDeltaBytes(evt.val)
-		if err != nil {
+		if err := d.DecodeFrom(evt.val); err != nil {
 			r.fault(fmt.Errorf("rex: corrupt committed delta %d: %w", evt.inst, err))
 			return
 		}
@@ -805,7 +809,8 @@ func (r *Replica) applyLoop() {
 		for _, rq := range d.Reqs {
 			r.reqBytesProp += uint64(len(rq.Body))
 		}
-		r.deltaSizes = append(r.deltaSizes, len(evt.val))
+		r.deltasCommitted++
+		r.fullTraceBytes += r.bytesProposed
 		for _, m := range d.Marks {
 			r.markInst[m.ID] = evt.inst
 		}
@@ -822,7 +827,7 @@ func (r *Replica) applyLoop() {
 				r.obs.proposeCommit.Observe(r.e.Now() - r.proposedAt)
 				wakePump = true
 			}
-			applyErr = r.tr.Apply(d)
+			applyErr = r.tr.Apply(&d)
 			if applyErr == nil {
 				var lcc trace.Cut
 				lcc, applyErr = r.tr.ConsistentCut(r.lcc)
@@ -834,7 +839,7 @@ func (r *Replica) applyLoop() {
 		} else {
 			rep := r.rt.Replayer()
 			r.mu.Unlock()
-			applyErr = rep.Extend(d)
+			applyErr = rep.Extend(&d)
 			r.mu.Lock()
 		}
 		if applyErr != nil {
@@ -991,7 +996,7 @@ func (r *Replica) promote(chosenAt uint64) {
 		return
 	}
 	r.lcc = cut.Clone()
-	reqBase := r.tr.ReqsBase + uint64(len(r.tr.Reqs))
+	reqBase := r.tr.ReqEnd()
 	r.rt.StartRecord(cut, reqBase)
 	r.rt.Recorder().SetNotify(r.wakePump)
 	r.pendingRebase = cut.Clone()

@@ -21,7 +21,7 @@ type snapshotBlob struct {
 	MarkID   uint64
 	Inst     uint64 // instance whose delta carries the mark
 	Cut      trace.Cut
-	LiveReqs []sched.IndexedReq
+	LiveReqs []trace.IndexedReq
 	Dedup    map[uint64]dedupEntry
 	// Versions are the resource version counters at the cut (§5.1):
 	// replicated state, required for version checking to stay sound after
@@ -107,7 +107,7 @@ func decodeSnapshot(buf []byte) (*snapshotBlob, error) {
 		return nil, wire.ErrCorrupt
 	}
 	for i := uint64(0); i < nLive; i++ {
-		lr := sched.IndexedReq{Idx: d.Uvarint()}
+		lr := trace.IndexedReq{Idx: d.Uvarint()}
 		lr.Req.Client = d.Uvarint()
 		lr.Req.Seq = d.Uvarint()
 		if v >= 3 {
@@ -265,7 +265,14 @@ func (r *Replica) rebuild() error {
 			m := snap.Configs[len(snap.Configs)-1].M
 			latest = &m
 		}
-		deltas := make([]*trace.Delta, 0, st.Seq-startInst)
+		// Fold the chosen deltas into a fresh trace one at a time through
+		// one scratch delta. With a checkpoint, the trace starts at the
+		// first delta's base: the delta carrying the checkpoint's mark.
+		var tr *trace.Trace
+		if !haveSnap {
+			tr = trace.New(threads)
+		}
+		var delta trace.Delta
 		for i := startInst; i < st.Seq; i++ {
 			raw := st.Vals[i-st.Base]
 			if reconfig.IsMeta(raw) {
@@ -276,36 +283,31 @@ func (r *Replica) rebuild() error {
 				}
 				continue // memberships and padding carry no trace events
 			}
-			d, err := trace.DecodeDeltaBytes(raw)
-			if err != nil {
+			if err := delta.DecodeFrom(raw); err != nil {
 				return fmt.Errorf("rex: corrupt chosen delta %d: %w", i, err)
 			}
-			deltas = append(deltas, d)
+			if tr == nil {
+				tr = trace.NewAt(threads, delta.Base, delta.ReqBase)
+				for _, lr := range snap.LiveReqs {
+					if lr.Idx < delta.ReqBase {
+						tr.StashReq(lr.Idx, lr.Req)
+					}
+				}
+			}
+			if err := tr.Apply(&delta); err != nil {
+				return fmt.Errorf("rex: replaying chosen delta %d: %w", i, err)
+			}
 		}
 
-		var tr *trace.Trace
 		var base trace.Cut
 		dedup := make(map[uint64]dedupEntry)
 		if haveSnap {
-			if len(deltas) == 0 {
+			if tr == nil {
 				return fmt.Errorf("rex: snapshot at instance %d but no chosen delta carries its mark", snap.Inst)
-			}
-			tr = trace.NewAt(threads, deltas[0].Base, deltas[0].ReqBase)
-			for _, lr := range snap.LiveReqs {
-				if lr.Idx < deltas[0].ReqBase {
-					tr.StashReq(lr.Idx, lr.Req)
-				}
 			}
 			base = snap.Cut
 			for c, d := range snap.Dedup {
 				dedup[c] = d
-			}
-		} else {
-			tr = trace.New(threads)
-		}
-		for i, d := range deltas {
-			if err := tr.Apply(d); err != nil {
-				return fmt.Errorf("rex: replaying chosen delta %d: %w", startInst+uint64(i), err)
 			}
 		}
 

@@ -17,6 +17,13 @@ type Stats struct {
 	WaitedEvents   uint64 // replayed events that blocked on a causal edge
 	ElidedOps      uint64 // lock ops elided via conflict-class ownership
 	Outstanding    int    // admitted but unanswered requests (primary)
+
+	// DeltasCommitted counts the committed trace deltas seen, and
+	// FullTraceBytes is what proposing the whole trace in each of them
+	// would have cost: the sum over deltas of BytesCommitted as of that
+	// delta (for the §3.1 proposal-volume ablation).
+	DeltasCommitted uint64
+	FullTraceBytes  uint64
 }
 
 // Stats returns the replica's current counters.
@@ -32,6 +39,9 @@ func (r *Replica) Stats() Stats {
 		ReqsCommitted:  r.reqsProposed,
 		ReqBytes:       r.reqBytesProp,
 		Outstanding:    r.outstanding,
+
+		DeltasCommitted: r.deltasCommitted,
+		FullTraceBytes:  r.fullTraceBytes,
 	}
 	rt := r.rt
 	rep := r.replayerLocked()
@@ -93,15 +103,6 @@ func (h Health) Ready() bool {
 	return h.Voter && !h.CatchingUp
 }
 
-// DeltaSizes returns the encoded size of every committed delta this
-// replica has applied, in instance order (for the §3.1 proposal-volume
-// ablation).
-func (r *Replica) DeltaSizes() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]int(nil), r.deltaSizes...)
-}
-
 // StateMachineForTest exposes the current application instance; tests use
 // it to compare replica states after quiescing.
 func (r *Replica) StateMachineForTest() StateMachine {
@@ -119,7 +120,8 @@ func (r *Replica) TraceRetainedForTest() (events, reqs int) {
 	if tr == nil {
 		return 0, 0
 	}
-	return tr.EventCount(), len(tr.Reqs)
+	st := tr.Stats()
+	return st.Events, st.Reqs
 }
 
 // ChosenLog returns a consistent snapshot of the consensus learner's

@@ -129,7 +129,7 @@ func TestQuickDeltaSplitsReplayIdentically(t *testing.T) {
 	// Re-record collecting multiple deltas mid-run is covered by
 	// TestPromotionMidStream; here we verify replay from a re-encoded
 	// trace: encode the full trace as one delta, decode, replay.
-	d := &trace.Delta{Base: make(trace.Cut, 3), Threads: tr.Threads, Reqs: tr.Reqs}
+	d := wholeDelta(tr)
 	decoded, err := trace.DecodeDeltaBytes(d.EncodeBytes())
 	if err != nil {
 		t.Fatal(err)

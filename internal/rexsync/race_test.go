@@ -90,7 +90,7 @@ func TestUnguardedRaceCausesDivergence(t *testing.T) {
 	// Record with a fast reader: it sees flag==0 and takes lock A.
 	tr, _ := run(10*time.Microsecond, nil)
 	sawA := false
-	for _, ev := range tr.Threads[1].Events {
+	for _, ev := range threadEvents(tr, 1) {
 		if ev.Kind == trace.KindLockAcq && ev.Res == 1 {
 			sawA = true
 		}

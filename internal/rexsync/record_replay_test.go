@@ -2,6 +2,7 @@ package rexsync
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -93,6 +94,31 @@ func recordRun(t *testing.T, cores, nWorkers int, scripts []script) (*trace.Trac
 		stats = tr.Stats()
 	})
 	return tr, snap, stats
+}
+
+// threadEvents returns thread t's events in clock order.
+func threadEvents(tr *trace.Trace, t int) []trace.Event {
+	var evs []trace.Event
+	tr.EachEvent(t, 0, math.MaxInt32, func(ev trace.Event) { evs = append(evs, ev) })
+	return evs
+}
+
+// wholeDelta returns all of a recorded (never garbage-collected) trace as
+// one delta based at the empty cut.
+func wholeDelta(tr *trace.Trace) *trace.Delta {
+	n := tr.NumThreads()
+	d := &trace.Delta{Base: make(trace.Cut, n), Threads: make([]trace.ThreadLog, n)}
+	for t, end := range tr.Cut() {
+		for c := int32(1); c <= end; c++ {
+			id := trace.EventID{Thread: int32(t), Clock: c}
+			d.Threads[t].Append(tr.Event(id), tr.In(id))
+		}
+	}
+	for idx := uint64(0); idx < tr.ReqEnd(); idx++ {
+		r, _ := tr.Req(idx)
+		d.Reqs = append(d.Reqs, r)
+	}
+	return d
 }
 
 // replayRun replays tr on a fresh runtime and returns the final snapshot.
@@ -212,8 +238,8 @@ func TestTryLockFig4(t *testing.T) {
 	// The recording must contain failed TryLocks for the test to be
 	// meaningful.
 	fails := 0
-	for _, th := range tr.Threads {
-		for _, ev := range th.Events {
+	for th := 0; th < tr.NumThreads(); th++ {
+		for _, ev := range threadEvents(tr, th) {
 			if ev.Kind == trace.KindTryFail {
 				fails++
 			}
@@ -319,8 +345,8 @@ func TestSemaphoreReplay(t *testing.T) {
 		}
 	}
 	tr, _ := checkRecordReplay(t, 4, 4, []script{user(0), user(1), user(2), user(3)})
-	for _, th := range tr.Threads {
-		for _, ev := range th.Events {
+	for th := 0; th < tr.NumThreads(); th++ {
+		for _, ev := range threadEvents(tr, th) {
 			if ev.Kind == trace.KindSemAcq {
 				return
 			}
@@ -367,8 +393,8 @@ func TestNativeExecNotRecorded(t *testing.T) {
 		wl.lockB.Unlock(w)
 	}
 	tr, _, _ := recordRun(t, 2, 2, []script{scr, scr})
-	for _, th := range tr.Threads {
-		for _, ev := range th.Events {
+	for th := 0; th < tr.NumThreads(); th++ {
+		for _, ev := range threadEvents(tr, th) {
 			if ev.Res == 1 { // lockA is the first registered resource
 				t.Fatalf("NativeExec scope recorded event %v on lock A", ev.Kind)
 			}
@@ -414,12 +440,13 @@ func TestDivergenceDetectedOnTamperedTrace(t *testing.T) {
 			}
 		}
 	}
-	tr, _, _ := recordRun(t, 2, 2, scripts)
+	recorded, _, _ := recordRun(t, 2, 2, scripts)
 	// Corrupt a version number: replay must detect the mismatch.
+	d := wholeDelta(recorded)
 	tampered := false
-	for t0 := range tr.Threads {
-		for i := range tr.Threads[t0].Events {
-			ev := &tr.Threads[t0].Events[i]
+	for t0 := range d.Threads {
+		for i := range d.Threads[t0].Events {
+			ev := &d.Threads[t0].Events[i]
 			if ev.Kind == trace.KindLockAcq && !tampered {
 				ev.Arg += 7
 				tampered = true
@@ -428,6 +455,10 @@ func TestDivergenceDetectedOnTamperedTrace(t *testing.T) {
 	}
 	if !tampered {
 		t.Fatal("no event to tamper with")
+	}
+	tr := trace.New(2)
+	if err := tr.Apply(d); err != nil {
+		t.Fatal(err)
 	}
 	e := sim.New(2)
 	var div *sched.DivergenceError

@@ -35,10 +35,9 @@ type Recorder struct {
 }
 
 type threadBuf struct {
-	mu     env.Mutex
-	events []trace.Event
-	in     [][]trace.EventID
-	base   int32 // clock of the first buffered event minus one
+	mu   env.Mutex
+	log  trace.ThreadLog
+	base int32 // clock of the first buffered event minus one
 }
 
 // NewRecorder returns a recorder for n threads whose trace resumes from cut
@@ -80,8 +79,7 @@ func (r *Recorder) maybeNotify() {
 func (r *Recorder) Append(t int32, ev trace.Event, in []trace.EventID) {
 	b := r.threads[t]
 	b.mu.Lock()
-	b.events = append(b.events, ev)
-	b.in = append(b.in, in)
+	b.log.Append(ev, in)
 	b.mu.Unlock()
 	r.maybeNotify()
 }
@@ -128,12 +126,14 @@ func (r *Recorder) Collect() *trace.Delta {
 	}
 	for t, b := range r.threads {
 		b.mu.Lock()
-		n := len(b.events)
+		n := len(b.log.Events)
 		if n > 0 {
-			d.Threads[t].Events = append([]trace.Event(nil), b.events...)
-			d.Threads[t].In = append([][]trace.EventID(nil), b.in...)
-			b.events = b.events[:0]
-			b.in = b.in[:0]
+			d.Threads[t] = trace.ThreadLog{
+				Events: append([]trace.Event(nil), b.log.Events...),
+				Edges:  append([]trace.EventID(nil), b.log.Edges...),
+				InEnd:  append([]int32(nil), b.log.InEnd...),
+			}
+			b.log.Reset()
 			b.base += int32(n)
 		}
 		b.mu.Unlock()

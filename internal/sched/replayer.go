@@ -384,58 +384,12 @@ func (r *Replayer) ReqBody(idx uint64) (trace.Req, bool) {
 	return r.tr.Req(idx)
 }
 
-// IndexedReq pairs a request with its global index in the trace's table.
-type IndexedReq struct {
-	Idx uint64
-	Req trace.Req
-}
-
-// LiveReqs returns the requests whose completion (req-end) is not inside
-// cut: the in-flight and not-yet-started requests a checkpoint at cut must
-// carry so a replica restored from it can replay them (§3.3). Requests in
-// the garbage-collected prefix were either completed (dropped) or carried
-// forward in the stash.
-func (r *Replayer) LiveReqs(cut trace.Cut) []IndexedReq {
+// LiveReqs returns the requests a checkpoint at cut must carry: those whose
+// completion is not inside cut (see trace.Trace.LiveReqs).
+func (r *Replayer) LiveReqs(cut trace.Cut) []trace.IndexedReq {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	done := make(map[uint64]bool)
-	for t := range r.tr.Threads {
-		l := &r.tr.Threads[t]
-		limit := int32(0)
-		if t < len(cut) {
-			limit = cut[t]
-		}
-		for c := l.Base + 1; c <= limit; c++ {
-			ev := l.Events[c-1-l.Base]
-			if ev.Kind == trace.KindReqEnd {
-				done[uint64(ev.Res)] = true
-			}
-		}
-	}
-	var live []IndexedReq
-	for idx, req := range r.tr.Stash {
-		if !done[idx] {
-			live = append(live, IndexedReq{Idx: idx, Req: req})
-		}
-	}
-	for i, req := range r.tr.Reqs {
-		idx := r.tr.ReqsBase + uint64(i)
-		if !done[idx] {
-			live = append(live, IndexedReq{Idx: idx, Req: req})
-		}
-	}
-	sortLive(live)
-	return live
-}
-
-func sortLive(live []IndexedReq) {
-	// Insertion sort by index (live sets are small); keeps snapshot bytes
-	// deterministic despite map iteration over the stash.
-	for i := 1; i < len(live); i++ {
-		for j := i; j > 0 && live[j-1].Idx > live[j].Idx; j-- {
-			live[j-1], live[j] = live[j], live[j-1]
-		}
-	}
+	return r.tr.LiveReqs(cut)
 }
 
 // ForgetThrough garbage-collects the trace prefix covered by a completed

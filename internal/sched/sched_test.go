@@ -86,10 +86,20 @@ func mustReplayer(t *testing.T, e env.Env, tr *trace.Trace, base trace.Cut) *Rep
 
 // buildTwoThreadTrace: t0: A(1) B(2); t1: C(1) depends on (0,2).
 func buildTwoThreadTrace() *trace.Trace {
-	tr := trace.New(2)
-	tr.Threads[0].Append(0, trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: 1}, nil)
-	tr.Threads[0].Append(0, trace.Event{Kind: trace.KindLockRel, Res: 1, Arg: 2}, nil)
-	tr.Threads[1].Append(1, trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: 3}, []trace.EventID{{Thread: 0, Clock: 2}})
+	d := &trace.Delta{Base: trace.Cut{0, 0}, Threads: make([]trace.ThreadLog, 2)}
+	d.Threads[0].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: 1}, nil)
+	d.Threads[0].Append(trace.Event{Kind: trace.KindLockRel, Res: 1, Arg: 2}, nil)
+	d.Threads[1].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: 3}, []trace.EventID{{Thread: 0, Clock: 2}})
+	return committedTrace(d)
+}
+
+// committedTrace returns a fresh trace holding d, applied the way a
+// committed delta is.
+func committedTrace(d *trace.Delta) *trace.Trace {
+	tr := trace.New(len(d.Threads))
+	if err := tr.Apply(d); err != nil {
+		panic(err)
+	}
 	return tr
 }
 
@@ -147,8 +157,9 @@ func TestReplayerGatesBeyondLimit(t *testing.T) {
 	// back by the last-consistent-cut gate.
 	e := sim.New(2)
 	e.Run(func() {
-		tr := trace.New(2)
-		tr.Threads[1].Append(1, trace.Event{Kind: trace.KindLockAcq, Res: 1}, []trace.EventID{{Thread: 0, Clock: 1}})
+		d0 := &trace.Delta{Base: trace.Cut{0, 0}, Threads: make([]trace.ThreadLog, 2)}
+		d0.Threads[1].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1}, []trace.EventID{{Thread: 0, Clock: 1}})
+		tr := committedTrace(d0)
 		rep := mustReplayer(t, e, tr, nil)
 		if limit := rep.Limit(); limit[1] != 0 {
 			t.Fatalf("limit = %v, want thread 1 gated at 0", limit)
@@ -164,7 +175,7 @@ func TestReplayerGatesBeyondLimit(t *testing.T) {
 		}
 		// Extending the trace with the missing source releases it.
 		d := &trace.Delta{Base: trace.Cut{0, 1}, Threads: make([]trace.ThreadLog, 2)}
-		d.Threads[0].Append(0, trace.Event{Kind: trace.KindLockRel, Res: 1}, nil)
+		d.Threads[0].Append(trace.Event{Kind: trace.KindLockRel, Res: 1}, nil)
 		if err := rep.Extend(d); err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +212,7 @@ func TestReplayerMarkGatingAndCompletion(t *testing.T) {
 		// Everything is inside the mark's cut here, so replay runs to the
 		// cut; add one more event beyond the cut and check it gates.
 		d := &trace.Delta{Base: trace.Cut{2, 1}, Threads: make([]trace.ThreadLog, 2)}
-		d.Threads[0].Append(0, trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: 4}, nil)
+		d.Threads[0].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1, Arg: 4}, nil)
 		if err := rep.Extend(d); err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +321,7 @@ func TestExtendLagQueueSaturationCounted(t *testing.T) {
 		base := int32(0)
 		for i := 0; i < maxLagQ+7; i++ {
 			d := &trace.Delta{Base: trace.Cut{base}, Threads: make([]trace.ThreadLog, 1)}
-			d.Threads[0].Append(0, trace.Event{Kind: trace.KindLockAcq, Res: 1}, nil)
+			d.Threads[0].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1}, nil)
 			if err := rep.Extend(d); err != nil {
 				t.Fatalf("Extend %d: %v", i, err)
 			}
@@ -325,12 +336,12 @@ func TestExtendLagQueueSaturationCounted(t *testing.T) {
 func TestLiveReqs(t *testing.T) {
 	e := sim.New(1)
 	e.Run(func() {
-		tr := trace.New(1)
-		tr.Reqs = []trace.Req{{Client: 1, Seq: 1}, {Client: 2, Seq: 1}, {Client: 3, Seq: 1}}
-		tr.Threads[0].Append(0, trace.Event{Kind: trace.KindReqBegin, Res: 0}, nil)
-		tr.Threads[0].Append(0, trace.Event{Kind: trace.KindReqEnd, Res: 0}, nil)
-		tr.Threads[0].Append(0, trace.Event{Kind: trace.KindReqBegin, Res: 1}, nil)
-		rep := mustReplayer(t, e, tr, nil)
+		d := &trace.Delta{Base: trace.Cut{0}, Threads: make([]trace.ThreadLog, 1)}
+		d.Reqs = []trace.Req{{Client: 1, Seq: 1}, {Client: 2, Seq: 1}, {Client: 3, Seq: 1}}
+		d.Threads[0].Append(trace.Event{Kind: trace.KindReqBegin, Res: 0}, nil)
+		d.Threads[0].Append(trace.Event{Kind: trace.KindReqEnd, Res: 0}, nil)
+		d.Threads[0].Append(trace.Event{Kind: trace.KindReqBegin, Res: 1}, nil)
+		rep := mustReplayer(t, e, committedTrace(d), nil)
 		// Cut covers the first request's end only: reqs 1 (begun, not
 		// ended) and 2 (never begun) are live.
 		live := rep.LiveReqs(trace.Cut{2})

@@ -28,6 +28,39 @@ type Delta struct {
 	Reqs []Req
 	// Marks are checkpoint marks appended by this delta.
 	Marks []Mark
+
+	classes []uint32 // DecodeFrom's conflict-class table, reused
+}
+
+// ThreadLog is the run of events a delta appends to one logical thread,
+// with the causal edges into them packed per thread: the sources of
+// Events[i] are Edges[InEnd[i-1]:InEnd[i]] (starting at 0 for i = 0).
+type ThreadLog struct {
+	Events []Event
+	Edges  []EventID
+	InEnd  []int32
+}
+
+// Append adds an event with its incoming edge sources.
+func (l *ThreadLog) Append(ev Event, in []EventID) {
+	l.Events = append(l.Events, ev)
+	l.Edges = append(l.Edges, in...)
+	l.InEnd = append(l.InEnd, int32(len(l.Edges)))
+}
+
+// In returns the incoming edge sources of Events[i].
+func (l *ThreadLog) In(i int) []EventID {
+	var lo int32
+	if i > 0 {
+		lo = l.InEnd[i-1]
+	}
+	hi := l.InEnd[i]
+	return l.Edges[lo:hi:hi]
+}
+
+// Reset empties l, keeping its storage for reuse.
+func (l *ThreadLog) Reset() {
+	l.Events, l.Edges, l.InEnd = l.Events[:0], l.Edges[:0], l.InEnd[:0]
 }
 
 // ErrBaseMismatch reports that a delta does not extend the trace it was
@@ -47,9 +80,7 @@ func (d *Delta) EventCount() int {
 func (d *Delta) EdgeCount() int {
 	n := 0
 	for i := range d.Threads {
-		for _, in := range d.Threads[i].In {
-			n += len(in)
-		}
+		n += len(d.Threads[i].Edges)
 	}
 	return n
 }
@@ -60,6 +91,8 @@ func (d *Delta) Empty() bool {
 }
 
 // Apply extends tr by d, performing the rebase truncation first if present.
+// Events, edges and requests are copied into the trace's storage once;
+// request bodies are shared with d, not copied.
 //
 // A rebase cut outside the locally available window (beyond the frontier or
 // inside the collected prefix) yields ErrCutBeyondTrace: the local trace has
@@ -76,20 +109,24 @@ func (tr *Trace) Apply(d *Delta) error {
 			return err
 		}
 	}
-	if len(d.Threads) != len(tr.Threads) {
-		return fmt.Errorf("%w: delta has %d threads, trace has %d", ErrBaseMismatch, len(d.Threads), len(tr.Threads))
+	if len(d.Threads) != len(tr.threads) {
+		return fmt.Errorf("%w: delta has %d threads, trace has %d", ErrBaseMismatch, len(d.Threads), len(tr.threads))
 	}
-	if cur := tr.Cut(); !cur.Equal(d.Base) {
-		return fmt.Errorf("%w: delta base %v, trace frontier %v", ErrBaseMismatch, d.Base, cur)
+	if !tr.atFrontier(d.Base) {
+		return fmt.Errorf("%w: delta base %v, trace frontier %v", ErrBaseMismatch, d.Base, tr.Cut())
 	}
-	if have := tr.ReqsBase + uint64(len(tr.Reqs)); have != d.ReqBase {
+	if have := tr.reqs.end; have != d.ReqBase {
 		return fmt.Errorf("%w: delta req base %d, trace has %d reqs", ErrBaseMismatch, d.ReqBase, have)
 	}
 	for t := range d.Threads {
-		tr.Threads[t].Events = append(tr.Threads[t].Events, d.Threads[t].Events...)
-		tr.Threads[t].In = append(tr.Threads[t].In, d.Threads[t].In...)
+		dl, l := &d.Threads[t], &tr.threads[t]
+		for i, ev := range dl.Events {
+			l.push(ev, dl.In(i))
+		}
 	}
-	tr.Reqs = append(tr.Reqs, d.Reqs...)
+	for _, r := range d.Reqs {
+		tr.reqs.push(r)
+	}
 	tr.Marks = append(tr.Marks, d.Marks...)
 	return nil
 }
@@ -108,14 +145,24 @@ func encodeCut(e *wire.Encoder, c Cut) {
 	}
 }
 
-func decodeCut(d *wire.Decoder) Cut {
+// decodeCut reads a cut into dst's storage (nil allocates a fresh one).
+// Each entry takes at least one byte, so a length beyond the unread input
+// is corruption, caught before allocating for it.
+func decodeCut(d *wire.Decoder, dst Cut) Cut {
 	n := d.Uvarint()
-	if d.Err() != nil || n > 1<<20 {
+	if d.Err() != nil {
 		return nil
 	}
-	c := make(Cut, n)
-	for i := range c {
-		c[i] = int32(d.Uvarint())
+	if n > uint64(d.Remaining()) {
+		d.Fail(wire.ErrCorrupt)
+		return nil
+	}
+	c := dst[:0]
+	if c == nil {
+		c = make(Cut, 0, n) // non-nil even when empty: a nil Rebase means none
+	}
+	for i := uint64(0); i < n; i++ {
+		c = append(c, int32(d.Uvarint()))
 	}
 	return c
 }
@@ -139,7 +186,7 @@ func (d *Delta) Encode(e *wire.Encoder) {
 			e.Byte(byte(ev.Kind))
 			e.Uvarint(uint64(ev.Res))
 			e.Uvarint(ev.Arg)
-			in := l.In[i]
+			in := l.In(i)
 			e.Uvarint(uint64(len(in)))
 			for _, src := range in {
 				e.Uvarint(uint64(src.Thread))
@@ -210,108 +257,142 @@ func (d *Delta) EncodeBytesHint(sizeHint int) []byte {
 	return out
 }
 
-// DecodeDelta parses a delta from dec.
-func DecodeDelta(dec *wire.Decoder) (*Delta, error) {
+// DecodeDeltaBytes parses a delta from buf into a fresh Delta. Request
+// bodies alias buf.
+func DecodeDeltaBytes(buf []byte) (*Delta, error) {
+	d := new(Delta)
+	if err := d.DecodeFrom(buf); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// DecodeFrom replaces d's contents with the delta encoded in buf, reusing
+// d's storage, so a decoder that keeps one scratch Delta allocates nothing
+// once it has seen its largest delta. Request bodies alias buf. Rebase and
+// each mark's cut are freshly allocated (they are rare, and a trace or
+// replayer keeps marks); everything else is overwritten by the next
+// DecodeFrom, so a caller keeps only what Apply copied out. On error d is
+// left empty.
+func (d *Delta) DecodeFrom(buf []byte) error {
+	err := d.decode(wire.NewDecoder(buf))
+	if err != nil {
+		d.Rebase, d.Base, d.ReqBase = nil, d.Base[:0], 0
+		for t := range d.Threads {
+			d.Threads[t].Reset()
+		}
+		d.Threads, d.Reqs, d.Marks = d.Threads[:0], d.Reqs[:0], d.Marks[:0]
+	}
+	return err
+}
+
+// Minimum encoded sizes, used to reject counts the unread input cannot
+// hold before looping or allocating for them.
+const (
+	minEventBytes = 4 // kind, res, arg, edge count
+	minEdgeBytes  = 2 // thread, clock
+	minReqBytes   = 3 // client, seq, body length (+ class index in v2)
+	minMarkBytes  = 2 // id, cut length
+)
+
+// tooMany reports whether n items of at least size bytes each cannot fit
+// in dec's unread input, recording corruption if so.
+func tooMany(dec *wire.Decoder, n uint64, size int) bool {
+	if dec.Err() != nil {
+		return true
+	}
+	if n > uint64(dec.Remaining()/size) {
+		dec.Fail(wire.ErrCorrupt)
+		return true
+	}
+	return false
+}
+
+func (d *Delta) decode(dec *wire.Decoder) error {
 	v := dec.Byte()
 	if dec.Err() == nil && v != deltaVersion && v != deltaVersionV1 {
-		return nil, fmt.Errorf("trace: unsupported delta version %d", v)
+		return fmt.Errorf("trace: unsupported delta version %d", v)
 	}
-	d := &Delta{}
+	d.Rebase = nil
 	if dec.Bool() {
-		d.Rebase = decodeCut(dec)
+		d.Rebase = decodeCut(dec, nil)
 	}
-	d.Base = decodeCut(dec)
+	d.Base = decodeCut(dec, d.Base)
 	d.ReqBase = dec.Uvarint()
 	nThreads := dec.Uvarint()
-	if dec.Err() != nil {
-		return nil, dec.Err()
+	if tooMany(dec, nThreads, 1) {
+		return dec.Err()
 	}
 	if nThreads > 1<<16 {
-		return nil, wire.ErrCorrupt
+		return wire.ErrCorrupt
 	}
-	d.Threads = make([]ThreadLog, nThreads)
+	if uint64(cap(d.Threads)) < nThreads {
+		d.Threads = make([]ThreadLog, nThreads)
+	}
+	d.Threads = d.Threads[:nThreads]
 	for t := range d.Threads {
-		n := dec.Uvarint()
-		if dec.Err() != nil {
-			return nil, dec.Err()
-		}
-		if n > 1<<28 {
-			return nil, wire.ErrCorrupt
-		}
 		l := &d.Threads[t]
-		l.Events = make([]Event, 0, n)
-		l.In = make([][]EventID, 0, n)
+		l.Reset()
+		n := dec.Uvarint()
+		if tooMany(dec, n, minEventBytes) {
+			return dec.Err()
+		}
 		for i := uint64(0); i < n; i++ {
 			kind := Kind(dec.Byte())
 			if dec.Err() == nil && (kind == KindInvalid || kind >= kindMax) {
-				return nil, fmt.Errorf("trace: invalid event kind %d", kind)
+				return fmt.Errorf("trace: invalid event kind %d", kind)
 			}
-			ev := Event{Kind: kind, Res: uint32(dec.Uvarint()), Arg: dec.Uvarint()}
+			l.Events = append(l.Events, Event{Kind: kind, Res: uint32(dec.Uvarint()), Arg: dec.Uvarint()})
 			nIn := dec.Uvarint()
-			if dec.Err() != nil {
-				return nil, dec.Err()
+			if tooMany(dec, nIn, minEdgeBytes) {
+				return dec.Err()
 			}
-			if nIn > 1<<20 {
-				return nil, wire.ErrCorrupt
-			}
-			var in []EventID
 			for j := uint64(0); j < nIn; j++ {
-				in = append(in, EventID{Thread: int32(dec.Uvarint()), Clock: int32(dec.Uvarint())})
+				l.Edges = append(l.Edges, EventID{Thread: int32(dec.Uvarint()), Clock: int32(dec.Uvarint())})
 			}
-			l.Events = append(l.Events, ev)
-			l.In = append(l.In, in)
+			l.InEnd = append(l.InEnd, int32(len(l.Edges)))
 		}
 	}
 	nReqs := dec.Uvarint()
-	if dec.Err() != nil {
-		return nil, dec.Err()
+	if tooMany(dec, nReqs, minReqBytes) {
+		return dec.Err()
 	}
-	if nReqs > 1<<28 {
-		return nil, wire.ErrCorrupt
-	}
-	var classes []uint32
+	classes := d.classes[:0]
 	if v == deltaVersion {
 		nc := dec.Uvarint()
-		if dec.Err() != nil {
-			return nil, dec.Err()
+		if tooMany(dec, nc, 1) {
+			return dec.Err()
 		}
-		if nc > 1<<20 {
-			return nil, wire.ErrCorrupt
+		for i := uint64(0); i < nc; i++ {
+			classes = append(classes, uint32(dec.Uvarint()))
 		}
-		classes = make([]uint32, nc)
-		for i := range classes {
-			classes[i] = uint32(dec.Uvarint())
-		}
+		d.classes = classes
 	}
+	d.Reqs = d.Reqs[:0]
 	for i := uint64(0); i < nReqs; i++ {
 		r := Req{Client: dec.Uvarint(), Seq: dec.Uvarint()}
 		if v == deltaVersion {
 			ci := dec.Uvarint()
 			if ci > 0 {
 				if ci > uint64(len(classes)) {
-					return nil, wire.ErrCorrupt
+					return wire.ErrCorrupt
 				}
 				r.Class = classes[ci-1]
 			}
 		}
-		r.Body = append([]byte(nil), dec.BytesVal()...)
+		r.Body = dec.BytesVal()
+		if dec.Err() != nil {
+			return dec.Err()
+		}
 		d.Reqs = append(d.Reqs, r)
 	}
 	nMarks := dec.Uvarint()
-	if dec.Err() != nil {
-		return nil, dec.Err()
+	if tooMany(dec, nMarks, minMarkBytes) {
+		return dec.Err()
 	}
-	if nMarks > 1<<20 {
-		return nil, wire.ErrCorrupt
-	}
+	d.Marks = d.Marks[:0]
 	for i := uint64(0); i < nMarks; i++ {
-		m := Mark{ID: dec.Uvarint(), Cut: decodeCut(dec)}
-		d.Marks = append(d.Marks, m)
+		d.Marks = append(d.Marks, Mark{ID: dec.Uvarint(), Cut: decodeCut(dec, nil)})
 	}
-	return d, dec.Err()
-}
-
-// DecodeDeltaBytes parses a delta from buf.
-func DecodeDeltaBytes(buf []byte) (*Delta, error) {
-	return DecodeDelta(wire.NewDecoder(buf))
+	return dec.Err()
 }

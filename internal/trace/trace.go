@@ -196,54 +196,21 @@ type Mark struct {
 	Cut Cut
 }
 
-// ThreadLog is the event log of one logical thread. Events[i] is the event
-// with clock Base+i+1; In[i] holds the source events of the causal edges
-// whose destination is that event. Base > 0 after prefix garbage
-// collection (§3.3: everything before a checkpoint's cut can be dropped)
-// or when the trace was reconstructed from a checkpoint.
-type ThreadLog struct {
-	Base   int32
-	Events []Event
-	In     [][]EventID
-}
-
-// Append adds an event with its incoming edges and returns its EventID.
-func (l *ThreadLog) Append(thread int32, ev Event, in []EventID) EventID {
-	l.Events = append(l.Events, ev)
-	l.In = append(l.In, in)
-	return EventID{Thread: thread, Clock: l.Base + int32(len(l.Events))}
-}
-
-// forgetTo drops events with clock ≤ c (clamped to what is present).
-func (l *ThreadLog) forgetTo(c int32) {
-	drop := int(c - l.Base)
-	if drop <= 0 {
-		return
-	}
-	if drop > len(l.Events) {
-		drop = len(l.Events)
-	}
-	l.Events = append([]Event(nil), l.Events[drop:]...)
-	l.In = append([][]EventID(nil), l.In[drop:]...)
-	l.Base += int32(drop)
-}
-
 // Trace is a partially ordered execution trace over a fixed set of logical
-// threads. Reqs[i] is the request with global index ReqsBase+i; requests
-// below ReqsBase were garbage collected (any still in flight at the
-// collection cut live in Stash, populated from a checkpoint's live-request
-// list).
+// threads, stored in chunks (store.go). Requests with global index below
+// the table's collected base were garbage collected; any still in flight at
+// the collection cut live in the stash, populated from a checkpoint's
+// live-request list.
 type Trace struct {
-	Threads  []ThreadLog
-	ReqsBase uint64
-	Reqs     []Req
-	Stash    map[uint64]Req
-	Marks    []Mark
+	threads []threadLog
+	reqs    reqTable
+	stash   map[uint64]Req
+	Marks   []Mark
 }
 
 // New returns an empty trace over n logical threads.
 func New(n int) *Trace {
-	return &Trace{Threads: make([]ThreadLog, n)}
+	return &Trace{threads: make([]threadLog, n)}
 }
 
 // NewAt returns an empty trace whose frontier is already at cut with
@@ -253,34 +220,71 @@ func New(n int) *Trace {
 // at or beyond it).
 func NewAt(n int, cut Cut, reqBase uint64) *Trace {
 	tr := New(n)
-	for t := 0; t < n; t++ {
-		if t < len(cut) {
-			tr.Threads[t].Base = cut[t]
-		}
+	for t := 0; t < n && t < len(cut); t++ {
+		l := &tr.threads[t]
+		l.base, l.start, l.end = cut[t], cut[t], cut[t]
 	}
-	tr.ReqsBase = reqBase
+	tr.reqs.base, tr.reqs.start, tr.reqs.end = reqBase, reqBase, reqBase
 	return tr
 }
 
-// StashReq registers a request that predates ReqsBase (a checkpoint's
-// live request): it is still replayable via Req().
+// StashReq registers a request that predates the request table's collected
+// base (a checkpoint's live request): it is still replayable via Req().
 func (tr *Trace) StashReq(idx uint64, r Req) {
-	if tr.Stash == nil {
-		tr.Stash = make(map[uint64]Req)
+	if tr.stash == nil {
+		tr.stash = make(map[uint64]Req)
 	}
-	tr.Stash[idx] = r
+	tr.stash[idx] = r
 }
 
 // Req returns the request with the given global index.
 func (tr *Trace) Req(idx uint64) (Req, bool) {
-	if idx >= tr.ReqsBase {
-		if off := idx - tr.ReqsBase; off < uint64(len(tr.Reqs)) {
-			return tr.Reqs[off], true
+	if idx >= tr.reqs.base {
+		if idx < tr.reqs.end {
+			return tr.reqs.get(idx), true
 		}
 		return Req{}, false
 	}
-	r, ok := tr.Stash[idx]
+	r, ok := tr.stash[idx]
 	return r, ok
+}
+
+// ReqEnd returns one past the global index of the last request in the
+// table: the request base the next delta must carry.
+func (tr *Trace) ReqEnd() uint64 { return tr.reqs.end }
+
+// IndexedReq pairs a request with its global index in the trace's table.
+type IndexedReq struct {
+	Idx uint64
+	Req Req
+}
+
+// LiveReqs returns, in index order, the requests whose completion (req-end)
+// is not inside cut: the in-flight and not-yet-started requests a
+// checkpoint at cut must carry so a replica restored from it can replay
+// them (§3.3). Requests in the garbage-collected prefix were either
+// completed (dropped) or carried forward in the stash.
+func (tr *Trace) LiveReqs(cut Cut) []IndexedReq {
+	done := tr.endedIn(cut)
+	var live []IndexedReq
+	for idx, req := range tr.stash {
+		if !done[idx] {
+			live = append(live, IndexedReq{Idx: idx, Req: req})
+		}
+	}
+	for idx := tr.reqs.base; idx < tr.reqs.end; idx++ {
+		if !done[idx] {
+			live = append(live, IndexedReq{Idx: idx, Req: tr.reqs.get(idx)})
+		}
+	}
+	// Insertion sort by index (live sets are small); keeps snapshot bytes
+	// deterministic despite map iteration over the stash.
+	for i := 1; i < len(live); i++ {
+		for j := i; j > 0 && live[j-1].Idx > live[j].Idx; j-- {
+			live[j-1], live[j] = live[j], live[j-1]
+		}
+	}
+	return live
 }
 
 // LiveLowWater returns the smallest request index that may still be
@@ -288,33 +292,34 @@ func (tr *Trace) Req(idx uint64) (Req, bool) {
 // the lowest live request, or the end of the table when everything
 // completed.
 func (tr *Trace) LiveLowWater(cut Cut) uint64 {
-	done := make(map[uint64]bool)
-	for t := range tr.Threads {
-		l := &tr.Threads[t]
-		limit := int32(0)
-		if t < len(cut) {
-			limit = cut[t]
-		}
-		for c := l.Base + 1; c <= limit; c++ {
-			ev := l.Events[c-1-l.Base]
-			if ev.Kind == KindReqEnd {
-				done[uint64(ev.Res)] = true
-			}
-		}
-	}
-	low := tr.ReqsBase + uint64(len(tr.Reqs))
-	for idx := range tr.Stash {
+	done := tr.endedIn(cut)
+	low := tr.reqs.end
+	for idx := range tr.stash {
 		if !done[idx] && idx < low {
 			low = idx
 		}
 	}
-	for i := range tr.Reqs {
-		idx := tr.ReqsBase + uint64(i)
-		if !done[idx] && idx < low {
+	for idx := tr.reqs.base; idx < low; idx++ {
+		if !done[idx] {
 			low = idx
 		}
 	}
 	return low
+}
+
+// endedIn returns the request indexes whose req-end event is inside cut.
+func (tr *Trace) endedIn(cut Cut) map[uint64]bool {
+	done := make(map[uint64]bool)
+	for t := range tr.threads {
+		if t < len(cut) {
+			tr.threads[t].each(0, cut[t], func(ev Event) {
+				if ev.Kind == KindReqEnd {
+					done[uint64(ev.Res)] = true
+				}
+			})
+		}
+	}
+	return done
 }
 
 // Forget garbage-collects the trace prefix covered by a checkpoint: all
@@ -323,22 +328,15 @@ func (tr *Trace) LiveLowWater(cut Cut) uint64 {
 // ensure nothing will read inside the forgotten region again — on a
 // secondary, that replay has executed past cut.
 func (tr *Trace) Forget(cut Cut, keepReqsFrom uint64) {
-	for t := range tr.Threads {
+	for t := range tr.threads {
 		if t < len(cut) {
-			tr.Threads[t].forgetTo(cut[t])
+			tr.threads[t].forgetTo(cut[t])
 		}
 	}
-	if keepReqsFrom > tr.ReqsBase {
-		drop := keepReqsFrom - tr.ReqsBase
-		if drop > uint64(len(tr.Reqs)) {
-			drop = uint64(len(tr.Reqs))
-		}
-		tr.Reqs = append([]Req(nil), tr.Reqs[drop:]...)
-		tr.ReqsBase += drop
-	}
-	for idx := range tr.Stash {
+	tr.reqs.forgetTo(keepReqsFrom)
+	for idx := range tr.stash {
 		if idx < keepReqsFrom {
-			delete(tr.Stash, idx)
+			delete(tr.stash, idx)
 		}
 	}
 	kept := tr.Marks[:0]
@@ -351,45 +349,79 @@ func (tr *Trace) Forget(cut Cut, keepReqsFrom uint64) {
 }
 
 // NumThreads returns the number of logical threads.
-func (tr *Trace) NumThreads() int { return len(tr.Threads) }
+func (tr *Trace) NumThreads() int { return len(tr.threads) }
 
 // Cut returns the trace's current frontier (all events).
 func (tr *Trace) Cut() Cut {
-	c := make(Cut, len(tr.Threads))
-	for i := range tr.Threads {
-		c[i] = tr.Threads[i].Base + int32(len(tr.Threads[i].Events))
+	c := make(Cut, len(tr.threads))
+	for i := range tr.threads {
+		c[i] = tr.threads[i].end
 	}
 	return c
 }
 
-// Event returns the event with the given id, which must not have been
-// garbage collected.
+// atFrontier reports whether c equals the trace's frontier, counting
+// missing entries as zero like Cut.Equal, without allocating.
+func (tr *Trace) atFrontier(c Cut) bool {
+	for t := range tr.threads {
+		var want int32
+		if t < len(c) {
+			want = c[t]
+		}
+		if tr.threads[t].end != want {
+			return false
+		}
+	}
+	for t := len(tr.threads); t < len(c); t++ {
+		if c[t] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Event returns the event with the given id, which must be retained:
+// neither garbage collected nor beyond the frontier.
 func (tr *Trace) Event(id EventID) Event {
-	l := &tr.Threads[id.Thread]
-	return l.Events[id.Clock-1-l.Base]
+	l := &tr.threads[id.Thread]
+	l.checkLive(id.Thread, id.Clock)
+	c, i := l.slot(id.Clock)
+	return c.events[i]
 }
 
-// In returns the incoming edge sources of the event with the given id.
+// In returns the incoming edge sources of the event with the given id,
+// which must be retained. The slice aliases the trace's storage; it stays
+// unchanged for as long as the event is not truncated away.
 func (tr *Trace) In(id EventID) []EventID {
-	l := &tr.Threads[id.Thread]
-	return l.In[id.Clock-1-l.Base]
+	l := &tr.threads[id.Thread]
+	l.checkLive(id.Thread, id.Clock)
+	c, i := l.slot(id.Clock)
+	return c.in(i)
 }
 
-// EventCount returns the total number of events.
+// EachEvent calls fn on thread t's retained events with clocks in
+// (from, to], clamped to what the trace retains, in clock order.
+func (tr *Trace) EachEvent(t int, from, to int32, fn func(Event)) {
+	tr.threads[t].each(from, to, fn)
+}
+
+// EventCount returns the number of retained events.
 func (tr *Trace) EventCount() int {
 	n := 0
-	for i := range tr.Threads {
-		n += len(tr.Threads[i].Events)
+	for i := range tr.threads {
+		n += int(tr.threads[i].end - tr.threads[i].base)
 	}
 	return n
 }
 
-// EdgeCount returns the total number of causal edges.
+// EdgeCount returns the number of causal edges into retained events.
 func (tr *Trace) EdgeCount() int {
 	n := 0
-	for i := range tr.Threads {
-		for _, in := range tr.Threads[i].In {
-			n += len(in)
+	for t := range tr.threads {
+		l := &tr.threads[t]
+		for c := l.base + 1; c <= l.end; c++ {
+			ch, i := l.slot(c)
+			n += len(ch.in(i))
 		}
 	}
 	return n
@@ -414,15 +446,17 @@ func (tr *Trace) ConsistentCut(base Cut) (Cut, error) {
 	}
 	for {
 		changed := false
-		for t := range tr.Threads {
-			lo := tr.Threads[t].Base
+		for t := range tr.threads {
+			l := &tr.threads[t]
+			lo := l.base
 			if t < len(base) && base[t] > lo {
 				lo = base[t]
 			}
 			limit := cut[t]
 			for c := lo + 1; c <= limit; c++ {
 				violated := false
-				for _, src := range tr.Threads[t].In[c-1-tr.Threads[t].Base] {
+				ch, i := l.slot(c)
+				for _, src := range ch.in(i) {
 					if !cut.Covers(src) {
 						violated = true
 						break
@@ -445,17 +479,18 @@ func (tr *Trace) ConsistentCut(base Cut) (Cut, error) {
 // Garbage-collected prefixes are assumed consistent (they were covered by
 // a checkpoint at a consistent cut).
 func (tr *Trace) IsConsistent(cut Cut) bool {
-	for t := range tr.Threads {
-		l := &tr.Threads[t]
+	for t := range tr.threads {
+		l := &tr.threads[t]
 		limit := int32(0)
 		if t < len(cut) {
 			limit = cut[t]
 		}
-		if limit > l.Base+int32(len(l.Events)) {
+		if limit > l.end {
 			return false
 		}
-		for c := l.Base + 1; c <= limit; c++ {
-			for _, src := range l.In[c-1-l.Base] {
+		for c := l.base + 1; c <= limit; c++ {
+			ch, i := l.slot(c)
+			for _, src := range ch.in(i) {
 				if !cut.Covers(src) {
 					return false
 				}
@@ -487,21 +522,16 @@ func (tr *Trace) TruncateTo(cut Cut) error {
 		}
 		return 0
 	}
-	for t := range tr.Threads {
-		l := &tr.Threads[t]
-		limit := int(clockAt(t) - l.Base)
-		if limit < 0 {
-			return fmt.Errorf("%w: truncation cut %v inside the collected prefix (thread %d base %d)", ErrCutBeyondTrace, cut, t, l.Base)
-		}
-		if limit > len(l.Events) {
+	for t := range tr.threads {
+		l := &tr.threads[t]
+		if c := clockAt(t); c < l.base {
+			return fmt.Errorf("%w: truncation cut %v inside the collected prefix (thread %d base %d)", ErrCutBeyondTrace, cut, t, l.base)
+		} else if c > l.end {
 			return fmt.Errorf("%w: truncation cut %v beyond trace frontier %v", ErrCutBeyondTrace, cut, tr.Cut())
 		}
 	}
-	for t := range tr.Threads {
-		l := &tr.Threads[t]
-		limit := int(clockAt(t) - l.Base)
-		l.Events = l.Events[:limit]
-		l.In = l.In[:limit]
+	for t := range tr.threads {
+		tr.threads[t].truncateTo(clockAt(t))
 	}
 	kept := tr.Marks[:0]
 	for _, m := range tr.Marks {
@@ -524,5 +554,5 @@ type Stats struct {
 // Stats computes summary statistics; EncodedBytes is filled by callers that
 // encode the trace.
 func (tr *Trace) Stats() Stats {
-	return Stats{Events: tr.EventCount(), Edges: tr.EdgeCount(), Reqs: len(tr.Reqs)}
+	return Stats{Events: tr.EventCount(), Edges: tr.EdgeCount(), Reqs: int(tr.reqs.end - tr.reqs.base)}
 }

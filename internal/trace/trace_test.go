@@ -23,17 +23,46 @@ func mustCC(t *testing.T, tr *Trace, base Cut) Cut {
 // Edges: (0,3) -> (1,2) and (1,3) -> (0,4).
 func buildFig2() *Trace {
 	tr := New(2)
-	t0 := &tr.Threads[0]
-	t1 := &tr.Threads[1]
-	t0.Append(0, Event{Kind: KindReqBegin, Res: 0}, nil)
-	t0.Append(0, Event{Kind: KindLockAcq, Res: 1, Arg: 1}, nil)
-	t0.Append(0, Event{Kind: KindLockRel, Res: 1, Arg: 2}, nil)
-	t1.Append(1, Event{Kind: KindReqBegin, Res: 1}, nil)
-	t1.Append(1, Event{Kind: KindLockAcq, Res: 1, Arg: 3}, []EventID{{0, 3}})
-	t1.Append(1, Event{Kind: KindLockRel, Res: 1, Arg: 4}, nil)
-	t0.Append(0, Event{Kind: KindLockAcq, Res: 1, Arg: 5}, []EventID{{1, 3}})
-	tr.Reqs = []Req{{Client: 1, Seq: 1}, {Client: 2, Seq: 1}}
+	appendEvent(tr, 0, Event{Kind: KindReqBegin, Res: 0}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockAcq, Res: 1, Arg: 1}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockRel, Res: 1, Arg: 2}, nil)
+	appendEvent(tr, 1, Event{Kind: KindReqBegin, Res: 1}, nil)
+	appendEvent(tr, 1, Event{Kind: KindLockAcq, Res: 1, Arg: 3}, []EventID{{0, 3}})
+	appendEvent(tr, 1, Event{Kind: KindLockRel, Res: 1, Arg: 4}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockAcq, Res: 1, Arg: 5}, []EventID{{1, 3}})
+	appendReqs(tr, Req{Client: 1, Seq: 1}, Req{Client: 2, Seq: 1})
 	return tr
+}
+
+// appendEvent appends one event to thread t the way Apply does and returns
+// its id.
+func appendEvent(tr *Trace, t int32, ev Event, in []EventID) EventID {
+	tr.threads[t].push(ev, in)
+	return EventID{Thread: t, Clock: tr.threads[t].end}
+}
+
+// appendReqs appends requests to the table the way Apply does.
+func appendReqs(tr *Trace, reqs ...Req) {
+	for _, r := range reqs {
+		tr.reqs.push(r)
+	}
+}
+
+// asDelta returns the whole of a trace that has never been garbage
+// collected as one delta based at the empty cut.
+func asDelta(tr *Trace) *Delta {
+	d := &Delta{Base: make(Cut, tr.NumThreads()), Threads: make([]ThreadLog, tr.NumThreads())}
+	for t, end := range tr.Cut() {
+		for c := int32(1); c <= end; c++ {
+			id := EventID{Thread: int32(t), Clock: c}
+			d.Threads[t].Append(tr.Event(id), tr.In(id))
+		}
+	}
+	for idx := uint64(0); idx < tr.ReqEnd(); idx++ {
+		r, _ := tr.Req(idx)
+		d.Reqs = append(d.Reqs, r)
+	}
+	return d
 }
 
 func TestCutBasics(t *testing.T) {
@@ -71,10 +100,10 @@ func TestConsistentCutWithMissingSource(t *testing.T) {
 	// the async collector raced (§3.2). The consistent cut must exclude
 	// (1,2) and everything after it on thread 1.
 	tr := New(2)
-	tr.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 1}, nil)
-	tr.Threads[0].Append(0, Event{Kind: KindLockRel, Res: 1}, nil)
-	tr.Threads[1].Append(1, Event{Kind: KindLockAcq, Res: 1}, []EventID{{0, 3}})
-	tr.Threads[1].Append(1, Event{Kind: KindLockRel, Res: 1}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockAcq, Res: 1}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockRel, Res: 1}, nil)
+	appendEvent(tr, 1, Event{Kind: KindLockAcq, Res: 1}, []EventID{{0, 3}})
+	appendEvent(tr, 1, Event{Kind: KindLockRel, Res: 1}, nil)
 	cc := mustCC(t, tr, nil)
 	if !cc.Equal(Cut{2, 0}) {
 		t.Fatalf("ConsistentCut = %v, want [2 0]", cc)
@@ -85,9 +114,9 @@ func TestConsistentCutCascade(t *testing.T) {
 	// Removing an event must cascade through later dependents on other
 	// threads: (0,2) depends on missing (2,1); (1,1) depends on (0,2).
 	tr := New(3)
-	tr.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 1}, nil)
-	tr.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 2}, []EventID{{2, 1}})
-	tr.Threads[1].Append(1, Event{Kind: KindLockAcq, Res: 3}, []EventID{{0, 2}})
+	appendEvent(tr, 0, Event{Kind: KindLockAcq, Res: 1}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockAcq, Res: 2}, []EventID{{2, 1}})
+	appendEvent(tr, 1, Event{Kind: KindLockAcq, Res: 3}, []EventID{{0, 2}})
 	cc := mustCC(t, tr, nil)
 	if !cc.Equal(Cut{1, 0, 0}) {
 		t.Fatalf("ConsistentCut = %v, want [1 0 0]", cc)
@@ -120,8 +149,8 @@ func TestTruncateTo(t *testing.T) {
 		t.Errorf("marks after truncate = %v, want only mark 1", tr.Marks)
 	}
 	// Both requests still referenced by surviving req-begin events.
-	if len(tr.Reqs) != 2 {
-		t.Errorf("reqs after truncate = %d, want 2", len(tr.Reqs))
+	if tr.Stats().Reqs != 2 {
+		t.Errorf("reqs after truncate = %d, want 2", tr.Stats().Reqs)
 	}
 	if !tr.IsConsistent(tr.Cut()) {
 		t.Error("truncated trace inconsistent")
@@ -134,8 +163,8 @@ func TestApplyDelta(t *testing.T) {
 		Base:    Cut{0, 0},
 		Threads: make([]ThreadLog, 2),
 	}
-	d1.Threads[0].Append(0, Event{Kind: KindReqBegin, Res: 0}, nil)
-	d1.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 1}, nil)
+	d1.Threads[0].Append(Event{Kind: KindReqBegin, Res: 0}, nil)
+	d1.Threads[0].Append(Event{Kind: KindLockAcq, Res: 1}, nil)
 	d1.Reqs = []Req{{Client: 1, Seq: 1, Body: []byte("a")}}
 	if err := tr.Apply(d1); err != nil {
 		t.Fatalf("Apply d1: %v", err)
@@ -145,13 +174,13 @@ func TestApplyDelta(t *testing.T) {
 		ReqBase: 1,
 		Threads: make([]ThreadLog, 2),
 	}
-	d2.Threads[1].Append(1, Event{Kind: KindLockAcq, Res: 1}, []EventID{{0, 2}})
+	d2.Threads[1].Append(Event{Kind: KindLockAcq, Res: 1}, []EventID{{0, 2}})
 	if err := tr.Apply(d2); err != nil {
 		t.Fatalf("Apply d2: %v", err)
 	}
-	if tr.EventCount() != 3 || tr.EdgeCount() != 1 || len(tr.Reqs) != 1 {
+	if tr.EventCount() != 3 || tr.EdgeCount() != 1 || tr.Stats().Reqs != 1 {
 		t.Errorf("trace after applies: events=%d edges=%d reqs=%d",
-			tr.EventCount(), tr.EdgeCount(), len(tr.Reqs))
+			tr.EventCount(), tr.EdgeCount(), tr.Stats().Reqs)
 	}
 	// Re-applying d2 must fail the base check.
 	if err := tr.Apply(d2); err == nil {
@@ -167,7 +196,7 @@ func TestApplyRebase(t *testing.T) {
 		ReqBase: 2,
 		Threads: make([]ThreadLog, 2),
 	}
-	d.Threads[1].Append(1, Event{Kind: KindLockRel, Res: 1}, nil)
+	d.Threads[1].Append(Event{Kind: KindLockRel, Res: 1}, nil)
 	if err := tr.Apply(d); err != nil {
 		t.Fatalf("Apply rebase: %v", err)
 	}
@@ -185,8 +214,8 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 		Reqs:    []Req{{Client: 9, Seq: 3, Body: []byte("hello")}},
 		Marks:   []Mark{{ID: 5, Cut: Cut{1, 1}}},
 	}
-	d.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 3, Arg: 17}, []EventID{{1, 2}, {1, 1}})
-	d.Threads[1].Append(1, Event{Kind: KindValue, Res: 1, Arg: 12345}, nil)
+	d.Threads[0].Append(Event{Kind: KindLockAcq, Res: 3, Arg: 17}, []EventID{{1, 2}, {1, 1}})
+	d.Threads[1].Append(Event{Kind: KindValue, Res: 1, Arg: 12345}, nil)
 
 	got, err := DecodeDeltaBytes(d.EncodeBytes())
 	if err != nil {
@@ -202,7 +231,7 @@ func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
 	if ev.Kind != KindLockAcq || ev.Res != 3 || ev.Arg != 17 {
 		t.Errorf("event = %+v", ev)
 	}
-	if in := got.Threads[0].In[0]; len(in) != 2 || in[0] != (EventID{1, 2}) {
+	if in := got.Threads[0].In(0); len(in) != 2 || in[0] != (EventID{1, 2}) {
 		t.Errorf("in-edges = %v", in)
 	}
 	if len(got.Reqs) != 1 || string(got.Reqs[0].Body) != "hello" {
@@ -222,7 +251,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	// Truncated valid delta.
 	d := &Delta{Base: Cut{0}, Threads: make([]ThreadLog, 1)}
-	d.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 1}, nil)
+	d.Threads[0].Append(Event{Kind: KindLockAcq, Res: 1}, nil)
 	b := d.EncodeBytes()
 	for cut := 1; cut < len(b); cut++ {
 		if _, err := DecodeDeltaBytes(b[:cut]); err == nil {
@@ -247,7 +276,7 @@ func randomTrace(rng *rand.Rand, nThreads, nEvents int) *Trace {
 				in = append(in, src)
 			}
 		}
-		id := tr.Threads[t].Append(t, Event{Kind: KindLockAcq, Res: 1, Arg: uint64(i)}, in)
+		id := appendEvent(tr, t, Event{Kind: KindLockAcq, Res: 1, Arg: uint64(i)}, in)
 		all = append(all, rec{id})
 	}
 	return tr
@@ -291,7 +320,7 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomTrace(rng, 3, 25)
-		d := &Delta{Base: Cut{0, 0, 0}, Threads: tr.Threads, Reqs: tr.Reqs}
+		d := asDelta(tr)
 		got, err := DecodeDeltaBytes(d.EncodeBytes())
 		if err != nil {
 			return false
@@ -304,11 +333,11 @@ func TestQuickDeltaRoundTrip(t *testing.T) {
 				if got.Threads[t].Events[i] != ev {
 					return false
 				}
-				if len(got.Threads[t].In[i]) != len(d.Threads[t].In[i]) {
+				if len(got.Threads[t].In(i)) != len(d.Threads[t].In(i)) {
 					return false
 				}
-				for j, src := range d.Threads[t].In[i] {
-					if got.Threads[t].In[i][j] != src {
+				for j, src := range d.Threads[t].In(i) {
+					if got.Threads[t].In(i)[j] != src {
 						return false
 					}
 				}
@@ -365,7 +394,7 @@ func TestNewAtAndForget(t *testing.T) {
 	if !tr.Cut().Equal(Cut{3, 1}) {
 		t.Fatalf("NewAt cut = %v", tr.Cut())
 	}
-	id := tr.Threads[0].Append(0, Event{Kind: KindReqBegin, Res: 5}, nil)
+	id := appendEvent(tr, 0, Event{Kind: KindReqBegin, Res: 5}, nil)
 	if id != (EventID{0, 4}) {
 		t.Fatalf("append after NewAt got id %v, want (0,4)", id)
 	}
@@ -373,7 +402,7 @@ func TestNewAtAndForget(t *testing.T) {
 		t.Fatalf("Event(%v) = %+v", id, ev)
 	}
 	// Requests: index 5 is the first present one; stashed ones below work.
-	tr.Reqs = append(tr.Reqs, Req{Client: 9})
+	appendReqs(tr, Req{Client: 9})
 	if r, ok := tr.Req(5); !ok || r.Client != 9 {
 		t.Errorf("Req(5) = %+v %v", r, ok)
 	}
@@ -411,7 +440,7 @@ func TestForgetPrefix(t *testing.T) {
 		t.Errorf("surviving request = %+v %v", r, ok)
 	}
 	// Appending continues seamlessly.
-	id := tr.Threads[1].Append(1, Event{Kind: KindLockAcq, Res: 1}, nil)
+	id := appendEvent(tr, 1, Event{Kind: KindLockAcq, Res: 1}, nil)
 	if id != (EventID{1, 4}) {
 		t.Errorf("append after Forget id = %v", id)
 	}
@@ -424,20 +453,20 @@ func TestForgetPrefix(t *testing.T) {
 
 func TestLiveLowWater(t *testing.T) {
 	tr := New(1)
-	tr.Reqs = []Req{{Client: 1}, {Client: 2}, {Client: 3}}
-	tr.Threads[0].Append(0, Event{Kind: KindReqBegin, Res: 0}, nil)
-	tr.Threads[0].Append(0, Event{Kind: KindReqEnd, Res: 0}, nil)
-	tr.Threads[0].Append(0, Event{Kind: KindReqBegin, Res: 2}, nil)
-	tr.Threads[0].Append(0, Event{Kind: KindReqEnd, Res: 2}, nil)
+	appendReqs(tr, Req{Client: 1}, Req{Client: 2}, Req{Client: 3})
+	appendEvent(tr, 0, Event{Kind: KindReqBegin, Res: 0}, nil)
+	appendEvent(tr, 0, Event{Kind: KindReqEnd, Res: 0}, nil)
+	appendEvent(tr, 0, Event{Kind: KindReqBegin, Res: 2}, nil)
+	appendEvent(tr, 0, Event{Kind: KindReqEnd, Res: 2}, nil)
 	// Req 0 and 2 done inside cut {4}; req 1 never begun → low water 1.
 	if lw := tr.LiveLowWater(Cut{4}); lw != 1 {
 		t.Errorf("LiveLowWater = %d, want 1", lw)
 	}
 	// With everything done, low water is the table end.
 	tr2 := New(1)
-	tr2.Reqs = []Req{{Client: 1}}
-	tr2.Threads[0].Append(0, Event{Kind: KindReqBegin, Res: 0}, nil)
-	tr2.Threads[0].Append(0, Event{Kind: KindReqEnd, Res: 0}, nil)
+	appendReqs(tr2, Req{Client: 1})
+	appendEvent(tr2, 0, Event{Kind: KindReqBegin, Res: 0}, nil)
+	appendEvent(tr2, 0, Event{Kind: KindReqEnd, Res: 0}, nil)
 	if lw := tr2.LiveLowWater(Cut{2}); lw != 1 {
 		t.Errorf("all-done LiveLowWater = %d, want 1", lw)
 	}
@@ -460,7 +489,7 @@ func TestQuickForgetPreservesSuffixSemantics(t *testing.T) {
 		}
 		var suffix []rec
 		full := tr.Cut()
-		for t0 := range tr.Threads {
+		for t0 := 0; t0 < tr.NumThreads(); t0++ {
 			for c := cc[t0] + 1; c <= full[t0]; c++ {
 				id := EventID{Thread: int32(t0), Clock: c}
 				suffix = append(suffix, rec{trace_id(id), tr.Event(id)})
@@ -524,7 +553,7 @@ func TestApplyRebaseBeyondLocalTrace(t *testing.T) {
 	// replica restarted from an older checkpoint) must be a resyncable
 	// ErrCutBeyondTrace, not a crash and not a protocol-bug mismatch.
 	tr := New(2)
-	tr.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 1}, nil)
+	appendEvent(tr, 0, Event{Kind: KindLockAcq, Res: 1}, nil)
 	d := &Delta{Rebase: Cut{3, 0}, Base: Cut{3, 0}, Threads: make([]ThreadLog, 2)}
 	err := tr.Apply(d)
 	if !errors.Is(err, ErrCutBeyondTrace) {
@@ -565,7 +594,7 @@ func TestApplyOverlappingReplayIsMismatch(t *testing.T) {
 	// stream) must fail the base check the second time.
 	tr := New(2)
 	d := &Delta{Base: Cut{0, 0}, Threads: make([]ThreadLog, 2)}
-	d.Threads[0].Append(0, Event{Kind: KindLockAcq, Res: 1}, nil)
+	d.Threads[0].Append(Event{Kind: KindLockAcq, Res: 1}, nil)
 	if err := tr.Apply(d); err != nil {
 		t.Fatalf("first Apply: %v", err)
 	}

@@ -138,7 +138,10 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Offset returns the current read offset.
 func (d *Decoder) Offset() int { return d.off }
 
-func (d *Decoder) fail(err error) {
+// Fail records err as the decoder's error unless one is already recorded,
+// so every later read returns zero values. Parsers use it when a decoded
+// value is itself invalid (a count larger than the input can hold).
+func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
@@ -156,9 +159,9 @@ func (d *Decoder) Uvarint() uint64 {
 		d.off += n
 		return v
 	case n == 0:
-		d.fail(ErrShort)
+		d.Fail(ErrShort)
 	default:
-		d.fail(ErrCorrupt)
+		d.Fail(ErrCorrupt)
 	}
 	return 0
 }
@@ -174,9 +177,9 @@ func (d *Decoder) Varint() int64 {
 		d.off += n
 		return v
 	case n == 0:
-		d.fail(ErrShort)
+		d.Fail(ErrShort)
 	default:
-		d.fail(ErrCorrupt)
+		d.Fail(ErrCorrupt)
 	}
 	return 0
 }
@@ -187,7 +190,7 @@ func (d *Decoder) Uint32() uint32 {
 		return 0
 	}
 	if d.Remaining() < 4 {
-		d.fail(ErrShort)
+		d.Fail(ErrShort)
 		return 0
 	}
 	v := binary.LittleEndian.Uint32(d.buf[d.off:])
@@ -201,7 +204,7 @@ func (d *Decoder) Uint64() uint64 {
 		return 0
 	}
 	if d.Remaining() < 8 {
-		d.fail(ErrShort)
+		d.Fail(ErrShort)
 		return 0
 	}
 	v := binary.LittleEndian.Uint64(d.buf[d.off:])
@@ -215,7 +218,7 @@ func (d *Decoder) Byte() byte {
 		return 0
 	}
 	if d.Remaining() < 1 {
-		d.fail(ErrShort)
+		d.Fail(ErrShort)
 		return 0
 	}
 	b := d.buf[d.off]
@@ -235,7 +238,7 @@ func (d *Decoder) Bool() bool {
 	case 1:
 		return true
 	}
-	d.fail(ErrCorrupt)
+	d.Fail(ErrCorrupt)
 	return false
 }
 
@@ -247,7 +250,7 @@ func (d *Decoder) BytesVal() []byte {
 		return nil
 	}
 	if n > uint64(d.Remaining()) {
-		d.fail(ErrCorrupt)
+		d.Fail(ErrCorrupt)
 		return nil
 	}
 	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
