@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck bench bench-json chaos realbench check
+.PHONY: all build test race vet fmt staticcheck bench bench-json chaos realbench fuzz check
 
 all: build
 
@@ -76,6 +76,29 @@ chaos:
 	$(GO) run ./cmd/rexchaos -scenario conflicts -scenarios 4 -seed 1 -duration 4s
 	$(GO) run ./cmd/rexchaos -scenario overload -scenarios 4 -seed 1
 	$(GO) run ./cmd/rexchaos -scenario rebalance -scenarios 2 -seed 1 -groups 3
+
+# Every decoder fuzz target (input reachable from a socket, the WAL or a
+# snapshot file), FUZZTIME each: go test fuzzes one target per run. Their
+# seed corpora already run in `make test`.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	./internal/paxos:FuzzDecodeMessage \
+	./internal/core:FuzzDecodeCtrl \
+	./internal/core:FuzzDecodeSnapshot \
+	./internal/trace:FuzzDecodeDelta \
+	./internal/readpath:FuzzTokenRoundTrip \
+	./internal/readpath:FuzzTokenDecode \
+	./internal/readpath:FuzzTokenMerge \
+	./internal/readpath:FuzzTokenDecodePrefix \
+	./internal/overload:FuzzWireDeadlineDecode \
+	./internal/overload:FuzzWireDeadlineRoundTrip
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz $$fn ($$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # realbench/ is its own module, so the root's build and tests never
 # compile it: vet it and run its smoke tests so an API change cannot

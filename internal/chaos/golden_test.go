@@ -37,14 +37,14 @@ func TestGoldenSweeps(t *testing.T) {
 		want []goldenCounts
 	}{
 		{Scenario{Name: "generic", Duration: 3 * time.Second}, []goldenCounts{
-			{508, 28, 480, 8},
+			{514, 12, 506, 8},
 			{1179, 0, 1179, 6},
-			{1101, 0, 1101, 8},
+			{1085, 0, 1085, 8},
 			{931, 0, 931, 8},
 			{777, 12, 769, 6},
-			{1180, 0, 1180, 8},
-			{840, 0, 840, 8},
-			{1024, 0, 1024, 6},
+			{1181, 0, 1181, 8},
+			{791, 0, 791, 8},
+			{968, 0, 968, 6},
 		}},
 		{Scenario{Name: "shards", Groups: 4, Duration: 3 * time.Second}, []goldenCounts{
 			{7922, 0, 7922, 32},
@@ -57,20 +57,20 @@ func TestGoldenSweeps(t *testing.T) {
 		{Scenario{Name: "reconfig", Duration: 2 * time.Second}, []goldenCounts{
 			{942, 0, 942, 8},
 			{944, 0, 944, 6},
-			{1077, 0, 1077, 8},
+			{1078, 0, 1078, 8},
 			{1021, 0, 1021, 8},
 		}},
 		{Scenario{Name: "recovery", Duration: 4 * time.Second}, []goldenCounts{
-			{1339, 0, 1339, 8},
-			{1224, 0, 1224, 6},
-			{1065, 0, 1065, 8},
-			{1242, 0, 1242, 8},
+			{1266, 0, 1266, 8},
+			{1292, 0, 1292, 6},
+			{1246, 0, 1246, 8},
+			{1204, 0, 1204, 8},
 		}},
 		{Scenario{Name: "conflicts", Duration: 4 * time.Second}, []goldenCounts{
-			{961, 0, 961, 19},
-			{1135, 0, 1135, 19},
-			{1231, 0, 1231, 19},
-			{964, 0, 964, 19},
+			{969, 0, 969, 19},
+			{1143, 0, 1143, 19},
+			{1240, 0, 1240, 19},
+			{1015, 0, 1015, 19},
 		}},
 	}
 	for _, sw := range sweeps {

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"rex/internal/sched"
 	"rex/internal/wire"
 )
 
-// Control-plane message kinds (channel 1 of the transport mux).
+// Control-plane message kinds (channel 1 of the transport mux). A
+// payload's first byte is its kind: the mux routes every kind from
+// ctrlKindBase up to the control plane, and every Paxos kind lies below it.
 const (
-	ctrlStatus      byte = 1 // secondary → all: replay progress
-	ctrlSnapRequest byte = 2 // rebuilding replica → all: need a checkpoint
-	ctrlSnapBlob    byte = 3 // checkpoint copy (push after snapshot, or reply)
+	ctrlKindBase    byte = 0x80
+	ctrlStatus      byte = ctrlKindBase + 1 // secondary → all: replay progress
+	ctrlSnapRequest byte = ctrlKindBase + 2 // rebuilding replica → all: need a checkpoint
+	ctrlSnapBlob    byte = ctrlKindBase + 3 // checkpoint copy (push after snapshot, or reply)
 )
 
 type ctrlMsg struct {
@@ -28,17 +33,32 @@ func (m *ctrlMsg) encode() []byte {
 	return e.Bytes()
 }
 
+// decodeCtrl decodes a control message. Blob aliases buf: each received
+// frame is a fresh buffer, so a pushed checkpoint is never copied again.
 func decodeCtrl(buf []byte) (*ctrlMsg, bool) {
 	d := wire.NewDecoder(buf)
 	m := &ctrlMsg{Kind: d.Byte()}
 	m.Applied = d.Uvarint()
 	m.Backlog = d.Uvarint()
-	m.Blob = append([]byte(nil), d.BytesVal()...)
+	m.Blob = d.BytesVal()
 	return m, d.Err() == nil
 }
 
-func (r *Replica) broadcastCtrl(m *ctrlMsg) {
-	payload := m.encode()
+// snapFrame returns the ctrlSnapBlob frame for the checkpoint at
+// buf[snapHeadroom:] (as buildSnapshot lays it out): the bytes
+// ctrlMsg.encode would produce, with the header written into the headroom
+// instead of the blob being copied behind it.
+func snapFrame(buf []byte) []byte {
+	var hdr [snapHeadroom]byte
+	h := append(hdr[:0], ctrlSnapBlob, 0, 0) // kind, Applied, Backlog
+	h = binary.AppendUvarint(h, uint64(len(buf)-snapHeadroom))
+	start := snapHeadroom - len(h)
+	copy(buf[start:], h)
+	return buf[start:]
+}
+
+// broadcastCtrl sends an encoded control message to every other member.
+func (r *Replica) broadcastCtrl(payload []byte) {
 	r.mu.Lock()
 	members := r.member.Members()
 	r.mu.Unlock()
@@ -81,6 +101,8 @@ func (r *Replica) ctrlLoop() {
 				r.node.Propose(promo)
 			}
 		case ctrlSnapRequest:
+			// Rare (a rebuild or a compaction gap), so the stored copy is
+			// read and re-framed.
 			_, data, ok, err := r.cfg.Snapshots.Load()
 			if err == nil && ok {
 				r.ctrl.Send(from, (&ctrlMsg{Kind: ctrlSnapBlob, Blob: data}).encode())
@@ -92,15 +114,18 @@ func (r *Replica) ctrlLoop() {
 }
 
 // acceptSnapshotCopy stores a checkpoint pushed by the designated
-// snapshotter and garbage-collects the covered trace prefix (§3.3).
+// snapshotter and garbage-collects the covered trace prefix (§3.3). Only
+// the header is decoded; the blob is stored as received.
 func (r *Replica) acceptSnapshotCopy(blob []byte, from int) {
-	s, err := decodeSnapshot(blob)
+	s, err := decodeSnapshotHeader(blob)
 	if err != nil {
 		r.logf("corrupt snapshot copy from %d: %v", from, err)
 		return
 	}
-	cur, ok, err := r.loadLocalSnapshot()
-	if err == nil && ok && cur.Inst >= s.Inst {
+	r.mu.Lock()
+	stale := r.haveSnap && r.snapInst >= s.Inst
+	r.mu.Unlock()
+	if stale {
 		return // already have an equal or newer checkpoint
 	}
 	if err := r.cfg.Snapshots.Save(s.MarkID, blob); err != nil {
@@ -109,6 +134,7 @@ func (r *Replica) acceptSnapshotCopy(blob []byte, from int) {
 	}
 	r.mu.Lock()
 	r.lastSnapID = s.MarkID
+	r.noteSnapshotLocked(s.Inst)
 	r.cond.Broadcast()
 	// Garbage-collect the covered prefix of this replica's trace view.
 	if r.role == RolePrimary && r.tr != nil {

@@ -127,3 +127,14 @@ func TestRoleString(t *testing.T) {
 		t.Error("unknown role empty")
 	}
 }
+
+func TestSnapFrameMatchesCtrlEncoding(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 1 << 20} {
+		blob := bytes.Repeat([]byte{0xa5}, n)
+		buf := append(make([]byte, snapHeadroom), blob...)
+		want := (&ctrlMsg{Kind: ctrlSnapBlob, Blob: blob}).encode()
+		if got := snapFrame(buf); !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte blob: frame header %x, want %x", n, got[:8], want[:8])
+		}
+	}
+}

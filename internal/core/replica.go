@@ -378,6 +378,13 @@ type Replica struct {
 	nextMarkID     uint64
 	markInst       map[uint64]uint64
 	lastSnapID     uint64
+	// snapInst is the instance of the newest checkpoint in the local
+	// store (haveSnap: one is there), so a pushed copy is judged without
+	// re-reading the store. ckptSizeHint is the size of the last
+	// checkpoint built here, which presizes the next. Under mu.
+	snapInst     uint64
+	haveSnap     bool
+	ckptSizeHint int
 	// lastCkptInst is the highest committed instance known to carry (or
 	// follow from) a checkpoint mark; the log-growth floor measures
 	// applied - lastCkptInst. Under mu.
@@ -466,7 +473,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	r.queryQ = cfg.Env.NewChan(0)
 	r.proposeWake = cfg.Env.NewChan(1)
 	r.group = env.NewGroup(cfg.Env)
-	r.mux = transport.NewMux(cfg.Env, cfg.Endpoint, 2)
+	r.mux = transport.NewMux(cfg.Env, cfg.Endpoint, 0, ctrlKindBase)
 	r.ctrl = r.mux.Channel(1)
 	node, err := paxos.NewNode(paxos.Config{
 		ID:              cfg.ID,

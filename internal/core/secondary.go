@@ -37,14 +37,14 @@ func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMach
 		inst := r.markInst[m.ID]
 		r.mu.Unlock()
 		buildStart := r.e.Now()
-		blob, err := r.buildSnapshot(rt, rep, sm, m, inst)
+		buf, err := r.buildSnapshot(rt, rep, sm, m, inst)
 		r.obs.ckptBuild.Observe(r.e.Now() - buildStart)
 		if err != nil {
 			r.logf("checkpoint %d failed: %v", m.ID, err)
 			rep.CompleteMark(m.ID)
 			continue
 		}
-		if err := r.cfg.Snapshots.Save(m.ID, blob); err != nil {
+		if err := r.cfg.Snapshots.Save(m.ID, buf[snapHeadroom:]); err != nil {
 			r.logf("checkpoint %d save failed: %v", m.ID, err)
 			rep.CompleteMark(m.ID)
 			continue
@@ -52,6 +52,7 @@ func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMach
 		rep.CompleteMark(m.ID)
 		r.mu.Lock()
 		r.lastSnapID = m.ID
+		r.noteSnapshotLocked(inst)
 		r.mu.Unlock()
 		r.logf("checkpoint %d taken at cut %v (instance %d)", m.ID, m.Cut, inst)
 		// Garbage-collect the covered prefix — both the consensus log and
@@ -59,7 +60,7 @@ func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMach
 		// replicas in the background.
 		r.node.Compact(inst)
 		rep.ForgetThrough(m.Cut)
-		r.broadcastCtrl(&ctrlMsg{Kind: ctrlSnapBlob, Blob: blob})
+		r.broadcastCtrl(snapFrame(buf))
 	}
 }
 
@@ -101,7 +102,7 @@ func (r *Replica) statusLoop() {
 		applied := r.applied
 		rep := r.replayerLocked()
 		r.mu.Unlock()
-		r.broadcastCtrl(&ctrlMsg{Kind: ctrlStatus, Applied: applied, Backlog: replayBacklogOf(rep)})
+		r.broadcastCtrl((&ctrlMsg{Kind: ctrlStatus, Applied: applied, Backlog: replayBacklogOf(rep)}).encode())
 	}
 }
 

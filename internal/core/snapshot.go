@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -35,12 +37,40 @@ type snapshotBlob struct {
 	Configs []reconfig.Scheduled
 }
 
-// snapshotVersion 2 added Configs; version 3 added per-live-request
-// conflict classes. Older blobs still load (missing fields default).
-const snapshotVersion = 3
+// snapshotVersion is the only checkpoint encoding. It lays the fields out
+// so that the header a checkpoint push needs (decodeSnapshotHeader) comes
+// first and the application state is written straight into the encoding:
+//
+//	version, config schedule, mark id, instance, cut,
+//	app state (8-byte little-endian length + bytes),
+//	live requests, versions, dedup table
+const snapshotVersion = 4
+
+// Minimum encoded sizes of the repeated items, which bound their counts by
+// the unread input.
+const (
+	minLiveReqBytes = 5 // index, client, seq, class, body length
+	minDedupBytes   = 3 // client, seq, response length
+)
+
+// snapHeadroom is the space buildSnapshot leaves in front of a checkpoint
+// for its ctrlSnapBlob frame header, so the push frames the blob in place
+// (snapFrame) instead of copying it.
+const snapHeadroom = 3 + binary.MaxVarintLen64
 
 func (s *snapshotBlob) encode() []byte {
 	e := wire.NewEncoder(nil)
+	s.encodeHead(e)
+	encodeApp(e, func(w io.Writer) error {
+		_, err := w.Write(s.App)
+		return err
+	})
+	s.encodeTail(e)
+	return e.Bytes()
+}
+
+// encodeHead appends the fields decodeSnapshotHeader reads.
+func (s *snapshotBlob) encodeHead(e *wire.Encoder) {
 	e.Byte(snapshotVersion)
 	e.BytesVal(reconfig.EncodeSchedule(s.Configs))
 	e.Uvarint(s.MarkID)
@@ -49,6 +79,22 @@ func (s *snapshotBlob) encode() []byte {
 	for _, c := range s.Cut {
 		e.Uvarint(uint64(c))
 	}
+}
+
+// encodeApp appends the application state, which write produces straight
+// into e, behind a fixed-width length patched in afterwards.
+func encodeApp(e *wire.Encoder, write func(io.Writer) error) error {
+	at := e.Len()
+	e.Uint64(0)
+	if err := write(e); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(e.Bytes()[at:], uint64(e.Len()-at-8))
+	return nil
+}
+
+// encodeTail appends the live requests, versions and dedup table.
+func (s *snapshotBlob) encodeTail(e *wire.Encoder) {
 	e.Uvarint(uint64(len(s.LiveReqs)))
 	for _, lr := range s.LiveReqs {
 		e.Uvarint(lr.Idx)
@@ -56,6 +102,10 @@ func (s *snapshotBlob) encode() []byte {
 		e.Uvarint(lr.Req.Seq)
 		e.Uvarint(uint64(lr.Req.Class))
 		e.BytesVal(lr.Req.Body)
+	}
+	e.Uvarint(uint64(len(s.Versions)))
+	for _, v := range s.Versions {
+		e.Uvarint(v)
 	}
 	// Encode the dedup table in sorted order for deterministic bytes.
 	clients := make([]uint64, 0, len(s.Dedup))
@@ -70,97 +120,108 @@ func (s *snapshotBlob) encode() []byte {
 		e.Uvarint(d.seq)
 		e.BytesVal(d.resp)
 	}
-	e.Uvarint(uint64(len(s.Versions)))
-	for _, v := range s.Versions {
-		e.Uvarint(v)
-	}
-	e.BytesVal(s.App)
-	return e.Bytes()
 }
 
-func decodeSnapshot(buf []byte) (*snapshotBlob, error) {
-	d := wire.NewDecoder(buf)
-	v := d.Byte()
-	if d.Err() == nil && (v < 1 || v > snapshotVersion) {
+// decodeSnapshotHead reads the header fields into s, leaving d at the
+// application state. It returns the config schedule undecoded.
+func decodeSnapshotHead(d *wire.Decoder, s *snapshotBlob) (configs []byte, err error) {
+	if v := d.Byte(); d.Err() == nil && v != snapshotVersion {
 		return nil, fmt.Errorf("rex: unsupported snapshot version %d", v)
 	}
-	s := &snapshotBlob{Dedup: make(map[uint64]dedupEntry)}
-	if v >= 2 {
-		configs, err := reconfig.DecodeSchedule(d.BytesVal())
-		if err != nil {
-			return nil, fmt.Errorf("rex: snapshot config schedule: %w", err)
-		}
-		s.Configs = configs
-	}
+	configs = d.BytesVal()
 	s.MarkID = d.Uvarint()
 	s.Inst = d.Uvarint()
-	nCut := d.Uvarint()
-	if d.Err() != nil || nCut > 1<<16 {
-		return nil, wire.ErrCorrupt
-	}
-	s.Cut = make(trace.Cut, nCut)
-	for i := range s.Cut {
-		s.Cut[i] = int32(d.Uvarint())
-	}
-	nLive := d.Uvarint()
-	if d.Err() != nil || nLive > 1<<24 {
-		return nil, wire.ErrCorrupt
-	}
-	for i := uint64(0); i < nLive; i++ {
-		lr := trace.IndexedReq{Idx: d.Uvarint()}
-		lr.Req.Client = d.Uvarint()
-		lr.Req.Seq = d.Uvarint()
-		if v >= 3 {
-			lr.Req.Class = uint32(d.Uvarint())
+	if n := d.Count(1); d.Err() == nil {
+		s.Cut = make(trace.Cut, n)
+		for i := range s.Cut {
+			s.Cut[i] = int32(d.Uvarint())
 		}
-		lr.Req.Body = append([]byte(nil), d.BytesVal()...)
-		s.LiveReqs = append(s.LiveReqs, lr)
 	}
-	nDedup := d.Uvarint()
-	if d.Err() != nil || nDedup > 1<<24 {
-		return nil, wire.ErrCorrupt
+	return configs, d.Err()
+}
+
+// decodeSnapshotHeader reads only mark id, instance and cut — what
+// accepting a pushed checkpoint needs — without touching the rest.
+func decodeSnapshotHeader(buf []byte) (*snapshotBlob, error) {
+	s := &snapshotBlob{}
+	if _, err := decodeSnapshotHead(wire.NewDecoder(buf), s); err != nil {
+		return nil, err
 	}
-	for i := uint64(0); i < nDedup; i++ {
+	return s, nil
+}
+
+// decodeSnapshot decodes a whole checkpoint. App aliases buf; everything
+// kept beyond a restore (request bodies, dedup responses) is copied.
+func decodeSnapshot(buf []byte) (*snapshotBlob, error) {
+	d := wire.NewDecoder(buf)
+	s := &snapshotBlob{}
+	configs, err := decodeSnapshotHead(d, s)
+	if err != nil {
+		return nil, err
+	}
+	if s.Configs, err = reconfig.DecodeSchedule(configs); err != nil {
+		return nil, fmt.Errorf("rex: snapshot config schedule: %w", err)
+	}
+	s.App = d.Raw(d.Uint64())
+	if n := d.Count(minLiveReqBytes); n > 0 {
+		s.LiveReqs = make([]trace.IndexedReq, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			lr := trace.IndexedReq{Idx: d.Uvarint()}
+			lr.Req.Client = d.Uvarint()
+			lr.Req.Seq = d.Uvarint()
+			lr.Req.Class = uint32(d.Uvarint())
+			lr.Req.Body = append([]byte(nil), d.BytesVal()...)
+			s.LiveReqs = append(s.LiveReqs, lr)
+		}
+	}
+	if n := d.Count(1); n > 0 {
+		s.Versions = make([]uint64, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			s.Versions = append(s.Versions, d.Uvarint())
+		}
+	}
+	n := d.Count(minDedupBytes)
+	s.Dedup = make(map[uint64]dedupEntry, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		c := d.Uvarint()
 		de := dedupEntry{seq: d.Uvarint()}
 		de.resp = append([]byte(nil), d.BytesVal()...)
 		s.Dedup[c] = de
 	}
-	nVer := d.Uvarint()
-	if d.Err() != nil || nVer > 1<<24 {
-		return nil, wire.ErrCorrupt
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	for i := uint64(0); i < nVer; i++ {
-		s.Versions = append(s.Versions, d.Uvarint())
-	}
-	s.App = append([]byte(nil), d.BytesVal()...)
-	return s, d.Err()
+	return s, nil
 }
 
 // buildSnapshot serializes the application at a checkpoint mark whose cut
-// replay has reached (every logical thread paused exactly at the cut).
+// replay has reached (every logical thread paused exactly at the cut). It
+// returns the checkpoint at buf[snapHeadroom:], serialized once into a
+// buffer presized from the previous checkpoint, with the headroom free
+// for snapFrame.
 func (r *Replica) buildSnapshot(rt *sched.Runtime, rep *sched.Replayer, sm StateMachine, m trace.Mark, inst uint64) ([]byte, error) {
-	var app bytes.Buffer
-	if err := sm.WriteCheckpoint(&app); err != nil {
-		return nil, fmt.Errorf("rex: WriteCheckpoint: %w", err)
-	}
 	r.mu.Lock()
-	dedup := make(map[uint64]dedupEntry, len(r.dedup))
-	for c, d := range r.dedup {
-		dedup[c] = d
-	}
+	hint := r.ckptSizeHint
 	r.mu.Unlock()
+	e := wire.NewEncoder(make([]byte, snapHeadroom, snapHeadroom+hint+hint/8))
 	blob := &snapshotBlob{
 		MarkID:   m.ID,
 		Inst:     inst,
 		Cut:      m.Cut,
 		LiveReqs: rep.LiveReqs(m.Cut),
-		Dedup:    dedup,
 		Versions: rt.VersionsSnapshot(),
-		App:      app.Bytes(),
 		Configs:  r.node.ChosenSnapshot().Configs,
 	}
-	return blob.encode(), nil
+	blob.encodeHead(e)
+	if err := encodeApp(e, sm.WriteCheckpoint); err != nil {
+		return nil, fmt.Errorf("rex: WriteCheckpoint: %w", err)
+	}
+	r.mu.Lock()
+	blob.Dedup = r.dedup
+	blob.encodeTail(e)
+	r.ckptSizeHint = e.Len() - snapHeadroom
+	r.mu.Unlock()
+	return e.Bytes(), nil
 }
 
 // loadLocalSnapshot returns the newest locally stored snapshot, if any.
@@ -173,7 +234,18 @@ func (r *Replica) loadLocalSnapshot() (*snapshotBlob, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
+	r.mu.Lock()
+	r.noteSnapshotLocked(s.Inst)
+	r.mu.Unlock()
 	return s, true, nil
+}
+
+// noteSnapshotLocked records that the local store holds a checkpoint at
+// instance inst.
+func (r *Replica) noteSnapshotLocked(inst uint64) {
+	if !r.haveSnap || inst > r.snapInst {
+		r.snapInst, r.haveSnap = inst, true
+	}
 }
 
 // errSnapshotAhead reports a locally stored checkpoint newer than the
@@ -377,15 +449,14 @@ func (r *Replica) rebuild() error {
 func (r *Replica) requestSnapshot(minInst uint64) error {
 	deadline := r.e.Now() + 30*time.Second
 	for r.e.Now() < deadline {
-		r.broadcastCtrl(&ctrlMsg{Kind: ctrlSnapRequest})
+		r.broadcastCtrl((&ctrlMsg{Kind: ctrlSnapRequest}).encode())
 		if !r.sleepInterruptible(100 * time.Millisecond) {
 			return ErrStopped
 		}
-		snap, ok, err := r.loadLocalSnapshot()
-		if err != nil {
-			return err
-		}
-		if ok && snap.Inst >= minInst {
+		r.mu.Lock()
+		ok := r.haveSnap && r.snapInst >= minInst
+		r.mu.Unlock()
+		if ok {
 			return nil
 		}
 	}

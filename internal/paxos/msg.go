@@ -76,6 +76,17 @@ const (
 	// lease expiry purely on its own clock. A granting voter refuses
 	// prepares from anyone but the grantee until the grant expires.
 	mLeaseGrant
+	// mCommitRef is mCommit by reference: the value the leader of Ballot
+	// proposed in Inst is chosen, and the receiver — a voter of Inst's
+	// configuration, which was sent that value in the Accept — is expected
+	// to hold it already. It carries no value.
+	mCommitRef
+
+	// maxKind is the highest message kind. Every kind stays below 0x80:
+	// the first byte of a payload is its kind, and the Rex layer's
+	// transport mux routes the upper half of the byte range to its
+	// control plane.
+	maxKind = mCommitRef
 )
 
 func (k msgKind) String() string {
@@ -104,6 +115,8 @@ func (k msgKind) String() string {
 		return "epoch-nack"
 	case mLeaseGrant:
 		return "lease-grant"
+	case mCommitRef:
+		return "commit-ref"
 	}
 	return fmt.Sprintf("msg(%d)", uint8(k))
 }
@@ -120,7 +133,7 @@ type acceptedEntry struct {
 type message struct {
 	Kind      msgKind
 	Ballot    Ballot
-	Inst      uint64 // mAccept/mAccepted/mCommit: instance; mHeartbeat/mLeaseGrant: lease time stamp
+	Inst      uint64 // mAccept/mAccepted/mCommit/mCommitRef: instance; mHeartbeat/mLeaseGrant: lease time stamp
 	FromInst  uint64 // mPrepare/mLearn/mLearnReply: starting instance
 	ChosenSeq uint64 // mPromise/mHeartbeat: sender's chosen count
 	Epoch     uint64 // membership epoch governing the message's instance
@@ -153,6 +166,13 @@ func (m *message) encode() []byte {
 	return e.Bytes()
 }
 
+// Minimum encoded sizes of the repeated items, which bound their counts by
+// the unread input.
+const (
+	minAcceptedBytes = 4 // instance, ballot round, ballot node, value length
+	minValBytes      = 1 // value length
+)
+
 func decodeMessage(buf []byte) (*message, error) {
 	d := wire.NewDecoder(buf)
 	m := &message{}
@@ -164,32 +184,27 @@ func decodeMessage(buf []byte) (*message, error) {
 	m.ChosenSeq = d.Uvarint()
 	m.Epoch = d.Uvarint()
 	m.Val = append([]byte(nil), d.BytesVal()...)
-	nAcc := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
+	if n := d.Count(minAcceptedBytes); n > 0 {
+		m.Accepted = make([]acceptedEntry, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			a := acceptedEntry{Inst: d.Uvarint()}
+			a.Ballot.Round = d.Uvarint()
+			a.Ballot.Node = uint32(d.Uvarint())
+			a.Val = append([]byte(nil), d.BytesVal()...)
+			m.Accepted = append(m.Accepted, a)
+		}
 	}
-	if nAcc > 1<<20 {
+	if n := d.Count(minValBytes); n > 0 {
+		m.Vals = make([][]byte, 0, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			m.Vals = append(m.Vals, append([]byte(nil), d.BytesVal()...))
+		}
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	if m.Kind == mInvalid || m.Kind > maxKind {
 		return nil, wire.ErrCorrupt
 	}
-	for i := uint64(0); i < nAcc; i++ {
-		a := acceptedEntry{Inst: d.Uvarint()}
-		a.Ballot.Round = d.Uvarint()
-		a.Ballot.Node = uint32(d.Uvarint())
-		a.Val = append([]byte(nil), d.BytesVal()...)
-		m.Accepted = append(m.Accepted, a)
-	}
-	nVals := d.Uvarint()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if nVals > 1<<20 {
-		return nil, wire.ErrCorrupt
-	}
-	for i := uint64(0); i < nVals; i++ {
-		m.Vals = append(m.Vals, append([]byte(nil), d.BytesVal()...))
-	}
-	if m.Kind == mInvalid || m.Kind > mLeaseGrant {
-		return nil, wire.ErrCorrupt
-	}
-	return m, d.Err()
+	return m, nil
 }

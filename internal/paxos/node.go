@@ -147,6 +147,7 @@ type Node struct {
 	// history is absent from every pre-admission config); removedFired
 	// latches OnRemoved; learnRR rotates a learner's catch-up targets.
 	configs      []reconfig.Scheduled
+	peers        []int // peerList cache; nil after a schedule change
 	activeEpoch  uint64
 	wasMember    bool
 	removedFired bool
@@ -441,15 +442,30 @@ func (n *Node) flushBatch() {
 		n.commits = n.commits[:0]
 	}
 	if len(n.outbox) > 0 {
+		// A message to self never crosses the endpoint: it goes straight
+		// back into this node's inbox, after the WAL flush above like any
+		// send. Each message is encoded at most once, however many peers
+		// it goes to.
+		var enc *message
+		var payload []byte
+		deliver := func(to int, m *message) {
+			if to == n.cfg.ID {
+				n.inbox.Send(netMsg{m: m, from: to})
+				return
+			}
+			if m != enc {
+				enc, payload = m, m.encode()
+			}
+			n.cfg.Endpoint.Send(to, payload)
+		}
 		for i := range n.outbox {
 			o := n.outbox[i]
-			payload := o.m.encode()
 			if o.to < 0 {
 				for _, peer := range n.peerList() {
-					n.cfg.Endpoint.Send(peer, payload)
+					deliver(peer, o.m)
 				}
 			} else {
-				n.cfg.Endpoint.Send(o.to, payload)
+				deliver(o.to, o.m)
 			}
 			n.outbox[i] = outMsg{}
 		}
@@ -780,6 +796,10 @@ func (n *Node) handleMessage(m *message, from int) {
 		n.observeBallot(m.Ballot)
 		n.bumpLeaderContact(from)
 		n.commitValue(m.Inst, m.Val, from)
+	case mCommitRef:
+		n.observeBallot(m.Ballot)
+		n.bumpLeaderContact(from)
+		n.onCommitRef(m, from)
 	case mHeartbeat:
 		n.onHeartbeat(m, from)
 	case mLearn:
@@ -1001,10 +1021,50 @@ func (n *Node) onAccepted(m *message, from int) {
 		return
 	}
 	n.cfg.Metrics.CommitLatency.Observe(n.cfg.Env.Now() - st.sentAt)
-	n.broadcast(&message{Kind: mCommit, Ballot: n.prepBallot, Inst: st.inst, Val: st.val, Epoch: n.epochAt(st.inst)})
-	// broadcast includes self; commitValue runs when the self-message
-	// arrives. Commit locally right away instead for promptness.
+	n.announceCommit(st.inst, st.val)
 	n.commitValue(st.inst, st.val, n.cfg.ID)
+}
+
+// announceCommit tells every peer but self (the leader commits locally)
+// that val is chosen in inst. A voter of inst's configuration was sent val
+// in the Accept, so it gets the commit by reference — instance and ballot
+// only; learners and other non-voters never accept, so they get the value.
+func (n *Node) announceCommit(inst uint64, val []byte) {
+	cfgm := n.configAt(inst)
+	epoch := n.epochAt(inst)
+	var ref, full *message
+	for _, peer := range n.peerList() {
+		switch {
+		case peer == n.cfg.ID:
+		case cfgm.IsVoter(peer):
+			if ref == nil {
+				ref = &message{Kind: mCommitRef, Ballot: n.prepBallot, Inst: inst, Epoch: epoch}
+			}
+			n.send(peer, ref)
+		default:
+			if full == nil {
+				full = &message{Kind: mCommit, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: epoch}
+			}
+			n.send(peer, full)
+		}
+	}
+}
+
+// onCommitRef commits the value this node accepted in m.Inst at m.Ballot.
+// A leader proposes exactly one value per (instance, ballot), so an
+// accepted entry with that ballot holds the chosen value. Without one —
+// the Accept was lost, or a later ballot's Accept replaced it — the node
+// learns the value from the sender instead.
+func (n *Node) onCommitRef(m *message, from int) {
+	if m.Inst < n.chosenSeq {
+		return
+	}
+	if a, ok := n.accepted[m.Inst]; ok && a.Ballot == m.Ballot {
+		n.commitValue(m.Inst, a.Val, from)
+		return
+	}
+	n.cfg.Metrics.LearnReqs.Inc()
+	n.send(from, &message{Kind: mLearn, FromInst: n.chosenSeq})
 }
 
 func (n *Node) onHeartbeat(m *message, from int) {

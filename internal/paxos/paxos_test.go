@@ -30,6 +30,12 @@ func newCluster(e *sim.Env, n int, seed int64) *cluster {
 // newClusterOn builds n nodes over net. wrap, when set, interposes on
 // node i's endpoint.
 func newClusterOn(e *sim.Env, net *transport.Network, n int, seed int64, wrap func(i int, ep transport.Endpoint) transport.Endpoint) *cluster {
+	return newClusterWith(e, net, n, seed, wrap, nil)
+}
+
+// newClusterWith is newClusterOn with tweak, when set, adjusting node i's
+// configuration before the node is built.
+func newClusterWith(e *sim.Env, net *transport.Network, n int, seed int64, wrap func(i int, ep transport.Endpoint) transport.Endpoint, tweak func(i int, cfg *Config)) *cluster {
 	c := &cluster{
 		e:       e,
 		net:     net,
@@ -44,7 +50,7 @@ func newClusterOn(e *sim.Env, net *transport.Network, n int, seed int64, wrap fu
 		if wrap != nil {
 			ep = wrap(i, ep)
 		}
-		node, err := NewNode(Config{
+		cfg := Config{
 			ID:              i,
 			N:               n,
 			Env:             e,
@@ -68,7 +74,11 @@ func newClusterOn(e *sim.Env, net *transport.Network, n int, seed int64, wrap fu
 				c.leaderEvt = append(c.leaderEvt, fmt.Sprintf("new:%d@%d", l, i))
 				c.mu.Unlock()
 			},
-		})
+		}
+		if tweak != nil {
+			tweak(i, &cfg)
+		}
+		node, err := NewNode(cfg)
 		if err != nil {
 			panic(err)
 		}

@@ -64,8 +64,12 @@ func (n *Node) isVoter() bool { return n.activeConfig().IsVoter(n.cfg.ID) }
 
 // peerList returns every id that must receive broadcasts: the union of all
 // members across the schedule (old members still ack in-flight instances,
-// learners need commits) plus self (the loop-back ack path).
+// learners need commits) plus self (the loop-back ack path). It is cached
+// until the schedule changes (setConfigs); callers must not modify it.
 func (n *Node) peerList() []int {
+	if n.peers != nil {
+		return n.peers
+	}
 	seen := map[int]bool{n.cfg.ID: true}
 	out := []int{n.cfg.ID}
 	for _, sc := range n.configs {
@@ -77,7 +81,15 @@ func (n *Node) peerList() []int {
 		}
 	}
 	sort.Ints(out)
+	n.peers = out
 	return out
+}
+
+// setConfigs replaces the membership schedule and drops the cached peer
+// list derived from it.
+func (n *Node) setConfigs(configs []reconfig.Scheduled) {
+	n.configs = configs
+	n.peers = nil
 }
 
 // persistConfig writes a recConfig record for sc into the WAL arena.
@@ -99,7 +111,7 @@ func (n *Node) scheduleConfig(sc reconfig.Scheduled, persist bool) bool {
 			return false
 		}
 	}
-	n.configs = append(n.configs, reconfig.Scheduled{FromInst: sc.FromInst, M: sc.M.Clone()})
+	n.setConfigs(append(n.configs, reconfig.Scheduled{FromInst: sc.FromInst, M: sc.M.Clone()}))
 	sort.SliceStable(n.configs, func(i, j int) bool { return n.configs[i].FromInst < n.configs[j].FromInst })
 	if persist {
 		n.persistConfig(sc)
@@ -116,10 +128,11 @@ func (n *Node) recoverConfig(sc reconfig.Scheduled) {
 	for i, have := range n.configs {
 		if have.M.Epoch == sc.M.Epoch {
 			n.configs[i] = sc
+			n.peers = nil
 			return
 		}
 	}
-	n.configs = append(n.configs, sc)
+	n.setConfigs(append(n.configs, sc))
 	sort.SliceStable(n.configs, func(i, j int) bool { return n.configs[i].FromInst < n.configs[j].FromInst })
 }
 
@@ -129,7 +142,7 @@ func (n *Node) recoverConfig(sc reconfig.Scheduled) {
 func (n *Node) pruneConfigs() {
 	idx := n.configIdx(n.chosenSeq)
 	if idx > 0 {
-		n.configs = append(n.configs[:0], n.configs[idx:]...)
+		n.setConfigs(append(n.configs[:0], n.configs[idx:]...))
 	}
 }
 

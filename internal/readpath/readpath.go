@@ -117,9 +117,11 @@ func (t Token) Covers(o Token) bool {
 // lost.
 //
 // A token with no observations takes o wholesale, group included: a
-// fresh session adopts the group of the first token it sees.
+// fresh session adopts the group of the first token it sees. That holds
+// only when o's epoch is not older: an empty token of a newer epoch still
+// supersedes an older epoch's.
 func (t Token) Merge(o Token) Token {
-	if t.Zero() {
+	if t.Zero() && t.Epoch <= o.Epoch {
 		return o
 	}
 	if o.Epoch != t.Epoch {

@@ -315,25 +315,18 @@ func DecodeValue(val []byte) (Membership, error) {
 	var m Membership
 	m.Epoch = dec.Uvarint()
 	m.Alpha = dec.Uvarint()
-	nv := dec.Uvarint()
-	if nv > 1<<16 {
-		return Membership{}, fmt.Errorf("reconfig: implausible voter count %d", nv)
-	}
-	for i := uint64(0); i < nv; i++ {
+	// Counts are bounded by the unread input (wire.Count), and every loop
+	// stops at the first decode error.
+	nv := dec.Count(1)
+	for i := 0; i < nv && dec.Err() == nil; i++ {
 		m.Voters = append(m.Voters, int(dec.Uvarint()))
 	}
-	nl := dec.Uvarint()
-	if nl > 1<<16 {
-		return Membership{}, fmt.Errorf("reconfig: implausible learner count %d", nl)
-	}
-	for i := uint64(0); i < nl; i++ {
+	nl := dec.Count(1)
+	for i := 0; i < nl && dec.Err() == nil; i++ {
 		m.Learners = append(m.Learners, int(dec.Uvarint()))
 	}
-	na := dec.Uvarint()
-	if na > 1<<16 {
-		return Membership{}, fmt.Errorf("reconfig: implausible address count %d", na)
-	}
-	for i := uint64(0); i < na; i++ {
+	na := dec.Count(2) // id, address length
+	for i := 0; i < na && dec.Err() == nil; i++ {
 		id := int(dec.Uvarint())
 		addr := dec.String()
 		if m.Addrs == nil {
@@ -371,12 +364,9 @@ func EncodeSchedule(s []Scheduled) []byte {
 // DecodeSchedule decodes an EncodeSchedule blob.
 func DecodeSchedule(b []byte) ([]Scheduled, error) {
 	dec := wire.NewDecoder(b)
-	n := dec.Uvarint()
-	if n > 1<<16 {
-		return nil, fmt.Errorf("reconfig: implausible schedule length %d", n)
-	}
+	n := dec.Count(2) // activation instance, membership length
 	out := make([]Scheduled, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		from := dec.Uvarint()
 		mv := dec.BytesVal()
 		if dec.Err() != nil {

@@ -57,7 +57,7 @@ type TCPEndpoint struct {
 // shut a stalled write down without taking writeMu.
 type tcpPeer struct {
 	writeMu sync.Mutex
-	wbuf    []byte // frame assembly buffer, guarded by writeMu
+	wbuf    []byte // frame assembly buffer for small frames, guarded by writeMu
 
 	connMu sync.Mutex
 	conn   net.Conn
@@ -70,6 +70,12 @@ type tcpDelivery struct {
 
 // Frame: [4-byte big-endian length][4-byte big-endian sender id][payload].
 const tcpMaxFrame = 64 << 20
+
+// tcpStageMax is the largest payload Send assembles into the peer's write
+// buffer. Larger ones (checkpoint pushes) go out as header and payload in
+// one vectored write, so they are never copied and the buffer never grows
+// to the largest frame ever sent.
+const tcpStageMax = 32 << 10
 
 // ListenTCP starts an endpoint for replica id; addrs[i] is replica i's
 // listen address.
@@ -236,12 +242,27 @@ func readFrame(r io.Reader) ([]byte, int, error) {
 // and payload go out in one Write: no partial-frame interleaving is
 // possible even if a connection were shared, and the syscall count halves.
 func appendFrame(buf []byte, from int, payload []byte) []byte {
-	buf = buf[:0]
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(from))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return append(appendFrameHeader(buf[:0], from, len(payload)), payload...)
+}
+
+func appendFrameHeader(buf []byte, from, n int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	return binary.BigEndian.AppendUint32(buf, uint32(from))
+}
+
+// writeFrame sends one frame to c: small frames assembled in p.wbuf, large
+// ones as a vectored write of the header and the caller's payload, which
+// is never copied. Called with p.writeMu held.
+func (p *tcpPeer) writeFrame(c net.Conn, from int, payload []byte) error {
+	if len(payload) <= tcpStageMax {
+		p.wbuf = appendFrame(p.wbuf, from, payload)
+		_, err := c.Write(p.wbuf)
+		return err
+	}
+	p.wbuf = appendFrameHeader(p.wbuf[:0], from, len(payload))
+	bufs := net.Buffers{p.wbuf, payload}
+	_, err := bufs.WriteTo(c)
+	return err
 }
 
 func (ep *TCPEndpoint) isClosed() bool {
@@ -338,8 +359,7 @@ func (ep *TCPEndpoint) Send(to int, payload []byte) {
 		ep.drops.Inc()
 		return
 	}
-	p.wbuf = appendFrame(p.wbuf, ep.id, payload)
-	if _, err := c.Write(p.wbuf); err != nil {
+	if err := p.writeFrame(c, ep.id, payload); err != nil {
 		p.dropConn(c)
 		ep.drops.Inc()
 		return

@@ -104,7 +104,14 @@ func (e *Encoder) Bool(b bool) {
 	}
 }
 
-// Bytes8 appends b with a uvarint length prefix.
+// Write appends p, making an Encoder an io.Writer so a serializer (an
+// application checkpoint, say) can write straight into the encoding.
+func (e *Encoder) Write(p []byte) (int, error) {
+	e.buf = append(e.buf, p...)
+	return len(p), nil
+}
+
+// BytesVal appends b with a uvarint length prefix.
 func (e *Encoder) BytesVal(b []byte) {
 	e.Uvarint(uint64(len(b)))
 	e.buf = append(e.buf, b...)
@@ -184,6 +191,37 @@ func (d *Decoder) Varint() int64 {
 	return 0
 }
 
+// Count reads an item count for a loop or an allocation. Each item takes
+// at least minItemBytes (≥ 1) of input, so a count the unread input cannot
+// hold is corruption, recorded before anything is allocated for it. On
+// error it returns 0, which ends any loop over the count.
+func (d *Decoder) Count(minItemBytes int) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if n > uint64(d.Remaining()/minItemBytes) {
+		d.Fail(ErrCorrupt)
+		return 0
+	}
+	return int(n)
+}
+
+// Raw reads n bytes with no length prefix (the caller read the length).
+// The returned slice aliases the decoder's buffer.
+func (d *Decoder) Raw(n uint64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > uint64(d.Remaining()) {
+		d.Fail(ErrCorrupt)
+		return nil
+	}
+	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
+	d.off += int(n)
+	return b
+}
+
 // Uint32 reads a fixed-width little-endian 32-bit value.
 func (d *Decoder) Uint32() uint32 {
 	if d.err != nil {
@@ -245,17 +283,7 @@ func (d *Decoder) Bool() bool {
 // BytesVal reads a length-prefixed byte string. The returned slice aliases
 // the decoder's buffer; callers that retain it must copy.
 func (d *Decoder) BytesVal() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.Fail(ErrCorrupt)
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-	d.off += int(n)
-	return b
+	return d.Raw(d.Uvarint())
 }
 
 // String reads a length-prefixed string.

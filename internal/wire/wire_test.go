@@ -227,3 +227,34 @@ func TestBytesValAliasing(t *testing.T) {
 		t.Errorf("append to decoded bytes clobbered the buffer: next byte = %d, want 9", got)
 	}
 }
+
+func TestCountBoundedByRemainingInput(t *testing.T) {
+	for _, c := range []struct {
+		count, min, rest int
+		want             int
+		fails            bool
+	}{
+		{count: 3, min: 2, rest: 6, want: 3},
+		{count: 4, min: 2, rest: 7, fails: true},
+		{count: 0, min: 4, rest: 0, want: 0},
+		{count: 1 << 20, min: 1, rest: 3, fails: true},
+	} {
+		e := NewEncoder(nil)
+		e.Uvarint(uint64(c.count))
+		e.Write(make([]byte, c.rest))
+		d := NewDecoder(e.Bytes())
+		got := d.Count(c.min)
+		if c.fails {
+			if got != 0 || d.Err() != ErrCorrupt {
+				t.Errorf("count %d of %d-byte items in %d bytes: got %d, err %v; want 0, ErrCorrupt", c.count, c.min, c.rest, got, d.Err())
+			}
+			continue
+		}
+		if got != c.want || d.Err() != nil {
+			t.Errorf("count %d of %d-byte items in %d bytes: got %d, err %v", c.count, c.min, c.rest, got, d.Err())
+		}
+	}
+	if got := NewDecoder(nil).Count(1); got != 0 {
+		t.Errorf("count from empty input = %d", got)
+	}
+}
