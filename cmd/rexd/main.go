@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -145,7 +146,7 @@ func main() {
 
 	var srv *server.Server
 	var stopReplicas func()
-	healthReps := make(map[int]*core.Replica) // by group id, for /healthz and /readyz
+	healthReps := make(map[int]healthSource) // by group id, for /healthz and /readyz
 	if *shards > 1 {
 		rpg := *groupReplicas
 		if rpg <= 0 {
@@ -238,53 +239,9 @@ func main() {
 	}
 
 	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.WriteText(w); err != nil {
-				log.Printf("rexd: metrics dump: %v", err)
-			}
-		})
-		// Group ids in a stable order for the health dumps.
-		gids := make([]int, 0, len(healthReps))
-		for g := range healthReps {
-			gids = append(gids, g)
-		}
-		sort.Ints(gids)
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			for _, g := range gids {
-				h := healthReps[g].Health()
-				fmt.Fprintf(w, "group %d: role=%s epoch=%d applied=%d chosen=%d voters=%v learners=%v voter=%v catching_up=%v\n",
-					g, h.Role, h.Epoch, h.Applied, h.ChosenSeq, h.Voters, h.Learners, h.Voter, h.CatchingUp)
-			}
-			var dur uint64
-			for _, wal := range wals {
-				dur += wal.DurableRecords()
-			}
-			fmt.Fprintf(w, "wal_durable_records=%d\n", dur)
-		})
-		mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			var notReady []string
-			for _, g := range gids {
-				h := healthReps[g].Health()
-				if !h.Ready() {
-					notReady = append(notReady,
-						fmt.Sprintf("group %d: role=%s voter=%v catching_up=%v", g, h.Role, h.Voter, h.CatchingUp))
-				}
-			}
-			if len(notReady) > 0 {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				for _, line := range notReady {
-					fmt.Fprintln(w, line)
-				}
-				return
-			}
-			fmt.Fprintln(w, "ok")
-		})
+		mux := metricsMux(reg, healthReps, wals)
 		go func() {
-			log.Printf("rexd: metrics on http://%s/metrics (health: /healthz, /readyz)", *metricsAddr)
+			log.Printf("rexd: metrics on http://%s/metrics (health: /healthz, /readyz; profiles: /debug/pprof/)", *metricsAddr)
 			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
 				log.Printf("rexd: metrics endpoint: %v", err)
 			}
@@ -300,4 +257,67 @@ func main() {
 	for _, wal := range wals {
 		wal.Close()
 	}
+}
+
+// healthSource is what /healthz and /readyz read of a replica.
+type healthSource interface {
+	Health() core.Health
+}
+
+// metricsMux serves the -metrics endpoints: the registry's text dump at
+// /metrics, per-group health at /healthz and /readyz, and the runtime
+// profiles at /debug/pprof/. The handlers live on this mux, not on
+// http.DefaultServeMux.
+func metricsMux(reg *obs.Registry, reps map[int]healthSource, wals []*storage.FileLog) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := reg.WriteText(w); err != nil {
+			log.Printf("rexd: metrics dump: %v", err)
+		}
+	})
+	// Group ids in a stable order for the health dumps.
+	gids := make([]int, 0, len(reps))
+	for g := range reps {
+		gids = append(gids, g)
+	}
+	sort.Ints(gids)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		for _, g := range gids {
+			h := reps[g].Health()
+			fmt.Fprintf(w, "group %d: role=%s epoch=%d applied=%d chosen=%d voters=%v learners=%v voter=%v catching_up=%v\n",
+				g, h.Role, h.Epoch, h.Applied, h.ChosenSeq, h.Voters, h.Learners, h.Voter, h.CatchingUp)
+		}
+		var dur uint64
+		for _, wal := range wals {
+			dur += wal.DurableRecords()
+		}
+		fmt.Fprintf(w, "wal_durable_records=%d\n", dur)
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		var notReady []string
+		for _, g := range gids {
+			h := reps[g].Health()
+			if !h.Ready() {
+				notReady = append(notReady,
+					fmt.Sprintf("group %d: role=%s voter=%v catching_up=%v", g, h.Role, h.Voter, h.CatchingUp))
+			}
+		}
+		if len(notReady) > 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			for _, line := range notReady {
+				fmt.Fprintln(w, line)
+			}
+			return
+		}
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }

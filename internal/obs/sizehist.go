@@ -26,7 +26,7 @@ const NumSizeBuckets = 20 // len(sizeBounds) + 1
 // SizeHistogram is a fixed-bucket histogram over dimensionless counts and
 // sizes (batch sizes, delta bytes, events per delta) — the count-valued
 // sibling of Histogram. Observe is lock-free and allocation-free, so it is
-// safe on hot paths like the WAL committer.
+// safe on hot paths like the WAL flush.
 type SizeHistogram struct {
 	counts [NumSizeBuckets]atomic.Uint64
 	count  atomic.Uint64

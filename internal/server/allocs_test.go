@@ -29,11 +29,12 @@ func TestClientSuccessPathAllocs(t *testing.T) {
 			return
 		}
 		defer c.Close()
+		fc := newFrameConn(c)
 		for {
-			if _, err := readFrame(c); err != nil {
+			if _, err := fc.readFrame(time.Time{}); err != nil {
 				return
 			}
-			writeFrame(c, StatusOK, ok)
+			fc.writeReply(StatusOK, ok)
 		}
 	}()
 	cl := NewClient(1, []string{ln.Addr().String()})

@@ -43,17 +43,18 @@
 // 5 guarantee the request did not execute.
 //
 // Framing is defensive: an oversized length prefix gets an error response
-// and the connection is dropped (the stream cannot be resynced), and a
-// frame whose body never arrives times out instead of pinning the
-// connection handler forever.
+// and the connection is dropped (the stream cannot be resynced), a frame
+// whose body never arrives times out instead of pinning the connection
+// handler forever, and the body buffer grows only as bytes arrive, so a
+// length prefix alone cannot pin the memory it announces.
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -270,39 +271,67 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	fc := newFrameConn(conn)
 	for {
-		frame, err := readFrame(conn)
+		frame, err := fc.readFrame(time.Time{})
 		if err != nil {
 			if errors.Is(err, errOversized) {
 				// Tell the client why before hanging up; the stream can't
 				// be resynced past a length we refuse to read.
-				writeFrame(conn, StatusError, []byte(err.Error()))
+				fc.writeReply(StatusError, []byte(err.Error()))
 			}
 			return
 		}
 		status, body := s.handle(frame)
-		if err := writeFrame(conn, status, body); err != nil {
+		if err := fc.writeReply(status, body); err != nil {
 			return
 		}
 	}
 }
 
-func (s *Server) handle(frame []byte) (byte, []byte) {
+// wireRequest is a decoded client request frame (see the package comment).
+type wireRequest struct {
+	kind               byte
+	group, client, seq uint64
+	body               []byte
+	budget             time.Duration // 0: the frame carries no deadline
+}
+
+// appendRequest appends req's encoding to buf.
+func appendRequest(buf []byte, req wireRequest) []byte {
+	e := wire.NewEncoder(buf)
+	e.Byte(req.kind)
+	e.Uvarint(req.group)
+	e.Uvarint(req.client)
+	e.Uvarint(req.seq)
+	e.BytesVal(req.body)
+	overload.AppendWireDeadline(e, req.budget)
+	return e.Bytes()
+}
+
+// decodeRequest decodes a request frame; body aliases frame.
+func decodeRequest(frame []byte) (wireRequest, error) {
 	d := wire.NewDecoder(frame)
-	kind := d.Byte()
-	group := d.Uvarint()
-	client := d.Uvarint()
-	seq := d.Uvarint()
-	body := d.BytesVal()
+	req := wireRequest{kind: d.Byte(), group: d.Uvarint(), client: d.Uvarint(), seq: d.Uvarint(), body: d.BytesVal()}
 	if d.Err() != nil {
-		return StatusError, []byte("malformed request")
+		return wireRequest{}, errors.New("malformed request")
 	}
 	// The optional trailing deadline budget. A garbage trailer is a
 	// malformed frame, not a silently dropped field.
 	budget, err := overload.DecodeWireDeadline(d)
 	if err != nil {
-		return StatusError, []byte(fmt.Sprintf("malformed request: %v", err))
+		return wireRequest{}, fmt.Errorf("malformed request: %v", err)
 	}
+	req.budget = budget
+	return req, nil
+}
+
+func (s *Server) handle(frame []byte) (byte, []byte) {
+	req, err := decodeRequest(frame)
+	if err != nil {
+		return StatusError, []byte(err.Error())
+	}
+	kind, group, body := req.kind, req.group, req.body
 	if kind == KindShardMap {
 		if s.smap == nil {
 			return StatusError, []byte("server: not sharded (no shard map)")
@@ -337,7 +366,7 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 	}
 	switch kind {
 	case KindSubmitToken:
-		resp, tok, err := rep.SubmitTokenDeadline(client, seq, body, budget)
+		resp, tok, err := rep.SubmitTokenDeadline(req.client, req.seq, body, req.budget)
 		if err != nil {
 			return errStatus(err)
 		}
@@ -507,52 +536,82 @@ func decodeGroupStatus(b []byte) (GroupStatus, error) {
 	return st, d.Err()
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameDeadline(r, time.Time{})
+// frameConn is one connection's framing state. Reads go through a 4 kB
+// bufio.Reader, so one read syscall usually returns a whole frame and any
+// queued behind it; each outgoing frame is assembled in wbuf and leaves in
+// one Write (one segment under TCP_NODELAY).
+type frameConn struct {
+	net.Conn
+	br   *bufio.Reader
+	rdl  time.Time // the read deadline last set on Conn
+	wbuf []byte
 }
 
-// readFrameDeadline is readFrame with an optional overall deadline: a
-// zero dl lets the connection idle forever between frames (the server's
-// posture), a non-zero dl caps both the wait for the header and the wait
-// for the body (a client honoring a context deadline).
-func readFrameDeadline(r io.Reader, dl time.Time) ([]byte, error) {
-	conn, _ := r.(net.Conn)
-	if conn != nil {
-		conn.SetReadDeadline(dl)
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// maxKeptWbuf bounds the write buffer a connection keeps between frames,
+// so one large request or reply does not pin its size for the
+// connection's life.
+const maxKeptWbuf = 64 << 10
+
+func newFrameConn(c net.Conn) *frameConn {
+	return &frameConn{Conn: c, br: bufio.NewReader(c)}
+}
+
+// readFrame reads one frame with an optional overall deadline: a zero dl
+// lets the connection idle forever between frames (the server's posture),
+// a non-zero dl caps both the wait for the header and the wait for the
+// body (a client honoring a context deadline). A body not already
+// buffered must also arrive within frameBodyTimeout. The body grows as its
+// bytes arrive (wire.ReadN), so a length prefix alone pins little memory.
+func (fc *frameConn) readFrame(dl time.Time) ([]byte, error) {
+	fc.setReadDeadline(dl)
+	hdr, err := fc.br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
+	fc.br.Discard(4)
 	if n > maxFrame {
 		return nil, errOversized
 	}
 	// Once a length has been announced the body must follow promptly; a
 	// peer that dies mid-frame must not pin this handler forever.
-	if conn != nil {
+	if fc.br.Buffered() < n {
 		bodyDl := time.Now().Add(frameBodyTimeout)
 		if !dl.IsZero() && dl.Before(bodyDl) {
 			bodyDl = dl
 		}
-		conn.SetReadDeadline(bodyDl)
+		fc.setReadDeadline(bodyDl)
 	}
-	buf := make([]byte, n)
-	if got, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("server: truncated frame (%d of %d bytes): %w", got, n, err)
+	buf, err := wire.ReadN(fc.br, n)
+	if err != nil {
+		return nil, fmt.Errorf("server: truncated frame (%d of %d bytes): %w", len(buf), n, err)
 	}
 	return buf, nil
 }
 
-func writeFrame(w io.Writer, status byte, body []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = status
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+func (fc *frameConn) setReadDeadline(dl time.Time) {
+	if !dl.Equal(fc.rdl) {
+		fc.Conn.SetReadDeadline(dl)
+		fc.rdl = dl
 	}
-	_, err := w.Write(body)
+}
+
+// writeReply sends a response frame: length, status and body in one Write.
+func (fc *frameConn) writeReply(status byte, body []byte) error {
+	frame := binary.BigEndian.AppendUint32(fc.wbuf[:0], uint32(len(body)+1))
+	frame = append(append(frame, status), body...)
+	fc.wbuf = reuse(frame)
+	_, err := fc.Write(frame)
 	return err
+}
+
+// reuse returns frame's storage for the next frame, or nil once it has
+// grown past maxKeptWbuf.
+func reuse(frame []byte) []byte {
+	if cap(frame) > maxKeptWbuf {
+		return nil
+	}
+	return frame[:0]
 }
 
 // Client talks to one replica group's client ports: the shared client
@@ -577,7 +636,7 @@ func NewClient(id uint64, addrs []string) *Client {
 // client addresses of the group's replicas in replica-id order (for a
 // sharded deployment: the nodes in the map's placement row).
 func NewGroupClient(id uint64, group int, addrs []string) *Client {
-	t := &tcpTransport{addrs: addrs, group: group, conns: make(map[int]net.Conn)}
+	t := &tcpTransport{addrs: addrs, group: group, conns: make(map[int]*frameConn)}
 	return &Client{Client: client.New(t, id), t: t}
 }
 
@@ -646,7 +705,7 @@ func (c *Client) Close() {
 	for _, conn := range c.t.conns {
 		conn.Close()
 	}
-	c.t.conns = make(map[int]net.Conn)
+	c.t.conns = make(map[int]*frameConn)
 }
 
 // tcpTransport is the client loop's transport over the TCP protocol: it
@@ -657,7 +716,8 @@ type tcpTransport struct {
 	sync.Mutex
 	addrs []string
 	group int
-	conns map[int]net.Conn
+	conns map[int]*frameConn
+	wbuf  []byte // request assembly buffer, reused across calls
 }
 
 // epoch anchors the TCP clients' loop clock.
@@ -723,51 +783,46 @@ func (t *tcpTransport) call(i int, kind byte, id, seq uint64, body []byte, budge
 	return resp, nil
 }
 
-func (t *tcpTransport) conn(i int) (net.Conn, error) {
+func (t *tcpTransport) conn(i int) (*frameConn, error) {
 	if conn, ok := t.conns[i]; ok {
 		return conn, nil
 	}
-	conn, err := net.Dial("tcp", t.addrs[i])
+	c, err := net.Dial("tcp", t.addrs[i])
 	if err != nil {
 		return nil, err
 	}
+	conn := newFrameConn(c)
 	t.conns[i] = conn
 	return conn, nil
 }
 
 // roundTrip frames one request to replica i and reads the answer. budget
 // bounds the network I/O and rides along as the request's trailing
-// deadline, so every hop can fail fast instead of doing doomed work.
+// deadline, so every hop can fail fast instead of doing doomed work. The
+// length prefix is patched in front of the encoded request, so the frame
+// leaves in one Write.
 func (t *tcpTransport) roundTrip(i int, kind byte, id, seq uint64, body []byte, budget time.Duration) (byte, []byte, error) {
-	e := wire.NewEncoder(nil)
-	e.Byte(kind)
-	e.Uvarint(uint64(t.group))
-	e.Uvarint(id)
-	e.Uvarint(seq)
-	e.BytesVal(body)
-	overload.AppendWireDeadline(e, budget)
-	frame := e.Bytes()
-	if len(frame) > maxFrame {
+	frame := appendRequest(append(t.wbuf[:0], 0, 0, 0, 0),
+		wireRequest{kind: kind, group: uint64(t.group), client: id, seq: seq, body: body, budget: budget})
+	t.wbuf = reuse(frame)
+	n := len(frame) - 4
+	if n > maxFrame {
 		// The server would refuse the length prefix and drop the
 		// connection; fail before poisoning the stream.
 		return 0, nil, fmt.Errorf("%w: request frame of %d bytes exceeds the %d-byte limit",
-			ErrPermanent, len(frame), maxFrame)
+			ErrPermanent, n, maxFrame)
 	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
 	conn, err := t.conn(i)
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: %v", client.ErrUnreachable, err)
 	}
 	dl := time.Now().Add(budget)
 	conn.SetWriteDeadline(dl)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(frame)))
-	_, err = conn.Write(hdr[:])
-	if err == nil {
-		_, err = conn.Write(frame)
-	}
+	_, err = conn.Write(frame)
 	var resp []byte
 	if err == nil {
-		resp, err = readFrameDeadline(conn, dl)
+		resp, err = conn.readFrame(dl)
 	}
 	if err == nil && len(resp) < 1 {
 		err = errors.New("server: empty response")

@@ -818,3 +818,9 @@ func TestTCPLinearizableReadAfterPrimaryCrash(t *testing.T) {
 		t.Fatalf("read %q, want v", resp)
 	}
 }
+
+// readFrame reads one frame from conn through a fresh frameConn; tests
+// use it to read a single response.
+func readFrame(conn net.Conn) ([]byte, error) {
+	return newFrameConn(conn).readFrame(time.Time{})
+}

@@ -131,8 +131,8 @@ func (s *MemSnapshots) Load() (uint64, []byte, bool, error) {
 // so the commit path never nil-checks.
 type LogMetrics struct {
 	Appends *obs.Counter // records acknowledged durable
-	Batches *obs.Counter // committer flushes (one buffered write each)
-	Fsyncs  *obs.Counter // fsyncs issued by the committer
+	Batches *obs.Counter // flushes (one buffered write each)
+	Fsyncs  *obs.Counter // fsyncs issued by the flushes
 
 	// BatchRecords is the group-commit batch-size distribution: records
 	// coalesced per flush. Fsyncs/Appends well below 1 with BatchRecords
@@ -167,27 +167,30 @@ func (m *LogMetrics) Register(reg *obs.Registry) {
 // [len uint32][crc uint32][payload]; recovery stops at the first torn or
 // corrupt frame, which is the expected state after a crash mid-append.
 //
-// Appends are group-committed: callers enqueue framed records and block
-// while a dedicated committer goroutine coalesces everything queued into
-// one buffered write and (when syncEach is set) one fsync, then wakes every
-// caller the flush covered. N concurrent appends therefore cost one disk
-// round-trip, not N, while each Append still returns only after its record
-// is durable — the same contract as the unbatched implementation.
+// Appends are group-committed by the appenders themselves: a caller that
+// finds no flush in progress takes everything queued, writes it with one
+// write and (when syncEach is set) one fsync, with l.mu released for the
+// I/O. Callers that arrive meanwhile queue their records and wait; when
+// the flush ends, one of them flushes everything that queued up behind
+// it. N concurrent appends therefore cost about one disk round-trip, not
+// N, a lone appender pays no goroutine hand-off, and each Append still
+// returns only after its record is durable.
 type FileLog struct {
 	mu   sync.Mutex
-	wake *sync.Cond // committer: work queued or closing
-	done *sync.Cond // appenders: durable frontier advanced (or error/exit)
+	done *sync.Cond // a flush ended: durable frontier advanced, or ioErr set
 	path string
 	f    *os.File
 	sync bool
 	obs  *LogMetrics
 
-	queue   [][]byte // records accepted but not yet written
-	enq     uint64   // records ever enqueued
-	dur     uint64   // records durable (written, and fsynced when sync)
-	ioErr   error    // sticky committer failure; fails all later calls
-	closing bool     // Close in progress: drain queue, reject new appends
-	exited  bool     // committer goroutine has returned
+	queue    [][]byte // records accepted but not yet written
+	enq      uint64   // records ever enqueued
+	dur      uint64   // records durable (written, and fsynced when sync)
+	flushing bool     // a caller is writing a batch with l.mu released
+	draining bool     // a drainLocked caller waits for the file: start no flush
+	buf      []byte   // frame buffer, owned by the flushing caller
+	ioErr    error    // sticky flush failure; fails all later calls
+	closing  bool     // Close in progress: reject new appends
 }
 
 // ErrClosed reports use of a closed log.
@@ -280,9 +283,7 @@ func OpenFileLog(path string, syncEach bool) (*FileLog, error) {
 		return nil, err
 	}
 	l := &FileLog{path: path, f: f, sync: syncEach, obs: NewLogMetrics()}
-	l.wake = sync.NewCond(&l.mu)
 	l.done = sync.NewCond(&l.mu)
-	go l.committer()
 	return l, nil
 }
 
@@ -296,16 +297,16 @@ func (l *FileLog) SetMetrics(m *LogMetrics) {
 	}
 }
 
-// DurableRecords returns how many appended records the committer has made
-// durable so far — the WAL's durable frontier, exposed on rexd's /healthz.
+// DurableRecords returns how many appended records are durable so far —
+// the WAL's durable frontier, exposed on rexd's /healthz.
 func (l *FileLog) DurableRecords() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dur
 }
 
-// Append implements Log: the record is queued for the committer and the
-// call returns once the flush covering it is durable.
+// Append implements Log: the call returns once the flush covering the
+// record is durable.
 func (l *FileLog) Append(rec []byte) error {
 	return l.AppendBatch([][]byte{rec})
 }
@@ -328,12 +329,7 @@ func (l *FileLog) AppendBatch(recs [][]byte) error {
 	}
 	l.queue = append(l.queue, recs...)
 	l.enq += uint64(len(recs))
-	target := l.enq
-	l.wake.Signal()
-	for l.dur < target && l.ioErr == nil {
-		l.done.Wait()
-	}
-	err := l.ioErr
+	err := l.flushLocked(l.enq)
 	m := l.obs
 	l.mu.Unlock()
 	if err != nil {
@@ -344,64 +340,76 @@ func (l *FileLog) AppendBatch(recs [][]byte) error {
 	return nil
 }
 
-// committer is the group-commit loop: it takes everything queued, frames
-// it into one buffer, and retires it with a single write (+ fsync when the
-// log is in sync mode). It reuses its frame buffer across flushes.
-func (l *FileLog) committer() {
-	var buf []byte
-	l.mu.Lock()
-	for {
-		for len(l.queue) == 0 && !l.closing && l.ioErr == nil {
-			l.wake.Wait()
-		}
-		if l.ioErr != nil || (l.closing && len(l.queue) == 0) {
-			l.exited = true
-			l.done.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		batch := l.queue
-		l.queue = nil
-		f := l.f
-		m := l.obs
-		l.mu.Unlock()
-
-		buf = buf[:0]
-		for _, rec := range batch {
-			var hdr [8]byte
-			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
-			binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(rec))
-			buf = append(buf, hdr[:]...)
-			buf = append(buf, rec...)
-		}
-		_, err := f.Write(buf)
-		if err == nil && l.sync {
-			m.Fsyncs.Inc()
-			err = fileSync(f)
-		}
-		m.Batches.Inc()
-		m.BatchRecords.Observe(uint64(len(batch)))
-
-		l.mu.Lock()
-		if err != nil {
-			l.ioErr = err
+// flushLocked returns once the first upto records ever enqueued are
+// durable, or the log has failed. Until then it waits out the flush (or
+// drain) in progress, or flushes the queue itself. Callers must hold l.mu.
+func (l *FileLog) flushLocked(upto uint64) error {
+	for l.dur < upto && l.ioErr == nil {
+		if l.flushing || l.draining {
+			l.done.Wait()
 		} else {
-			l.dur += uint64(len(batch))
+			l.flushQueueLocked()
 		}
-		l.done.Broadcast()
-	}
-}
-
-// flushLocked waits for every enqueued record to be durable (or for the
-// committer to fail). Callers must hold l.mu.
-func (l *FileLog) flushLocked() error {
-	for l.dur < l.enq && l.ioErr == nil {
-		l.done.Wait()
 	}
 	return l.ioErr
 }
 
-// Records implements Log. It flushes the committer queue first so every
+// drainLocked returns once every record enqueued before the call is
+// durable and no flush is in progress, so the caller, holding l.mu, has
+// the file to itself. Records queued meanwhile stay queued for the next
+// flush. Callers must hold l.mu.
+func (l *FileLog) drainLocked() error {
+	err := l.flushLocked(l.enq)
+	l.draining = true // appenders stand aside until the caller is done
+	for l.flushing {
+		l.done.Wait()
+	}
+	l.draining = false
+	l.done.Broadcast() // they wait for l.mu, which the caller holds
+	if err == nil {
+		err = l.ioErr
+	}
+	return err
+}
+
+// flushQueueLocked frames everything queued into one buffer and retires it
+// with a single write (+ fsync when the log is in sync mode), with l.mu
+// released for the I/O. Callers must hold l.mu, with no flush in progress
+// and a non-empty queue.
+func (l *FileLog) flushQueueLocked() {
+	batch := l.queue
+	l.queue = nil
+	l.flushing = true
+	f, m, buf := l.f, l.obs, l.buf[:0]
+	l.mu.Unlock()
+
+	for _, rec := range batch {
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
+		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(rec))
+		buf = append(buf, hdr[:]...)
+		buf = append(buf, rec...)
+	}
+	_, err := f.Write(buf)
+	if err == nil && l.sync {
+		m.Fsyncs.Inc()
+		err = fileSync(f)
+	}
+	m.Batches.Inc()
+	m.BatchRecords.Observe(uint64(len(batch)))
+
+	l.mu.Lock()
+	l.buf = buf
+	l.flushing = false
+	if err != nil {
+		l.ioErr = err
+	} else {
+		l.dur += uint64(len(batch))
+	}
+	l.done.Broadcast()
+}
+
+// Records implements Log. It flushes the queue first so every
 // acknowledged record is visible.
 func (l *FileLog) Records() ([][]byte, error) {
 	l.mu.Lock()
@@ -409,7 +417,7 @@ func (l *FileLog) Records() ([][]byte, error) {
 	if l.f == nil {
 		return nil, ErrClosed
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.drainLocked(); err != nil {
 		return nil, err
 	}
 	data, err := os.ReadFile(l.path)
@@ -434,16 +442,17 @@ func (l *FileLog) Records() ([][]byte, error) {
 }
 
 // Rewrite implements Log: writes a fresh log beside the old one and renames
-// it into place, so compaction is crash-atomic. The committer queue is
-// flushed first; the committer is idle for the duration (the lock is held
-// and the queue is empty), so swapping the file handle is safe.
+// it into place, so compaction is crash-atomic. The queue is flushed
+// first; no flush can be in progress for the duration (the lock is held
+// and every enqueued record is durable), so swapping the file handle is
+// safe.
 func (l *FileLog) Rewrite(recs [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return ErrClosed
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.drainLocked(); err != nil {
 		return err
 	}
 	tmp := l.path + ".tmp"
@@ -504,14 +513,11 @@ func (l *FileLog) Close() error {
 		return nil
 	}
 	l.closing = true
-	l.wake.Signal()
-	for !l.exited {
-		l.done.Wait()
-	}
+	ioErr := l.drainLocked()
 	err := l.f.Close()
 	l.f = nil
-	if l.ioErr != nil && err == nil {
-		err = l.ioErr
+	if ioErr != nil && err == nil {
+		err = ioErr
 	}
 	return err
 }

@@ -406,6 +406,133 @@ func TestFileLogGroupCommit(t *testing.T) {
 		appends, fsyncs, float64(appends)/float64(fsyncs), l.obs.BatchRecords.Max())
 }
 
+// slowSync widens every fsync for one test, so flushes overlap the calls
+// that race them.
+func slowSync(t *testing.T) {
+	prev := fileSync
+	t.Cleanup(func() { fileSync = prev })
+	fileSync = func(f *os.File) error {
+		time.Sleep(200 * time.Microsecond)
+		return prev(f)
+	}
+}
+
+// TestFileLogCloseDrainsConcurrentAppends: Close waits out the flush in
+// progress and the records queued behind it. Every append racing Close
+// either succeeds, and is then on disk, or fails with ErrClosed.
+func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
+	slowSync(t)
+	path := filepath.Join(t.TempDir(), "wal")
+	l, err := OpenFileLog(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const appenders = 6
+	var (
+		mu    sync.Mutex
+		acked = map[string]bool{}
+		wg    sync.WaitGroup
+	)
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				rec := []byte{byte(a), byte(i), byte(i >> 8)}
+				err := l.Append(rec)
+				if err == ErrClosed {
+					return
+				}
+				if err != nil {
+					t.Errorf("Append racing Close: %v", err)
+					return
+				}
+				mu.Lock()
+				acked[string(rec)] = true
+				mu.Unlock()
+			}
+		}(a)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	l, err = OpenFileLog(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recs, err := l.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, r := range recs {
+		onDisk[string(r)] = true
+	}
+	for r := range acked {
+		if !onDisk[r] {
+			t.Fatalf("acknowledged record %x missing after Close", r)
+		}
+	}
+	if len(acked) == 0 {
+		t.Fatal("no append succeeded before Close")
+	}
+}
+
+// TestFileLogRewriteDuringAppends: Rewrite swaps the file only once no
+// flush is in progress, so appends racing it never write to the file
+// being replaced, and every record appended after the last Rewrite is
+// in the log.
+func TestFileLogRewriteDuringAppends(t *testing.T) {
+	slowSync(t)
+	l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for a := 0; a < 4; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := l.Append([]byte{byte(a), byte(i)}); err != nil {
+					t.Errorf("Append racing Rewrite: %v", err)
+					return
+				}
+			}
+		}(a)
+	}
+	for i := 0; i < 5; i++ {
+		if err := l.Rewrite([][]byte{[]byte("compacted")}); err != nil {
+			t.Fatalf("Rewrite: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if err := l.Rewrite([][]byte{[]byte("compacted")}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := l.Append([]byte{9, byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := l.Records()
+	if err != nil || len(recs) != 6 || string(recs[0]) != "compacted" {
+		t.Fatalf("Records after Rewrite: %d records, %v", len(recs), err)
+	}
+}
+
 // TestFileLogCreateDirSync proves OpenFileLog fsyncs the parent directory
 // when it creates the log file — before any append can be acknowledged —
 // and does not re-sync it when the file already exists. Without the sync,

@@ -1,15 +1,16 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"rex/internal/obs"
+	"rex/internal/wire"
 )
 
 // TCPEndpoint implements Endpoint over TCP for real deployments
@@ -70,6 +71,11 @@ type tcpDelivery struct {
 
 // Frame: [4-byte big-endian length][4-byte big-endian sender id][payload].
 const tcpMaxFrame = 64 << 20
+
+// frameBodyTimeout bounds how long a connection may dangle between a
+// frame's header and its last payload byte; between frames it may idle
+// forever. A package variable so the stall test doesn't take 10 seconds.
+var frameBodyTimeout = 10 * time.Second
 
 // tcpStageMax is the largest payload Send assembles into the peer's write
 // buffer. Larger ones (checkpoint pushes) go out as header and payload in
@@ -194,6 +200,8 @@ func (ep *TCPEndpoint) acceptLoop() {
 	}
 }
 
+// readLoop reads one inbound connection's frames through a 4 kB buffer,
+// so one read usually returns a whole frame and any queued behind it.
 func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 	defer func() {
 		ep.mu.Lock()
@@ -202,8 +210,9 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		conn.Close()
 		ep.wg.Done()
 	}()
+	br := bufio.NewReader(conn)
 	for {
-		payload, from, err := readFrame(conn)
+		payload, from, err := readFrame(br, conn)
 		if err != nil {
 			return
 		}
@@ -221,19 +230,31 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 	}
 }
 
-func readFrame(r io.Reader) ([]byte, int, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one frame from br, which buffers conn. A payload not
+// already buffered must arrive within frameBodyTimeout; conn may be nil
+// (no deadline). The payload grows as its bytes arrive (wire.ReadN), so a
+// header announcing 64 MB with nothing behind it costs 64 kB, not 64 MB.
+func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, int, error) {
+	hdr, err := br.Peek(8)
+	if err != nil {
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
+	n := int(binary.BigEndian.Uint32(hdr[0:4]))
 	from := int(binary.BigEndian.Uint32(hdr[4:8]))
+	br.Discard(8)
 	if n > tcpMaxFrame {
 		return nil, 0, errors.New("transport: oversized frame")
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	timed := conn != nil && br.Buffered() < n
+	if timed {
+		conn.SetReadDeadline(time.Now().Add(frameBodyTimeout))
+	}
+	payload, err := wire.ReadN(br, n)
+	if err != nil {
 		return nil, 0, err
+	}
+	if timed {
+		conn.SetReadDeadline(time.Time{})
 	}
 	return payload, from, nil
 }

@@ -12,6 +12,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"sync"
 )
@@ -220,6 +221,38 @@ func (d *Decoder) Raw(n uint64) []byte {
 	b := d.buf[d.off : d.off+int(n) : d.off+int(n)]
 	d.off += int(n)
 	return b
+}
+
+// ReadAhead is the most ReadN allocates before the bytes it is asked for
+// start to arrive.
+const ReadAhead = 64 << 10
+
+// ReadN reads exactly n bytes from r into a new slice. It does not trust n,
+// which usually comes from a length prefix on a socket: the slice starts at
+// min(n, ReadAhead) and at most quadruples each time it fills, so a prefix
+// with no bytes behind it costs ReadAhead and any input at most ReadAhead
+// plus 16/3 times the bytes that arrived. A body of at least r's buffer
+// size reads straight into the slice. On error it returns the bytes read
+// so far and, like io.ReadFull, io.EOF only if none were.
+func ReadN(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, ReadAhead))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // EOF at a growth step
+		}
+		if err != nil {
+			return buf[:got], err
+		}
+		if got == n {
+			return buf, nil
+		}
+		next := make([]byte, min(n, 4*got))
+		copy(next, buf)
+		buf = next
+	}
 }
 
 // Uint32 reads a fixed-width little-endian 32-bit value.

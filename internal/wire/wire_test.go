@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -256,5 +258,30 @@ func TestCountBoundedByRemainingInput(t *testing.T) {
 	}
 	if got := NewDecoder(nil).Count(1); got != 0 {
 		t.Errorf("count from empty input = %d", got)
+	}
+}
+
+// TestReadN reads bodies of every growth shape one byte per Read, and
+// checks that a short input returns what arrived with io.ReadFull's error.
+func TestReadN(t *testing.T) {
+	for _, n := range []int{0, 1, ReadAhead - 1, ReadAhead, ReadAhead + 1, 5*ReadAhead + 7} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i * 7)
+		}
+		got, err := ReadN(iotest.OneByteReader(bytes.NewReader(want)), n)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: got %d bytes, err %v", n, len(got), err)
+		}
+		if n == 0 {
+			continue
+		}
+		got, err = ReadN(bytes.NewReader(want[:n-1]), n)
+		if err != io.ErrUnexpectedEOF && !(n == 1 && err == io.EOF) {
+			t.Fatalf("n=%d, one byte short: err %v", n, err)
+		}
+		if !bytes.Equal(got, want[:n-1]) {
+			t.Fatalf("n=%d, one byte short: returned %d bytes, want %d", n, len(got), n-1)
+		}
 	}
 }
