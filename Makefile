@@ -16,18 +16,18 @@ test:
 # and the membership encoding it schedules, the client retry loop
 # with its TCP transport and the shard router, the sharded cluster and
 # the reconfiguration drills (node replacement under load), the
-# pinned-seed consistent-read, conflict-class and overload chaos
-# scenarios, the live-rebalancing migration property, the trace
-# storage, replay scheduler and recorded-synchronization packages, and
-# the WAL, whose appenders flush it themselves. CI runs exactly this
-# target.
+# pinned-seed recovery (promote/demote/rebuild churn), consistent-read,
+# conflict-class and overload chaos scenarios, the live-rebalancing
+# migration property, the trace storage, replay scheduler and
+# recorded-synchronization packages, and the WAL, whose appenders flush
+# it themselves. CI runs exactly this target.
 race:
 	$(GO) test -race ./internal/transport ./internal/core ./internal/storage
 	$(GO) test -race ./internal/trace ./internal/sched ./internal/rexsync
 	$(GO) test -race ./internal/paxos ./internal/reconfig
 	$(GO) test -race ./internal/client ./internal/server ./internal/shard
 	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused' ./internal/cluster/
-	$(GO) test -race -run 'TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
+	$(GO) test -race -run 'TestRecoveryScenarioPinnedSeed|TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
 	$(GO) test -race -run 'TestMigrationWindowProperty' ./internal/rebalance/
 
 vet:
@@ -87,6 +87,9 @@ FUZZ_TARGETS = \
 	./internal/paxos:FuzzDecodeMessage \
 	./internal/core:FuzzDecodeCtrl \
 	./internal/core:FuzzDecodeSnapshot \
+	./internal/reconfig:FuzzDecodeValue \
+	./internal/reconfig:FuzzDecodeSchedule \
+	./internal/shard:FuzzDecodeShardMap \
 	./internal/trace:FuzzDecodeDelta \
 	./internal/readpath:FuzzTokenRoundTrip \
 	./internal/readpath:FuzzTokenDecode \

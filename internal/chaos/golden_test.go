@@ -26,7 +26,7 @@ func (g goldenCounts) String() string {
 // the nemesis that shifts one of them must say why in its commit.
 // Recovery seed 1 does not yet replay bit for bit: in 4 of 8 runs it
 // gave ops=1265 against the pinned 1266, because
-// releaseResponsesLocked (core/primary.go) walks the r.pending map in
+// releaseResponsesLocked (core/primary.go) walks the pending map in
 // random order (see the determinism item in ROADMAP.md).
 // The reads and overload sweeps are left out because they drift
 // further: two runs of reads seed 3 gave 1027 and 1005 ops, and three

@@ -133,22 +133,21 @@ func (r *Replica) acceptSnapshotCopy(blob []byte, from int) {
 		return
 	}
 	r.mu.Lock()
-	r.lastSnapID = s.MarkID
 	r.noteSnapshotLocked(s.Inst)
 	r.cond.Broadcast()
 	// Garbage-collect the covered prefix of this replica's trace view.
-	if r.role == RolePrimary && r.tr != nil {
+	if p := r.prim; p != nil {
 		clamped := s.Cut.Clone()
 		for t := range clamped {
-			if t < len(r.lcc) && r.lcc[t] < clamped[t] {
-				clamped[t] = r.lcc[t]
+			if t < len(p.lcc) && p.lcc[t] < clamped[t] {
+				clamped[t] = p.lcc[t]
 			}
 		}
-		r.tr.Forget(clamped, r.tr.LiveLowWater(clamped))
+		p.tr.Forget(clamped, p.tr.LiveLowWater(clamped))
 	}
-	rep := (*sched.Replayer)(nil)
-	if r.role == RoleSecondary && r.rt != nil {
-		rep = r.rt.Replayer()
+	var rep *sched.Replayer
+	if r.secondaryLocked() {
+		rep = r.replayerOfLocked()
 	}
 	r.mu.Unlock()
 	if rep != nil {

@@ -58,7 +58,6 @@ func (h *NativeHost) Apply(i int, req []byte) []byte {
 // StartTimers launches the background tasks.
 func (h *NativeHost) StartTimers() {
 	for j, spec := range h.timers {
-		j, spec := j, spec
 		ti := h.RT.NumThreads() - len(h.timers) + j
 		ctx := &Ctx{w: h.RT.Worker(ti), e: h.Env, rng: rand.New(rand.NewSource(h.seed ^ int64(ti)<<32))}
 		h.Env.Go(fmt.Sprintf("native-timer-%s", spec.name), func() {

@@ -2,14 +2,150 @@ package core
 
 import (
 	"errors"
+	"math"
 	"time"
 
+	"rex/internal/env"
 	"rex/internal/overload"
 	"rex/internal/readpath"
 	"rex/internal/trace"
 )
 
 var errNotPrimaryNow = errors.New("rex: not primary")
+
+// primaryState is what a replica keeps while it is the primary, and only
+// then. promote builds it at the promotion cut; demotion, fault, removal
+// and rebuild fail its waiters and drop it whole, so no field of it needs
+// resetting by hand. Guarded by Replica.mu.
+type primaryState struct {
+	tr            *trace.Trace // committed trace
+	lcc           trace.Cut    // its last consistent cut; releases responses
+	pendingRebase trace.Cut    // promotion cut, until the first delta carries it (§3.2)
+
+	pending     map[uint64]*pendingReq // admitted requests by trace index
+	outstanding int                    // admitted but unanswered
+	workQ       []reqWork              // dispatch queue of an unclassified state machine
+
+	// Conflict-class dispatch (classified state machines only; see
+	// nextClassWork): per-thread class queues, queued catch-all barriers,
+	// the in-flight count a barrier drains on, each thread's last req-end
+	// and the after-barrier edge its next dispatch carries.
+	classQ          [][]reqWork
+	barrierQ        []reqWork
+	classDispatched int
+	classLastEnd    []trace.EventID
+	classAfter      []trace.EventID
+
+	// pendingBarriers maps a linearizable-read barrier id to the cap-1
+	// channel its reader waits on (read.go).
+	pendingBarriers map[uint64]env.Chan
+
+	proposing  bool          // a delta is in consensus
+	proposedAt time.Duration // since when, for propose→commit
+
+	// Checkpoint pause (initiateCheckpoint): request workers first, then
+	// timer threads (§3.3). Mark ids are markBase plus a per-term counter.
+	ckPauseWorkers bool
+	ckPauseTimers  bool
+	ckPausedW      int
+	ckPausedT      int
+	markBase       uint64
+	nextMarkID     uint64
+
+	reconfigInflight bool // a membership change is proposed, not yet applied
+	pendingPromote   int  // learner to promote once caught up (-1: none)
+}
+
+// newPrimaryStateLocked starts a term as primary for incarnation inc at
+// the promotion cut, over the committed trace tr already truncated to it.
+func (r *Replica) newPrimaryStateLocked(inc *incarnation, tr *trace.Trace, cut trace.Cut) *primaryState {
+	p := &primaryState{
+		tr:              tr,
+		lcc:             cut.Clone(),
+		pendingRebase:   cut.Clone(),
+		pending:         make(map[uint64]*pendingReq),
+		pendingBarriers: make(map[uint64]env.Chan),
+		// Mark ids must be unique across primaries (they key snapshots):
+		// fold in the promotion instance and replica id.
+		markBase:       (r.applied << 20) | uint64(r.cfg.ID)<<12,
+		pendingPromote: -1,
+	}
+	if inc.classifier != nil {
+		// Event ids from the previous record epoch are meaningless in this
+		// one, so the per-thread edge bookkeeping starts empty: everything
+		// up to the promotion cut is ordered by the trace base instead.
+		n := r.cfg.Workers
+		p.classQ = make([][]reqWork, n)
+		p.classLastEnd = make([]trace.EventID, n)
+		p.classAfter = make([]trace.EventID, n)
+		// Handlers carried across the mode change (req-begin inside the
+		// promotion cut, req-end still to come) escape nextWork's dispatch
+		// accounting; seed the in-flight counter with them so a catch-all
+		// barrier waits for their completion. finishCarried decrements it
+		// as they finish.
+		p.classDispatched = openRequests(tr)
+	}
+	// A change proposed by the previous primary either committed (we saw it
+	// in the stream) or died with it. Any learner still in the membership
+	// is re-adopted so its promotion survives the failover.
+	if len(r.member.Learners) > 0 {
+		p.pendingPromote = r.member.Learners[0]
+	}
+	return p
+}
+
+// openRequests counts requests in tr whose req-begin has no req-end yet:
+// handlers carried across the replay→record mode change. Checkpoint pauses
+// happen at request boundaries, so a garbage-collected trace prefix never
+// hides an unmatched req-begin.
+func openRequests(tr *trace.Trace) int {
+	open := make(map[uint64]bool)
+	for t := 0; t < tr.NumThreads(); t++ {
+		tr.EachEvent(t, 0, math.MaxInt32, func(ev trace.Event) {
+			switch ev.Kind {
+			case trace.KindReqBegin:
+				open[uint64(ev.Res)] = true
+			case trace.KindReqEnd:
+				delete(open, uint64(ev.Res))
+			}
+		})
+	}
+	return len(open)
+}
+
+// fail closes every waiter's channel: admitted requests (even completed
+// but unreleased ones: their commit never covered them here, so the client
+// must retry at the new primary, and dedup makes the retry idempotent) and
+// barrier readers, who lose their leadership proof and retry instead of
+// waiting out the timeout. Nothing is left pending, outstanding or in
+// consensus, which is what Stop, the one caller that keeps the state,
+// reports afterwards.
+func (p *primaryState) fail() {
+	for idx, pr := range p.pending {
+		pr.ch.Close()
+		delete(p.pending, idx)
+	}
+	for id, ch := range p.pendingBarriers {
+		ch.Close()
+		delete(p.pendingBarriers, id)
+	}
+	p.outstanding = 0
+	p.proposing = false
+}
+
+// fold applies a committed delta to the primary's trace and advances the
+// last consistent cut.
+func (p *primaryState) fold(d *trace.Delta) error {
+	if err := p.tr.Apply(d); err != nil {
+		return err
+	}
+	lcc, err := p.tr.ConsistentCut(p.lcc)
+	if err != nil {
+		return err
+	}
+	p.lcc = lcc
+	return nil
+}
 
 // ErrStaleSeq is returned for a client sequence number below the newest
 // one already answered: the request can never succeed, so clients must not
@@ -62,6 +198,7 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		deadline = entered + budget
 	}
 	waiting, lagWaited := false, false
+	var prim *primaryState
 	leaveWait := func() {
 		if waiting {
 			waiting = false
@@ -70,12 +207,12 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		}
 	}
 	for {
-		if r.stopped || r.role == RoleFaulted {
+		if r.stopped || r.faultErr != nil {
 			leaveWait()
 			r.mu.Unlock()
 			return nil, readpath.Token{}, ErrStopped
 		}
-		if r.role != RolePrimary {
+		if prim = r.prim; prim == nil {
 			leader := r.curLeader
 			leaveWait()
 			r.mu.Unlock()
@@ -103,7 +240,7 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		// Flow control: bound speculation depth and wait for lagging live
 		// secondaries (§6.2).
 		lagging := r.throttledLocked()
-		if r.outstanding < r.cfg.MaxOutstanding && !lagging {
+		if prim.outstanding < r.cfg.MaxOutstanding && !lagging {
 			break
 		}
 		// The gate is full. Shed instead of queueing when the wait queue
@@ -135,26 +272,27 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		r.obs.admissionWait.Observe(r.e.Now() - entered)
 	}
 	var class uint32
-	if r.classifier != nil {
-		class = r.classifier.ClassifyConflict(body)
+	classifier := r.inc.classifier
+	if classifier != nil {
+		class = classifier.ClassifyConflict(body)
 	}
-	idx := r.rt.Recorder().AddReq(trace.Req{Client: client, Seq: seq, Class: class, Body: body})
+	idx := r.inc.rt.Recorder().AddReq(trace.Req{Client: client, Seq: seq, Class: class, Body: body})
 	p := &pendingReq{client: client, seq: seq, at: r.e.Now(), ch: r.e.NewChan(1)}
 	r.obs.reqsAdmitted.Inc()
-	r.pending[idx] = p
-	r.outstanding++
+	prim.pending[idx] = p
+	prim.outstanding++
 	work := reqWork{idx: idx, body: body, class: class}
 	switch {
-	case r.classifier == nil:
-		r.workQ = append(r.workQ, work)
+	case classifier == nil:
+		prim.workQ = append(prim.workQ, work)
 	case class == ConflictAll:
-		r.barrierQ = append(r.barrierQ, work)
+		prim.barrierQ = append(prim.barrierQ, work)
 	default:
 		// Deterministic class → thread assignment: same-class requests are
 		// serialized by program order on one thread, which is what lets
 		// class-owned lock events be elided from the trace.
 		t := int(class % uint32(r.cfg.Workers))
-		r.classQ[t] = append(r.classQ[t], work)
+		prim.classQ[t] = append(prim.classQ[t], work)
 	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -169,18 +307,15 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 
 // tokenLocked builds a session token from the replica's committed
 // frontier. Tokens must never include speculative state: on the primary
-// that is the last consistent cut of the committed trace (r.lcc), on a
+// that is the last consistent cut of the committed trace (prim.lcc), on a
 // secondary the replayed-and-executed cut — both only ever cover
 // consensus-committed effects, so a token survives any failover.
 func (r *Replica) tokenLocked() readpath.Token {
 	tok := readpath.Token{Group: r.cfg.Group, Epoch: r.member.Epoch, Applied: r.applied}
-	switch {
-	case r.role == RolePrimary:
-		tok.Cut = r.lcc.Clone()
-	case r.rt != nil:
-		if rep := r.rt.Replayer(); rep != nil {
-			tok.Cut = rep.Executed()
-		}
+	if r.prim != nil {
+		tok.Cut = r.prim.lcc.Clone()
+	} else if rep := r.replayerOfLocked(); rep != nil {
+		tok.Cut = rep.Executed()
 	}
 	return tok
 }
@@ -254,39 +389,41 @@ func (r *Replica) pressureLocked() int {
 	return p
 }
 
-// nextWork blocks until there is a request for worker thread ti to run,
-// honoring checkpoint pauses. Returns ok=false when the worker's generation
-// ended (demotion or shutdown).
-func (r *Replica) nextWork(gen int, ti int) (w reqWork, ok bool) {
+// nextWork blocks until there is a request for worker thread ti of
+// incarnation inc to run, honoring checkpoint pauses. Returns ok=false
+// when the worker's incarnation ended or its term as primary did
+// (demotion or shutdown).
+func (r *Replica) nextWork(inc *incarnation, ti int) (w reqWork, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.gen != gen || r.stopped || r.role != RolePrimary {
+		p := r.prim
+		if r.inc != inc || r.stopped || p == nil {
 			return reqWork{}, false
 		}
-		if r.ckPauseWorkers {
-			r.ckPausedW++
+		if p.ckPauseWorkers {
+			p.ckPausedW++
 			r.cond.Broadcast()
-			for r.ckPauseWorkers && r.gen == gen && !r.stopped {
+			for p.ckPauseWorkers && r.inc == inc && !r.stopped {
 				r.cond.Wait()
 			}
-			r.ckPausedW--
+			p.ckPausedW--
 			continue
 		}
-		if r.classifier == nil {
-			if len(r.workQ) > 0 {
-				w = r.workQ[0]
-				r.workQ = r.workQ[1:]
+		if inc.classifier == nil {
+			if len(p.workQ) > 0 {
+				w = p.workQ[0]
+				p.workQ = p.workQ[1:]
 				return w, true
 			}
-		} else if w, ok := r.nextClassWorkLocked(ti); ok {
+		} else if w, ok := p.nextClassWork(ti); ok {
 			return w, true
 		}
 		r.cond.Wait()
 	}
 }
 
-// nextClassWorkLocked is conflict-class dispatch for one worker thread.
+// nextClassWork is conflict-class dispatch for one worker thread.
 // Catch-all (class 0) requests act as admission barriers: while any is
 // queued, classified dispatch halts; once the in-flight count drains to
 // zero, thread 0 runs the catch-all with in-edges from every other thread's
@@ -294,103 +431,106 @@ func (r *Replica) nextWork(gen int, ti int) (w reqWork, ok bool) {
 // before it. The first classified request dispatched to a thread after a
 // barrier carries an edge from the barrier's req-end (classAfter);
 // everything later on that thread is ordered behind it by program order.
-func (r *Replica) nextClassWorkLocked(ti int) (reqWork, bool) {
-	if len(r.barrierQ) > 0 {
-		if ti != 0 || r.classDispatched > 0 {
+func (p *primaryState) nextClassWork(ti int) (reqWork, bool) {
+	if len(p.barrierQ) > 0 {
+		if ti != 0 || p.classDispatched > 0 {
 			return reqWork{}, false
 		}
-		w := r.barrierQ[0]
-		r.barrierQ = r.barrierQ[1:]
-		for t, end := range r.classLastEnd {
+		w := p.barrierQ[0]
+		p.barrierQ = p.barrierQ[1:]
+		for t, end := range p.classLastEnd {
 			if t != ti && end != (trace.EventID{}) {
 				w.in = append(w.in, end)
 			}
 		}
-		r.classDispatched++
+		p.classDispatched++
 		return w, true
 	}
-	q := r.classQ[ti]
+	q := p.classQ[ti]
 	if len(q) == 0 {
 		return reqWork{}, false
 	}
 	w := q[0]
-	r.classQ[ti] = q[1:]
-	if a := r.classAfter[ti]; a != (trace.EventID{}) {
+	p.classQ[ti] = q[1:]
+	if a := p.classAfter[ti]; a != (trace.EventID{}) {
 		w.in = append(w.in, a)
-		r.classAfter[ti] = trace.EventID{}
+		p.classAfter[ti] = trace.EventID{}
 	}
-	r.classDispatched++
+	p.classDispatched++
 	return w, true
 }
 
 // pauseGate is the checkpoint barrier for timer threads: it joins a
 // phase-2 pause in progress and returns when released.
-func (r *Replica) pauseGate(gen int) {
+func (r *Replica) pauseGate(inc *incarnation) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.ckPauseTimers || r.gen != gen || r.stopped {
+	p := r.prim
+	if p == nil || !p.ckPauseTimers || r.inc != inc || r.stopped {
 		return
 	}
-	r.ckPausedT++
+	p.ckPausedT++
 	r.cond.Broadcast()
-	for r.ckPauseTimers && r.gen == gen && !r.stopped {
+	for p.ckPauseTimers && r.inc == inc && !r.stopped {
 		r.cond.Wait()
 	}
-	r.ckPausedT--
+	p.ckPausedT--
 }
 
 // completeLocal records a finished request on the primary; the response is
 // released to the client once the committed trace's last consistent cut
 // covers the req-end event.
-func (r *Replica) completeLocal(gen int, work reqWork, resp []byte, end trace.EventID) {
+func (r *Replica) completeLocal(inc *incarnation, work reqWork, resp []byte, end trace.EventID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.gen != gen {
-		return // a rebuild superseded this incarnation
+	prim := r.prim
+	if r.inc != inc || prim == nil {
+		return // a rebuild superseded this incarnation, or demoted meanwhile; client will retry
 	}
-	if r.classifier != nil && r.role == RolePrimary {
-		r.noteClassCompleteLocked(end, work.class == ConflictAll)
+	if inc.classifier != nil {
+		prim.noteClassComplete(end, work.class == ConflictAll)
+		r.cond.Broadcast()
 	}
-	p, ok := r.pending[work.idx]
+	p, ok := prim.pending[work.idx]
 	if !ok {
-		return // demoted meanwhile; client will retry
+		return // failed by a shutdown
 	}
 	p.resp = resp
 	p.end = end
 	p.done = true
 	r.dedup[p.client] = dedupEntry{seq: p.seq, resp: resp}
-	r.reqsCompleted++
+	r.stats.ReqsCompleted++
 	r.obs.reqsCompleted.Inc()
 	r.obs.execLatency.Observe(r.e.Now() - p.at)
-	if r.lcc.Covers(end) {
-		r.releaseOneLocked(work.idx, p)
+	if prim.lcc.Covers(end) {
+		r.releaseOneLocked(prim, work.idx, p)
 	}
 }
 
-// noteClassCompleteLocked maintains the conflict-class dispatch bookkeeping
+// noteClassComplete maintains the conflict-class dispatch bookkeeping
 // when a request finishes on a worker thread: the thread's last req-end
 // (barrier in-edges point at these), the in-flight count the barrier drains
 // on, and — when the finished request was itself a catch-all — the
-// after-barrier edge every other thread's next dispatch must carry.
-func (r *Replica) noteClassCompleteLocked(end trace.EventID, barrier bool) {
+// after-barrier edge every other thread's next dispatch must carry. The
+// caller broadcasts the change to waiting workers.
+func (p *primaryState) noteClassComplete(end trace.EventID, barrier bool) {
 	t := int(end.Thread)
-	if t >= 0 && t < len(r.classLastEnd) {
-		r.classLastEnd[t] = end
+	if t >= 0 && t < len(p.classLastEnd) {
+		p.classLastEnd[t] = end
 	}
-	if r.classDispatched > 0 {
-		r.classDispatched--
+	if p.classDispatched > 0 {
+		p.classDispatched--
 	}
 	if barrier {
-		for i := range r.classAfter {
+		for i := range p.classAfter {
 			if i != t {
-				r.classAfter[i] = end
+				p.classAfter[i] = end
 			}
 		}
 	}
-	r.cond.Broadcast()
 }
 
-func (r *Replica) releaseOneLocked(idx uint64, p *pendingReq) {
+func (r *Replica) releaseOneLocked(prim *primaryState, idx uint64, p *pendingReq) {
 	now := r.e.Now()
 	sojourn := now - p.at
 	r.obs.reqLatency.Observe(sojourn)
@@ -401,17 +541,17 @@ func (r *Replica) releaseOneLocked(idx uint64, p *pendingReq) {
 		r.obs.admissionPressure.Set(int64(r.pressureLocked()))
 	}
 	p.ch.Send(submitResult{resp: p.resp, tok: r.tokenLocked()})
-	delete(r.pending, idx)
-	r.outstanding--
+	delete(prim.pending, idx)
+	prim.outstanding--
 	r.cond.Broadcast()
 }
 
 // releaseResponsesLocked flushes every pending response now covered by the
 // committed last consistent cut.
-func (r *Replica) releaseResponsesLocked() {
-	for idx, p := range r.pending {
-		if p.done && r.lcc.Covers(p.end) {
-			r.releaseOneLocked(idx, p)
+func (r *Replica) releaseResponsesLocked(prim *primaryState) {
+	for idx, p := range prim.pending {
+		if p.done && prim.lcc.Covers(p.end) {
+			r.releaseOneLocked(prim, idx, p)
 		}
 	}
 }
@@ -441,22 +581,23 @@ func (r *Replica) proposePump() {
 func (r *Replica) pumpDrain() {
 	for {
 		r.mu.Lock()
-		if r.stopped || r.role != RolePrimary || r.proposing {
+		p := r.prim
+		if r.stopped || p == nil || p.proposing {
 			r.mu.Unlock()
 			return
 		}
 		now := r.e.Now()
-		d := r.rt.Recorder().Collect()
-		if r.pendingRebase != nil {
-			d.Rebase = r.pendingRebase
-			r.pendingRebase = nil
+		d := r.inc.rt.Recorder().Collect()
+		if p.pendingRebase != nil {
+			d.Rebase = p.pendingRebase
+			p.pendingRebase = nil
 		}
 		if d.Empty() {
 			r.mu.Unlock()
 			return
 		}
-		r.proposing = true
-		r.proposedAt = now
+		p.proposing = true
+		p.proposedAt = now
 		r.mu.Unlock()
 		val := d.EncodeBytesHint(r.lastDeltaBytes)
 		r.lastDeltaBytes = len(val)
@@ -485,50 +626,49 @@ func (r *Replica) proposeTicker() {
 func (r *Replica) initiateCheckpoint() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.role != RolePrimary || r.stopped {
+	p := r.prim
+	if p == nil || r.stopped {
 		return errNotPrimaryNow
 	}
-	if r.ckPauseWorkers {
+	if p.ckPauseWorkers {
 		return errors.New("rex: checkpoint already in progress")
 	}
-	gen := r.gen
+	rt := r.inc.rt
 	total := r.cfg.Workers + r.cfg.Timers
 	pauseStart := r.e.Now()
 	// Phase 1: pause request workers at request boundaries. Timer threads
 	// keep running so background tasks can unblock stalled handlers.
-	r.ckPauseWorkers = true
+	p.ckPauseWorkers = true
 	r.cond.Broadcast()
-	for r.ckPausedW < r.cfg.Workers && r.gen == gen && !r.stopped && r.role == RolePrimary {
+	for p.ckPausedW < r.cfg.Workers && r.prim == p && !r.stopped {
 		r.cond.Wait()
 	}
 	// Phase 2: pause timer threads at firing boundaries.
-	r.ckPauseTimers = true
+	p.ckPauseTimers = true
 	r.cond.Broadcast()
-	for r.ckPausedT < r.cfg.Timers && r.gen == gen && !r.stopped && r.role == RolePrimary {
+	for p.ckPausedT < r.cfg.Timers && r.prim == p && !r.stopped {
 		r.cond.Wait()
 	}
-	if r.gen != gen || r.stopped || r.role != RolePrimary {
-		r.ckPauseWorkers = false
-		r.ckPauseTimers = false
+	if r.prim != p || r.stopped {
+		p.ckPauseWorkers = false
+		p.ckPauseTimers = false
 		r.cond.Broadcast()
 		return errNotPrimaryNow
 	}
 	cut := make(trace.Cut, total)
 	for i := 0; i < total; i++ {
-		cut[i] = r.rt.Worker(i).Clock()
+		cut[i] = rt.Worker(i).Clock()
 	}
-	// Mark ids must be unique across primaries (they key snapshots): fold
-	// in the promotion instance and replica id.
-	r.nextMarkID++
-	id := r.markBase + r.nextMarkID
-	r.rt.Recorder().AddMark(trace.Mark{ID: id, Cut: cut})
+	p.nextMarkID++
+	id := p.markBase + p.nextMarkID
+	rt.Recorder().AddMark(trace.Mark{ID: id, Cut: cut})
 	if r.applied > r.lastCkptInst {
 		// Reset the log-growth floor immediately; the mark's own commit
 		// will bump this again to its exact instance.
 		r.lastCkptInst = r.applied
 	}
-	r.ckPauseWorkers = false
-	r.ckPauseTimers = false
+	p.ckPauseWorkers = false
+	p.ckPauseTimers = false
 	r.cond.Broadcast()
 	r.obs.ckptPause.Observe(r.e.Now() - pauseStart)
 	r.logf("checkpoint mark %d at cut %v", id, cut)

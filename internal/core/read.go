@@ -7,7 +7,6 @@ import (
 	"rex/internal/overload"
 	"rex/internal/readpath"
 	"rex/internal/reconfig"
-	"rex/internal/sched"
 )
 
 // The consistent read path (DESIGN.md §11).
@@ -43,22 +42,25 @@ func (r *Replica) QueryLevel(level readpath.Level, tok readpath.Token, q []byte)
 		return nil, tok, fmt.Errorf("rex: invalid consistency level %d", uint8(level))
 	}
 	r.mu.Lock()
-	if r.stopped || r.role == RoleFaulted || r.removed {
+	if r.stopped || r.faultErr != nil || r.removed {
 		r.mu.Unlock()
 		return nil, tok, ErrStopped
 	}
-	role := r.role
+	primary := r.prim != nil
 	leader := r.curLeader
-	sm := r.sm
+	var sm StateMachine
+	if r.inc != nil {
+		sm = r.inc.sm
+	}
 	pressure := overload.PressureNone
 	retryAfter := time.Duration(0)
-	if role == RolePrimary {
+	if primary {
 		pressure = r.pressureLocked()
 		retryAfter = r.retryAfterLocked()
 	}
 	r.mu.Unlock()
 
-	if role != RolePrimary {
+	if !primary {
 		if level == readpath.Linearizable {
 			return nil, tok, ErrNotPrimary{Leader: leader}
 		}
@@ -122,10 +124,7 @@ func (r *Replica) followerRead(level readpath.Level, tok readpath.Token, q []byt
 		}
 		if len(tok.Cut) > 0 {
 			r.mu.Lock()
-			var rep *sched.Replayer
-			if r.rt != nil {
-				rep = r.rt.Replayer()
-			}
+			rep := r.replayerOfLocked()
 			r.mu.Unlock()
 			if rep == nil {
 				return nil, tok, ErrStopped
@@ -208,24 +207,25 @@ func (r *Replica) linearizableRead(q []byte, pressure int) ([]byte, readpath.Tok
 func (r *Replica) drainObservedWrites(deadline time.Duration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	observed := make([]uint64, 0, len(r.pending))
-	for idx := range r.pending {
-		observed = append(observed, idx)
-	}
-	if len(observed) == 0 {
+	p := r.prim
+	if p == nil || len(p.pending) == 0 {
 		return nil
+	}
+	observed := make([]uint64, 0, len(p.pending))
+	for idx := range p.pending {
+		observed = append(observed, idx)
 	}
 	r.spawnCondWatchdog(deadline)
 	for {
-		if r.stopped || r.role == RoleFaulted {
+		if r.stopped || r.faultErr != nil {
 			return ErrStopped
 		}
-		if r.role != RolePrimary {
+		if r.prim != p {
 			return ErrNotPrimary{Leader: r.curLeader}
 		}
 		live := false
 		for _, idx := range observed {
-			if _, ok := r.pending[idx]; ok {
+			if _, ok := p.pending[idx]; ok {
 				live = true
 				break
 			}
@@ -266,7 +266,8 @@ func (r *Replica) spawnCondWatchdog(deadline time.Duration) {
 // linearization point.
 func (r *Replica) readBarrier(deadline time.Duration) error {
 	r.mu.Lock()
-	if r.stopped || r.role != RolePrimary {
+	p := r.prim
+	if r.stopped || p == nil {
 		leader := r.curLeader
 		r.mu.Unlock()
 		if leader >= 0 {
@@ -277,7 +278,7 @@ func (r *Replica) readBarrier(deadline time.Duration) error {
 	r.nextBarrier++
 	id := uint64(r.cfg.ID)<<48 | r.nextBarrier
 	ch := r.e.NewChan(1)
-	r.pendingBarriers[id] = ch
+	p.pendingBarriers[id] = ch
 	r.mu.Unlock()
 
 	// A deposed node's Propose is dropped silently; the watchdog turns
@@ -292,7 +293,7 @@ func (r *Replica) readBarrier(deadline time.Duration) error {
 
 	v, ok := ch.Recv()
 	r.mu.Lock()
-	delete(r.pendingBarriers, id)
+	delete(p.pendingBarriers, id)
 	r.mu.Unlock()
 	if !ok {
 		return ErrStopped // demoted or stopped while waiting

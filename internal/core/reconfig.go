@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rex/internal/reconfig"
-	"rex/internal/sched"
 )
 
 // ErrReconfigInFlight is returned when a membership change is proposed
@@ -64,16 +63,17 @@ func (r *Replica) ReplaceMember(oldID, newID int, addr string) error {
 
 func (r *Replica) proposeChange(promoteTarget int, mut func(reconfig.Membership) (reconfig.Membership, error)) error {
 	r.mu.Lock()
-	if r.stopped || r.role == RoleFaulted || r.removed {
+	if r.stopped || r.faultErr != nil || r.removed {
 		r.mu.Unlock()
 		return ErrStopped
 	}
-	if r.role != RolePrimary {
+	p := r.prim
+	if p == nil {
 		leader := r.curLeader
 		r.mu.Unlock()
 		return ErrNotPrimary{Leader: leader}
 	}
-	if r.reconfigInflight {
+	if p.reconfigInflight {
 		r.mu.Unlock()
 		return ErrReconfigInFlight
 	}
@@ -83,9 +83,9 @@ func (r *Replica) proposeChange(promoteTarget int, mut func(reconfig.Membership)
 		return err
 	}
 	next.Alpha = reconfig.DefaultAlpha
-	r.reconfigInflight = true
+	p.reconfigInflight = true
 	if promoteTarget >= 0 {
-		r.pendingPromote = promoteTarget
+		p.pendingPromote = promoteTarget
 	}
 	r.mu.Unlock()
 	r.logf("proposing membership change: %v", next)
@@ -123,24 +123,27 @@ func (r *Replica) applyMeta(inst uint64, val []byte) bool {
 		return true
 	}
 	var hook func(reconfig.Membership)
+	p := r.prim
 	if isMember {
 		if m.Epoch > r.member.Epoch {
 			r.member = m.Clone()
-			if r.pendingPromote >= 0 && !m.IsLearner(r.pendingPromote) {
-				r.pendingPromote = -1 // promoted — or removed before promotion
+			if p != nil && p.pendingPromote >= 0 && !m.IsLearner(p.pendingPromote) {
+				p.pendingPromote = -1 // promoted — or removed before promotion
 			}
 		}
-		r.reconfigInflight = false
+		if p != nil {
+			p.reconfigInflight = false
+		}
 		hook = r.cfg.OnMembership
-	} else if id, isBarrier := reconfig.BarrierID(val); isBarrier {
+	} else if id, isBarrier := reconfig.BarrierID(val); isBarrier && p != nil {
 		// A read barrier committed. Only the exact id this replica
 		// proposed may confirm a waiting linearizable read: matching on
 		// anything weaker (a high-water instance, any barrier) would let
 		// another primary's barrier wake a deposed reader and pass off a
 		// stale read as linearizable.
-		if ch, waiting := r.pendingBarriers[id]; waiting {
+		if ch, waiting := p.pendingBarriers[id]; waiting {
 			ch.TrySend(true)
-			delete(r.pendingBarriers, id)
+			delete(p.pendingBarriers, id)
 		}
 	}
 	r.applied = inst + 1
@@ -159,10 +162,11 @@ func (r *Replica) applyMeta(inst uint64, val []byte) bool {
 // trigger its promotion from learner to voter, returning the encoded
 // proposal (to be proposed outside the lock) or nil.
 func (r *Replica) promotionForLocked(from int, st peerStatus) []byte {
-	if r.role != RolePrimary || r.reconfigInflight || r.removed {
+	p := r.prim
+	if p == nil || p.reconfigInflight {
 		return nil
 	}
-	if from != r.pendingPromote || !r.member.IsLearner(from) {
+	if from != p.pendingPromote || !r.member.IsLearner(from) {
 		return nil
 	}
 	if st.lag > joinLagInstances || st.backlog > r.cfg.LagLimitEvents {
@@ -173,7 +177,7 @@ func (r *Replica) promotionForLocked(from int, st peerStatus) []byte {
 		return nil
 	}
 	next.Alpha = reconfig.DefaultAlpha
-	r.reconfigInflight = true
+	p.reconfigInflight = true
 	return reconfig.EncodeValue(next)
 }
 
@@ -187,22 +191,11 @@ func (r *Replica) finishRemoval(m reconfig.Membership) {
 		return
 	}
 	r.removed = true
-	if r.role != RoleFaulted {
-		r.role = RoleRemoved
-	}
 	if m.Epoch > r.member.Epoch {
 		r.member = m.Clone()
 	}
-	r.failPendingLocked()
-	var rep *sched.Replayer
-	if r.rt != nil {
-		rep = r.rt.Replayer()
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
+	r.dropPrimaryLocked()
+	r.wakeAndAbortUnlock()
 	r.logf("removed from membership (epoch %d); going quiet", m.Epoch)
-	if rep != nil {
-		rep.Abort()
-	}
 	r.node.Stop()
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"math/rand"
 	"time"
 
 	"rex/internal/env"
@@ -275,7 +273,11 @@ type reqWork struct {
 	in    []trace.EventID
 }
 
-// Replica is one Rex replica.
+// Replica is one Rex replica: a thin shell over two values that a role
+// change builds and drops whole. inc is the current incarnation, built by
+// rebuild and owning the worker tasks; prim is the primary's state, built
+// by promote and dropped by demotion, fault, removal and rebuild. The role
+// is derived from them (Role), never stored.
 type Replica struct {
 	cfg         Config
 	e           env.Env
@@ -288,108 +290,52 @@ type Replica struct {
 	mu   env.Mutex
 	cond env.Cond
 
-	role      Role
+	inc       *incarnation  // nil until Start's first rebuild publishes
+	prim      *primaryState // non-nil exactly while this replica is the primary
 	curLeader int
 	faultErr  error
 	stopped   bool
 
-	// Membership state. member is the latest committed membership this
-	// replica has applied (commit-time view; the paxos layer tracks the
-	// activation-time view). reconfigInflight serializes changes at the
-	// primary; pendingPromote is the learner id the primary will promote
-	// once its reported lag is within joinLagInstances (-1: none);
-	// removed latches once a membership excluding this replica activates.
-	member           reconfig.Membership
-	reconfigInflight bool
-	pendingPromote   int
-	removed          bool
+	// member is the latest committed membership applied (commit-time view;
+	// the paxos layer tracks the activation-time view); removed latches
+	// once a membership excluding this replica activates.
+	member  reconfig.Membership
+	removed bool
 
-	gen        int
 	gapUntil   uint64 // highest compaction gap already being bridged
 	needResync bool   // commits jumped past applied; a rebuild is required
-	rt         *sched.Runtime
-	sm         StateMachine
-	timers     []timerSpec
-	tr         *trace.Trace // committed trace (primary bookkeeping)
-	lcc        trace.Cut    // last consistent cut of tr (primary)
-	applied    uint64       // committed instances applied locally
-	snapBase   trace.Cut    // cut the current incarnation restored from
+	applied    uint64 // committed instances applied locally
 
-	// Primary state.
-	workQ         []reqWork
-	pending       map[uint64]*pendingReq
-	outstanding   int
-	pendingRebase trace.Cut
-	dedup         map[uint64]dedupEntry
+	dedup map[uint64]dedupEntry // per client: newest answered seq and response
 
-	// Admission-control state (primary, guarded by mu). ctrl is the
-	// CoDel-style controller deciding when a full gate sheds instead of
-	// queueing; admWaiters counts submitters blocked at the gate; nil
-	// ctrl means shedding is disabled (AdmissionTarget < 0).
+	// Admission control (primary): admCtrl is the CoDel-style controller
+	// deciding when a full gate sheds instead of queueing (nil: shedding
+	// disabled); admWaiters counts submitters blocked at the gate.
 	admCtrl    *overload.Controller
 	admWaiters int
 
-	// Conflict-class dispatch state (primary, classified state machines
-	// only; see ConflictClassifier). classifier is non-nil iff the state
-	// machine classifies, in which case admission routes class c to worker
-	// thread c mod Workers via classQ and catch-all (class 0) requests to
-	// barrierQ. While barrierQ is non-empty classified dispatch halts;
-	// once classDispatched drains to zero, worker thread 0 runs the
-	// barrier request with in-edges from every other thread's last
-	// req-end, and after it completes each thread's next classified
-	// dispatch carries an edge from the barrier's req-end (classAfter).
-	classifier      ConflictClassifier
-	classQ          [][]reqWork
-	barrierQ        []reqWork
-	classDispatched int
-	classLastEnd    []trace.EventID
-	classAfter      []trace.EventID
+	// nextBarrier numbers linearizable-read barriers (read.go). It never
+	// resets, so with the replica id a barrier id is unique cluster-wide
+	// and a deposed primary is never woken by another primary's barrier.
+	nextBarrier uint64
 
-	// Linearizable-read barrier state (read.go). pendingBarriers maps a
-	// barrier id to the cap-1 channel its reader waits on; applyMeta
-	// signals it when the barrier value commits, failPendingLocked
-	// closes it on demotion/stop. nextBarrier never resets, so combined
-	// with the replica id a barrier id is unique cluster-wide and a
-	// deposed primary can never be woken by another primary's barrier.
-	nextBarrier     uint64
-	pendingBarriers map[uint64]env.Chan
-
-	// Propose-pump state. proposeWake (cap 1) is the demand edge: the
-	// recorder pokes it on new work, applyLoop pokes it when the pump's
-	// open instance commits, and a ticker pokes it every proposeEvery as
-	// the max-delay backstop. proposing (a delta is in consensus) and
-	// proposedAt (when it went out, for propose→commit) are under mu;
-	// lastDeltaBytes is owned by the pump task alone.
+	// proposeWake (cap 1) is the propose pump's demand edge: the recorder
+	// pokes it on new work, applyLoop when the pump's open instance
+	// commits, a ticker every proposeEvery as the max-delay backstop.
 	proposeWake    env.Chan
-	proposing      bool
-	proposedAt     time.Duration
-	lastDeltaBytes int // size hint for the next delta encode
+	lastDeltaBytes int // the pump's size hint for the next delta encode
 
-	// Checkpointing.
-	// Checkpoint pause happens in two phases: request workers pause at
-	// request boundaries first, while timer threads keep running so that
-	// background tasks (e.g. compaction) can unblock stalled handlers;
-	// only then do timer threads pause (§3.3).
-	ckPauseWorkers bool
-	ckPauseTimers  bool
-	ckPausedW      int
-	ckPausedT      int
-	markBase       uint64
-	nextMarkID     uint64
-	markInst       map[uint64]uint64
-	lastSnapID     uint64
-	// snapInst is the instance of the newest checkpoint in the local
-	// store (haveSnap: one is there), so a pushed copy is judged without
-	// re-reading the store. ckptSizeHint is the size of the last
-	// checkpoint built here, which presizes the next. Under mu.
+	// Checkpointing (under mu). snapInst is the newest stored checkpoint's
+	// instance (haveSnap: one is stored), so a pushed copy is judged
+	// without reading the store.
+	markInst     map[uint64]uint64 // checkpoint mark → instance carrying it
 	snapInst     uint64
 	haveSnap     bool
-	ckptSizeHint int
-	// lastCkptInst is the highest committed instance known to carry (or
-	// follow from) a checkpoint mark; the log-growth floor measures
-	// applied - lastCkptInst. Under mu.
-	lastCkptInst uint64
+	ckptSizeHint int    // size of the last checkpoint built here, presizes the next
+	lastCkptInst uint64 // newest instance carrying (or following) a mark; the floor's base
 
+	// peers are the secondaries' last replay-status reports, which feed
+	// the primary's flow control; they arrive in every role.
 	peers map[int]peerStatus
 
 	// Commit intake: OnCommitted runs on the paxos event loop, which also
@@ -408,16 +354,8 @@ type Replica struct {
 
 	group *env.Group // all long-lived tasks, for Stop
 
-	// Stats (under mu unless noted).
-	reqsCompleted  uint64
-	bytesProposed  uint64
-	eventsProposed uint64
-	edgesProposed  uint64
-	reqsProposed   uint64
-	reqBytesProp   uint64 // request payload bytes inside committed deltas
-
-	deltasCommitted uint64
-	fullTraceBytes  uint64 // sum of bytesProposed as of each committed delta
+	// stats holds the counters Stats reports; Stats fills in the rest.
+	stats Stats
 }
 
 type committedEvt struct {
@@ -443,15 +381,12 @@ type resyncEvt struct{}
 func NewReplica(cfg Config) (*Replica, error) {
 	cfg = cfg.withDefaults()
 	r := &Replica{
-		cfg:             cfg,
-		e:               cfg.Env,
-		curLeader:       -1,
-		pendingPromote:  -1,
-		pending:         make(map[uint64]*pendingReq),
-		pendingBarriers: make(map[uint64]env.Chan),
-		dedup:           make(map[uint64]dedupEntry),
-		markInst:        make(map[uint64]uint64),
-		peers:           make(map[int]peerStatus),
+		cfg:       cfg,
+		e:         cfg.Env,
+		curLeader: -1,
+		dedup:     make(map[uint64]dedupEntry),
+		markInst:  make(map[uint64]uint64),
+		peers:     make(map[int]peerStatus),
 	}
 	if cfg.AdmissionTarget > 0 {
 		r.admCtrl = overload.NewController(overload.Config{
@@ -585,16 +520,10 @@ func (r *Replica) Stop() {
 		return
 	}
 	r.stopped = true
-	r.failPendingLocked()
-	var rep *sched.Replayer
-	if r.rt != nil { // nil when Start never completed a rebuild
-		rep = r.rt.Replayer()
+	if r.prim != nil {
+		r.prim.fail()
 	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	if rep != nil {
-		rep.Abort()
-	}
+	r.wakeAndAbortUnlock()
 	r.node.Stop()
 	r.mux.Close()
 	r.closeCommitQ()
@@ -608,14 +537,53 @@ func (r *Replica) Stop() {
 func (r *Replica) Role() Role {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.role
+	return r.roleLocked()
+}
+
+// roleLocked derives the role: a fault or a removal halts the replica
+// whatever it was doing, and otherwise it is the primary exactly while it
+// holds primary state.
+func (r *Replica) roleLocked() Role {
+	switch {
+	case r.faultErr != nil:
+		return RoleFaulted
+	case r.removed:
+		return RoleRemoved
+	case r.prim != nil:
+		return RolePrimary
+	}
+	return RoleSecondary
+}
+
+// secondaryLocked reports whether the replica is a live secondary: not
+// halted and not the primary.
+func (r *Replica) secondaryLocked() bool {
+	return r.prim == nil && r.faultErr == nil && !r.removed
+}
+
+// ended reports whether a task of incarnation inc must exit: a rebuild
+// replaced inc, or the replica stopped, faulted or was removed.
+func (r *Replica) ended(inc *incarnation) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inc != inc || r.stopped || r.faultErr != nil || r.removed
+}
+
+// dropPrimaryLocked ends this replica's term as primary: every waiter on
+// the primary state is failed (the client retries elsewhere) and the state
+// is dropped whole.
+func (r *Replica) dropPrimaryLocked() {
+	if r.prim != nil {
+		r.prim.fail()
+		r.prim = nil
+	}
 }
 
 // Leader returns the replica's best guess of the current leader id.
 func (r *Replica) Leader() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.role == RolePrimary {
+	if r.prim != nil {
 		return r.cfg.ID
 	}
 	return r.curLeader
@@ -634,78 +602,21 @@ func (r *Replica) fault(err error) {
 	r.mu.Lock()
 	if r.faultErr == nil && !r.removed {
 		r.faultErr = err
-		r.role = RoleFaulted
-		r.failPendingLocked()
+		r.dropPrimaryLocked()
 		r.logf("FAULT: %v", err)
 	}
-	var rep *sched.Replayer
-	if r.rt != nil { // nil when faulting during Start's initial rebuild
-		rep = r.rt.Replayer()
-	}
+	r.wakeAndAbortUnlock()
+}
+
+// wakeAndAbortUnlock wakes every waiter, releases r.mu and aborts the
+// current incarnation's replay, which releases its workers.
+func (r *Replica) wakeAndAbortUnlock() {
+	rep := r.replayerOfLocked()
 	r.cond.Broadcast()
 	r.mu.Unlock()
 	if rep != nil {
 		rep.Abort()
 	}
-}
-
-func (r *Replica) failPendingLocked() {
-	for idx, p := range r.pending {
-		// Close even completed-but-unreleased requests: their commit never
-		// covered them here, so the client must retry at the new primary
-		// (dedup makes the retry idempotent).
-		p.ch.Close()
-		delete(r.pending, idx)
-	}
-	// Barrier readers lose their leadership proof with the demotion; a
-	// closed channel tells them to retry (possibly elsewhere) instead of
-	// waiting out the timeout.
-	for id, ch := range r.pendingBarriers {
-		ch.Close()
-		delete(r.pendingBarriers, id)
-	}
-	r.outstanding = 0
-	r.workQ = nil
-	r.proposing = false
-	r.resetClassDispatchLocked()
-	r.cond.Broadcast()
-}
-
-// resetClassDispatchLocked clears the conflict-class dispatch state
-// (promotion, demotion, fault, rebuild). Queued work is dropped along with
-// the pending table; the per-thread edge bookkeeping restarts empty because
-// event ids from a previous record epoch are meaningless in the next one —
-// everything up to the promotion cut is ordered by the trace base instead.
-func (r *Replica) resetClassDispatchLocked() {
-	if r.classifier == nil {
-		return
-	}
-	n := r.cfg.Workers
-	r.classQ = make([][]reqWork, n)
-	r.barrierQ = nil
-	r.classDispatched = 0
-	r.classLastEnd = make([]trace.EventID, n)
-	r.classAfter = make([]trace.EventID, n)
-}
-
-// inFlightAtPromotionLocked counts requests whose req-begin is inside the
-// (already truncated-to) promotion cut but whose req-end is not: handlers
-// carried across the replay→record mode change. Checkpoint pauses happen at
-// request boundaries, so a garbage-collected trace prefix never hides an
-// unmatched req-begin.
-func (r *Replica) inFlightAtPromotionLocked() int {
-	open := make(map[uint64]bool)
-	for t := 0; t < r.tr.NumThreads(); t++ {
-		r.tr.EachEvent(t, 0, math.MaxInt32, func(ev trace.Event) {
-			switch ev.Kind {
-			case trace.KindReqBegin:
-				open[uint64(ev.Res)] = true
-			case trace.KindReqEnd:
-				delete(open, uint64(ev.Res))
-			}
-		})
-	}
-	return len(open)
 }
 
 // enqueueCommit appends a committed instance to the intake queue. It runs
@@ -749,19 +660,22 @@ func (r *Replica) closeCommitQ() {
 	r.commitMu.Unlock()
 }
 
-// noteResyncLocked records that this replica's applied state has
-// desynchronized from the committed stream and a rebuild is required.
-// Callers must hold r.mu; it reports whether a resyncEvt should be posted
-// (false when one is already pending, so a replica mid-rebuild batches the
-// committed backlog instead of queueing one event per skipped instance).
-func (r *Replica) noteResyncLocked() bool {
-	if r.needResync {
-		return false
+// resyncUnlock records that this replica's applied state has
+// desynchronized from the committed stream and a rebuild is required,
+// releases r.mu, and posts a resyncEvt unless one is already pending (so a
+// replica mid-rebuild batches the committed backlog instead of queueing
+// one event per skipped instance).
+func (r *Replica) resyncUnlock() {
+	post := !r.needResync
+	if post {
+		r.needResync = true
+		r.obs.resyncs.Inc()
+		r.cond.Broadcast()
 	}
-	r.needResync = true
-	r.obs.resyncs.Inc()
-	r.cond.Broadcast()
-	return true
+	r.mu.Unlock()
+	if post {
+		r.lifeQ.Send(resyncEvt{})
+	}
 }
 
 // applyLoop consumes committed deltas from Paxos and folds them into the
@@ -802,22 +716,19 @@ func (r *Replica) applyLoop() {
 			// jumped instances are simply dropped — the rebuild reads them
 			// from the chosen log — so a rebuilding replica batches the
 			// committed backlog instead of queueing an event per instance.
-			post := r.noteResyncLocked()
-			r.mu.Unlock()
-			if post {
-				r.lifeQ.Send(resyncEvt{})
-			}
+			r.resyncUnlock()
 			continue
 		}
-		r.eventsProposed += uint64(d.EventCount())
-		r.edgesProposed += uint64(d.EdgeCount())
-		r.bytesProposed += uint64(len(evt.val))
-		r.reqsProposed += uint64(len(d.Reqs))
+		st := &r.stats
+		st.EventsProposed += uint64(d.EventCount())
+		st.EdgesProposed += uint64(d.EdgeCount())
+		st.BytesCommitted += uint64(len(evt.val))
+		st.ReqsCommitted += uint64(len(d.Reqs))
 		for _, rq := range d.Reqs {
-			r.reqBytesProp += uint64(len(rq.Body))
+			st.ReqBytes += uint64(len(rq.Body))
 		}
-		r.deltasCommitted++
-		r.fullTraceBytes += r.bytesProposed
+		st.DeltasCommitted++
+		st.FullTraceBytes += st.BytesCommitted
 		for _, m := range d.Marks {
 			r.markInst[m.ID] = evt.inst
 		}
@@ -826,25 +737,19 @@ func (r *Replica) applyLoop() {
 		}
 		var applyErr error
 		wakePump := false
-		if r.role == RolePrimary {
+		if p := r.prim; p != nil {
 			// The pump's open instance closed: wake it to propose the
 			// backlog that built up meanwhile.
-			if r.proposing {
-				r.proposing = false
-				r.obs.proposeCommit.Observe(r.e.Now() - r.proposedAt)
+			if p.proposing {
+				p.proposing = false
+				r.obs.proposeCommit.Observe(r.e.Now() - p.proposedAt)
 				wakePump = true
 			}
-			applyErr = r.tr.Apply(&d)
-			if applyErr == nil {
-				var lcc trace.Cut
-				lcc, applyErr = r.tr.ConsistentCut(r.lcc)
-				if applyErr == nil {
-					r.lcc = lcc
-					r.releaseResponsesLocked()
-				}
+			if applyErr = p.fold(&d); applyErr == nil {
+				r.releaseResponsesLocked(p)
 			}
 		} else {
-			rep := r.rt.Replayer()
+			rep := r.inc.rt.Replayer()
 			r.mu.Unlock()
 			applyErr = rep.Extend(&d)
 			r.mu.Lock()
@@ -857,18 +762,14 @@ func (r *Replica) applyLoop() {
 				r.mu.Unlock()
 				continue
 			}
-			if errors.Is(applyErr, trace.ErrCutBeyondTrace) && r.role == RoleSecondary && !r.stopped {
+			if errors.Is(applyErr, trace.ErrCutBeyondTrace) && r.secondaryLocked() && !r.stopped {
 				// The committed delta's cuts have desynchronized from our
 				// local trace (e.g. a rebasing delta across rapid
 				// promote/demote cycles). Exactly like the commits-jumped-
 				// past-applied case above: degrade to a checkpoint re-sync
 				// instead of crashing.
 				r.logf("resync: committed delta %d beyond local trace: %v", evt.inst, applyErr)
-				post := r.noteResyncLocked()
-				r.mu.Unlock()
-				if post {
-					r.lifeQ.Send(resyncEvt{})
-				}
+				r.resyncUnlock()
 				continue
 			}
 			removed := r.removed
@@ -912,7 +813,7 @@ func (r *Replica) lifecycleLoop() {
 			r.handleGap(evt.minInst)
 		case resyncEvt:
 			r.mu.Lock()
-			ok := !r.stopped && r.role == RoleSecondary && r.needResync
+			ok := !r.stopped && r.secondaryLocked() && r.needResync
 			if ok {
 				r.needResync = false
 			}
@@ -931,7 +832,7 @@ func (r *Replica) lifecycleLoop() {
 // rebuild from that checkpoint.
 func (r *Replica) handleGap(minInst uint64) {
 	r.mu.Lock()
-	skip := r.stopped || r.role != RoleSecondary || r.applied >= minInst || r.gapUntil >= minInst
+	skip := r.stopped || !r.secondaryLocked() || r.applied >= minInst || r.gapUntil >= minInst
 	r.mu.Unlock()
 	if skip {
 		return
@@ -962,7 +863,7 @@ func (r *Replica) handleGap(minInst uint64) {
 func (r *Replica) promote(chosenAt uint64) {
 	start := r.e.Now()
 	r.mu.Lock()
-	for r.applied < chosenAt && !r.stopped && r.role != RoleFaulted && !r.removed {
+	for r.applied < chosenAt && !r.stopped && r.faultErr == nil && !r.removed {
 		if r.needResync {
 			// The learner jumped past a compaction gap, so applied can
 			// never reach chosenAt by folding commits in order. The
@@ -979,11 +880,12 @@ func (r *Replica) promote(chosenAt uint64) {
 		}
 		r.cond.Wait()
 	}
-	if r.stopped || r.role == RoleFaulted || r.role == RolePrimary || r.removed {
+	if r.stopped || r.faultErr != nil || r.prim != nil || r.removed {
 		r.mu.Unlock()
 		return
 	}
-	rep := r.rt.Replayer()
+	inc := r.inc
+	rep := inc.rt.Replayer()
 	r.mu.Unlock()
 
 	if !rep.WaitCaughtUp() {
@@ -992,46 +894,21 @@ func (r *Replica) promote(chosenAt uint64) {
 	cut := rep.Executed()
 
 	r.mu.Lock()
-	if r.stopped || r.role == RoleFaulted || r.removed {
+	if r.stopped || r.faultErr != nil || r.removed {
 		r.mu.Unlock()
 		return
 	}
-	r.tr = rep.Trace()
-	if err := r.tr.TruncateTo(cut); err != nil {
+	tr := rep.Trace()
+	if err := tr.TruncateTo(cut); err != nil {
 		r.mu.Unlock()
 		r.fault(fmt.Errorf("rex: promotion truncate to executed cut: %w", err))
 		return
 	}
-	r.lcc = cut.Clone()
-	reqBase := r.tr.ReqEnd()
-	r.rt.StartRecord(cut, reqBase)
-	r.rt.Recorder().SetNotify(r.wakePump)
-	r.pendingRebase = cut.Clone()
-	r.role = RolePrimary
+	reqBase := tr.ReqEnd()
+	inc.rt.StartRecord(cut, reqBase)
+	inc.rt.Recorder().SetNotify(r.wakePump)
+	r.prim = r.newPrimaryStateLocked(inc, tr, cut)
 	r.curLeader = r.cfg.ID
-	r.proposing = false
-	r.markBase = (r.applied << 20) | uint64(r.cfg.ID)<<12
-	r.nextMarkID = 0
-	r.pending = make(map[uint64]*pendingReq)
-	r.outstanding = 0
-	r.resetClassDispatchLocked()
-	if r.classifier != nil {
-		// Handlers carried across the mode change (req-begin inside the
-		// promotion cut, req-end still to come) escape nextWork's dispatch
-		// accounting; seed the in-flight counter with them so a catch-all
-		// barrier waits for their completion. replayStep's promotion path
-		// decrements it as they finish.
-		r.classDispatched = r.inFlightAtPromotionLocked()
-	}
-	// A change proposed by the previous primary either committed (we saw it
-	// in the stream) or died with it; start with a clean slate. Any learner
-	// still in the membership is re-adopted so its promotion survives the
-	// failover.
-	r.reconfigInflight = false
-	r.pendingPromote = -1
-	if len(r.member.Learners) > 0 {
-		r.pendingPromote = r.member.Learners[0]
-	}
 	r.logf("promoted to primary at cut %v (reqs=%d, applied=%d)", cut, reqBase, r.applied)
 	r.cond.Broadcast()
 	r.mu.Unlock()
@@ -1047,12 +924,9 @@ func (r *Replica) promote(chosenAt uint64) {
 func (r *Replica) demote(leader int) {
 	r.mu.Lock()
 	r.curLeader = leader
-	wasPrimary := r.role == RolePrimary
+	wasPrimary := r.prim != nil
 	if wasPrimary {
-		r.role = RoleSecondary
-		r.failPendingLocked()
-		r.reconfigInflight = false
-		r.pendingPromote = -1
+		r.dropPrimaryLocked()
 		r.logf("demoted; new leader is %d", leader)
 	}
 	r.cond.Broadcast()
@@ -1098,7 +972,7 @@ func (r *Replica) checkpointFloorLoop() {
 			return
 		}
 		r.mu.Lock()
-		due := r.role == RolePrimary && !r.ckPauseWorkers &&
+		due := r.prim != nil && !r.prim.ckPauseWorkers &&
 			r.applied > r.lastCkptInst && r.applied-r.lastCkptInst >= floor
 		r.mu.Unlock()
 		if !due {
@@ -1136,9 +1010,4 @@ func (r *Replica) sleepInterruptible(d time.Duration) bool {
 		}
 		r.e.Sleep(step)
 	}
-}
-
-// newCtx builds a handler context for a worker.
-func (r *Replica) newCtx(w *sched.Worker) *Ctx {
-	return &Ctx{w: w, e: r.e, rng: rand.New(rand.NewSource(r.cfg.Seed ^ 0x5bf03635))}
 }

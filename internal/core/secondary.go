@@ -10,15 +10,18 @@ import (
 // replay reaches a mark's cut, the designated secondary snapshots the
 // application and copies the checkpoint to its peers in the background;
 // other secondaries pass the mark through (§3.3).
-func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMachine) {
+func (r *Replica) checkpointCoordinator(inc *incarnation) {
 	for {
-		if r.genEnded(gen) {
+		if r.ended(inc) {
 			return
 		}
-		if r.Role() == RolePrimary {
-			return // promoted: the primary initiates marks, it doesn't serve them
+		r.mu.Lock()
+		promoted := r.prim != nil
+		r.mu.Unlock()
+		if promoted {
+			return // the primary initiates marks, it doesn't serve them
 		}
-		rep := rt.Replayer()
+		rep := inc.rt.Replayer()
 		m, ok := rep.PendingMark()
 		if !ok {
 			if !r.sleepInterruptible(5 * time.Millisecond) {
@@ -37,7 +40,7 @@ func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMach
 		inst := r.markInst[m.ID]
 		r.mu.Unlock()
 		buildStart := r.e.Now()
-		buf, err := r.buildSnapshot(rt, rep, sm, m, inst)
+		buf, err := r.buildSnapshot(inc, rep, m, inst)
 		r.obs.ckptBuild.Observe(r.e.Now() - buildStart)
 		if err != nil {
 			r.logf("checkpoint %d failed: %v", m.ID, err)
@@ -51,7 +54,6 @@ func (r *Replica) checkpointCoordinator(gen int, rt *sched.Runtime, sm StateMach
 		}
 		rep.CompleteMark(m.ID)
 		r.mu.Lock()
-		r.lastSnapID = m.ID
 		r.noteSnapshotLocked(inst)
 		r.mu.Unlock()
 		r.logf("checkpoint %d taken at cut %v (instance %d)", m.ID, m.Cut, inst)
@@ -92,7 +94,7 @@ func (r *Replica) statusLoop() {
 			return
 		}
 		r.mu.Lock()
-		if r.role != RoleSecondary {
+		if !r.secondaryLocked() {
 			// Re-evaluate throttling staleness on the primary even without
 			// fresh reports.
 			r.cond.Broadcast()
@@ -110,10 +112,19 @@ func (r *Replica) statusLoop() {
 // replaying, nil otherwise. The mode is read under r.mu because promote
 // switches it there; rebuild sets it before publishing the runtime.
 func (r *Replica) replayerLocked() *sched.Replayer {
-	if r.rt == nil || r.rt.Mode() != sched.ModeReplay {
+	if r.inc == nil || r.inc.rt.Mode() != sched.ModeReplay {
 		return nil
 	}
-	return r.rt.Replayer()
+	return r.inc.rt.Replayer()
+}
+
+// replayerOfLocked returns the current incarnation's replayer in any
+// mode, nil before Start's first rebuild publishes one.
+func (r *Replica) replayerOfLocked() *sched.Replayer {
+	if r.inc == nil {
+		return nil
+	}
+	return r.inc.rt.Replayer()
 }
 
 // replayBacklogOf sums rep's replay backlog (committed-but-unexecuted

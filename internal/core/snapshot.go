@@ -199,7 +199,7 @@ func decodeSnapshot(buf []byte) (*snapshotBlob, error) {
 // returns the checkpoint at buf[snapHeadroom:], serialized once into a
 // buffer presized from the previous checkpoint, with the headroom free
 // for snapFrame.
-func (r *Replica) buildSnapshot(rt *sched.Runtime, rep *sched.Replayer, sm StateMachine, m trace.Mark, inst uint64) ([]byte, error) {
+func (r *Replica) buildSnapshot(inc *incarnation, rep *sched.Replayer, m trace.Mark, inst uint64) ([]byte, error) {
 	r.mu.Lock()
 	hint := r.ckptSizeHint
 	r.mu.Unlock()
@@ -209,11 +209,11 @@ func (r *Replica) buildSnapshot(rt *sched.Runtime, rep *sched.Replayer, sm State
 		Inst:     inst,
 		Cut:      m.Cut,
 		LiveReqs: rep.LiveReqs(m.Cut),
-		Versions: rt.VersionsSnapshot(),
+		Versions: inc.rt.VersionsSnapshot(),
 		Configs:  r.node.ChosenSnapshot().Configs,
 	}
 	blob.encodeHead(e)
-	if err := encodeApp(e, sm.WriteCheckpoint); err != nil {
+	if err := encodeApp(e, inc.sm.WriteCheckpoint); err != nil {
 		return nil, fmt.Errorf("rex: WriteCheckpoint: %w", err)
 	}
 	r.mu.Lock()
@@ -259,10 +259,15 @@ var errSnapshotAhead = errors.New("rex: checkpoint outruns the persisted chosen 
 // re-fetch chosen entries past a checkpoint's mark before giving up.
 const snapCatchupTimeout = 30 * time.Second
 
+// rebuildHook, when set (tests only), runs in every rebuild between
+// building the new incarnation and publishing it.
+var rebuildHook func(*Replica)
+
 // rebuild reconstructs the replica's execution state — a fresh runtime and
 // application — from the latest checkpoint plus the committed trace, and
-// starts it replaying as a secondary. It serves initial startup, crash
-// recovery, rejoin, and primary rollback after demotion (§5.2).
+// publishes it as a new incarnation replaying as a secondary. It serves
+// initial startup, crash recovery, rejoin, and primary rollback after
+// demotion (§5.2). A replica that faulted meanwhile publishes nothing.
 func (r *Replica) rebuild() error {
 	start := r.e.Now()
 	threads := r.cfg.Workers + r.cfg.Timers
@@ -404,17 +409,23 @@ func (r *Replica) rebuild() error {
 			return fmt.Errorf("rex: starting replay from checkpoint cut %v: %w", base, err)
 		}
 
+		inc := &incarnation{seq: 1, rt: rt, sm: sm, timers: host.specs}
+		inc.classifier, _ = sm.(ConflictClassifier)
+		if rebuildHook != nil {
+			rebuildHook(r)
+		}
+
 		r.mu.Lock()
-		oldRT := r.rt
-		r.gen++
-		r.rt = rt
-		r.sm = sm
-		r.classifier, _ = sm.(ConflictClassifier)
-		r.resetClassDispatchLocked()
-		r.timers = host.specs
-		r.tr = tr
-		r.lcc = nil
-		r.snapBase = base
+		if ferr := r.faultErr; ferr != nil {
+			r.mu.Unlock()
+			return fmt.Errorf("rex: faulted during rebuild: %w", ferr)
+		}
+		old := r.inc
+		if old != nil {
+			inc.seq = old.seq + 1
+		}
+		r.dropPrimaryLocked()
+		r.inc = inc
 		if st.Seq > r.applied {
 			r.applied = st.Seq
 		}
@@ -424,19 +435,14 @@ func (r *Replica) rebuild() error {
 		if latest != nil && latest.Epoch > r.member.Epoch {
 			r.member = latest.Clone()
 		}
-		if !r.removed {
-			r.role = RoleSecondary
-		}
-		r.spawnExecutionLocked()
+		r.spawnExecution(inc)
 		r.cond.Broadcast()
 		r.mu.Unlock()
-		if oldRT != nil {
-			if oldRep := oldRT.Replayer(); oldRep != nil {
-				oldRep.Abort() // release the previous incarnation's workers
-			}
+		if old != nil {
+			old.rt.Replayer().Abort() // release the previous incarnation's workers
 		}
-		r.logf("rebuilt (gen %d) from %s at applied=%d",
-			r.gen, map[bool]string{true: "checkpoint", false: "initial state"}[haveSnap], st.Seq)
+		r.logf("rebuilt (incarnation %d) from %s at applied=%d",
+			inc.seq, map[bool]string{true: "checkpoint", false: "initial state"}[haveSnap], st.Seq)
 		r.obs.rebuildDur.Observe(r.e.Now() - start)
 		r.obs.rebuilds.Inc()
 		r.obs.rebuildDeltas.Observe(st.Seq - startInst)

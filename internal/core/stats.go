@@ -29,28 +29,20 @@ type Stats struct {
 // Stats returns the replica's current counters.
 func (r *Replica) Stats() Stats {
 	r.mu.Lock()
-	s := Stats{
-		Role:           r.role,
-		ReqsCompleted:  r.reqsCompleted,
-		Applied:        r.applied,
-		EventsProposed: r.eventsProposed,
-		EdgesProposed:  r.edgesProposed,
-		BytesCommitted: r.bytesProposed,
-		ReqsCommitted:  r.reqsProposed,
-		ReqBytes:       r.reqBytesProp,
-		Outstanding:    r.outstanding,
-
-		DeltasCommitted: r.deltasCommitted,
-		FullTraceBytes:  r.fullTraceBytes,
+	s := r.stats
+	s.Role = r.roleLocked()
+	s.Applied = r.applied
+	if r.prim != nil {
+		s.Outstanding = r.prim.outstanding
 	}
-	rt := r.rt
+	inc := r.inc
 	rep := r.replayerLocked()
 	r.mu.Unlock()
 	if rep != nil {
 		s.ReplayedEvents, s.WaitedEvents = rep.Stats()
 	}
-	if rt != nil {
-		s.ElidedOps = rt.ElidedOps()
+	if inc != nil {
+		s.ElidedOps = inc.rt.ElidedOps()
 	}
 	return s
 }
@@ -79,7 +71,7 @@ func (r *Replica) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Health{
-		Role:       r.role,
+		Role:       r.roleLocked(),
 		Epoch:      r.member.Epoch,
 		Applied:    r.applied,
 		ChosenSeq:  st.Seq,
@@ -108,15 +100,16 @@ func (h Health) Ready() bool {
 func (r *Replica) StateMachineForTest() StateMachine {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.sm
+	if r.inc == nil {
+		return nil
+	}
+	return r.inc.sm
 }
 
 // TraceRetainedForTest reports how many events and requests the replica's
 // trace currently retains in memory (after prefix garbage collection).
 func (r *Replica) TraceRetainedForTest() (events, reqs int) {
-	r.mu.Lock()
-	tr := r.tr
-	r.mu.Unlock()
+	tr := r.TraceForTest()
 	if tr == nil {
 		return 0, 0
 	}
@@ -133,12 +126,14 @@ func (r *Replica) ChosenLog() (base uint64, vals [][]byte) {
 	return st.Base, st.Vals
 }
 
-// TraceForTest exposes the replica's committed-trace view for debugging.
+// TraceForTest exposes the replica's committed-trace view for debugging:
+// the trace its incarnation replays, which a promotion keeps as the
+// primary's bookkeeping trace.
 func (r *Replica) TraceForTest() *trace.Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.rt != nil && r.rt.Replayer() != nil {
-		return r.rt.Replayer().Trace()
+	if rep := r.replayerOfLocked(); rep != nil {
+		return rep.Trace()
 	}
-	return r.tr
+	return nil
 }

@@ -11,33 +11,42 @@ import (
 	"rex/internal/trace"
 )
 
-// spawnExecution starts the logical-thread tasks for the current runtime
-// incarnation: request workers and timer threads. Called under r.mu.
+// incarnation is one rebuilt execution of the application: a fresh
+// runtime and state machine, restored from a checkpoint and replaying the
+// committed trace. rebuild builds it and the next rebuild replaces it; it
+// owns the worker, timer and checkpoint-coordinator tasks, which outlive a
+// promotion (the runtime switches to record mode under them) and exit once
+// r.inc no longer points at their incarnation. Immutable once published.
+type incarnation struct {
+	seq        int // 1 for Start's rebuild, then one more per rebuild; names tasks
+	rt         *sched.Runtime
+	sm         StateMachine
+	classifier ConflictClassifier // sm, if it classifies conflicts
+	timers     []timerSpec
+}
+
+// spawnExecution starts inc's logical-thread tasks: request workers and
+// timer threads, and the checkpoint coordinator.
 //
 // These tasks are deliberately not joined by Stop: a demoted primary
 // abandons its speculative incarnation (the paper's process-level
 // rollback, §5.2), and a worker of an abandoned incarnation may be parked
 // on an abandoned application's condition variable until the environment
 // tears it down.
-func (r *Replica) spawnExecutionLocked() {
-	gen := r.gen
-	rt := r.rt
-	sm := r.sm
+func (r *Replica) spawnExecution(inc *incarnation) {
 	for i := 0; i < r.cfg.Workers; i++ {
-		i := i
-		r.e.Go(fmt.Sprintf("rex-%d-worker-%d-g%d", r.cfg.ID, i, gen), func() {
-			r.workerLoop(gen, rt, sm, i)
+		r.e.Go(fmt.Sprintf("rex-%d-worker-%d-g%d", r.cfg.ID, i, inc.seq), func() {
+			r.workerLoop(inc, i)
 		})
 	}
-	for j, spec := range r.timers {
-		j, spec := j, spec
+	for j, spec := range inc.timers {
 		ti := r.cfg.Workers + j
-		r.e.Go(fmt.Sprintf("rex-%d-timer-%s-g%d", r.cfg.ID, spec.name, gen), func() {
-			r.timerLoop(gen, rt, sm, ti, uint32(j), spec)
+		r.e.Go(fmt.Sprintf("rex-%d-timer-%s-g%d", r.cfg.ID, spec.name, inc.seq), func() {
+			r.timerLoop(inc, ti, uint32(j), spec)
 		})
 	}
-	r.e.Go(fmt.Sprintf("rex-%d-ckpt-coord-g%d", r.cfg.ID, gen), func() {
-		r.checkpointCoordinator(gen, rt, sm)
+	r.e.Go(fmt.Sprintf("rex-%d-ckpt-coord-g%d", r.cfg.ID, inc.seq), func() {
+		r.checkpointCoordinator(inc)
 	})
 }
 
@@ -58,21 +67,21 @@ func (r *Replica) recoverWorker() {
 // workerLoop runs one request-handler thread across mode changes: it
 // replays as long as the runtime is in replay mode, and records (pulling
 // work from the primary's queue) in record mode.
-func (r *Replica) workerLoop(gen int, rt *sched.Runtime, sm StateMachine, ti int) {
+func (r *Replica) workerLoop(inc *incarnation, ti int) {
 	defer r.recoverWorker()
-	w := rt.Worker(ti)
+	w := inc.rt.Worker(ti)
 	ctx := &Ctx{w: w, e: r.e, rng: rand.New(rand.NewSource(r.cfg.Seed ^ int64(ti)<<32 ^ 0x5bf03635))}
 	for {
-		if r.genEnded(gen) {
+		if r.ended(inc) {
 			return
 		}
-		switch rt.Mode() {
+		switch inc.rt.Mode() {
 		case sched.ModeRecord:
-			if !r.recordStep(gen, rt, sm, ctx) {
+			if !r.recordStep(inc, ctx) {
 				return
 			}
 		case sched.ModeReplay:
-			if !r.replayStep(gen, rt, sm, ctx) {
+			if !r.replayStep(inc, ctx) {
 				return
 			}
 		default:
@@ -81,17 +90,11 @@ func (r *Replica) workerLoop(gen int, rt *sched.Runtime, sm StateMachine, ti int
 	}
 }
 
-func (r *Replica) genEnded(gen int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen != gen || r.stopped || r.role == RoleFaulted || r.role == RoleRemoved
-}
-
 // recordStep executes one request in record mode (primary, execute stage).
-func (r *Replica) recordStep(gen int, rt *sched.Runtime, sm StateMachine, ctx *Ctx) bool {
-	work, ok := r.nextWork(gen, int(ctx.w.ID()))
+func (r *Replica) recordStep(inc *incarnation, ctx *Ctx) bool {
+	work, ok := r.nextWork(inc, int(ctx.w.ID()))
 	if !ok {
-		// Demoted, stopped, or a new generation: if the runtime merely
+		// Demoted, stopped, or a new incarnation: if the runtime merely
 		// left record mode this incarnation is done anyway.
 		return false
 	}
@@ -106,22 +109,23 @@ func (r *Replica) recordStep(gen int, rt *sched.Runtime, sm StateMachine, ctx *C
 	}
 	w.Record(trace.Event{Kind: trace.KindReqBegin, Res: uint32(work.idx)}, in)
 	w.SetClass(work.class)
-	resp := sm.Apply(ctx, work.body)
+	resp := inc.sm.Apply(ctx, work.body)
 	w.SetClass(0)
 	end := w.Record(trace.Event{Kind: trace.KindReqEnd, Res: uint32(work.idx), Arg: hashResponse(resp)}, nil)
-	r.completeLocal(gen, work, resp, end)
+	r.completeLocal(inc, work, resp, end)
 	return true
 }
 
 // replayStep follows one request (or detects a mode change) on a
 // secondary. Returns false when this worker task should exit.
-func (r *Replica) replayStep(gen int, rt *sched.Runtime, sm StateMachine, ctx *Ctx) bool {
+func (r *Replica) replayStep(inc *incarnation, ctx *Ctx) bool {
+	rt := inc.rt
 	rep := rt.Replayer()
 	w := ctx.w
 	ev, id, ok := rep.Next(w.ID())
 	if !ok {
 		// Aborted: promotion switches us to record mode; otherwise exit.
-		return rt.Mode() == sched.ModeRecord && !r.genEnded(gen)
+		return rt.Mode() == sched.ModeRecord && !r.ended(inc)
 	}
 	if ev.Kind != trace.KindReqBegin {
 		r.fault(&sched.DivergenceError{
@@ -134,7 +138,7 @@ func (r *Replica) replayStep(gen int, rt *sched.Runtime, sm StateMachine, ctx *C
 	// Dispatch edges (catch-all barriers, first-after-barrier requests) are
 	// recorded on the req-begin; honor them before executing the handler.
 	if in := rep.In(id); len(in) > 0 && !rep.WaitSources(in) {
-		return rt.Mode() == sched.ModeRecord && !r.genEnded(gen)
+		return rt.Mode() == sched.ModeRecord && !r.ended(inc)
 	}
 	idx := uint64(ev.Res)
 	req, found := rep.ReqBody(idx)
@@ -144,26 +148,24 @@ func (r *Replica) replayStep(gen int, rt *sched.Runtime, sm StateMachine, ctx *C
 	}
 	rep.Commit(w.ID())
 	w.SetClass(req.Class)
-	resp := sm.Apply(ctx, req.Body)
+	resp := inc.sm.Apply(ctx, req.Body)
 	w.SetClass(0)
 
 	if rt.Mode() == sched.ModeRecord {
 		// Promoted mid-request (§4 mode change): the remainder of the
-		// handler already recorded live; finish by recording the req-end.
-		end := w.Record(trace.Event{Kind: trace.KindReqEnd, Res: uint32(idx), Arg: hashResponse(resp)}, nil)
-		r.finishCarried(gen, req, resp, end)
+		// handler already recorded live.
+		r.finishCarried(inc, w, idx, req, resp)
 		return true
 	}
 
 	ev2, _, ok := rep.Next(w.ID())
 	if !ok {
-		if rt.Mode() == sched.ModeRecord {
-			// Promoted between the handler's last event and its req-end.
-			end := w.Record(trace.Event{Kind: trace.KindReqEnd, Res: uint32(idx), Arg: hashResponse(resp)}, nil)
-			r.finishCarried(gen, req, resp, end)
-			return true
+		if rt.Mode() != sched.ModeRecord {
+			return false
 		}
-		return false
+		// Promoted between the handler's last event and its req-end.
+		r.finishCarried(inc, w, idx, req, resp)
+		return true
 	}
 	if ev2.Kind != trace.KindReqEnd || uint64(ev2.Res) != idx {
 		r.fault(&sched.DivergenceError{
@@ -186,50 +188,53 @@ func (r *Replica) replayStep(gen int, rt *sched.Runtime, sm StateMachine, ctx *C
 	// coordinator that observes the cut reached sees the entry.
 	r.mu.Lock()
 	r.dedup[req.Client] = dedupEntry{seq: req.Seq, resp: resp}
-	r.reqsCompleted++
+	r.stats.ReqsCompleted++
 	r.mu.Unlock()
 	rep.Commit(w.ID())
 	return true
 }
 
-// finishCarried completes a handler that began under replay and finished
-// recording live after a promotion: the dedup/stat updates the two
-// promotion paths in replayStep share, plus the conflict-class dispatch
-// bookkeeping such requests otherwise escape (promote seeded the in-flight
-// counter with them, and a queued catch-all barrier drains on it).
-func (r *Replica) finishCarried(gen int, req trace.Req, resp []byte, end trace.EventID) {
+// finishCarried completes request idx, which began under replay and
+// finished recording live after a promotion: it records the req-end, then
+// makes the dedup/stat updates the two promotion paths in replayStep share,
+// plus the conflict-class dispatch bookkeeping such requests otherwise
+// escape (promote seeded the in-flight counter with them, and a queued
+// catch-all barrier drains on it).
+func (r *Replica) finishCarried(inc *incarnation, w *sched.Worker, idx uint64, req trace.Req, resp []byte) {
+	end := w.Record(trace.Event{Kind: trace.KindReqEnd, Res: uint32(idx), Arg: hashResponse(resp)}, nil)
 	r.mu.Lock()
-	if r.classifier != nil && r.gen == gen && r.role == RolePrimary {
-		r.noteClassCompleteLocked(end, req.Class == ConflictAll)
+	if p := r.prim; p != nil && inc.classifier != nil && r.inc == inc {
+		p.noteClassComplete(end, req.Class == ConflictAll)
+		r.cond.Broadcast()
 	}
 	r.dedup[req.Client] = dedupEntry{seq: req.Seq, resp: resp}
-	r.reqsCompleted++
+	r.stats.ReqsCompleted++
 	r.mu.Unlock()
 }
 
 // timerLoop runs one background-task thread (the paper's AddTimer). In
 // record mode it fires by time; in replay mode it fires when the trace
 // says so.
-func (r *Replica) timerLoop(gen int, rt *sched.Runtime, sm StateMachine, ti int, timerID uint32, spec timerSpec) {
+func (r *Replica) timerLoop(inc *incarnation, ti int, timerID uint32, spec timerSpec) {
 	defer r.recoverWorker()
-	_ = sm
+	rt := inc.rt
 	w := rt.Worker(ti)
 	ctx := &Ctx{w: w, e: r.e, rng: rand.New(rand.NewSource(r.cfg.Seed ^ int64(ti)<<32 ^ 0x7ad870c8))}
 	var seq uint64
 	for {
-		if r.genEnded(gen) {
+		if r.ended(inc) {
 			return
 		}
 		switch rt.Mode() {
 		case sched.ModeRecord:
-			if !r.sleepInterruptibleGated(gen, spec.interval) {
+			if !r.sleepInterruptibleGated(inc, spec.interval) {
 				return
 			}
-			if r.genEnded(gen) {
+			if r.ended(inc) {
 				return
 			}
-			r.pauseGate(gen)
-			if rt.Mode() != sched.ModeRecord || r.genEnded(gen) {
+			r.pauseGate(inc)
+			if rt.Mode() != sched.ModeRecord || r.ended(inc) {
 				continue
 			}
 			seq++
@@ -239,7 +244,7 @@ func (r *Replica) timerLoop(gen int, rt *sched.Runtime, sm StateMachine, ti int,
 			rep := rt.Replayer()
 			ev, _, ok := rep.Next(w.ID())
 			if !ok {
-				if rt.Mode() == sched.ModeRecord && !r.genEnded(gen) {
+				if rt.Mode() == sched.ModeRecord && !r.ended(inc) {
 					continue // promoted: switch to timed firing
 				}
 				return
@@ -263,14 +268,14 @@ func (r *Replica) timerLoop(gen int, rt *sched.Runtime, sm StateMachine, ti int,
 
 // sleepInterruptibleGated is sleepInterruptible plus checkpoint-pause
 // participation, so a sleeping timer thread still reaches the barrier.
-func (r *Replica) sleepInterruptibleGated(gen int, d time.Duration) bool {
+func (r *Replica) sleepInterruptibleGated(inc *incarnation, d time.Duration) bool {
 	const chunk = 5 * time.Millisecond
 	deadline := r.e.Now() + d
 	for {
-		if r.genEnded(gen) {
+		if r.ended(inc) {
 			return false
 		}
-		r.pauseGate(gen)
+		r.pauseGate(inc)
 		now := r.e.Now()
 		if now >= deadline {
 			return true
@@ -287,9 +292,9 @@ func (r *Replica) sleepInterruptibleGated(gen int, d time.Duration) bool {
 // execution, §4; query semantics, §6.5).
 func (r *Replica) readWorker() {
 	r.mu.Lock()
-	rt := r.rt
+	inc := r.inc
 	r.mu.Unlock()
-	w := rt.NativeWorker()
+	w := inc.rt.NativeWorker()
 	ctx := &Ctx{w: w, e: r.e, rng: rand.New(rand.NewSource(r.cfg.Seed ^ 0x2957cb3a))}
 	for {
 		v, ok := r.queryQ.Recv()
@@ -298,16 +303,15 @@ func (r *Replica) readWorker() {
 		}
 		q := v.(queryWork)
 		r.mu.Lock()
-		sm := r.sm
-		curRT := r.rt
+		cur := r.inc
 		r.mu.Unlock()
-		if curRT != rt {
+		if cur != inc {
 			// The runtime was rebuilt: rebind the native worker.
-			rt = curRT
-			w = rt.NativeWorker()
+			inc = cur
+			w = inc.rt.NativeWorker()
 			ctx = &Ctx{w: w, e: r.e, rng: ctx.rng}
 		}
-		qh, ok2 := sm.(QueryHandler)
+		qh, ok2 := inc.sm.(QueryHandler)
 		if !ok2 {
 			q.reply.Send(queryResult{err: fmt.Errorf("rex: state machine does not implement QueryHandler")})
 			continue
@@ -340,7 +344,7 @@ type queryResult struct {
 // guarantees, use QueryLevel (read.go).
 func (r *Replica) Query(q []byte) ([]byte, error) {
 	r.mu.Lock()
-	if r.stopped || r.role == RoleFaulted {
+	if r.stopped || r.faultErr != nil {
 		r.mu.Unlock()
 		return nil, ErrStopped
 	}

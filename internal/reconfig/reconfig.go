@@ -25,7 +25,7 @@ import (
 
 // valueMagic is the first byte of an encoded membership value. Trace deltas
 // — the only other value kind in the consensus stream — begin with their
-// format version byte (currently 1), so the magic makes the two
+// format version byte (currently 2), so the magic makes the two
 // unambiguous. 0xC7 ("C7onfig") is far from any plausible delta version.
 const valueMagic = 0xC7
 

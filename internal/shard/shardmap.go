@@ -326,31 +326,37 @@ func (m *ShardMap) EncodeBytes() []byte {
 	return e.Bytes()
 }
 
+// minRangeBytes is the smallest encoded range: start, group, epoch.
+const minRangeBytes = 3
+
 // DecodeShardMap reads a map written by Encode and validates it.
 func DecodeShardMap(d *wire.Decoder) (*ShardMap, error) {
 	m := &ShardMap{Version: d.Uvarint(), Nodes: int(d.Uvarint())}
-	groups := d.Uvarint()
+	// Every count is bounded by the unread input (a row is at least its
+	// length byte, a replica or a range field one byte each), so a short
+	// map cannot announce an allocation it does not carry.
+	groups := d.Count(1)
 	const maxGroups = 1 << 16
 	if d.Err() == nil && (groups == 0 || groups > maxGroups) {
 		return nil, fmt.Errorf("shard: implausible group count %d", groups)
 	}
-	for g := uint64(0); g < groups && d.Err() == nil; g++ {
-		n := d.Uvarint()
-		if d.Err() == nil && n > uint64(m.Nodes) {
+	for g := 0; g < groups && d.Err() == nil; g++ {
+		n := d.Count(1)
+		if d.Err() == nil && n > m.Nodes {
 			return nil, fmt.Errorf("shard: group %d lists %d replicas over %d nodes", g, n, m.Nodes)
 		}
 		row := make([]int, 0, n)
-		for r := uint64(0); r < n && d.Err() == nil; r++ {
+		for r := 0; r < n && d.Err() == nil; r++ {
 			row = append(row, int(d.Uvarint()))
 		}
 		m.Placement = append(m.Placement, row)
 	}
-	nr := d.Uvarint()
+	nr := d.Count(minRangeBytes)
 	const maxRanges = 1 << 20
 	if d.Err() == nil && nr > maxRanges {
 		return nil, fmt.Errorf("shard: implausible range count %d", nr)
 	}
-	for i := uint64(0); i < nr && d.Err() == nil; i++ {
+	for i := 0; i < nr && d.Err() == nil; i++ {
 		m.Ranges = append(m.Ranges, Range{
 			Start: d.Uvarint(),
 			Group: int(d.Uvarint()),

@@ -323,14 +323,18 @@ func encodeBatch(batch []batchReq) []byte {
 	return e.Bytes()
 }
 
+// minBatchReqBytes is the smallest encoded batch entry (timer, client,
+// seq, body length), which bounds a batch's count by its input.
+const minBatchReqBytes = 4
+
 func decodeBatch(buf []byte) ([]batchReq, error) {
 	d := wire.NewDecoder(buf)
-	n := d.Uvarint()
-	if d.Err() != nil || n > 1<<24 {
+	n := d.Count(minBatchReqBytes)
+	if d.Err() != nil {
 		return nil, wire.ErrCorrupt
 	}
 	out := make([]batchReq, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		b := batchReq{Timer: int(d.Varint()), Client: d.Uvarint(), Seq: d.Uvarint()}
 		b.Body = append([]byte(nil), d.BytesVal()...)
 		out = append(out, b)

@@ -131,12 +131,9 @@ func (tr *Trace) Apply(d *Delta) error {
 	return nil
 }
 
-// deltaVersion 2 added the compact conflict-class table; version 1 deltas
-// (no classes: every request is catch-all) still decode.
-const (
-	deltaVersion   = 2
-	deltaVersionV1 = 1
-)
+// deltaVersion is the only delta encoding. Version 2 added the compact
+// conflict-class table; nothing writes version 1 any more.
+const deltaVersion = 2
 
 func encodeCut(e *wire.Encoder, c Cut) {
 	e.Uvarint(uint64(len(c)))
@@ -291,26 +288,13 @@ func (d *Delta) DecodeFrom(buf []byte) error {
 const (
 	minEventBytes = 4 // kind, res, arg, edge count
 	minEdgeBytes  = 2 // thread, clock
-	minReqBytes   = 3 // client, seq, body length (+ class index in v2)
+	minReqBytes   = 4 // client, seq, class index, body length
 	minMarkBytes  = 2 // id, cut length
 )
 
-// tooMany reports whether n items of at least size bytes each cannot fit
-// in dec's unread input, recording corruption if so.
-func tooMany(dec *wire.Decoder, n uint64, size int) bool {
-	if dec.Err() != nil {
-		return true
-	}
-	if n > uint64(dec.Remaining()/size) {
-		dec.Fail(wire.ErrCorrupt)
-		return true
-	}
-	return false
-}
-
 func (d *Delta) decode(dec *wire.Decoder) error {
 	v := dec.Byte()
-	if dec.Err() == nil && v != deltaVersion && v != deltaVersionV1 {
+	if dec.Err() == nil && v != deltaVersion {
 		return fmt.Errorf("trace: unsupported delta version %d", v)
 	}
 	d.Rebase = nil
@@ -319,66 +303,48 @@ func (d *Delta) decode(dec *wire.Decoder) error {
 	}
 	d.Base = decodeCut(dec, d.Base)
 	d.ReqBase = dec.Uvarint()
-	nThreads := dec.Uvarint()
-	if tooMany(dec, nThreads, 1) {
-		return dec.Err()
-	}
+	// A count the input cannot hold fails the decoder and reads as zero,
+	// so every later loop is skipped; DecodeFrom then discards d.
+	nThreads := dec.Count(1)
 	if nThreads > 1<<16 {
 		return wire.ErrCorrupt
 	}
-	if uint64(cap(d.Threads)) < nThreads {
+	if cap(d.Threads) < nThreads {
 		d.Threads = make([]ThreadLog, nThreads)
 	}
 	d.Threads = d.Threads[:nThreads]
 	for t := range d.Threads {
 		l := &d.Threads[t]
 		l.Reset()
-		n := dec.Uvarint()
-		if tooMany(dec, n, minEventBytes) {
-			return dec.Err()
-		}
-		for i := uint64(0); i < n; i++ {
+		n := dec.Count(minEventBytes)
+		for i := 0; i < n; i++ {
 			kind := Kind(dec.Byte())
 			if dec.Err() == nil && (kind == KindInvalid || kind >= kindMax) {
 				return fmt.Errorf("trace: invalid event kind %d", kind)
 			}
 			l.Events = append(l.Events, Event{Kind: kind, Res: uint32(dec.Uvarint()), Arg: dec.Uvarint()})
-			nIn := dec.Uvarint()
-			if tooMany(dec, nIn, minEdgeBytes) {
-				return dec.Err()
-			}
-			for j := uint64(0); j < nIn; j++ {
+			nIn := dec.Count(minEdgeBytes)
+			for j := 0; j < nIn; j++ {
 				l.Edges = append(l.Edges, EventID{Thread: int32(dec.Uvarint()), Clock: int32(dec.Uvarint())})
 			}
 			l.InEnd = append(l.InEnd, int32(len(l.Edges)))
 		}
 	}
-	nReqs := dec.Uvarint()
-	if tooMany(dec, nReqs, minReqBytes) {
-		return dec.Err()
-	}
+	nReqs := dec.Count(minReqBytes)
 	classes := d.classes[:0]
-	if v == deltaVersion {
-		nc := dec.Uvarint()
-		if tooMany(dec, nc, 1) {
-			return dec.Err()
-		}
-		for i := uint64(0); i < nc; i++ {
-			classes = append(classes, uint32(dec.Uvarint()))
-		}
-		d.classes = classes
+	nc := dec.Count(1)
+	for i := 0; i < nc; i++ {
+		classes = append(classes, uint32(dec.Uvarint()))
 	}
+	d.classes = classes
 	d.Reqs = d.Reqs[:0]
-	for i := uint64(0); i < nReqs; i++ {
+	for i := 0; i < nReqs; i++ {
 		r := Req{Client: dec.Uvarint(), Seq: dec.Uvarint()}
-		if v == deltaVersion {
-			ci := dec.Uvarint()
-			if ci > 0 {
-				if ci > uint64(len(classes)) {
-					return wire.ErrCorrupt
-				}
-				r.Class = classes[ci-1]
+		if ci := dec.Uvarint(); ci > 0 {
+			if ci > uint64(len(classes)) {
+				return wire.ErrCorrupt
 			}
+			r.Class = classes[ci-1]
 		}
 		r.Body = dec.BytesVal()
 		if dec.Err() != nil {
@@ -386,12 +352,9 @@ func (d *Delta) decode(dec *wire.Decoder) error {
 		}
 		d.Reqs = append(d.Reqs, r)
 	}
-	nMarks := dec.Uvarint()
-	if tooMany(dec, nMarks, minMarkBytes) {
-		return dec.Err()
-	}
+	nMarks := dec.Count(minMarkBytes)
 	d.Marks = d.Marks[:0]
-	for i := uint64(0); i < nMarks; i++ {
+	for i := 0; i < nMarks; i++ {
 		d.Marks = append(d.Marks, Mark{ID: dec.Uvarint(), Cut: decodeCut(dec, nil)})
 	}
 	return dec.Err()
