@@ -19,10 +19,11 @@ test:
 # pinned-seed recovery (promote/demote/rebuild churn), consistent-read,
 # conflict-class and overload chaos scenarios, the live-rebalancing
 # migration property, the trace storage, replay scheduler and
-# recorded-synchronization packages, and the WAL, whose appenders flush
-# it themselves. CI runs exactly this target.
+# recorded-synchronization packages, the WAL, whose appenders flush it
+# themselves, and the env channel every RealEnv hand-off goes through,
+# which keeps its queue array across sends. CI runs exactly this target.
 race:
-	$(GO) test -race ./internal/transport ./internal/core ./internal/storage
+	$(GO) test -race ./internal/env ./internal/transport ./internal/core ./internal/storage
 	$(GO) test -race ./internal/trace ./internal/sched ./internal/rexsync
 	$(GO) test -race ./internal/paxos ./internal/reconfig
 	$(GO) test -race ./internal/client ./internal/server ./internal/shard
@@ -81,7 +82,11 @@ chaos:
 
 # Every decoder fuzz target (input reachable from a socket, the WAL or a
 # snapshot file), FUZZTIME each: go test fuzzes one target per run. Their
-# seed corpora already run in `make test`.
+# seed corpora already run in `make test`. go test minimizes every input
+# that adds coverage, by default for up to 60 s with a search quadratic
+# in the input's length; one long input then kept both workers busy for
+# the rest of a 10 s run, so the search is capped at 10000 executions (a
+# crasher is still reported, less minimized).
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/paxos:FuzzDecodeMessage \
@@ -105,7 +110,7 @@ fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
 		echo "fuzz $$fn ($$pkg)"; \
-		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) $$pkg; \
+		$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10000x $$pkg; \
 	done
 
 # realbench/ is its own module, so the root's build and tests never

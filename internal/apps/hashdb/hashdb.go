@@ -234,14 +234,22 @@ func (db *DB) ClassifyQuery(q []byte) core.QueryClass {
 	return core.QueryPrimaryOnly
 }
 
-// WriteCheckpoint implements core.StateMachine.
+// checkpointChunk is how many encoded bytes WriteCheckpoint gathers
+// before writing them to w.
+const checkpointChunk = 32 << 10
+
+// WriteCheckpoint implements core.StateMachine. The slices stream through
+// one pooled encoder, written out every checkpointChunk bytes, so the
+// state is copied once, into w, and never staged whole.
 func (db *DB) WriteCheckpoint(w io.Writer) error {
-	e := wire.NewEncoder(nil)
+	e := wire.GetEncoder(checkpointChunk)
+	defer e.Release()
 	e.Varint(db.count)
 	e.Varint(db.dirty)
 	e.Uvarint(db.syncs)
+	var keys []string
 	for _, m := range db.slices {
-		keys := make([]string, 0, len(m))
+		keys = keys[:0]
 		for k := range m {
 			keys = append(keys, k)
 		}
@@ -250,6 +258,12 @@ func (db *DB) WriteCheckpoint(w io.Writer) error {
 		for _, k := range keys {
 			e.String(k)
 			e.BytesVal(m[k])
+		}
+		if e.Len() >= checkpointChunk {
+			if _, err := w.Write(e.Bytes()); err != nil {
+				return err
+			}
+			e.Reset()
 		}
 	}
 	_, err := w.Write(e.Bytes())

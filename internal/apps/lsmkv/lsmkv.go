@@ -273,11 +273,19 @@ func (s *Store) ClassifyConflict(req []byte) core.ConflictClass {
 	return core.ConflictAll
 }
 
-// WriteCheckpoint implements core.StateMachine.
+// checkpointChunk is how many encoded bytes WriteCheckpoint gathers
+// before writing them to w.
+const checkpointChunk = 32 << 10
+
+// WriteCheckpoint implements core.StateMachine. The slices stream through
+// one pooled encoder, written out every checkpointChunk bytes, so the
+// state is copied once, into w, and never staged whole.
 func (s *Store) WriteCheckpoint(w io.Writer) error {
-	e := wire.NewEncoder(nil)
+	e := wire.GetEncoder(checkpointChunk)
+	defer e.Release()
+	var keys []string
 	for _, sl := range s.slices {
-		keys := make([]string, 0, len(sl.mem))
+		keys = keys[:0]
 		for k := range sl.mem {
 			keys = append(keys, k)
 		}
@@ -297,6 +305,12 @@ func (s *Store) WriteCheckpoint(w io.Writer) error {
 				e.Bool(r.vals[i] != nil)
 				e.BytesVal(r.vals[i])
 			}
+		}
+		if e.Len() >= checkpointChunk {
+			if _, err := w.Write(e.Bytes()); err != nil {
+				return err
+			}
+			e.Reset()
 		}
 	}
 	_, err := w.Write(e.Bytes())

@@ -3,9 +3,11 @@
 package core
 
 import (
+	"io"
 	"testing"
 
 	"rex/internal/env"
+	"rex/internal/sched"
 	"rex/internal/storage"
 	"rex/internal/trace"
 	"rex/internal/transport"
@@ -16,7 +18,7 @@ import (
 // (each once appended up to 2^24 entries before failing).
 func TestDecodeSnapshotCountsBoundedByInput(t *testing.T) {
 	for i, p := range snapshotCountProbes() {
-		got := minAllocBytes(func() {
+		got := minAllocBytes(1023, func() {
 			if _, err := decodeSnapshot(p); err == nil {
 				t.Errorf("probe %d (%x) decoded", i, p)
 			}
@@ -61,7 +63,58 @@ func TestAcceptSnapshotCopyDoesNotCopyBlob(t *testing.T) {
 			t.Fatalf("stored checkpoint %d, want %d", id, i+2)
 		}
 	}
-	if got := minAllocBytes(func() { r.acceptSnapshotCopy(blobs[0], 1) }); got >= 4<<10 {
+	if got := minAllocBytes(4<<10-1, func() { r.acceptSnapshotCopy(blobs[0], 1) }); got >= 4<<10 {
 		t.Errorf("rejecting a stale checkpoint allocated %d bytes", got)
+	}
+}
+
+// echoSM answers every query with one fixed response.
+type echoSM struct{ resp []byte }
+
+func (s *echoSM) Apply(*Ctx, []byte) []byte         { return s.resp }
+func (s *echoSM) Query(*Ctx, []byte) []byte         { return s.resp }
+func (s *echoSM) WriteCheckpoint(io.Writer) error   { return nil }
+func (s *echoSM) ReadCheckpoint(rd io.Reader) error { return nil }
+
+// TestQueryPathAllocs pins the read path between a reader and the read
+// workers: with the query slots reused, a query allocates nothing.
+func TestQueryPathAllocs(t *testing.T) {
+	e := env.NewReal()
+	sm := &echoSM{resp: []byte("v")}
+	r, err := NewReplica(Config{
+		ID: 0, N: 1, Env: e,
+		Endpoint:    transport.NewNetwork(e, 1, 0, 1).Endpoint(0),
+		Log:         storage.NewMemLog(),
+		Snapshots:   storage.NewMemSnapshots(),
+		Factory:     func(*sched.Runtime, *TimerHost) StateMachine { return sm },
+		ReadWorkers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.mux.Close()
+	// Build the incarnation and start only the read workers: no consensus
+	// or timer task runs to allocate alongside the measured queries.
+	if err := r.rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < r.cfg.ReadWorkers; i++ {
+		r.spawn("read", r.readWorker)
+	}
+	defer func() {
+		r.queryQ.Close()
+		r.group.Wait()
+	}()
+	q := []byte("get k")
+	for i := 0; i < 4; i++ {
+		r.Query(q)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if resp, err := r.Query(q); err != nil || string(resp) != "v" {
+			t.Fatalf("query = %q, %v", resp, err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("query: %v allocations, want 0", got)
 	}
 }

@@ -563,11 +563,12 @@ func (r *Replica) releaseResponsesLocked(prim *primaryState) {
 // proposeEvery as the max-delay backstop. It also carries the one-time
 // rebase marker after a promotion.
 func (r *Replica) proposePump() {
+	var d trace.Delta // collect scratch, reused by every drain
 	for {
 		if _, ok := r.proposeWake.Recv(); !ok {
 			return
 		}
-		r.pumpDrain()
+		r.pumpDrain(&d)
 	}
 }
 
@@ -577,8 +578,8 @@ func (r *Replica) proposePump() {
 // goes out immediately (sub-cap commit latency at low load). Re-collecting
 // until empty also closes the race with the recorder's edge-triggered
 // notify (an append landing between the drain and the re-arm is picked up
-// here).
-func (r *Replica) pumpDrain() {
+// here). d is the pump's scratch delta.
+func (r *Replica) pumpDrain(d *trace.Delta) {
 	for {
 		r.mu.Lock()
 		p := r.prim
@@ -587,7 +588,7 @@ func (r *Replica) pumpDrain() {
 			return
 		}
 		now := r.e.Now()
-		d := r.inc.rt.Recorder().Collect()
+		r.inc.rt.Recorder().CollectInto(d)
 		if p.pendingRebase != nil {
 			d.Rebase = p.pendingRebase
 			p.pendingRebase = nil
@@ -603,6 +604,10 @@ func (r *Replica) pumpDrain() {
 		r.lastDeltaBytes = len(val)
 		r.obs.deltaBytes.Observe(uint64(len(val)))
 		r.obs.deltaEvents.Observe(uint64(d.EventCount()))
+		// val holds everything d said; drop d's hold on the request
+		// bodies and mark cuts before the recorder refills its storage.
+		clear(d.Reqs)
+		clear(d.Marks)
 		r.node.Propose(val)
 	}
 }

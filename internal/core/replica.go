@@ -349,8 +349,9 @@ type Replica struct {
 	commitQ      []committedEvt
 	commitClosed bool
 
-	queryQ env.Chan
-	lifeQ  env.Chan
+	queryQ     env.Chan // *querySlot to the read workers
+	querySlots env.Chan // free *querySlot values, reused by runQuery
+	lifeQ      env.Chan
 
 	group *env.Group // all long-lived tasks, for Stop
 
@@ -406,6 +407,7 @@ func NewReplica(cfg Config) (*Replica, error) {
 	r.commitCond = cfg.Env.NewCond(r.commitMu)
 	r.lifeQ = cfg.Env.NewChan(0)
 	r.queryQ = cfg.Env.NewChan(0)
+	r.querySlots = cfg.Env.NewChan(0)
 	r.proposeWake = cfg.Env.NewChan(1)
 	r.group = env.NewGroup(cfg.Env)
 	r.mux = transport.NewMux(cfg.Env, cfg.Endpoint, 0, ctrlKindBase)

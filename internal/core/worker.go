@@ -301,7 +301,7 @@ func (r *Replica) readWorker() {
 		if !ok {
 			return
 		}
-		q := v.(queryWork)
+		q := v.(*querySlot)
 		r.mu.Lock()
 		cur := r.inc
 		r.mu.Unlock()
@@ -313,28 +313,34 @@ func (r *Replica) readWorker() {
 		}
 		qh, ok2 := inc.sm.(QueryHandler)
 		if !ok2 {
-			q.reply.Send(queryResult{err: fmt.Errorf("rex: state machine does not implement QueryHandler")})
+			q.answer(nil, fmt.Errorf("rex: state machine does not implement QueryHandler"))
 			continue
 		}
 		func() {
 			defer func() {
 				if p := recover(); p != nil {
-					q.reply.Send(queryResult{err: fmt.Errorf("rex: query panicked: %v", p)})
+					q.answer(nil, fmt.Errorf("rex: query panicked: %v", p))
 				}
 			}()
-			q.reply.Send(queryResult{resp: qh.Query(ctx, q.body)})
+			q.answer(qh.Query(ctx, q.body), nil)
 		}()
 	}
 }
 
-type queryWork struct {
-	body  []byte
-	reply env.Chan
-}
-
-type queryResult struct {
+// querySlot carries one query to a read worker and its answer back.
+// Slots are reused through the replica's free list, so a read allocates
+// neither a reply channel nor boxed work and results.
+type querySlot struct {
+	body []byte
 	resp []byte
 	err  error
+	done env.Chan // one slot; signalled once resp and err are set
+}
+
+// answer records the query's result and wakes the waiting reader.
+func (q *querySlot) answer(resp []byte, err error) {
+	q.resp, q.err = resp, err
+	q.done.Send(struct{}{})
 }
 
 // Query executes a read-only request on this replica outside the
@@ -357,14 +363,21 @@ func (r *Replica) runQuery(q []byte) ([]byte, error) {
 	if r.cfg.ReadWorkers <= 0 {
 		return nil, fmt.Errorf("rex: no read workers configured")
 	}
-	reply := r.e.NewChan(1)
-	if !r.queryQ.Send(queryWork{body: q, reply: reply}) {
+	var slot *querySlot
+	if v, ok, _ := r.querySlots.TryRecv(); ok {
+		slot = v.(*querySlot)
+	} else {
+		slot = &querySlot{done: r.e.NewChan(1)}
+	}
+	slot.body = q
+	if !r.queryQ.Send(slot) {
 		return nil, ErrStopped
 	}
-	v, ok := reply.Recv()
-	if !ok {
+	if _, ok := slot.done.Recv(); !ok {
 		return nil, ErrStopped
 	}
-	res := v.(queryResult)
-	return res.resp, res.err
+	resp, err := slot.resp, slot.err
+	*slot = querySlot{done: slot.done}
+	r.querySlots.TrySend(slot)
+	return resp, err
 }

@@ -2,11 +2,18 @@ package env
 
 // chanImpl implements Chan for any Env using only the Env's Mutex and Cond,
 // so both the real and the simulated environment share one implementation.
+//
+// The queue is buf[head:]. The array is kept across drains, so a channel
+// in steady use allocates nothing per message; pop slides the live tail
+// back to the front once the drained prefix passes half of buf, and lets
+// an array larger than maxKeptSlots go once the queue is empty, so a
+// one-off burst or catch-up backlog is not held for good.
 type chanImpl struct {
 	mu       Mutex
 	notEmpty Cond
 	notFull  Cond
 	buf      []any
+	head     int
 	capacity int // <= 0 means unbounded
 	closed   bool
 }
@@ -24,8 +31,13 @@ func newChan(e Env, capacity int) *chanImpl {
 	return c
 }
 
+// maxKeptSlots is the largest queue array an empty channel keeps.
+const maxKeptSlots = 1024
+
+func (c *chanImpl) queued() int { return len(c.buf) - c.head }
+
 func (c *chanImpl) full() bool {
-	return c.capacity > 0 && len(c.buf) >= c.capacity
+	return c.capacity > 0 && c.queued() >= c.capacity
 }
 
 // Send implements Chan.
@@ -59,10 +71,10 @@ func (c *chanImpl) TrySend(v any) bool {
 func (c *chanImpl) Recv() (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.buf) == 0 && !c.closed {
+	for c.queued() == 0 && !c.closed {
 		c.notEmpty.Wait()
 	}
-	if len(c.buf) == 0 {
+	if c.queued() == 0 {
 		return nil, false
 	}
 	v := c.pop()
@@ -73,7 +85,7 @@ func (c *chanImpl) Recv() (any, bool) {
 func (c *chanImpl) TryRecv() (any, bool, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.buf) == 0 {
+	if c.queued() == 0 {
 		return nil, false, !c.closed
 	}
 	v := c.pop()
@@ -81,12 +93,16 @@ func (c *chanImpl) TryRecv() (any, bool, bool) {
 }
 
 func (c *chanImpl) pop() any {
-	v := c.buf[0]
-	c.buf[0] = nil
-	c.buf = c.buf[1:]
-	if len(c.buf) == 0 {
-		// Reset to reclaim the drained prefix of the backing array.
-		c.buf = nil
+	v := c.buf[c.head]
+	c.buf[c.head] = nil
+	c.head++
+	if c.head > len(c.buf)/2 {
+		n := copy(c.buf, c.buf[c.head:])
+		clear(c.buf[n:])
+		c.buf, c.head = c.buf[:n], 0
+		if n == 0 && cap(c.buf) > maxKeptSlots {
+			c.buf = nil
+		}
 	}
 	c.notFull.Signal()
 	return v
@@ -108,5 +124,5 @@ func (c *chanImpl) Close() {
 func (c *chanImpl) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.buf)
+	return c.queued()
 }

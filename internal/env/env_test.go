@@ -191,3 +191,107 @@ func TestAfterFuncReal(t *testing.T) {
 		t.Fatal("AfterFunc never fired")
 	}
 }
+
+// TestChanFIFOAcrossCompaction interleaves sends and receives so the queue
+// drains partly, compacts and regrows many times, and checks the order.
+func TestChanFIFOAcrossCompaction(t *testing.T) {
+	ch := NewReal().NewChan(0)
+	sent, got := 0, 0
+	for round := 0; round < 200; round++ {
+		for i := 0; i < round%7+1; i++ {
+			ch.Send(sent)
+			sent++
+		}
+		for i := 0; i < round%5+1; i++ {
+			v, ok, _ := ch.TryRecv()
+			if !ok {
+				break
+			}
+			if v.(int) != got {
+				t.Fatalf("received %v, want %d", v, got)
+			}
+			got++
+		}
+		if ch.Len() != sent-got {
+			t.Fatalf("Len = %d, want %d", ch.Len(), sent-got)
+		}
+	}
+	for got < sent {
+		if v, _ := ch.Recv(); v.(int) != got {
+			t.Fatalf("received %v, want %d", v, got)
+		}
+		got++
+	}
+}
+
+// TestChanDropsBurstArray checks that an emptied channel keeps a small
+// queue array for reuse but lets the array of a large burst go.
+func TestChanDropsBurstArray(t *testing.T) {
+	c := newChan(NewReal(), 0)
+	for _, burst := range []struct {
+		n    int
+		kept bool
+	}{{8, true}, {4 * maxKeptSlots, false}, {8, true}} {
+		for i := 0; i < burst.n; i++ {
+			c.Send(i)
+		}
+		for i := 0; i < burst.n; i++ {
+			if v, _ := c.Recv(); v.(int) != i {
+				t.Fatalf("burst %d: received %v, want %d", burst.n, v, i)
+			}
+		}
+		if kept := cap(c.buf) > 0; kept != burst.kept {
+			t.Errorf("burst %d: array of %d slots kept = %v, want %v", burst.n, cap(c.buf), kept, burst.kept)
+		}
+	}
+}
+
+// TestChanConcurrentSendersKeepOrder runs several senders and receivers
+// on one bounded channel, so sends block, the queue wraps and compacts
+// under contention, and checks that every value arrives exactly once and
+// each sender's values in the order it sent them.
+func TestChanConcurrentSendersKeepOrder(t *testing.T) {
+	const senders, receivers, each = 4, 3, 2000
+	ch := NewReal().NewChan(5)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ch.Send([2]int{s, i})
+			}
+		}(s)
+	}
+	got := make(chan [][2]int, receivers)
+	for r := 0; r < receivers; r++ {
+		go func() {
+			var mine [][2]int
+			for {
+				v, ok := ch.Recv()
+				if !ok {
+					got <- mine
+					return
+				}
+				mine = append(mine, v.([2]int))
+			}
+		}()
+	}
+	wg.Wait()
+	ch.Close()
+	count := 0
+	for r := 0; r < receivers; r++ {
+		last := [senders]int{-1, -1, -1, -1}
+		for _, v := range <-got {
+			// One receiver sees each sender's values in increasing order.
+			if v[1] <= last[v[0]] {
+				t.Fatalf("sender %d: value %d after %d", v[0], v[1], last[v[0]])
+			}
+			last[v[0]] = v[1]
+			count++
+		}
+	}
+	if count != senders*each {
+		t.Fatalf("received %d values, want %d", count, senders*each)
+	}
+}

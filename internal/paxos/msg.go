@@ -142,8 +142,11 @@ type message struct {
 	Vals      [][]byte // mLearnReply: chosen values
 }
 
+// encode returns m's wire form in an exact-size slice the caller owns,
+// encoding through a pooled scratch buffer so steady state allocates only
+// that slice.
 func (m *message) encode() []byte {
-	e := wire.NewEncoder(nil)
+	e := wire.GetEncoder(0)
 	e.Byte(byte(m.Kind))
 	e.Uvarint(m.Ballot.Round)
 	e.Uvarint(uint64(m.Ballot.Node))
@@ -163,7 +166,9 @@ func (m *message) encode() []byte {
 	for _, v := range m.Vals {
 		e.BytesVal(v)
 	}
-	return e.Bytes()
+	out := e.AppendCopy(make([]byte, 0, e.Len()))
+	e.Release()
+	return out
 }
 
 // Minimum encoded sizes of the repeated items, which bound their counts by
@@ -173,6 +178,9 @@ const (
 	minValBytes      = 1 // value length
 )
 
+// decodeMessage parses a received frame. Every value in the message
+// aliases buf, which the receiver owns (transport.Endpoint), so buf must
+// stay unchanged while any of them is held.
 func decodeMessage(buf []byte) (*message, error) {
 	d := wire.NewDecoder(buf)
 	m := &message{}
@@ -183,21 +191,21 @@ func decodeMessage(buf []byte) (*message, error) {
 	m.FromInst = d.Uvarint()
 	m.ChosenSeq = d.Uvarint()
 	m.Epoch = d.Uvarint()
-	m.Val = append([]byte(nil), d.BytesVal()...)
+	m.Val = valOf(d.BytesVal())
 	if n := d.Count(minAcceptedBytes); n > 0 {
 		m.Accepted = make([]acceptedEntry, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			a := acceptedEntry{Inst: d.Uvarint()}
 			a.Ballot.Round = d.Uvarint()
 			a.Ballot.Node = uint32(d.Uvarint())
-			a.Val = append([]byte(nil), d.BytesVal()...)
+			a.Val = valOf(d.BytesVal())
 			m.Accepted = append(m.Accepted, a)
 		}
 	}
 	if n := d.Count(minValBytes); n > 0 {
 		m.Vals = make([][]byte, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
-			m.Vals = append(m.Vals, append([]byte(nil), d.BytesVal()...))
+			m.Vals = append(m.Vals, valOf(d.BytesVal()))
 		}
 	}
 	if err := d.Err(); err != nil {
@@ -207,4 +215,14 @@ func decodeMessage(buf []byte) (*message, error) {
 		return nil, wire.ErrCorrupt
 	}
 	return m, nil
+}
+
+// valOf returns a decoded value as the message holds it: the frame's
+// bytes, or nil when the value is empty, so an empty value reads as
+// absent just as the sender's nil did.
+func valOf(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
 }

@@ -60,6 +60,10 @@ func TestMessageRoundTrip(t *testing.T) {
 	if len(got.Vals) != 3 || string(got.Vals[2]) != "ccc" {
 		t.Errorf("vals = %+v", got.Vals)
 	}
+	// Values alias the frame, but an empty one still reads as nil.
+	if got.Accepted[1].Val != nil || got.Vals[1] != nil {
+		t.Errorf("empty values decoded as %#v and %#v, want nil", got.Accepted[1].Val, got.Vals[1])
+	}
 }
 
 func TestMessageDecodeRejectsGarbage(t *testing.T) {

@@ -3,6 +3,7 @@ package paxos
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -122,8 +123,9 @@ type Node struct {
 	// to open is always chosenSeq, so each proposal extends the trace
 	// committed before it.
 	proposeQ      [][]byte
-	open          *inflightState
-	announceAfter bool // fire OnBecomeLeader once re-proposals commit
+	open          *inflightState // &inflight while an instance is open
+	inflight      inflightState  // reused for every instance
+	announceAfter bool           // fire OnBecomeLeader once re-proposals commit
 
 	lastHeartbeat    time.Duration
 	electionDeadline time.Duration
@@ -188,7 +190,7 @@ type commitNote struct {
 type inflightState struct {
 	inst   uint64
 	val    []byte
-	acks   map[int]bool
+	acks   []int // replicas that accepted, each once
 	sentAt time.Duration
 }
 
@@ -1003,7 +1005,9 @@ func (n *Node) onAccepted(m *message, from int) {
 	if st == nil || st.inst != m.Inst {
 		return
 	}
-	st.acks[from] = true
+	if !slices.Contains(st.acks, from) {
+		st.acks = append(st.acks, from)
+	}
 	// The open instance closes once it is the next to choose. Acks are
 	// counted against the membership governing the instance, so learner
 	// acks never count.
@@ -1012,7 +1016,7 @@ func (n *Node) onAccepted(m *message, from int) {
 	}
 	cfgm := n.configAt(st.inst)
 	got := 0
-	for id := range st.acks {
+	for _, id := range st.acks {
 		if cfgm.IsVoter(id) {
 			got++
 		}
@@ -1161,12 +1165,13 @@ func (n *Node) commitValue(inst uint64, val []byte, from int) {
 
 func (n *Node) startPhase2(inst uint64, val []byte) {
 	n.cfg.Metrics.Proposals.Inc()
-	n.open = &inflightState{
+	n.inflight = inflightState{
 		inst:   inst,
 		val:    val,
-		acks:   make(map[int]bool),
+		acks:   n.inflight.acks[:0],
 		sentAt: n.cfg.Env.Now(),
 	}
+	n.open = &n.inflight
 	n.broadcast(&message{Kind: mAccept, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: n.epochAt(inst)})
 }
 

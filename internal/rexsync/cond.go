@@ -112,7 +112,7 @@ func (c *Cond) waitRecordRelease(w *sched.Worker) {
 	l.tryFails = l.tryFails[:0]
 	relID := w.Record(trace.Event{Kind: trace.KindCondWaitBegin, Res: l.id, Arg: *l.ver}, in)
 	l.lastRel = relID
-	l.relVC = w.VC().Clone()
+	l.relVC = append(l.relVC[:0], w.VC()...)
 	l.holderAcq = trace.EventID{}
 	l.meta.Unlock()
 }

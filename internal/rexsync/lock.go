@@ -38,7 +38,8 @@ type Lock struct {
 	lastRel trace.EventID
 	// relVC is the releaser's vector clock at lastRel, used to prune
 	// redundant edges. nil means "the current epoch's base cut", which
-	// covers everything before a promotion barrier.
+	// covers everything before a promotion barrier. Acquirers only join
+	// it under meta, so a release overwrites it in place.
 	relVC vclock.VC
 	// holderAcq is the acquire-like event of the current holder; failed
 	// TryLocks record an edge from it (Fig. 4).
@@ -202,7 +203,7 @@ func (l *Lock) unlockRecord(w *sched.Worker) {
 	id := w.Record(trace.Event{Kind: trace.KindLockRel, Res: l.id, Arg: *l.ver}, in)
 	l.lastRel = id
 	l.lastChain = id
-	l.relVC = w.VC().Clone()
+	l.relVC = append(l.relVC[:0], w.VC()...)
 	l.holderAcq = trace.EventID{}
 	l.meta.Unlock()
 	l.real.Unlock()

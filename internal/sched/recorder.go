@@ -10,9 +10,9 @@ import (
 // Recorder accumulates the primary's trace growth between proposals.
 // Workers append to per-thread buffers under per-thread locks (the paper's
 // asynchronous logging, §3.2); the proposal pump drains everything new with
-// Collect. Because Collect snapshots the threads without a global barrier,
-// a collected delta may be an inconsistent cut — consumers use the last
-// consistent cut as its meaning.
+// CollectInto. Because a collect snapshots the threads without a global
+// barrier, a collected delta may be an inconsistent cut — consumers use
+// the last consistent cut as its meaning.
 type Recorder struct {
 	threads []*threadBuf
 
@@ -107,33 +107,47 @@ func (r *Recorder) AddMark(m trace.Mark) {
 	r.maybeNotify()
 }
 
-// Collect drains everything recorded since the last Collect into a delta
+// Collect drains everything recorded since the last Collect into a fresh
+// delta; see CollectInto.
+func (r *Recorder) Collect() *trace.Delta {
+	d := new(trace.Delta)
+	r.CollectInto(d)
+	return d
+}
+
+// CollectInto drains everything recorded since the last collect into d,
 // based at the current collection frontier. It snapshots thread buffers
 // one at a time — deliberately without a global barrier — so the delta may
 // be an inconsistent cut. Thread buffers are drained before the request
 // table so that every collected req-begin's payload is present (requests
-// are added before dispatch). The returned delta may be empty (check
-// Delta.Empty); callers that only propose on growth skip empty deltas.
-// Collect must be called from a single collector task.
-func (r *Recorder) Collect() *trace.Delta {
+// are added before dispatch). The delta may be empty (check Delta.Empty);
+// callers that only propose on growth skip empty deltas.
+//
+// Nothing is copied: each non-empty thread log and the request and mark
+// tables are swapped with d's, whose emptied storage the recorder then
+// fills next. A collector that passes the same d every time, and is done
+// with its previous contents, allocates nothing once the buffers have
+// grown. d's request bodies are the callers' payloads; a collector that
+// keeps d should clear them once it has encoded d. CollectInto must be
+// called from a single collector task.
+func (r *Recorder) CollectInto(d *trace.Delta) {
 	// Re-arm the wake-up hook BEFORE draining: an append that lands while
 	// we drain may notify spuriously (harmless — the pump re-collects) but
 	// can never be lost.
 	r.armed.Store(true)
-	d := &trace.Delta{
-		Base:    r.collected.Clone(),
-		Threads: make([]trace.ThreadLog, len(r.threads)),
+	d.Rebase = nil
+	d.Base = append(d.Base[:0], r.collected...)
+	if cap(d.Threads) < len(r.threads) {
+		d.Threads = make([]trace.ThreadLog, len(r.threads))
 	}
+	d.Threads = d.Threads[:len(r.threads)]
 	for t, b := range r.threads {
+		dl := &d.Threads[t]
+		dl.Reset()
 		b.mu.Lock()
 		n := len(b.log.Events)
 		if n > 0 {
-			d.Threads[t] = trace.ThreadLog{
-				Events: append([]trace.Event(nil), b.log.Events...),
-				Edges:  append([]trace.EventID(nil), b.log.Edges...),
-				InEnd:  append([]int32(nil), b.log.InEnd...),
-			}
-			b.log.Reset()
+			b.log, *dl = *dl, b.log
 			b.base += int32(n)
 		}
 		b.mu.Unlock()
@@ -141,17 +155,10 @@ func (r *Recorder) Collect() *trace.Delta {
 	}
 	r.reqMu.Lock()
 	d.ReqBase = r.reqBase
-	if len(r.reqs) > 0 {
-		d.Reqs = append([]trace.Req(nil), r.reqs...)
-		r.reqBase += uint64(len(r.reqs))
-		r.reqs = r.reqs[:0]
-	}
-	if len(r.marks) > 0 {
-		d.Marks = append([]trace.Mark(nil), r.marks...)
-		r.marks = r.marks[:0]
-	}
+	r.reqBase += uint64(len(r.reqs))
+	d.Reqs, r.reqs = r.reqs, d.Reqs[:0]
+	d.Marks, r.marks = r.marks, d.Marks[:0]
 	r.reqMu.Unlock()
-	return d
 }
 
 // Collected returns the collection frontier (clocks already drained).

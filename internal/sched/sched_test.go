@@ -503,3 +503,33 @@ func TestWaitExecutedAtLeast(t *testing.T) {
 		}
 	})
 }
+
+// TestCollectIntoMatchesCollect feeds two recorders the same work and
+// checks that collecting into one reused scratch delta yields, cycle by
+// cycle, the bytes a fresh Collect does, including cycles that record
+// nothing on some threads.
+func TestCollectIntoMatchesCollect(t *testing.T) {
+	e := env.NewReal()
+	fresh := NewRecorder(e, 3, trace.Cut{2, 0, 5}, 4)
+	reused := NewRecorder(e, 3, trace.Cut{2, 0, 5}, 4)
+	var scratch trace.Delta
+	for cycle := 0; cycle < 20; cycle++ {
+		for _, rec := range []*Recorder{fresh, reused} {
+			for i := 0; i < cycle%4; i++ {
+				idx := rec.AddReq(trace.Req{Client: uint64(cycle), Seq: uint64(i), Body: []byte{byte(cycle), byte(i)}})
+				th := int32((cycle + i) % 3)
+				rec.Append(th, trace.Event{Kind: trace.KindReqBegin, Res: uint32(idx)}, nil)
+				rec.Append(th, trace.Event{Kind: trace.KindLockAcq, Res: 9, Arg: uint64(i)}, []trace.EventID{{Thread: (th + 1) % 3, Clock: 1}})
+			}
+			if cycle%5 == 0 {
+				rec.AddMark(trace.Mark{ID: uint64(cycle), Cut: trace.Cut{1, 2, 3}})
+			}
+		}
+		want := fresh.Collect().EncodeBytes()
+		reused.CollectInto(&scratch)
+		if got := scratch.EncodeBytes(); string(got) != string(want) {
+			t.Fatalf("cycle %d: CollectInto encodes %x, Collect %x", cycle, got, want)
+		}
+		clear(scratch.Reqs)
+	}
+}

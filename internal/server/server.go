@@ -582,7 +582,7 @@ func (fc *frameConn) readFrame(dl time.Time) ([]byte, error) {
 		}
 		fc.setReadDeadline(bodyDl)
 	}
-	buf, err := wire.ReadN(fc.br, n)
+	buf, err := wire.ReadN(fc.br, n, 0)
 	if err != nil {
 		return nil, fmt.Errorf("server: truncated frame (%d of %d bytes): %w", len(buf), n, err)
 	}

@@ -11,7 +11,7 @@ import "testing"
 // client-proposed one (rebalance) reach this decoder.
 func TestDecodeShardMapCountsBoundedByInput(t *testing.T) {
 	for i, p := range shardMapCountProbes() {
-		got := minAllocBytes(func() {
+		got := minAllocBytes(1023, func() {
 			if _, err := DecodeShardMapBytes(p); err == nil {
 				t.Errorf("probe %d (%x) decoded", i, p)
 			}

@@ -211,11 +211,13 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		ep.wg.Done()
 	}()
 	br := bufio.NewReader(conn)
+	largest := 0 // the largest frame this connection has delivered
 	for {
-		payload, from, err := readFrame(br, conn)
+		payload, from, err := readFrame(br, conn, largest)
 		if err != nil {
 			return
 		}
+		largest = max(largest, len(payload))
 		// No closed-check is needed here: Close closes this connection and
 		// waits for this loop before closing the inbox, so the channel is
 		// always open when this send runs.
@@ -234,7 +236,12 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 // already buffered must arrive within frameBodyTimeout; conn may be nil
 // (no deadline). The payload grows as its bytes arrive (wire.ReadN), so a
 // header announcing 64 MB with nothing behind it costs 64 kB, not 64 MB.
-func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, int, error) {
+// largest is the largest frame the connection has already delivered in
+// full, and a payload of up to twice that size is allocated at once: a
+// connection that carries checkpoint pushes reads the next push, even of
+// a state that grew meanwhile, into one allocation, and what it trusts
+// is still bounded by bytes it received.
+func readFrame(br *bufio.Reader, conn net.Conn, largest int) ([]byte, int, error) {
 	hdr, err := br.Peek(8)
 	if err != nil {
 		return nil, 0, err
@@ -249,7 +256,7 @@ func readFrame(br *bufio.Reader, conn net.Conn) ([]byte, int, error) {
 	if timed {
 		conn.SetReadDeadline(time.Now().Add(frameBodyTimeout))
 	}
-	payload, err := wire.ReadN(br, n)
+	payload, err := wire.ReadN(br, n, 2*largest)
 	if err != nil {
 		return nil, 0, err
 	}

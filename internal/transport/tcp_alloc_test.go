@@ -3,6 +3,8 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"io"
 	"net"
 	"runtime"
@@ -70,5 +72,34 @@ func TestTCPLargeSendNotStaged(t *testing.T) {
 	}
 	if c := cap(ep.peers[1].wbuf); c > 64<<10 {
 		t.Errorf("peer write buffer holds %d bytes after a 1 MB send, want ≤ 64 kB", c)
+	}
+}
+
+// TestReadFrameRepeatSizeOneAlloc pins the receive side of repeated large
+// frames such as checkpoint pushes: once a connection has delivered one,
+// a next one of the same size, or up to twice it, is read into a single
+// allocation rather than grown from wire.ReadAhead.
+func TestReadFrameRepeatSizeOneAlloc(t *testing.T) {
+	const size = 810 << 10
+	var stream []byte
+	for _, n := range []int{size, size, size, size, 2 * size, 2 * size} {
+		stream = append(stream, appendFrame(nil, 1, make([]byte, n))...)
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	read := func(largest, want int) {
+		got, _, err := readFrame(br, nil, largest)
+		if err != nil || len(got) != want {
+			t.Fatalf("readFrame: %d bytes, %v; want %d", len(got), err, want)
+		}
+	}
+	// AllocsPerRun(1, f) runs f twice: a warm-up and the measured run.
+	if got := testing.AllocsPerRun(1, func() { read(0, size) }); got < 2 {
+		t.Errorf("a first frame of %d bytes: %v allocations, want it grown in steps", size, got)
+	}
+	if got := testing.AllocsPerRun(1, func() { read(size, size) }); got != 1 {
+		t.Errorf("a repeat frame of %d bytes: %v allocations, want 1", size, got)
+	}
+	if got := testing.AllocsPerRun(1, func() { read(size, 2*size) }); got != 1 {
+		t.Errorf("a frame of %d bytes after %d: %v allocations, want 1", 2*size, size, got)
 	}
 }

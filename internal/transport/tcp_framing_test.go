@@ -75,7 +75,7 @@ func TestReadFrameShapes(t *testing.T) {
 			cc := &countingConn{Conn: b}
 			br := bufio.NewReader(cc)
 			for i, want := range tc.frames {
-				got, from, err := readFrame(br, cc)
+				got, from, err := readFrame(br, cc, 0)
 				if err != nil {
 					t.Fatalf("frame %d: %v", i, err)
 				}
@@ -105,7 +105,7 @@ func TestReadFrameBodyTimeout(t *testing.T) {
 	}()
 	br := bufio.NewReader(b)
 	for _, want := range []string{"first", "second"} {
-		got, _, err := readFrame(br, b)
+		got, _, err := readFrame(br, b, 0)
 		if err != nil || string(got) != want {
 			t.Fatalf("readFrame = %q, %v; want %q", got, err, want)
 		}
@@ -113,7 +113,7 @@ func TestReadFrameBodyTimeout(t *testing.T) {
 	start := time.Now()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := readFrame(br, b)
+		_, _, err := readFrame(br, b, 0)
 		errc <- err
 	}()
 	var err error
@@ -180,12 +180,15 @@ func TestTCPSmallSendOneWrite(t *testing.T) {
 	}
 }
 
-// allocBytes returns the bytes the process allocated while f ran: the
-// least of a few runs, so an allocation by some other goroutine cannot
-// fail a pin.
-func allocBytes(f func()) uint64 {
+// allocBytes returns the bytes the process allocated while a
+// repeatable f ran. A run within limit settles it; a run over limit is
+// repeated and the least of five kept, so an allocation by some other
+// goroutine cannot fail a pin. Reading the counters stops the world, the
+// larger part of a fuzz execution's cost, so a run within limit is never
+// repeated.
+func allocBytes(limit uint64, f func()) uint64 {
 	var least uint64
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
@@ -207,18 +210,30 @@ func maxReadAlloc(n int) uint64 { return 80<<10 + 8*uint64(n) }
 // that actually arrived, not what it announces.
 func TestReadFrameAllocBoundedByInput(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		probe []byte
-		max   uint64
+		name   string
+		probe  []byte
+		frames int // complete frames ahead of the truncated one
+		max    uint64
 	}{
-		{"64 MB announced, header only", []byte{0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0}, 128 << 10},
-		{"64 MB announced, 3 payload bytes", []byte{0x04, 0x00, 0x00, 0x00, 0, 0, 0, 1, 1, 2, 3}, 128 << 10},
-		{"1 MB announced, header only", []byte{0x00, 0x10, 0x00, 0x00, 0, 0, 0, 2}, 128 << 10},
-		{"2 MB announced, 200 kB sent", append([]byte{0x00, 0x20, 0x00, 0x00, 0, 0, 0, 1}, make([]byte, 200<<10)...), maxReadAlloc(200<<10 + 8)},
+		{"64 MB announced, header only", []byte{0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0}, 0, 128 << 10},
+		{"64 MB announced, 3 payload bytes", []byte{0x04, 0x00, 0x00, 0x00, 0, 0, 0, 1, 1, 2, 3}, 0, 128 << 10},
+		{"1 MB announced, header only", []byte{0x00, 0x10, 0x00, 0x00, 0, 0, 0, 2}, 0, 128 << 10},
+		{"2 MB announced, 200 kB sent", append([]byte{0x00, 0x20, 0x00, 0x00, 0, 0, 0, 1}, make([]byte, 200<<10)...), 0, maxReadAlloc(200<<10 + 8)},
+		{"a 200 kB frame, then 64 MB announced, header only", append(appendFrame(nil, 1, make([]byte, 200<<10)), 0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0), 1, maxReadAlloc(200<<10 + 16)},
 	} {
-		got := allocBytes(func() {
-			if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(c.probe)), nil); err == nil {
-				t.Errorf("%s: read a frame from a truncated payload", c.name)
+		got := allocBytes(c.max, func() {
+			br := bufio.NewReader(bytes.NewReader(c.probe))
+			largest, frames := 0, 0
+			for {
+				payload, _, err := readFrame(br, nil, largest)
+				if err != nil {
+					break
+				}
+				largest = max(largest, len(payload))
+				frames++
+			}
+			if frames != c.frames {
+				t.Errorf("%s: read %d frames, want %d (the truncated payload is never one)", c.name, frames, c.frames)
 			}
 		})
 		if got > c.max {
@@ -236,15 +251,17 @@ func FuzzTCPReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAll := func(keep func(testFrame)) {
 			br := bufio.NewReader(bytes.NewReader(data))
+			largest := 0
 			for {
-				payload, from, err := readFrame(br, nil)
+				payload, from, err := readFrame(br, nil, largest)
 				if err != nil {
 					return
 				}
+				largest = max(largest, len(payload))
 				keep(testFrame{from, payload})
 			}
 		}
-		if got := allocBytes(func() { readAll(func(testFrame) {}) }); got > maxReadAlloc(len(data)) {
+		if got := allocBytes(maxReadAlloc(len(data)), func() { readAll(func(testFrame) {}) }); got > maxReadAlloc(len(data)) {
 			t.Fatalf("reading %d bytes allocated %d", len(data), got)
 		}
 		// Every frame read re-frames to the bytes it came from.

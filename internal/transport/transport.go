@@ -12,6 +12,12 @@ import (
 )
 
 // Endpoint is one replica's attachment to the network.
+//
+// Payloads change hands without a copy. The sender gives up a payload on
+// Send and never writes it again. The receiver owns a delivered payload
+// for as long as it likes, so values decoded from it may alias it rather
+// than copy it out. An in-process network hands one slice to every peer
+// it was sent to, so receivers only read a payload, never write it.
 type Endpoint interface {
 	// Send delivers payload to replica `to` asynchronously. Delivery may
 	// be delayed, dropped, or blocked by a partition; it is never

@@ -229,13 +229,16 @@ const ReadAhead = 64 << 10
 
 // ReadN reads exactly n bytes from r into a new slice. It does not trust n,
 // which usually comes from a length prefix on a socket: the slice starts at
-// min(n, ReadAhead) and at most quadruples each time it fills, so a prefix
-// with no bytes behind it costs ReadAhead and any input at most ReadAhead
-// plus 16/3 times the bytes that arrived. A body of at least r's buffer
-// size reads straight into the slice. On error it returns the bytes read
-// so far and, like io.ReadFull, io.EOF only if none were.
-func ReadN(r io.Reader, n int) ([]byte, error) {
-	buf := make([]byte, min(n, ReadAhead))
+// min(n, max(ahead, ReadAhead)) and at most quadruples each time it fills,
+// so a prefix with no bytes behind it costs max(ahead, ReadAhead) and any
+// input at most that plus 16/3 times the bytes that arrived. A caller
+// derives ahead from bytes the same source has already sent in full (0
+// when there are none), so what it trusts stays proportional to what
+// really arrived. A body of at least r's buffer size reads straight into
+// the slice. On error it returns the bytes read so far and, like
+// io.ReadFull, io.EOF only if none were.
+func ReadN(r io.Reader, n, ahead int) ([]byte, error) {
+	buf := make([]byte, min(n, max(ahead, ReadAhead)))
 	got := 0
 	for {
 		m, err := io.ReadFull(r, buf[got:])

@@ -269,14 +269,14 @@ func TestReadN(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i * 7)
 		}
-		got, err := ReadN(iotest.OneByteReader(bytes.NewReader(want)), n)
+		got, err := ReadN(iotest.OneByteReader(bytes.NewReader(want)), n, 0)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: got %d bytes, err %v", n, len(got), err)
 		}
 		if n == 0 {
 			continue
 		}
-		got, err = ReadN(bytes.NewReader(want[:n-1]), n)
+		got, err = ReadN(bytes.NewReader(want[:n-1]), n, 0)
 		if err != io.ErrUnexpectedEOF && !(n == 1 && err == io.EOF) {
 			t.Fatalf("n=%d, one byte short: err %v", n, err)
 		}
