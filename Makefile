@@ -15,8 +15,9 @@ test:
 # path and the conflict-elision property test), the consensus proposer
 # and the membership encoding it schedules, the client retry loop
 # with its TCP transport and the shard router, the sharded cluster and
-# the reconfiguration drills (node replacement under load), the
-# pinned-seed recovery (promote/demote/rebuild churn), consistent-read,
+# the reconfiguration drills (node replacement under load), the restart
+# cycles (each reopens a replica's WAL from its disk), the pinned-seed
+# recovery (promote/demote/rebuild churn), consistent-read,
 # conflict-class and overload chaos scenarios, the live-rebalancing
 # migration property, the trace storage, replay scheduler and
 # recorded-synchronization packages, the WAL, whose appenders flush it
@@ -27,7 +28,7 @@ race:
 	$(GO) test -race ./internal/trace ./internal/sched ./internal/rexsync
 	$(GO) test -race ./internal/paxos ./internal/reconfig
 	$(GO) test -race ./internal/client ./internal/server ./internal/shard
-	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused' ./internal/cluster/
+	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused|TestRepeatedRestartCycles' ./internal/cluster/
 	$(GO) test -race -run 'TestRecoveryScenarioPinnedSeed|TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
 	$(GO) test -race -run 'TestMigrationWindowProperty' ./internal/rebalance/
 
@@ -80,8 +81,8 @@ chaos:
 	$(GO) run ./cmd/rexchaos -scenario overload -scenarios 4 -seed 1
 	$(GO) run ./cmd/rexchaos -scenario rebalance -scenarios 2 -seed 1 -groups 3
 
-# Every decoder fuzz target (input reachable from a socket, the WAL or a
-# snapshot file), FUZZTIME each: go test fuzzes one target per run. Their
+# Every decoder fuzz target (input reachable from a socket, the WAL, a
+# snapshot file or a peer's checkpoint push), FUZZTIME each: go test fuzzes one target per run. Their
 # seed corpora already run in `make test`. go test minimizes every input
 # that adds coverage, by default for up to 60 s with a search quadratic
 # in the input's length; one long input then kept both workers busy for
@@ -104,7 +105,9 @@ FUZZ_TARGETS = \
 	./internal/overload:FuzzWireDeadlineRoundTrip \
 	./internal/server:FuzzServerReadFrame \
 	./internal/server:FuzzDecodeRequest \
-	./internal/transport:FuzzTCPReadFrame
+	./internal/transport:FuzzTCPReadFrame \
+	./internal/apps:FuzzReadCheckpoint \
+	./internal/rebalance:FuzzDecodeGroupStatus
 
 fuzz:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -23,7 +23,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -125,25 +124,7 @@ func main() {
 		template.Members = &m
 	}
 
-	var wals []*storage.FileLog
-	// openWAL opens one group's (or the unsharded replica's) WAL with
-	// metrics registered into the given (possibly group-labeled) registry.
-	openWAL := func(gdir string, labeled *obs.Registry) (*storage.FileLog, error) {
-		if err := os.MkdirAll(gdir, 0o755); err != nil {
-			return nil, err
-		}
-		wal, err := storage.OpenFileLog(filepath.Join(gdir, "wal"), true)
-		if err != nil {
-			return nil, fmt.Errorf("open WAL: %w", err)
-		}
-		walObs := storage.NewLogMetrics()
-		walObs.Register(labeled)
-		wal.SetMetrics(walObs)
-		wals = append(wals, wal)
-		return wal, nil
-	}
-	groupDir := func(g int) string { return filepath.Join(*dir, fmt.Sprintf("group-%d", g)) }
-
+	var wals []*storage.FileLog // for /healthz
 	var srv *server.Server
 	var stopReplicas func()
 	healthReps := make(map[int]healthSource) // by group id, for /healthz and /readyz
@@ -168,11 +149,8 @@ func main() {
 			Map:      smap,
 			Node:     *id,
 			Endpoint: ep,
-			NewLog: func(g int) (storage.Log, error) {
-				return openWAL(groupDir(g), reg.Labeled("group", strconv.Itoa(g)))
-			},
-			NewSnapshots: func(g int) (storage.SnapshotStore, error) {
-				return storage.NewFileSnapshots(filepath.Join(groupDir(g), "snapshots"))
+			Disk: func(g int) storage.Disk {
+				return storage.OSDisk(filepath.Join(*dir, fmt.Sprintf("group-%d", g)))
 			},
 			Template:      template,
 			Metrics:       reg,
@@ -190,19 +168,20 @@ func main() {
 		}
 		for _, g := range node.Groups() {
 			healthReps[g] = node.Replica(g)
+			wals = append(wals, node.WAL(g))
 		}
 		stopReplicas = node.Stop
 		log.Printf("rexd: node %d/%d hosting groups %v of %d (%q) on %s (replication %s)",
 			*id, len(addrs), node.Groups(), *shards, *appName, srv.Addr(), addrs[*id])
 	} else {
-		wal, err := openWAL(*dir, reg)
+		wal, snaps, err := storage.OpenStores(e, storage.OSDisk(*dir))
 		if err != nil {
-			log.Fatalf("rexd: %v", err)
+			log.Fatalf("rexd: open WAL: %v", err)
 		}
-		snaps, err := storage.NewFileSnapshots(filepath.Join(*dir, "snapshots"))
-		if err != nil {
-			log.Fatalf("rexd: snapshot store: %v", err)
-		}
+		walObs := storage.NewLogMetrics()
+		walObs.Register(reg)
+		wal.SetMetrics(walObs)
+		wals = append(wals, wal)
 		cfg := template
 		cfg.ID = *id
 		cfg.N = len(addrs)
@@ -233,7 +212,10 @@ func main() {
 			log.Fatalf("rexd: client listener: %v", err)
 		}
 		healthReps[0] = replica
-		stopReplicas = replica.Stop
+		stopReplicas = func() {
+			replica.Stop()
+			wal.Close()
+		}
 		log.Printf("rexd: replica %d/%d serving %q on %s (replication %s)",
 			*id, len(addrs), *appName, srv.Addr(), addrs[*id])
 	}
@@ -254,9 +236,6 @@ func main() {
 	fmt.Println("rexd: shutting down")
 	srv.Close()
 	stopReplicas()
-	for _, wal := range wals {
-		wal.Close()
-	}
 }
 
 // healthSource is what /healthz and /readyz read of a replica.

@@ -280,10 +280,10 @@ func (db *DB) ReadCheckpoint(r io.Reader) error {
 	db.count = d.Varint()
 	db.dirty = d.Varint()
 	db.syncs = d.Uvarint()
-	for i := range db.slices {
-		n := d.Uvarint()
+	for i := 0; i < len(db.slices) && d.Err() == nil; i++ {
+		n := d.Count(2) // a key length and a value length at least
 		db.slices[i] = make(map[string][]byte, n)
-		for j := uint64(0); j < n; j++ {
+		for j := 0; j < n && d.Err() == nil; j++ {
 			k := d.String()
 			db.slices[i][k] = append([]byte(nil), d.BytesVal()...)
 		}

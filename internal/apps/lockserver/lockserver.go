@@ -189,10 +189,10 @@ func (s *Server) ReadCheckpoint(r io.Reader) error {
 		return err
 	}
 	d := wire.NewDecoder(buf)
-	for i := range s.shards {
-		n := d.Uvarint()
+	for i := 0; i < len(s.shards) && d.Err() == nil; i++ {
+		n := d.Count(5) // a name length, three uvarints and a content length
 		s.shards[i] = make(map[string]*entry, n)
-		for j := uint64(0); j < n; j++ {
+		for j := 0; j < n && d.Err() == nil; j++ {
 			name := d.String()
 			en := &entry{Holder: d.Uvarint(), Expiry: int64(d.Uvarint()), Renews: d.Uvarint()}
 			en.Content = append([]byte(nil), d.BytesVal()...)

@@ -325,10 +325,13 @@ func (s *Store) ReadCheckpoint(rd io.Reader) error {
 	}
 	d := wire.NewDecoder(buf)
 	for _, sl := range s.slices {
-		n := d.Uvarint()
+		if d.Err() != nil {
+			break
+		}
+		n := d.Count(3) // a key length, a flag and a value length at least
 		sl.mem = make(map[string][]byte, n)
 		sl.memBytes = 0
-		for j := uint64(0); j < n; j++ {
+		for j := 0; j < n && d.Err() == nil; j++ {
 			k := d.String()
 			live := d.Bool()
 			v := append([]byte(nil), d.BytesVal()...)
@@ -338,12 +341,12 @@ func (s *Store) ReadCheckpoint(rd io.Reader) error {
 			sl.mem[k] = v
 			sl.memBytes += len(k) + len(v) + 16
 		}
-		nr := d.Uvarint()
+		nr := d.Count(1)
 		sl.runs = nil
-		for j := uint64(0); j < nr; j++ {
-			nk := d.Uvarint()
+		for j := 0; j < nr && d.Err() == nil; j++ {
+			nk := d.Count(3)
 			r := &run{}
-			for i := uint64(0); i < nk; i++ {
+			for i := 0; i < nk && d.Err() == nil; i++ {
 				r.keys = append(r.keys, d.String())
 				live := d.Bool()
 				v := append([]byte(nil), d.BytesVal()...)

@@ -266,10 +266,10 @@ func (c *Cache) ReadCheckpoint(r io.Reader) error {
 	c.gets = d.Uvarint()
 	c.sets = d.Uvarint()
 	c.hits = d.Uvarint()
-	n := d.Uvarint()
+	n := d.Count(2) // a key length and a value length at least
 	c.table = make(map[string]*item, n)
 	c.lru = list.New()
-	for j := uint64(0); j < n; j++ {
+	for j := 0; j < n && d.Err() == nil; j++ {
 		it := &item{key: d.String()}
 		it.val = append([]byte(nil), d.BytesVal()...)
 		it.el = c.lru.PushBack(it)

@@ -208,18 +208,18 @@ func (s *Server) ReadCheckpoint(r io.Reader) error {
 		return err
 	}
 	d := wire.NewDecoder(buf)
-	for i := range s.shards {
-		n := d.Uvarint()
+	for i := 0; i < len(s.shards) && d.Err() == nil; i++ {
+		n := d.Count(3) // three uvarints
 		s.shards[i] = make(map[uint64]meta, n)
-		for j := uint64(0); j < n; j++ {
+		for j := 0; j < n && d.Err() == nil; j++ {
 			id := d.Uvarint()
 			s.shards[i][id] = meta{Renders: uint32(d.Uvarint()), Digest: d.Uvarint()}
 		}
 	}
-	n := d.Uvarint()
+	n := d.Count(2) // two uvarints
 	s.cache = make(map[uint64]uint64, n)
 	s.cacheLRU = s.cacheLRU[:0]
-	for j := uint64(0); j < n; j++ {
+	for j := 0; j < n && d.Err() == nil; j++ {
 		id := d.Uvarint()
 		s.cache[id] = d.Uvarint()
 		s.cacheLRU = append(s.cacheLRU, id)

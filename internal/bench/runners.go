@@ -176,10 +176,14 @@ func RunRSM(cfg RunConfig) RunResult {
 			m := e.AddMachine(cfg.Cores)
 			done := e.NewChan(1)
 			e.GoOn(m, fmt.Sprintf("rsm-replica-%d-boot", i), func() {
+				log, err := storage.OpenLog(e, storage.NewMemDisk(), "wal", true)
+				if err != nil {
+					panic(err)
+				}
 				rep, err := smr.NewReplica(smr.Config{
 					ID: i, N: n, Env: e,
 					Endpoint:        net.Endpoint(i),
-					Log:             storage.NewMemLog(),
+					Log:             log,
 					Factory:         cfg.App.Factory,
 					Timers:          cfg.App.Timers,
 					HeartbeatEvery:  20 * time.Millisecond,

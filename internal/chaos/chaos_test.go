@@ -14,7 +14,6 @@ import (
 	"rex/internal/rexsync"
 	"rex/internal/sched"
 	"rex/internal/sim"
-	"rex/internal/storage"
 	"rex/internal/wire"
 )
 
@@ -63,37 +62,6 @@ func TestScenarioDerivedFromSeed(t *testing.T) {
 		if _, err := NewScenario(bad); err == nil {
 			t.Errorf("%+v accepted", bad)
 		}
-	}
-}
-
-func TestFaultLogInjectsFailures(t *testing.T) {
-	fl := NewFaultLog(storage.NewMemLog())
-	if err := fl.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	fl.FailAppends(2)
-	for i := 0; i < 2; i++ {
-		if err := fl.Append([]byte("b")); err == nil {
-			t.Fatalf("armed append %d succeeded", i)
-		}
-	}
-	if err := fl.Append([]byte("c")); err != nil {
-		t.Fatalf("append after faults exhausted: %v", err)
-	}
-	if got := fl.Injected(); got != 2 {
-		t.Fatalf("injected = %d, want 2", got)
-	}
-	fl.FailAppends(5)
-	fl.Disarm()
-	if err := fl.Append([]byte("d")); err != nil {
-		t.Fatalf("append after disarm: %v", err)
-	}
-	recs, err := fl.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("failed appends reached the log: %d records, want 3", len(recs))
 	}
 }
 

@@ -1,3 +1,10 @@
+// Package chaos is the fault-injection engine: seed-deterministic
+// nemesis schedules (crashes, primary kills, partitions, message loss
+// and delay bursts, disk write errors under the WAL) executed against an
+// in-process cluster under the simulator, plus the scenario runner that
+// drives a recorded client workload through the faults and hands the
+// evidence — concurrent histories, chosen logs, quiesced states — to the
+// check package for verdicts.
 package chaos
 
 import (
@@ -75,7 +82,6 @@ type execution struct {
 	reg      *obs.Registry
 	logf     func(string, ...any)
 	res      *Result
-	faults   map[int]*FaultLog // WAL wrappers by store index
 	sessions []check.SessionEvent
 	stopped  bool
 
@@ -110,7 +116,7 @@ func (sc Scenario) Run(reg *obs.Registry, logf func(string, ...any)) Result {
 	}
 	sc, err := NewScenario(sc)
 	res := Result{Seed: sc.Seed, App: sc.App}
-	r := &execution{Scenario: sc, e: sim.New(4), reg: reg, logf: logf, res: &res, faults: map[int]*FaultLog{}}
+	r := &execution{Scenario: sc, e: sim.New(4), reg: reg, logf: logf, res: &res}
 	if err != nil {
 		r.failf("%v", err)
 	} else {
@@ -136,11 +142,6 @@ func (r *execution) run() {
 			CheckpointEvery: 200 * time.Millisecond,
 			Seed:            r.Seed,
 			Logf:            r.logf,
-		},
-		NewLog: func(i int) storage.Log {
-			f := NewFaultLog(storage.NewMemLog())
-			r.faults[i] = f
-			return f
 		},
 	}
 	if r.options != nil {
@@ -294,18 +295,18 @@ func counter(name string) func(*core.Replica) uint64 {
 	return func(rp *core.Replica) uint64 { return rp.Metrics().Counter(name) }
 }
 
-// recover ends the fault phase: disarm pending WAL failures, heal the
-// network, and restart every member that is down.
+// recover ends the fault phase: disarm pending disk write failures, heal
+// the network, and restart every member that is down.
 func (r *execution) recover() error {
-	for _, f := range r.faults {
-		f.Disarm()
-	}
 	if r.mc != nil {
 		r.mc.Net.Heal()
 	} else {
 		r.c.Net.Heal()
 	}
 	for _, c := range r.groups() {
+		for _, d := range c.Disks {
+			d.FailWrites("", 0)
+		}
 		if err := r.restartDown(c); err != nil {
 			return err
 		}
@@ -319,7 +320,7 @@ func (r *execution) recover() error {
 // out (restarting its old identity would only be refused again).
 func (r *execution) restartDown(c *cluster.Cluster) error {
 	for i := 0; i < c.Size(); i++ {
-		if rp := c.Replica(i); rp != nil && errors.Is(rp.FaultError(), errInjected) {
+		if rp := c.Replica(i); rp != nil && errors.Is(rp.FaultError(), storage.ErrInjected) {
 			c.Crash(i) // reap the crash-stopped process
 		}
 		if c.Replica(i) == nil && isMember(c, i) {
@@ -513,7 +514,7 @@ func (r *execution) apply(st Step) {
 		c.Net.SetDelay(j, i, st.Min, st.Max)
 	case KindWALFault:
 		note("arm %d WAL failures on replica %d", st.K, i)
-		r.faults[i].FailAppends(st.K)
+		c.Disks[i].FailWrites("wal", st.K)
 	default:
 		skip()
 	}

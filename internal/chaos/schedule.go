@@ -28,8 +28,8 @@ const (
 	// KindDelayBurst adds Min..Max delay on the links between I and J
 	// (both directions) until the next heal.
 	KindDelayBurst
-	// KindWALFault arms replica I's log to fail its next K appends; the
-	// replica crash-stops on the first one.
+	// KindWALFault arms replica I's disk to fail its next K writes; the
+	// replica crash-stops on the first one that reaches its WAL.
 	KindWALFault
 
 	numKinds int = iota

@@ -37,10 +37,6 @@ type Options struct {
 	// filled in its own fields (cfg.ID is i). NewMulti uses it to apply
 	// shard.ReplicaConfig, the per-group derivation sharded processes use.
 	Derive func(cfg core.Config) core.Config
-	// NewLog and NewSnapshots build replica i's durable state; defaults are
-	// in-memory stores. The chaos engine swaps in fault-injecting wrappers.
-	NewLog       func(i int) storage.Log
-	NewSnapshots func(i int) storage.SnapshotStore
 	// Endpoints, when set, supplies replica i's network attachment instead
 	// of a cluster-private transport.Network (Net stays nil). The shard
 	// package uses this to run one group over a node-level endpoint mesh
@@ -67,12 +63,6 @@ func (o Options) withDefaults() Options {
 	if o.Template.Seed == 0 {
 		o.Template.Seed = 1
 	}
-	if o.NewLog == nil {
-		o.NewLog = func(int) storage.Log { return storage.NewMemLog() }
-	}
-	if o.NewSnapshots == nil {
-		o.NewSnapshots = func(int) storage.SnapshotStore { return storage.NewMemSnapshots() }
-	}
 	return o
 }
 
@@ -89,15 +79,18 @@ type machineEnv interface {
 // The exported slices are indexed by replica id and only ever grow
 // (AddNode); mu guards them because growth races concurrent clients.
 // Prefer Replica/Size over direct slice access in concurrent contexts.
+//
+// Each replica keeps its WAL and snapshots on its own in-memory disk
+// (storage.OpenStores), and every start reopens them, as a process does.
 type Cluster struct {
 	Env      env.Env
 	Net      *transport.Network
 	Opts     Options
 	Factory  core.Factory
 	Replicas []*core.Replica
-	Logs     []storage.Log
-	Snaps    []storage.SnapshotStore
-	machines []int // simulated machine per replica (-1 without machineEnv)
+	Disks    []*storage.MemDisk
+	Snaps    []storage.SnapshotStore // replica i's store as of its last start
+	machines []int                   // simulated machine per replica (-1 without machineEnv)
 
 	mu env.Mutex
 }
@@ -139,8 +132,8 @@ func New(e env.Env, factory core.Factory, opts Options) *Cluster {
 		c.Net = transport.NewNetwork(e, opts.Replicas, netDelay, opts.Template.Seed)
 	}
 	for i := 0; i < opts.Replicas; i++ {
-		c.Logs = append(c.Logs, opts.NewLog(i))
-		c.Snaps = append(c.Snaps, opts.NewSnapshots(i))
+		c.Disks = append(c.Disks, storage.NewMemDisk())
+		c.Snaps = append(c.Snaps, nil)
 		c.Replicas = append(c.Replicas, nil)
 		c.machines = append(c.machines, -1)
 	}
@@ -156,7 +149,9 @@ func New(e env.Env, factory core.Factory, opts Options) *Cluster {
 	return c
 }
 
-func (c *Cluster) config(i int) core.Config {
+// config opens replica i's durable state from its disk and returns its
+// configuration.
+func (c *Cluster) config(i int) (core.Config, error) {
 	ep := c.Opts.Endpoints
 	if ep == nil {
 		ep = c.Net.Endpoint
@@ -165,14 +160,21 @@ func (c *Cluster) config(i int) core.Config {
 	cfg.ID = i
 	cfg.N = c.Opts.Replicas
 	cfg.Env = c.Env
-	cfg.Endpoint = ep(i)
-	cfg.Log = c.Logs[i]
-	cfg.Snapshots = c.Snaps[i]
 	cfg.Factory = c.Factory
+	log, snaps, err := storage.OpenStores(c.Env, c.Disks[i])
+	if err != nil {
+		return cfg, err
+	}
+	c.mu.Lock()
+	c.Snaps[i] = snaps
+	c.mu.Unlock()
+	cfg.Endpoint = ep(i)
+	cfg.Log = log
+	cfg.Snapshots = snaps
 	if c.Opts.Derive != nil {
 		cfg = c.Opts.Derive(cfg)
 	}
-	return cfg
+	return cfg, nil
 }
 
 // startReplica constructs and starts replica i on its machine (if the
@@ -180,7 +182,11 @@ func (c *Cluster) config(i int) core.Config {
 // own simulated server.
 func (c *Cluster) startReplica(i int) error {
 	build := func() (*core.Replica, error) {
-		r, err := core.NewReplica(c.config(i))
+		cfg, err := c.config(i)
+		if err != nil {
+			return nil, err
+		}
+		r, err := core.NewReplica(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -261,10 +267,11 @@ func (c *Cluster) WaitPrimary(timeout time.Duration) (int, error) {
 	return -1, errors.New("cluster: no primary elected in time")
 }
 
-// Crash stops replica i and cuts it from the network, preserving its
-// durable log and snapshots for a later Restart. With external endpoints
-// (Opts.Endpoints) there is no cluster-private network to cut; stopping
-// the replica closes its endpoint, which is the process dying.
+// Crash stops replica i, cuts it from the network and cuts the power to
+// its disk, which keeps every acknowledged WAL record and saved snapshot
+// for a later Restart. With external endpoints (Opts.Endpoints) there is
+// no cluster-private network to cut; stopping the replica closes its
+// endpoint, which is the process dying.
 func (c *Cluster) Crash(i int) {
 	if c.Net != nil {
 		c.Net.Isolate(i, true)
@@ -272,13 +279,16 @@ func (c *Cluster) Crash(i int) {
 	c.mu.Lock()
 	r := c.Replicas[i]
 	c.Replicas[i] = nil
+	disk := c.Disks[i]
 	c.mu.Unlock()
 	if r != nil {
 		r.Stop()
 	}
+	disk.Crash(0)
 }
 
-// Restart brings a crashed replica back with its durable state.
+// Restart brings a crashed replica back, reopening its durable state
+// from its disk.
 func (c *Cluster) Restart(i int) error {
 	if c.Replica(i) != nil {
 		return fmt.Errorf("cluster: replica %d still running", i)
@@ -290,12 +300,11 @@ func (c *Cluster) Restart(i int) error {
 	return c.startReplica(i)
 }
 
-// RestartFresh brings replica i back with empty durable state (a replaced
+// RestartFresh brings replica i back with an empty disk (a replaced
 // machine), forcing a checkpoint transfer if the cluster compacted.
 func (c *Cluster) RestartFresh(i int) error {
 	c.mu.Lock()
-	c.Logs[i] = c.Opts.NewLog(i)
-	c.Snaps[i] = c.Opts.NewSnapshots(i)
+	c.Disks[i] = storage.NewMemDisk()
 	c.mu.Unlock()
 	return c.Restart(i)
 }
@@ -306,8 +315,8 @@ func (c *Cluster) addSlot() int {
 	c.mu.Lock()
 	id := len(c.Replicas)
 	c.Replicas = append(c.Replicas, nil)
-	c.Logs = append(c.Logs, c.Opts.NewLog(id))
-	c.Snaps = append(c.Snaps, c.Opts.NewSnapshots(id))
+	c.Disks = append(c.Disks, storage.NewMemDisk())
+	c.Snaps = append(c.Snaps, nil)
 	machine := -1
 	if me, ok := c.Env.(machineEnv); ok && c.machines[0] >= 0 {
 		machine = me.AddMachine(me.Cores())
@@ -395,51 +404,30 @@ func (c *Cluster) WaitRemoved(id int, timeout time.Duration) error {
 // WaitConverged waits until every live replica reports the same stable
 // application state (serialized via WriteCheckpoint) and returns it.
 func (c *Cluster) WaitConverged(timeout time.Duration) (string, error) {
-	deadline := c.Env.Now() + timeout
-	var last string
-	stable := 0
-	for c.Env.Now() < deadline {
-		states := make(map[string]bool)
-		var s string
-		for _, r := range c.live() {
-			if r == nil || r.Role() == core.RoleRemoved {
-				continue // a removed node's state is frozen where it left off
-			}
-			if r.Role() == core.RoleFaulted {
-				return "", fmt.Errorf("cluster: replica faulted: %w", r.FaultError())
-			}
-			var buf bytes.Buffer
-			if err := r.StateMachineForTest().WriteCheckpoint(&buf); err != nil {
-				return "", err
-			}
-			s = buf.String()
-			states[s] = true
-		}
-		if len(states) == 1 {
-			if s == last {
-				stable++
-				if stable >= 3 {
-					return s, nil
-				}
-			} else {
-				stable = 0
-				last = s
-			}
-		} else {
-			stable = 0
-			last = ""
-		}
-		c.Env.Sleep(20 * time.Millisecond)
+	states, faults, err := c.StableStates(timeout)
+	if err != nil {
+		return "", err
 	}
-	return "", errors.New("cluster: replicas did not converge in time")
+	for _, ferr := range faults {
+		return "", fmt.Errorf("cluster: replica faulted: %w", ferr)
+	}
+	var state string
+	for _, state = range states { // any one: all must match it
+	}
+	for _, s := range states {
+		if s != state {
+			return "", errors.New("cluster: replicas did not converge")
+		}
+	}
+	return state, nil
 }
 
 // StableStates waits until every live replica's serialized application
-// state stops changing and returns the states by replica index. Unlike
-// WaitConverged it does not require the states to agree: the chaos
-// checker compares them itself, so a divergence becomes a reported
-// violation instead of a timeout here. Replicas that crashed on a
-// storage fault are returned in faults rather than treated as an error.
+// state stops changing and returns the states by replica index. It does
+// not require the states to agree: the chaos checker compares them
+// itself, so a divergence becomes a reported violation instead of a
+// timeout here. Replicas that crashed on a storage fault are returned in
+// faults rather than treated as an error.
 func (c *Cluster) StableStates(timeout time.Duration) (states map[int]string, faults map[int]error, err error) {
 	deadline := c.Env.Now() + timeout
 	var last string

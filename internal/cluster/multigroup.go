@@ -10,7 +10,6 @@ import (
 	"rex/internal/obs"
 	"rex/internal/rebalance"
 	"rex/internal/shard"
-	"rex/internal/storage"
 	"rex/internal/transport"
 )
 
@@ -32,17 +31,11 @@ type MultiCluster struct {
 	Live bool
 }
 
-// MultiStoreIndex flattens (group, replica) into the index passed to
-// Options.NewLog / Options.NewSnapshots by NewMulti, so custom stores for
-// different groups never collide.
-func MultiStoreIndex(group, replica int) int { return group*256 + replica }
-
 // NewMulti builds (but does not start) a multi-group cluster over m.
 // opts applies per group; Replicas is taken from the map, every replica's
 // config is derived from opts.Template by shard.ReplicaConfig (the
 // derivation sharded processes use: group id, per-group seed, replica 0's
-// shortened election timeout), and NewLog/NewSnapshots are called with
-// MultiStoreIndex(group, replica).
+// shortened election timeout).
 func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) (*MultiCluster, error) {
 	if opts.LiveRebalance {
 		m.EnsureRanges()
@@ -81,9 +74,6 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 			og.Machines[i] = nodeMachines[m.Placement[g][i]]
 		}
 		og.Derive = func(cfg core.Config) core.Config { return shard.ReplicaConfig(cfg, g, cfg.ID) }
-		baseLog, baseSnaps := opts.NewLog, opts.NewSnapshots
-		og.NewLog = func(i int) storage.Log { return baseLog(MultiStoreIndex(g, i)) }
-		og.NewSnapshots = func(i int) storage.SnapshotStore { return baseSnaps(MultiStoreIndex(g, i)) }
 		fg := factory
 		if opts.LiveRebalance {
 			fg = rebalance.WrapFactory(factory, m, g, g == 0)

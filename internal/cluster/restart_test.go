@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"rex/internal/rexsync"
 	"rex/internal/sched"
 	"rex/internal/sim"
+	"rex/internal/storage"
 	"rex/internal/wire"
 )
 
@@ -185,6 +187,97 @@ func TestRepeatedRestartCycles(t *testing.T) {
 		if v := check.CheckPrefix(logs); len(v) != 0 {
 			failure = v[0]
 			return
+		}
+	})
+	if failure != "" {
+		t.Fatal(failure)
+	}
+}
+
+// TestWALFaultRestartFromDisk arms a write fault under the primary's WAL
+// while clients write: the primary crash-stops on it, and once restarted
+// from its disk it must hold every instance it had chosen before the
+// fault was armed, then rejoin and converge with the others.
+func TestWALFaultRestartFromDisk(t *testing.T) {
+	e := sim.New(4)
+	var failure string
+	e.Run(func() {
+		c := cluster.New(e, newLedger(), cluster.Options{
+			Replicas: 3,
+			Template: core.Config{
+				Workers:         2,
+				HeartbeatEvery:  20 * time.Millisecond,
+				ElectionTimeout: 100 * time.Millisecond,
+				StatusEvery:     20 * time.Millisecond,
+				Seed:            11,
+			},
+		})
+		if err := c.Start(); err != nil {
+			failure = fmt.Sprintf("start: %v", err)
+			return
+		}
+		p, err := c.WaitPrimary(5 * time.Second)
+		if err != nil {
+			failure = err.Error()
+			return
+		}
+		var done bool
+		load := env.GoEach(e, "fault-client", 2, func(ci int) {
+			cl := c.NewClient(uint64(60 + ci))
+			for k := 0; !done; k++ {
+				if _, err := cl.DoTimeout([]byte(fmt.Sprintf("c%d-n%d", ci, k)), 10*time.Second); err != nil {
+					failure = fmt.Sprintf("client %d op %d: %v", ci, k, err)
+					return
+				}
+				e.Sleep(3 * time.Millisecond)
+			}
+		})
+		e.Sleep(200 * time.Millisecond)
+		base, chosen := c.Replica(p).ChosenLog()
+		if len(chosen) == 0 {
+			failure = "nothing chosen before the fault"
+			return
+		}
+		c.Disks[p].FailWrites("wal", 1)
+		for c.Replica(p).Role() != core.RoleFaulted {
+			e.Sleep(time.Millisecond)
+		}
+		if err := c.Replica(p).FaultError(); !errors.Is(err, storage.ErrInjected) {
+			failure = fmt.Sprintf("primary %d faulted with %v, want the injected write error", p, err)
+			return
+		}
+		c.Crash(p)
+		c.Disks[p].FailWrites("", 0)
+		if err := c.Restart(p); err != nil {
+			failure = fmt.Sprintf("restart: %v", err)
+			return
+		}
+		rbase, recovered := c.Replica(p).ChosenLog()
+		if err := check.CheckPrefix([]check.ChosenLog{
+			{Replica: p, Base: base, Vals: chosen},
+			{Replica: p, Base: rbase, Vals: recovered},
+		}); len(err) != 0 || rbase+uint64(len(recovered)) < base+uint64(len(chosen)) {
+			failure = fmt.Sprintf("recovered chosen log [%d, +%d) does not extend [%d, +%d): %v",
+				rbase, len(recovered), base, len(chosen), err)
+			return
+		}
+		e.Sleep(300 * time.Millisecond)
+		done = true
+		load.Wait()
+		if failure != "" {
+			return
+		}
+		states, faults, err := c.StableStates(30 * time.Second)
+		if err != nil {
+			failure = err.Error()
+			return
+		}
+		if len(faults) != 0 || len(states) != 3 {
+			failure = fmt.Sprintf("after the restart: %d live states, faults %v", len(states), faults)
+			return
+		}
+		if v := check.StateAgreement(states); len(v) != 0 {
+			failure = v[0]
 		}
 	})
 	if failure != "" {

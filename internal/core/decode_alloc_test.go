@@ -39,10 +39,11 @@ func TestAcceptSnapshotCopyDoesNotCopyBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := env.NewReal()
+	log, _ := storage.OpenLog(e, storage.NewMemDisk(), "wal", true)
 	r, err := NewReplica(Config{
 		ID: 0, N: 1, Env: e,
 		Endpoint:  transport.NewNetwork(e, 1, 0, 1).Endpoint(0),
-		Log:       storage.NewMemLog(),
+		Log:       log,
 		Snapshots: snaps,
 	})
 	if err != nil {
@@ -81,11 +82,12 @@ func (s *echoSM) ReadCheckpoint(rd io.Reader) error { return nil }
 func TestQueryPathAllocs(t *testing.T) {
 	e := env.NewReal()
 	sm := &echoSM{resp: []byte("v")}
+	log, snaps, _ := storage.OpenStores(e, storage.NewMemDisk())
 	r, err := NewReplica(Config{
 		ID: 0, N: 1, Env: e,
 		Endpoint:    transport.NewNetwork(e, 1, 0, 1).Endpoint(0),
-		Log:         storage.NewMemLog(),
-		Snapshots:   storage.NewMemSnapshots(),
+		Log:         log,
+		Snapshots:   snaps,
 		Factory:     func(*sched.Runtime, *TimerHost) StateMachine { return sm },
 		ReadWorkers: 2,
 	})

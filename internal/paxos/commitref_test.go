@@ -25,7 +25,7 @@ func TestCommitRefWithOtherBallotLearns(t *testing.T) {
 		nw := transport.NewNetwork(e, 3, time.Millisecond, 1)
 		var got []string
 		n, err := NewNode(Config{
-			ID: 1, N: 3, Env: e, Endpoint: nw.Endpoint(1), Log: storage.NewMemLog(),
+			ID: 1, N: 3, Env: e, Endpoint: nw.Endpoint(1), Log: memLog(e),
 			HeartbeatEvery: 20 * time.Millisecond, ElectionTimeout: 100 * time.Millisecond,
 			OnCommitted: func(_ uint64, val []byte) { got = append(got, string(val)) },
 		})
@@ -152,7 +152,7 @@ func TestLearnerGetsCommittedValues(t *testing.T) {
 // acceptFailLog fails the first batch holding an accepted record once
 // armed.
 type acceptFailLog struct {
-	*storage.MemLog
+	*storage.FileLog
 	armed bool
 }
 
@@ -166,7 +166,7 @@ func (l *acceptFailLog) AppendBatch(recs [][]byte) error {
 			}
 		}
 	}
-	return l.MemLog.AppendBatch(recs)
+	return l.FileLog.AppendBatch(recs)
 }
 
 func TestLeaderAcceptFaultCommitsNothing(t *testing.T) {
@@ -180,7 +180,7 @@ func TestLeaderAcceptFaultCommitsNothing(t *testing.T) {
 		faults := make([]error, n)
 		c := newClusterWith(e, transport.NewNetwork(e, n, time.Millisecond, 71), n, 71, nil,
 			func(i int, cfg *Config) {
-				logs[i] = &acceptFailLog{MemLog: storage.NewMemLog()}
+				logs[i] = &acceptFailLog{FileLog: memLog(e)}
 				cfg.Log = logs[i]
 				cfg.OnStorageFault = func(err error) { faults[i] = err }
 			})

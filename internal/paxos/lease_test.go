@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"rex/internal/sim"
-	"rex/internal/storage"
 	"rex/internal/transport"
 )
 
@@ -110,7 +109,7 @@ func TestLeaseDisabled(t *testing.T) {
 			node, err := NewNode(Config{
 				ID: i, N: n, Env: e,
 				Endpoint:        net.Endpoint(i),
-				Log:             storage.NewMemLog(),
+				Log:             memLog(e),
 				HeartbeatEvery:  20 * time.Millisecond,
 				ElectionTimeout: 100 * time.Millisecond,
 				LeaseDuration:   -1,

@@ -16,11 +16,17 @@ type cluster struct {
 	e     *sim.Env
 	net   *transport.Network
 	nodes []*Node
-	logs  []*storage.MemLog
+	logs  []*storage.FileLog
 
 	mu        env.Mutex
 	commits   [][]string // per node, committed values in order
 	leaderEvt []string   // "become:<id>" / "new:<id>@<observer>"
+}
+
+// memLog opens a syncing WAL on a fresh in-memory disk.
+func memLog(e env.Env) *storage.FileLog {
+	l, _ := storage.OpenLog(e, storage.NewMemDisk(), "wal", true)
+	return l
 }
 
 func newCluster(e *sim.Env, n int, seed int64) *cluster {
@@ -44,7 +50,7 @@ func newClusterWith(e *sim.Env, net *transport.Network, n int, seed int64, wrap 
 	}
 	for i := 0; i < n; i++ {
 		i := i
-		log := storage.NewMemLog()
+		log := memLog(e)
 		c.logs = append(c.logs, log)
 		ep := net.Endpoint(i)
 		if wrap != nil {

@@ -39,7 +39,7 @@ type rcluster struct {
 	e     *sim.Env
 	net   *transport.Network
 	nodes []*Node
-	logs  []*storage.MemLog
+	logs  []*storage.FileLog
 
 	mu      env.Mutex
 	commits [][]string
@@ -63,7 +63,7 @@ func newRCluster(e *sim.Env, n, members int, seed int64) *rcluster {
 	base := reconfig.Initial(members)
 	for i := 0; i < n; i++ {
 		i := i
-		log := storage.NewMemLog()
+		log := memLog(e)
 		c.logs = append(c.logs, log)
 		votes := new(atomic.Int64)
 		c.votes = append(c.votes, votes)

@@ -172,9 +172,9 @@ func encodeSpans(e *wire.Encoder, spans []Span) {
 }
 
 func decodeSpans(d *wire.Decoder) []Span {
-	n := d.Uvarint()
+	n := d.Count(4) // a span is four uvarints
 	out := make([]Span, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		out = append(out, Span{Lo: d.Uvarint(), Hi: d.Uvarint(), Epoch: d.Uvarint(), Bytes: int(d.Uvarint())})
 	}
 	return out

@@ -66,11 +66,12 @@ func startTCPCluster(t *testing.T) ([]*core.Replica, []*Server, []string) {
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
 		}
+		log, snaps, _ := storage.OpenStores(e, storage.NewMemDisk())
 		r, err := core.NewReplica(core.Config{
 			ID: i, N: 3, Env: e,
 			Endpoint:        ep,
-			Log:             storage.NewMemLog(),
-			Snapshots:       storage.NewMemSnapshots(),
+			Log:             log,
+			Snapshots:       snaps,
 			Factory:         app.Factory,
 			Workers:         2,
 			Timers:          app.Timers,
@@ -490,11 +491,12 @@ func startFramingServer(t *testing.T) (*Server, func()) {
 	app := apps.HashDB()
 	e := env.NewReal()
 	net1 := transport.NewNetwork(e, 1, 0, 1)
+	log, snaps, _ := storage.OpenStores(e, storage.NewMemDisk())
 	r, err := core.NewReplica(core.Config{
 		ID: 0, N: 1, Env: e,
 		Endpoint:        net1.Endpoint(0),
-		Log:             storage.NewMemLog(),
-		Snapshots:       storage.NewMemSnapshots(),
+		Log:             log,
+		Snapshots:       snaps,
 		Factory:         app.Factory,
 		Workers:         1,
 		Timers:          app.Timers,

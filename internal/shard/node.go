@@ -20,11 +20,11 @@ type NodeConfig struct {
 	Node     int
 	Endpoint transport.Endpoint // node-level attachment (one listener, one peer mesh)
 
-	// NewLog and NewSnapshots build group g's durable state — per-group
-	// directories in a real process, so groups never share a WAL or a
-	// snapshot store. Defaults are in-memory stores.
-	NewLog       func(g int) (storage.Log, error)
-	NewSnapshots func(g int) (storage.SnapshotStore, error)
+	// Disk returns the disk group g keeps its WAL and snapshots on
+	// (storage.OpenStores) — a per-group directory in a real process, so
+	// groups never share a WAL or a snapshot store. The default is a fresh
+	// in-memory disk per group.
+	Disk func(g int) storage.Disk
 
 	// Template seeds every group's core.Config through ReplicaConfig. The
 	// per-replica fields — ID, N, Env, Endpoint, Log, Snapshots, Metrics
@@ -32,8 +32,9 @@ type NodeConfig struct {
 	// (Factory, Workers, Timers, tuning) passes through unchanged.
 	Template core.Config
 
-	// Metrics, when set, receives each group's full series set under a
-	// group="<g>" label, plus the node-wide rex_shard_* aggregates.
+	// Metrics, when set, receives each group's full series set (its WAL's
+	// included) under a group="<g>" label, plus the node-wide rex_shard_*
+	// aggregates.
 	Metrics *obs.Registry
 
 	// RebalanceWrap, when set, wraps each hosted group's factory with the
@@ -52,6 +53,7 @@ type Node struct {
 	mux  *NodeMux
 	gids []int
 	reps map[int]*core.Replica
+	wals map[int]*storage.FileLog
 }
 
 // NewNode builds (but does not start) the node's replicas.
@@ -66,17 +68,15 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if len(gids) == 0 {
 		return nil, fmt.Errorf("shard: map places no groups on node %d", cfg.Node)
 	}
-	if cfg.NewLog == nil {
-		cfg.NewLog = func(int) (storage.Log, error) { return storage.NewMemLog(), nil }
-	}
-	if cfg.NewSnapshots == nil {
-		cfg.NewSnapshots = func(int) (storage.SnapshotStore, error) { return storage.NewMemSnapshots(), nil }
+	if cfg.Disk == nil {
+		cfg.Disk = func(int) storage.Disk { return storage.NewMemDisk() }
 	}
 	n := &Node{
 		cfg:  cfg,
 		mux:  NewNodeMux(cfg.Env, cfg.Endpoint, cfg.Map, cfg.Node),
 		gids: gids,
 		reps: make(map[int]*core.Replica, len(gids)),
+		wals: make(map[int]*storage.FileLog, len(gids)),
 	}
 	if cfg.Metrics != nil {
 		cfg.Metrics.Gauge("rex_shard_groups").Set(int64(len(gids)))
@@ -88,15 +88,17 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		rc.Env = cfg.Env
 		rc.N = cfg.Map.Replicas(g)
 		rc.Endpoint = n.mux.Endpoint(g)
-		var err error
-		if rc.Log, err = cfg.NewLog(g); err != nil {
-			return nil, fmt.Errorf("shard: group %d log: %w", g, err)
+		wal, snaps, err := storage.OpenStores(cfg.Env, cfg.Disk(g))
+		if err != nil {
+			return nil, fmt.Errorf("shard: group %d durable state: %w", g, err)
 		}
-		if rc.Snapshots, err = cfg.NewSnapshots(g); err != nil {
-			return nil, fmt.Errorf("shard: group %d snapshots: %w", g, err)
-		}
+		n.wals[g] = wal
+		rc.Log, rc.Snapshots = wal, snaps
 		if cfg.Metrics != nil {
 			rc.Metrics = cfg.Metrics.Labeled("group", strconv.Itoa(g))
+			walObs := storage.NewLogMetrics()
+			walObs.Register(rc.Metrics)
+			wal.SetMetrics(walObs)
 		}
 		if cfg.RebalanceWrap != nil {
 			rc.Factory = cfg.RebalanceWrap(g, rc.Factory)
@@ -145,13 +147,21 @@ func (n *Node) Start() error {
 	return nil
 }
 
-// Stop shuts every hosted replica down, then the node endpoint.
+// Stop shuts every hosted replica down, then the node endpoint, then
+// closes the WALs.
 func (n *Node) Stop() {
 	for _, g := range n.gids {
 		n.reps[g].Stop()
 	}
 	n.mux.Close()
+	for _, g := range n.gids {
+		n.wals[g].Close()
+	}
 }
+
+// WAL returns group g's write-ahead log, or nil if the map does not place
+// g here.
+func (n *Node) WAL(g int) *storage.FileLog { return n.wals[g] }
 
 // Groups lists the hosted group ids, ascending.
 func (n *Node) Groups() []int { return append([]int(nil), n.gids...) }

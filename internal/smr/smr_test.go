@@ -19,10 +19,11 @@ func startCluster(t *testing.T, e *sim.Env, app apps.App) []*Replica {
 	net := transport.NewNetwork(e, n, 500*time.Microsecond, 5)
 	var reps []*Replica
 	for i := 0; i < n; i++ {
+		log, _ := storage.OpenLog(e, storage.NewMemDisk(), "wal", true)
 		r, err := NewReplica(Config{
 			ID: i, N: n, Env: e,
 			Endpoint:        net.Endpoint(i),
-			Log:             storage.NewMemLog(),
+			Log:             log,
 			Factory:         app.Factory,
 			Timers:          app.Timers,
 			HeartbeatEvery:  20 * time.Millisecond,

@@ -1,8 +1,11 @@
 // Package storage provides the durable state Rex replicas need: an
 // append-only record log for the consensus engine (acceptor promises,
 // accepted values, chosen values) and a snapshot store for checkpoints
-// (§3.3). Both have an in-memory implementation for simulation and tests
-// and a file-backed implementation for cmd/rexd.
+// (§3.3). There is one implementation of each, FileLog and FileSnapshots,
+// written over a small Disk interface with two implementations: OSDisk,
+// the operating system's file system that cmd/rexd uses, and MemDisk, an
+// in-memory disk that the simulator and tests use and that can crash,
+// dropping what was never synced, or fail writes.
 package storage
 
 import (
@@ -10,12 +13,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"sync"
-	"time"
 
+	"rex/internal/env"
 	"rex/internal/obs"
 )
 
@@ -43,87 +47,6 @@ type SnapshotStore interface {
 	Save(id uint64, data []byte) error
 	// Load returns the most recent snapshot, if any.
 	Load() (id uint64, data []byte, ok bool, err error)
-}
-
-// MemLog is an in-memory Log.
-type MemLog struct {
-	mu   sync.Mutex
-	recs [][]byte
-}
-
-// NewMemLog returns an empty in-memory log.
-func NewMemLog() *MemLog { return &MemLog{} }
-
-// Append implements Log.
-func (l *MemLog) Append(rec []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = append(l.recs, append([]byte(nil), rec...))
-	return nil
-}
-
-// AppendBatch implements Log.
-func (l *MemLog) AppendBatch(recs [][]byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, rec := range recs {
-		l.recs = append(l.recs, append([]byte(nil), rec...))
-	}
-	return nil
-}
-
-// Records implements Log.
-func (l *MemLog) Records() ([][]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([][]byte, len(l.recs))
-	copy(out, l.recs)
-	return out, nil
-}
-
-// Rewrite implements Log.
-func (l *MemLog) Rewrite(recs [][]byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = nil
-	for _, r := range recs {
-		l.recs = append(l.recs, append([]byte(nil), r...))
-	}
-	return nil
-}
-
-// Close implements Log.
-func (l *MemLog) Close() error { return nil }
-
-// MemSnapshots is an in-memory SnapshotStore.
-type MemSnapshots struct {
-	mu   sync.Mutex
-	id   uint64
-	data []byte
-	has  bool
-}
-
-// NewMemSnapshots returns an empty in-memory snapshot store.
-func NewMemSnapshots() *MemSnapshots { return &MemSnapshots{} }
-
-// Save implements SnapshotStore.
-func (s *MemSnapshots) Save(id uint64, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.id = id
-	s.data = append([]byte(nil), data...)
-	s.has = true
-	return nil
-}
-
-// Load implements SnapshotStore.
-func (s *MemSnapshots) Load() (uint64, []byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.has {
-		return 0, nil, false, nil
-	}
-	return s.id, append([]byte(nil), s.data...), true, nil
 }
 
 // LogMetrics holds the WAL's observability series. All fields are always
@@ -163,7 +86,7 @@ func (m *LogMetrics) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("rex_wal_append_wait_seconds", m.AppendWait)
 }
 
-// FileLog is a file-backed Log. Records are framed as
+// FileLog is the Log over a Disk. Records are framed as
 // [len uint32][crc uint32][payload]; recovery stops at the first torn or
 // corrupt frame, which is the expected state after a crash mid-append.
 //
@@ -174,12 +97,15 @@ func (m *LogMetrics) Register(reg *obs.Registry) {
 // the flush ends, one of them flushes everything that queued up behind
 // it. N concurrent appends therefore cost about one disk round-trip, not
 // N, a lone appender pays no goroutine hand-off, and each Append still
-// returns only after its record is durable.
+// returns only after its record is durable. All blocking goes through the
+// log's env.Env, so the simulator can run it.
 type FileLog struct {
-	mu   sync.Mutex
-	done *sync.Cond // a flush ended: durable frontier advanced, or ioErr set
-	path string
-	f    *os.File
+	e    env.Env
+	mu   env.Mutex
+	done env.Cond // a flush ended: durable frontier advanced, or ioErr set
+	disk Disk
+	name string
+	f    File
 	sync bool
 	obs  *LogMetrics
 
@@ -196,25 +122,17 @@ type FileLog struct {
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("storage: log closed")
 
-// fileSync and dirSync are indirections over fsync so durability-ordering
-// tests can observe that a temp file is synced before it is renamed into
-// place and that the containing directory is synced after. Production code
-// never swaps them.
-var (
-	fileSync = func(f *os.File) error { return f.Sync() }
-	dirSync  = func(dir string) error {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		defer d.Close()
-		return d.Sync()
-	}
-)
+// appendFrame appends rec's frame to buf.
+func appendFrame(buf, rec []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(rec))
+	return append(buf, rec...)
+}
 
-// validPrefixLen walks data's frames and returns the byte length of the
-// longest prefix of intact records (the recovery point after a crash).
-func validPrefixLen(data []byte) int {
+// scanFrames calls fn, when set, on each intact record of data in order
+// and returns the byte length of the intact prefix (the recovery point
+// after a crash).
+func scanFrames(data []byte, fn func(rec []byte)) int {
 	off := 0
 	for off+8 <= len(data) {
 		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
@@ -225,66 +143,71 @@ func validPrefixLen(data []byte) int {
 		if crc32.ChecksumIEEE(data[off+8:off+8+n]) != crc {
 			break // corrupt tail
 		}
+		if fn != nil {
+			fn(data[off+8 : off+8+n])
+		}
 		off += 8 + n
 	}
 	return off
 }
 
-// OpenFileLog opens (creating if needed) a file log. If syncEach is true,
-// every Append (or AppendBatch) fsyncs before acknowledging.
+// OpenFileLog opens (creating if needed) the log file at path on the
+// operating system's disk, under the real environment. If syncEach is
+// true, every Append (or AppendBatch) fsyncs before acknowledging.
+func OpenFileLog(path string, syncEach bool) (*FileLog, error) {
+	return OpenLog(env.NewReal(), OSDisk(filepath.Dir(path)), filepath.Base(path), syncEach)
+}
+
+// OpenLog opens (creating if needed) the log file name on d, blocking
+// through e. If syncEach is true, every Append (or AppendBatch) fsyncs
+// before acknowledging.
 //
 // Recovery discipline: the file is scanned on open and any torn or corrupt
 // tail is truncated away (the bytes are preserved in a ".quarantine"
 // sidecar for debugging) so that records appended after a crash land
 // immediately behind the last intact record instead of behind garbage that
-// Records would stop at. When the log file is newly created, the parent
+// Records would stop at. When the log file is newly created, its
 // directory is fsynced so the empty WAL itself survives power loss.
-func OpenFileLog(path string, syncEach bool) (*FileLog, error) {
-	_, statErr := os.Stat(path)
-	created := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+func OpenLog(e env.Env, d Disk, name string, syncEach bool) (*FileLog, error) {
+	f, created, err := d.Open(name, false)
 	if err != nil {
 		return nil, err
 	}
+	l := &FileLog{e: e, mu: e.NewMutex(), disk: d, name: name, f: f, sync: syncEach, obs: NewLogMetrics()}
+	l.done = e.NewCond(l.mu)
+	if err := l.recover(created); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// recover makes a freshly opened log file safe to append to.
+func (l *FileLog) recover(created bool) error {
 	if created {
-		// A file that exists only in the page cache's view of its parent
+		// A file that exists only in the page cache's view of its
 		// directory can vanish on power loss even though every Append to
 		// it "succeeded" — make the directory entry durable first.
-		if err := dirSync(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, err
-		}
+		return l.disk.SyncDir(path.Dir(l.name))
 	}
-	data, err := os.ReadFile(path)
+	data, err := l.disk.ReadFile(l.name)
 	if err != nil {
-		f.Close()
-		return nil, err
+		return err
 	}
-	valid := validPrefixLen(data)
-	if valid < len(data) {
-		// Torn or corrupt tail from a crash mid-append: quarantine the
-		// garbage for debugging, then truncate so future appends extend
-		// the intact prefix instead of hiding behind it.
-		if err := os.WriteFile(path+".quarantine", data[valid:], 0o644); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := fileSync(f); err != nil {
-			f.Close()
-			return nil, err
-		}
+	valid := scanFrames(data, nil)
+	if valid == len(data) {
+		return nil
 	}
-	if _, err := f.Seek(int64(valid), io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
+	// Torn or corrupt tail from a crash mid-append: quarantine the garbage
+	// for debugging, then truncate so future appends extend the intact
+	// prefix instead of hiding behind it.
+	if err := writeFile(l.disk, l.name+".quarantine", false, data[valid:]); err != nil {
+		return err
 	}
-	l := &FileLog{path: path, f: f, sync: syncEach, obs: NewLogMetrics()}
-	l.done = sync.NewCond(&l.mu)
-	return l, nil
+	if err := l.f.Truncate(int64(valid)); err != nil {
+		return err
+	}
+	return l.f.Sync()
 }
 
 // SetMetrics attaches the WAL's observability series. Call before the log
@@ -316,7 +239,7 @@ func (l *FileLog) AppendBatch(recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	start := time.Now()
+	start := l.e.Now()
 	l.mu.Lock()
 	if l.f == nil || l.closing {
 		l.mu.Unlock()
@@ -336,7 +259,7 @@ func (l *FileLog) AppendBatch(recs [][]byte) error {
 		return err
 	}
 	m.Appends.Add(uint64(len(recs)))
-	m.AppendWait.Observe(time.Since(start))
+	m.AppendWait.Observe(l.e.Now() - start)
 	return nil
 }
 
@@ -384,16 +307,12 @@ func (l *FileLog) flushQueueLocked() {
 	l.mu.Unlock()
 
 	for _, rec := range batch {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(rec))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, rec...)
+		buf = appendFrame(buf, rec)
 	}
 	_, err := f.Write(buf)
 	if err == nil && l.sync {
 		m.Fsyncs.Inc()
-		err = fileSync(f)
+		err = f.Sync()
 	}
 	m.Batches.Inc()
 	m.BatchRecords.Observe(uint64(len(batch)))
@@ -420,32 +339,20 @@ func (l *FileLog) Records() ([][]byte, error) {
 	if err := l.drainLocked(); err != nil {
 		return nil, err
 	}
-	data, err := os.ReadFile(l.path)
+	data, err := l.disk.ReadFile(l.name)
 	if err != nil {
 		return nil, err
 	}
 	var recs [][]byte
-	for off := 0; off+8 <= len(data); {
-		n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		crc := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if off+8+n > len(data) {
-			break // torn tail
-		}
-		body := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(body) != crc {
-			break // corrupt tail
-		}
-		recs = append(recs, append([]byte(nil), body...))
-		off += 8 + n
-	}
+	scanFrames(data, func(rec []byte) { recs = append(recs, append([]byte(nil), rec...)) })
 	return recs, nil
 }
 
 // Rewrite implements Log: writes a fresh log beside the old one and renames
 // it into place, so compaction is crash-atomic. The queue is flushed
 // first; no flush can be in progress for the duration (the lock is held
-// and every enqueued record is durable), so swapping the file handle is
-// safe.
+// and every enqueued record is durable), so swapping the file handle and
+// borrowing the frame buffer are safe.
 func (l *FileLog) Rewrite(recs [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -455,53 +362,38 @@ func (l *FileLog) Rewrite(recs [][]byte) error {
 	if err := l.drainLocked(); err != nil {
 		return err
 	}
-	tmp := l.path + ".tmp"
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp := l.name + ".tmp"
+	nf, _, err := l.disk.Open(tmp, true)
 	if err != nil {
 		return err
 	}
 	for _, rec := range recs {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(rec)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(rec))
-		if _, err := nf.Write(hdr[:]); err != nil {
-			nf.Close()
-			return err
-		}
-		if _, err := nf.Write(rec); err != nil {
-			nf.Close()
-			return err
+		l.buf = appendFrame(l.buf[:0], rec)
+		if _, err = nf.Write(l.buf); err != nil {
+			break
 		}
 	}
-	if err := fileSync(nf); err != nil {
-		nf.Close()
+	if err == nil {
+		err = nf.Sync()
+	}
+	if cerr := nf.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := nf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
+	if err := l.disk.Rename(tmp, l.name); err != nil {
 		return err
 	}
 	// The rename itself must survive power loss: fsync the directory so the
 	// new directory entry is durable before the compacted records are
 	// trusted to have replaced the old log.
-	if err := dirSync(filepath.Dir(l.path)); err != nil {
+	if err := l.disk.SyncDir(path.Dir(l.name)); err != nil {
 		return err
 	}
 	l.f.Close()
-	f, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		l.f = nil
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		l.f = nil
-		return err
-	}
-	l.f = f
-	return nil
+	l.f, _, err = l.disk.Open(l.name, false)
+	return err
 }
 
 // Close implements Log. Records already queued are flushed durably before
@@ -522,20 +414,32 @@ func (l *FileLog) Close() error {
 	return err
 }
 
-// FileSnapshots stores snapshots as files in a directory, one per
-// checkpoint, keeping only the latest.
+// FileSnapshots is the SnapshotStore over a Disk: the latest checkpoint
+// in one file, its id in the first eight bytes, replaced by rename.
 type FileSnapshots struct {
-	mu  sync.Mutex
-	dir string
+	mu   sync.Mutex // serializes Saves, which share the temp file
+	disk Disk
+	name string
 }
 
-// NewFileSnapshots returns a snapshot store rooted at dir (created if
-// needed).
+// NewFileSnapshots returns a snapshot store in the operating system's
+// directory dir.
 func NewFileSnapshots(dir string) (*FileSnapshots, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &FileSnapshots{dir: dir}, nil
+	return &FileSnapshots{disk: OSDisk(dir), name: "snap"}, nil
+}
+
+// OpenStores opens a replica's durable state on d, the layout of a rexd
+// data directory: the WAL in "wal", fsynced on every append, and the
+// latest snapshot in "snapshots/snap".
+func OpenStores(e env.Env, d Disk) (*FileLog, *FileSnapshots, error) {
+	l, err := OpenLog(e, d, "wal", true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l, &FileSnapshots{disk: d, name: "snapshots/snap"}, nil
 }
 
 // Save implements SnapshotStore. The snapshot bytes are fsynced to a temp
@@ -546,66 +450,26 @@ func NewFileSnapshots(dir string) (*FileSnapshots, error) {
 func (s *FileSnapshots) Save(id uint64, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp := filepath.Join(s.dir, "snap.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	tmp := s.name + ".tmp"
+	if err := writeFile(s.disk, tmp, true, binary.LittleEndian.AppendUint64(nil, id), data); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	if err := s.disk.Rename(tmp, s.name); err != nil {
 		return err
 	}
-	if err := fileSync(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	final := filepath.Join(s.dir, fmt.Sprintf("snap-%016d", id))
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	if err := dirSync(s.dir); err != nil {
-		return err
-	}
-	// Drop older snapshots.
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil //nolint:nilerr // best-effort cleanup
-	}
-	for _, e := range entries {
-		if e.Name() != filepath.Base(final) && len(e.Name()) == len("snap-0000000000000000") {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-	}
-	return nil
+	return s.disk.SyncDir(path.Dir(s.name))
 }
 
 // Load implements SnapshotStore.
 func (s *FileSnapshots) Load() (uint64, []byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	best := ""
-	var bestID uint64
-	for _, e := range entries {
-		var id uint64
-		if _, err := fmt.Sscanf(e.Name(), "snap-%d", &id); err == nil {
-			if best == "" || id > bestID {
-				best, bestID = e.Name(), id
-			}
-		}
-	}
-	if best == "" {
+	data, err := s.disk.ReadFile(s.name)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
 		return 0, nil, false, nil
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, best))
-	if err != nil {
+	case err != nil:
 		return 0, nil, false, err
+	case len(data) < 8:
+		return 0, nil, false, fmt.Errorf("storage: snapshot %s is %d bytes, shorter than its header", s.name, len(data))
 	}
-	return bestID, data, true, nil
+	return binary.LittleEndian.Uint64(data), data[8:], true, nil
 }

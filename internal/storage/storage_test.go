@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"rex/internal/env"
 )
 
 func testLog(t *testing.T, open func(t *testing.T) Log) {
@@ -50,17 +53,27 @@ func testLog(t *testing.T, open func(t *testing.T) Log) {
 	}
 }
 
-func TestMemLog(t *testing.T) {
-	testLog(t, func(t *testing.T) Log { return NewMemLog() })
+// memLog opens a syncing log on a fresh in-memory disk.
+func memLog(t *testing.T) *FileLog {
+	l, err := OpenLog(env.NewReal(), NewMemDisk(), "wal", true)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return l
 }
 
 func TestFileLog(t *testing.T) {
-	testLog(t, func(t *testing.T) Log {
-		l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), false)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		return l
+	t.Run("file", func(t *testing.T) {
+		testLog(t, func(t *testing.T) Log {
+			l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), false)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			return l
+		})
+	})
+	t.Run("mem", func(t *testing.T) {
+		testLog(t, func(t *testing.T) Log { return memLog(t) })
 	})
 }
 
@@ -131,7 +144,7 @@ func TestFileLogCorruptTail(t *testing.T) {
 
 func TestSnapshots(t *testing.T) {
 	stores := map[string]SnapshotStore{
-		"mem": NewMemSnapshots(),
+		"mem": &FileSnapshots{disk: NewMemDisk(), name: "snapshots/snap"},
 	}
 	fs, err := NewFileSnapshots(t.TempDir())
 	if err != nil {
@@ -193,47 +206,78 @@ func TestQuickFileLogRoundTrip(t *testing.T) {
 	}
 }
 
-// captureSyncs swaps the fsync indirections for recording versions and
-// restores them when the test ends. Each recorded event carries the state
-// of the filesystem at sync time, which is what the durability argument
-// rests on: the temp file's bytes must be on disk before the rename makes
-// them the authoritative copy, and the rename must itself be synced (via
-// the directory) before Save/Rewrite returns.
+// hookDisk wraps a Disk and calls hook before every file fsync ("file",
+// name) and directory sync ("dir", dir); an error from the hook fails the
+// sync without performing it.
+type hookDisk struct {
+	Disk
+	hook func(kind, name string) error
+}
+
+func (d hookDisk) Open(name string, trunc bool) (File, bool, error) {
+	f, created, err := d.Disk.Open(name, trunc)
+	if err != nil {
+		return nil, created, err
+	}
+	return hookFile{File: f, d: d, name: name}, created, nil
+}
+
+func (d hookDisk) SyncDir(dir string) error {
+	if err := d.hook("dir", dir); err != nil {
+		return err
+	}
+	return d.Disk.SyncDir(dir)
+}
+
+type hookFile struct {
+	File
+	d    hookDisk
+	name string
+}
+
+func (f hookFile) Sync() error {
+	if err := f.d.hook("file", f.name); err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// eachDisk runs fn over a fresh disk of each kind: the operating system's
+// ("file", in a temporary directory) and the in-memory one ("mem").
+func eachDisk(t *testing.T, fn func(t *testing.T, d Disk)) {
+	t.Run("file", func(t *testing.T) { fn(t, OSDisk(t.TempDir())) })
+	t.Run("mem", func(t *testing.T) { fn(t, NewMemDisk()) })
+}
+
+// syncEvent is one sync seen by a recording disk, with the state of the
+// disk at that moment, which is what the durability argument rests on:
+// the temp file's bytes must be on disk before the rename makes them the
+// authoritative copy, and the rename must itself be synced (via the
+// directory) before Save/Rewrite returns.
 type syncEvent struct {
 	kind       string // "file" or "dir"
-	name       string // file path or directory path
-	finalSeen  bool   // the final (post-rename) path existed at sync time
-	finalBytes []byte // contents of the final path at sync time, if present
+	name       string // file name or directory
+	finalSeen  bool   // the final (post-rename) name existed at sync time
+	finalBytes []byte // contents of the final name at sync time, if present
 	tmpSeen    bool   // the temp file existed at sync time
 }
 
-func captureSyncs(t *testing.T, finalPath, tmpPath string) *[]syncEvent {
-	t.Helper()
+// recordSyncs wraps d so that every sync is recorded into the returned
+// events, observing the final and temp names.
+func recordSyncs(d Disk, final, tmp string) (Disk, *[]syncEvent) {
 	var events []syncEvent
-	prevFile, prevDir := fileSync, dirSync
-	t.Cleanup(func() { fileSync, dirSync = prevFile, prevDir })
-	observe := func(kind, name string) error {
+	return hookDisk{Disk: d, hook: func(kind, name string) error {
 		ev := syncEvent{kind: kind, name: name}
-		if data, err := os.ReadFile(finalPath); err == nil {
+		if data, err := d.ReadFile(final); err == nil {
 			ev.finalSeen = true
 			ev.finalBytes = data
 		}
-		if _, err := os.Stat(tmpPath); err == nil {
+		if _, err := d.ReadFile(tmp); err == nil {
 			ev.tmpSeen = true
 		}
 		events = append(events, ev)
 		return nil
-	}
-	fileSync = func(f *os.File) error {
-		if err := f.Sync(); err != nil {
-			return err
-		}
-		return observe("file", f.Name())
-	}
-	dirSync = func(dir string) error {
-		return observe("dir", dir)
-	}
-	return &events
+	}}, &events
 }
 
 // TestSnapshotSaveSyncOrdering proves FileSnapshots.Save fsyncs the temp
@@ -241,88 +285,91 @@ func captureSyncs(t *testing.T, finalPath, tmpPath string) *[]syncEvent {
 // checkpoint whose WAL prefix was compacted away is the only copy of that
 // state, so it must not be able to vanish on power loss.
 func TestSnapshotSaveSyncOrdering(t *testing.T) {
-	dir := t.TempDir()
-	final := filepath.Join(dir, "snap-0000000000000042")
-	events := captureSyncs(t, final, filepath.Join(dir, "snap.tmp"))
-	s, err := NewFileSnapshots(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("checkpoint payload")
-	if err := s.Save(42, data); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if len(*events) != 2 {
-		t.Fatalf("got %d sync events, want file then dir: %+v", len(*events), *events)
-	}
-	fe, de := (*events)[0], (*events)[1]
-	if fe.kind != "file" || filepath.Base(fe.name) != "snap.tmp" {
-		t.Fatalf("first sync = %+v, want fsync of snap.tmp", fe)
-	}
-	if fe.finalSeen {
-		t.Fatal("snapshot renamed into place before its bytes were fsynced")
-	}
-	if de.kind != "dir" || de.name != dir {
-		t.Fatalf("second sync = %+v, want fsync of %s", de, dir)
-	}
-	if !de.finalSeen || !bytes.Equal(de.finalBytes, data) {
-		t.Fatalf("directory fsynced before the rename was complete: %+v", de)
-	}
+	eachDisk(t, func(t *testing.T, d Disk) {
+		rd, events := recordSyncs(d, "snapshots/snap", "snapshots/snap.tmp")
+		_, s, err := OpenStores(env.NewReal(), rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*events = nil // drop the directory sync of the WAL's creation
+		data := []byte("checkpoint payload")
+		if err := s.Save(42, data); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		if len(*events) != 2 {
+			t.Fatalf("got %d sync events, want file then dir: %+v", len(*events), *events)
+		}
+		fe, de := (*events)[0], (*events)[1]
+		if fe.kind != "file" || fe.name != "snapshots/snap.tmp" {
+			t.Fatalf("first sync = %+v, want fsync of snap.tmp", fe)
+		}
+		if fe.finalSeen {
+			t.Fatal("snapshot renamed into place before its bytes were fsynced")
+		}
+		if de.kind != "dir" || de.name != "snapshots" {
+			t.Fatalf("second sync = %+v, want fsync of the snapshot directory", de)
+		}
+		if !de.finalSeen || !bytes.Equal(de.finalBytes[8:], data) {
+			t.Fatalf("directory fsynced before the rename was complete: %+v", de)
+		}
+	})
 }
 
 // TestRewriteSyncOrdering proves FileLog.Rewrite fsyncs the compacted log
 // before the rename and the directory after, so compaction cannot lose
 // the log on power loss.
 func TestRewriteSyncOrdering(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	l, err := OpenFileLog(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if err := l.Append([]byte("old-1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("old-2")); err != nil {
-		t.Fatal(err)
-	}
-	events := captureSyncs(t, path, path+".tmp")
-	if err := l.Rewrite([][]byte{[]byte("compacted")}); err != nil {
-		t.Fatalf("Rewrite: %v", err)
-	}
-	if len(*events) != 2 {
-		t.Fatalf("got %d sync events, want file then dir: %+v", len(*events), *events)
-	}
-	fe, de := (*events)[0], (*events)[1]
-	if fe.kind != "file" || fe.name != path+".tmp" {
-		t.Fatalf("first sync = %+v, want fsync of %s.tmp", fe, path)
-	}
-	// At temp-file sync time the rename has not happened: the tmp file is
-	// still on disk and the live log still holds the pre-compaction bytes.
-	if !fe.tmpSeen {
-		t.Fatal("tmp file missing at fsync time")
-	}
-	if !bytes.Contains(fe.finalBytes, []byte("old-1")) {
-		t.Fatalf("live log already replaced before tmp was fsynced: %q", fe.finalBytes)
-	}
-	if de.kind != "dir" || de.name != dir {
-		t.Fatalf("second sync = %+v, want fsync of %s", de, dir)
-	}
-	if de.tmpSeen {
-		t.Fatal("tmp file still present when the directory was fsynced")
-	}
-	if !bytes.Contains(de.finalBytes, []byte("compacted")) || bytes.Contains(de.finalBytes, []byte("old-1")) {
-		t.Fatalf("directory fsynced before the compacted log was renamed in: %q", de.finalBytes)
-	}
-	recs, err := l.Records()
-	if err != nil || len(recs) != 1 || string(recs[0]) != "compacted" {
-		t.Fatalf("after rewrite: recs=%q err=%v", recs, err)
-	}
+	eachDisk(t, func(t *testing.T, d Disk) {
+		rd, events := recordSyncs(d, "wal", "wal.tmp")
+		l, err := OpenLog(env.NewReal(), rd, "wal", false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if err := l.Append([]byte("old-1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append([]byte("old-2")); err != nil {
+			t.Fatal(err)
+		}
+		*events = nil // drop the directory sync of the log's creation
+		if err := l.Rewrite([][]byte{[]byte("compacted")}); err != nil {
+			t.Fatalf("Rewrite: %v", err)
+		}
+		if len(*events) != 2 {
+			t.Fatalf("got %d sync events, want file then dir: %+v", len(*events), *events)
+		}
+		fe, de := (*events)[0], (*events)[1]
+		if fe.kind != "file" || fe.name != "wal.tmp" {
+			t.Fatalf("first sync = %+v, want fsync of wal.tmp", fe)
+		}
+		// At temp-file sync time the rename has not happened: the tmp file
+		// is still on disk and the live log still holds the pre-compaction
+		// bytes.
+		if !fe.tmpSeen {
+			t.Fatal("tmp file missing at fsync time")
+		}
+		if !bytes.Contains(fe.finalBytes, []byte("old-1")) {
+			t.Fatalf("live log already replaced before tmp was fsynced: %q", fe.finalBytes)
+		}
+		if de.kind != "dir" || de.name != "." {
+			t.Fatalf("second sync = %+v, want fsync of the log's directory", de)
+		}
+		if de.tmpSeen {
+			t.Fatal("tmp file still present when the directory was fsynced")
+		}
+		if !bytes.Contains(de.finalBytes, []byte("compacted")) || bytes.Contains(de.finalBytes, []byte("old-1")) {
+			t.Fatalf("directory fsynced before the compacted log was renamed in: %q", de.finalBytes)
+		}
+		recs, err := l.Records()
+		if err != nil || len(recs) != 1 || string(recs[0]) != "compacted" {
+			t.Fatalf("after rewrite: recs=%q err=%v", recs, err)
+		}
+	})
 }
 
 func TestLogAppendBatch(t *testing.T) {
-	logs := map[string]Log{"mem": NewMemLog()}
+	logs := map[string]Log{"mem": memLog(t)}
 	fl, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), false)
 	if err != nil {
 		t.Fatal(err)
@@ -362,16 +409,7 @@ func TestLogAppendBatch(t *testing.T) {
 // slow fsync, N appends must coalesce into far fewer fsyncs, and at least
 // one committer batch must carry more than one record.
 func TestFileLogGroupCommit(t *testing.T) {
-	prev := fileSync
-	t.Cleanup(func() { fileSync = prev })
-	fileSync = func(f *os.File) error {
-		time.Sleep(200 * time.Microsecond) // widen the coalescing window
-		return prev(f)
-	}
-	l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSlowLog(t, t.TempDir())
 	defer l.Close()
 	const appenders, perAppender = 8, 25
 	var wg sync.WaitGroup
@@ -406,27 +444,26 @@ func TestFileLogGroupCommit(t *testing.T) {
 		appends, fsyncs, float64(appends)/float64(fsyncs), l.obs.BatchRecords.Max())
 }
 
-// slowSync widens every fsync for one test, so flushes overlap the calls
-// that race them.
-func slowSync(t *testing.T) {
-	prev := fileSync
-	t.Cleanup(func() { fileSync = prev })
-	fileSync = func(f *os.File) error {
+// openSlowLog opens a syncing log in dir whose every fsync is widened, so
+// flushes overlap the calls that race them.
+func openSlowLog(t *testing.T, dir string) *FileLog {
+	slow := hookDisk{Disk: OSDisk(dir), hook: func(string, string) error {
 		time.Sleep(200 * time.Microsecond)
-		return prev(f)
+		return nil
+	}}
+	l, err := OpenLog(env.NewReal(), slow, "wal", true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return l
 }
 
 // TestFileLogCloseDrainsConcurrentAppends: Close waits out the flush in
 // progress and the records queued behind it. Every append racing Close
 // either succeeds, and is then on disk, or fails with ErrClosed.
 func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
-	slowSync(t)
-	path := filepath.Join(t.TempDir(), "wal")
-	l, err := OpenFileLog(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	l := openSlowLog(t, dir)
 	const appenders = 6
 	var (
 		mu    sync.Mutex
@@ -458,7 +495,7 @@ func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	wg.Wait()
-	l, err = OpenFileLog(path, false)
+	l, err := OpenFileLog(filepath.Join(dir, "wal"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,11 +523,7 @@ func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
 // being replaced, and every record appended after the last Rewrite is
 // in the log.
 func TestFileLogRewriteDuringAppends(t *testing.T) {
-	slowSync(t)
-	l, err := OpenFileLog(filepath.Join(t.TempDir(), "wal"), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSlowLog(t, t.TempDir())
 	defer l.Close()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -533,48 +566,48 @@ func TestFileLogRewriteDuringAppends(t *testing.T) {
 	}
 }
 
-// TestFileLogCreateDirSync proves OpenFileLog fsyncs the parent directory
+// TestFileLogCreateDirSync proves OpenLog fsyncs the log's directory
 // when it creates the log file — before any append can be acknowledged —
 // and does not re-sync it when the file already exists. Without the sync,
 // the WAL's directory entry can vanish on power loss even though every
 // append to it succeeded.
 func TestFileLogCreateDirSync(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "wal")
-	var dirSyncs []string
-	fileExistedAtSync := false
-	prevDir := dirSync
-	t.Cleanup(func() { dirSync = prevDir })
-	dirSync = func(d string) error {
-		dirSyncs = append(dirSyncs, d)
-		if _, err := os.Stat(path); err == nil {
-			fileExistedAtSync = true
+	eachDisk(t, func(t *testing.T, d Disk) {
+		var dirSyncs []string
+		fileExistedAtSync := false
+		hd := hookDisk{Disk: d, hook: func(kind, name string) error {
+			if kind == "dir" {
+				dirSyncs = append(dirSyncs, name)
+				if _, err := d.ReadFile("wal"); err == nil {
+					fileExistedAtSync = true
+				}
+			}
+			return nil
+		}}
+		l, err := OpenLog(env.NewReal(), hd, "wal", true)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return prevDir(d)
-	}
-	l, err := OpenFileLog(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirSyncs) != 1 || dirSyncs[0] != dir {
-		t.Fatalf("dir syncs on create = %v, want exactly [%s]", dirSyncs, dir)
-	}
-	if !fileExistedAtSync {
-		t.Fatal("directory fsynced before the log file existed")
-	}
-	if err := l.Append([]byte("rec")); err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	dirSyncs = nil
-	l2, err := OpenFileLog(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(dirSyncs) != 0 {
-		t.Fatalf("dir syncs on reopen of existing log = %v, want none", dirSyncs)
-	}
+		if len(dirSyncs) != 1 || dirSyncs[0] != "." {
+			t.Fatalf("dir syncs on create = %v, want exactly the log's directory", dirSyncs)
+		}
+		if !fileExistedAtSync {
+			t.Fatal("directory fsynced before the log file existed")
+		}
+		if err := l.Append([]byte("rec")); err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		dirSyncs = nil
+		l2, err := OpenLog(env.NewReal(), hd, "wal", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		if len(dirSyncs) != 0 {
+			t.Fatalf("dir syncs on reopen of existing log = %v, want none", dirSyncs)
+		}
+	})
 }
 
 // TestFileLogQuarantine proves the crash-recovery bugfix end to end: a torn
@@ -633,130 +666,254 @@ func TestFileLogQuarantine(t *testing.T) {
 	}
 }
 
-// TestFileLogCrashRecoveryProperty drives random append/crash schedules:
-// every record acknowledged before the crash must be recovered, nothing at
-// or beyond the tear may be, and records appended after reopen must be
-// durable across a further reopen. Appends go through both Append and
-// AppendBatch, with a fraction issued concurrently.
+// TestFileLogCrashRecoveryProperty drives random append/crash schedules
+// over both disks: every record acknowledged before the crash must be
+// recovered, nothing at or beyond the tear may be, and records appended
+// after reopen must be durable across a further reopen. Appends go
+// through both Append and AppendBatch, with a fraction issued
+// concurrently. On the in-memory disk the crash can also be a power loss:
+// after appends acknowledged without fsync, or between a flush's write
+// and its fsync, and with the unsynced tail torn anywhere.
 func TestFileLogCrashRecoveryProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5eed))
-	for iter := 0; iter < 30; iter++ {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "wal")
-		l, err := OpenFileLog(path, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var acked [][]byte
-		next := 0
-		mkRec := func() []byte {
-			rec := make([]byte, rng.Intn(64))
-			rng.Read(rec)
-			rec = append(rec, byte(next), byte(next>>8))
-			next++
-			return rec
-		}
-		for _, phase := range []int{0, 1} {
-			ops := 1 + rng.Intn(8)
-			for op := 0; op < ops; op++ {
-				switch rng.Intn(3) {
-				case 0: // single append
-					rec := mkRec()
-					if err := l.Append(rec); err != nil {
-						t.Fatalf("iter %d: Append: %v", iter, err)
+	eachDisk(t, func(t *testing.T, base Disk) {
+		rng := rand.New(rand.NewSource(0x5eed))
+		mem, _ := base.(*MemDisk)
+		for iter := 0; iter < 30; iter++ {
+			var d Disk = OSDisk(t.TempDir())
+			var crashNextSync func() // set: the next fsync crashes the disk and fails
+			if mem != nil {
+				mem = NewMemDisk()
+				d = hookDisk{Disk: mem, hook: func(string, string) error {
+					if crash := crashNextSync; crash != nil {
+						crashNextSync = nil
+						crash()
+						return errors.New("power lost")
 					}
-					acked = append(acked, rec)
-				case 1: // batch append
-					batch := make([][]byte, 1+rng.Intn(5))
-					for i := range batch {
-						batch[i] = mkRec()
-					}
-					if err := l.AppendBatch(batch); err != nil {
-						t.Fatalf("iter %d: AppendBatch: %v", iter, err)
-					}
-					acked = append(acked, batch...)
-				case 2: // concurrent appends (acked set joined after)
-					n := 2 + rng.Intn(4)
-					recs := make([][]byte, n)
-					for i := range recs {
-						recs[i] = mkRec()
-					}
-					var wg sync.WaitGroup
-					for _, rec := range recs {
-						wg.Add(1)
-						go func(rec []byte) {
-							defer wg.Done()
-							if err := l.Append(rec); err != nil {
-								t.Errorf("iter %d: concurrent Append: %v", iter, err)
-							}
-						}(rec)
-					}
-					wg.Wait()
-					// Concurrent appends land in an arbitrary relative
-					// order; compare as a set below.
-					acked = append(acked, recs...)
-				}
+					return nil
+				}}
 			}
-			if phase == 1 {
-				break
-			}
-			// Kill: the process dies with a torn or corrupt tail on disk.
-			l.Close()
-			switch rng.Intn(3) {
-			case 0: // torn frame: garbage header + partial payload
-				g := make([]byte, 1+rng.Intn(20))
-				rng.Read(g)
-				if len(g) >= 4 {
-					g[0], g[1], g[2], g[3] = 0xff, 0x7f, 0, 0 // length far past EOF
+			open := func(syncEach bool) *FileLog {
+				l, err := OpenLog(env.NewReal(), d, "wal", syncEach)
+				if err != nil {
+					t.Fatalf("iter %d: open: %v", iter, err)
 				}
-				f, _ := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-				f.Write(g)
-				f.Close()
-			case 1: // bit flip inside the tail of the file
-				data, _ := os.ReadFile(path)
-				if len(data) > 0 {
-					data[len(data)-1-rng.Intn(min(8, len(data)))] ^= 1 << rng.Intn(8)
-					os.WriteFile(path, data, 0o644)
-					// The flipped frame (and anything behind it) is lost.
-					// The surviving intact prefix becomes the expectation —
-					// but every survivor must itself have been acked, so
-					// corruption can only shrink the set, never invent.
-					kept := parseFrames(data[:validPrefixLen(data)])
-					count := make(map[string]int, len(acked))
-					for _, r := range acked {
-						count[string(r)]++
-					}
-					for _, r := range kept {
-						if count[string(r)] == 0 {
-							t.Fatalf("iter %d: intact prefix holds never-acked record %x", iter, r)
+				return l
+			}
+			l := open(true)
+			var acked [][]byte
+			next := 0
+			mkRec := func() []byte {
+				rec := make([]byte, rng.Intn(64))
+				rng.Read(rec)
+				rec = append(rec, byte(next), byte(next>>8))
+				next++
+				return rec
+			}
+			for _, phase := range []int{0, 1} {
+				ops := 1 + rng.Intn(8)
+				for op := 0; op < ops; op++ {
+					switch rng.Intn(3) {
+					case 0: // single append
+						rec := mkRec()
+						if err := l.Append(rec); err != nil {
+							t.Fatalf("iter %d: Append: %v", iter, err)
 						}
-						count[string(r)]--
+						acked = append(acked, rec)
+					case 1: // batch append
+						batch := make([][]byte, 1+rng.Intn(5))
+						for i := range batch {
+							batch[i] = mkRec()
+						}
+						if err := l.AppendBatch(batch); err != nil {
+							t.Fatalf("iter %d: AppendBatch: %v", iter, err)
+						}
+						acked = append(acked, batch...)
+					case 2: // concurrent appends (acked set joined after)
+						n := 2 + rng.Intn(4)
+						recs := make([][]byte, n)
+						for i := range recs {
+							recs[i] = mkRec()
+						}
+						var wg sync.WaitGroup
+						for _, rec := range recs {
+							wg.Add(1)
+							go func(rec []byte) {
+								defer wg.Done()
+								if err := l.Append(rec); err != nil {
+									t.Errorf("iter %d: concurrent Append: %v", iter, err)
+								}
+							}(rec)
+						}
+						wg.Wait()
+						// Concurrent appends land in an arbitrary relative
+						// order; compare as a set below.
+						acked = append(acked, recs...)
 					}
-					acked = kept
 				}
-			case 2: // clean crash: queue was drained by Close, no tear
+				if phase == 1 {
+					break
+				}
+				kinds := 3
+				if mem != nil {
+					kinds = 5
+				}
+				switch rng.Intn(kinds) {
+				case 0: // torn frame: garbage header + partial payload
+					l.Close()
+					g := make([]byte, 1+rng.Intn(20))
+					rng.Read(g)
+					if len(g) >= 4 {
+						g[0], g[1], g[2], g[3] = 0xff, 0x7f, 0, 0 // length far past EOF
+					}
+					f, _, _ := d.Open("wal", false)
+					f.Write(g)
+					f.Close()
+				case 1: // bit flip inside the tail of the file
+					l.Close()
+					data, _ := d.ReadFile("wal")
+					if len(data) > 0 {
+						data[len(data)-1-rng.Intn(min(8, len(data)))] ^= 1 << rng.Intn(8)
+						writeFile(d, "wal", false, data)
+						// The flipped frame (and anything behind it) is lost.
+						// The surviving intact prefix becomes the expectation —
+						// but every survivor must itself have been acked, so
+						// corruption can only shrink the set, never invent.
+						kept := parseFrames(data[:scanFrames(data, nil)])
+						count := make(map[string]int, len(acked))
+						for _, r := range acked {
+							count[string(r)]++
+						}
+						for _, r := range kept {
+							if count[string(r)] == 0 {
+								t.Fatalf("iter %d: intact prefix holds never-acked record %x", iter, r)
+							}
+							count[string(r)]--
+						}
+						acked = kept
+					}
+				case 2: // clean crash: queue was drained by Close, no tear
+					l.Close()
+				case 3: // power loss after appends acknowledged without fsync
+					l.Close()
+					l = open(false)
+					unsynced := make([][]byte, 1+rng.Intn(4))
+					tail := 0
+					for i := range unsynced {
+						unsynced[i] = mkRec()
+						tail += 8 + len(unsynced[i])
+						if err := l.Append(unsynced[i]); err != nil {
+							t.Fatalf("iter %d: unsynced Append: %v", iter, err)
+						}
+					}
+					torn := rng.Intn(tail + 1)
+					mem.Crash(torn)
+					// Whole frames within the torn bytes survive, in order;
+					// the rest of the unsynced tail is gone.
+					for _, rec := range unsynced {
+						if torn < 8+len(rec) {
+							break
+						}
+						torn -= 8 + len(rec)
+						acked = append(acked, rec)
+					}
+				case 4: // power loss between a flush's write and its fsync
+					rec := mkRec()
+					crashNextSync = func() { mem.Crash(rng.Intn(8 + len(rec))) }
+					if err := l.Append(rec); err == nil {
+						t.Fatalf("iter %d: append acknowledged across a power loss", iter)
+					}
+				}
+				l = open(true)
+				got, err := l.Records()
+				if err != nil {
+					t.Fatalf("iter %d: Records after crash: %v", iter, err)
+				}
+				assertSameRecords(t, iter, "post-crash", got, acked)
 			}
-			l, err = OpenFileLog(path, true)
+			l.Close()
+			l2 := open(true)
+			got, err := l2.Records()
 			if err != nil {
-				t.Fatalf("iter %d: reopen: %v", iter, err)
+				t.Fatalf("iter %d: final Records: %v", iter, err)
 			}
-			got, err := l.Records()
-			if err != nil {
-				t.Fatalf("iter %d: Records after crash: %v", iter, err)
-			}
-			assertSameRecords(t, iter, "post-crash", got, acked)
+			assertSameRecords(t, iter, "final", got, acked)
+			l2.Close()
 		}
-		l.Close()
-		l2, err := OpenFileLog(path, true)
-		if err != nil {
-			t.Fatalf("iter %d: final reopen: %v", iter, err)
+	})
+}
+
+// TestMemDiskCrash: a crash keeps only what was synced — file bytes up to
+// the last fsync, directory entries up to the last directory sync — plus
+// the torn prefix of each unsynced tail, and fails every handle opened
+// before it.
+func TestMemDiskCrash(t *testing.T) {
+	d := NewMemDisk()
+	f, created, _ := d.Open("a", false)
+	if !created {
+		t.Fatal("first open did not create the file")
+	}
+	f.Write([]byte("synced"))
+	f.Sync()
+	d.SyncDir(".")
+	f.Write([]byte("-unsynced"))
+	g, _, _ := d.Open("b", false) // never made durable by a directory sync
+	g.Write([]byte("b"))
+	g.Sync()
+	d.Crash(3)
+	if got, _ := d.ReadFile("a"); string(got) != "synced-un" {
+		t.Fatalf("after crash a = %q, want the synced bytes and 3 torn ones", got)
+	}
+	if _, err := d.ReadFile("b"); err == nil {
+		t.Fatal("a file whose directory entry was never synced survived the crash")
+	}
+	if _, err := f.Write([]byte("x")); !errors.Is(err, errStale) {
+		t.Fatalf("write through a handle from before the crash = %v, want errStale", err)
+	}
+	d.Rename("a", "c") // not synced: the old entry comes back
+	d.Crash(0)
+	if got, _ := d.ReadFile("a"); string(got) != "synced-un" {
+		t.Fatalf("after an unsynced rename and a crash a = %q, want %q", got, "synced-un")
+	}
+	if _, err := d.ReadFile("c"); err == nil {
+		t.Fatal("an unsynced rename survived the crash")
+	}
+}
+
+// TestMemDiskFailWrites: armed writes fail with ErrInjected and write
+// nothing; the log fails crash-stop on the first one, and a log reopened
+// on the disk once it is disarmed holds exactly the acknowledged records
+// and appends again.
+func TestMemDiskFailWrites(t *testing.T) {
+	d := NewMemDisk()
+	l, err := OpenLog(env.NewReal(), d, "wal", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	d.FailWrites("wal", 2)
+	for i := 0; i < 2; i++ {
+		if err := l.AppendBatch([][]byte{[]byte("lost"), []byte("too")}); !errors.Is(err, ErrInjected) {
+			t.Fatalf("armed append %d = %v, want ErrInjected", i, err)
 		}
-		got, err := l2.Records()
-		if err != nil {
-			t.Fatalf("iter %d: final Records: %v", iter, err)
-		}
-		assertSameRecords(t, iter, "final", got, acked)
-		l2.Close()
+	}
+	d.FailWrites("wal", 0)
+	if err := l.Append([]byte("after")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append after a failed flush = %v, want the sticky ErrInjected", err)
+	}
+	d.Crash(0) // the process dies; its handle goes with it
+	l, err = OpenLog(env.NewReal(), d, "wal", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append([]byte("again")); err != nil {
+		t.Fatalf("append after disarm and reopen: %v", err)
+	}
+	recs, err := l.Records()
+	if err != nil || len(recs) != 2 || string(recs[0]) != "ok" || string(recs[1]) != "again" {
+		t.Fatalf("records = %q, %v; want [ok again]", recs, err)
 	}
 }
 
