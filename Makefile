@@ -65,11 +65,8 @@ bench-json:
 	$(GO) run ./cmd/rexbench -exp reads -json BENCH_read_scaling.json
 	$(GO) run ./cmd/rexbench -exp overload -json BENCH_overload.json
 
-# A short chaos sweep over every preset: each must come back OK. The
-# generic, shards, rebalance, reconfig, recovery and conflicts sweeps
-# are pinned by TestGoldenSweeps, but recovery seed 1 still drifts by an
-# op now and then; reads and overload drift further (see the
-# simulator-determinism item in ROADMAP.md). A failing sweep prints the
+# A short chaos sweep over every preset: each must come back OK. Every
+# sweep here is pinned by TestGoldenSweeps and replays bit for bit. A failing sweep prints the
 # command line that reruns its first failing seed.
 chaos:
 	$(GO) run ./cmd/rexchaos -scenario generic -scenarios 8 -seed 1

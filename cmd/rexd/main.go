@@ -52,8 +52,8 @@ func main() {
 	admissionTarget := flag.Duration("admission-target", 0, "CoDel sojourn target before the admission gate sheds (0 = default 25ms, negative = disable shedding)")
 	admissionInterval := flag.Duration("admission-interval", 0, "CoDel control interval (0 = default 100ms)")
 	maxAdmissionWaiters := flag.Int("max-admission-waiters", 0, "submitters allowed to block at the admission gate before arrivals are shed outright (0 = 4x -max-outstanding)")
-	checkpointEvery := flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (0 = explicit opt-out; recovery cost is then bounded only by -checkpoint-max-log)")
-	checkpointMaxLog := flag.Int64("checkpoint-max-log", 0, "force a checkpoint once this many log instances accumulate without one (0 = default 4096, negative = no floor)")
+	checkpointEvery := flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (0 = explicit opt-out; recovery cost is then bounded only by -checkpoint-max-log-bytes)")
+	checkpointMaxLogBytes := flag.Int64("checkpoint-max-log-bytes", 0, "force a checkpoint once this many bytes of log accumulate without one (0 = default: the newest checkpoint's size, at least 64 KiB; negative = no floor)")
 	shards := flag.Int("shards", 1, "number of independent replica groups (1 = unsharded)")
 	rebalanceOn := flag.Bool("rebalance", false, "with -shards: enable live range rebalancing (rexctl rebalance split|merge|move)")
 	groupReplicas := flag.Int("group-replicas", 0, "replicas per group (0 = one per node)")
@@ -75,9 +75,9 @@ func main() {
 	if *checkpointEvery == 0 {
 		log.Printf("rexd: WARNING: periodic checkpoints disabled (-checkpoint-every 0); " +
 			"rebuild after a crash or demotion replays everything since the last checkpoint, " +
-			"bounded only by the -checkpoint-max-log floor")
-		if *checkpointMaxLog < 0 {
-			log.Printf("rexd: WARNING: -checkpoint-max-log < 0 removes the log-growth floor too; " +
+			"bounded only by the -checkpoint-max-log-bytes floor")
+		if *checkpointMaxLogBytes < 0 {
+			log.Printf("rexd: WARNING: -checkpoint-max-log-bytes < 0 removes the log-growth floor too; " +
 				"recovery time is now unbounded")
 		}
 	}
@@ -98,19 +98,19 @@ func main() {
 
 	e := env.NewReal()
 	template := core.Config{
-		Env:                              e,
-		Factory:                          app.Factory,
-		Workers:                          *workers,
-		Timers:                           app.Timers,
-		ReadWorkers:                      *readWorkers,
-		CheckpointEvery:                  *checkpointEvery,
-		MaxLogInstancesWithoutCheckpoint: *checkpointMaxLog,
-		MaxOutstanding:                   *maxOutstanding,
-		AdmissionTarget:                  *admissionTarget,
-		AdmissionInterval:                *admissionInterval,
-		MaxAdmissionWaiters:              *maxAdmissionWaiters,
-		ElectionTimeout:                  150 * time.Millisecond,
-		Seed:                             int64(*id) + 1,
+		Env:                          e,
+		Factory:                      app.Factory,
+		Workers:                      *workers,
+		Timers:                       app.Timers,
+		ReadWorkers:                  *readWorkers,
+		CheckpointEvery:              *checkpointEvery,
+		MaxLogBytesWithoutCheckpoint: *checkpointMaxLogBytes,
+		MaxOutstanding:               *maxOutstanding,
+		AdmissionTarget:              *admissionTarget,
+		AdmissionInterval:            *admissionInterval,
+		MaxAdmissionWaiters:          *maxAdmissionWaiters,
+		ElectionTimeout:              150 * time.Millisecond,
+		Seed:                         int64(*id) + 1,
 	}
 	srvOpts := server.Options{MaxInflightPerGroup: *maxInflight}
 	if *verbose {

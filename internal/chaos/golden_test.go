@@ -20,21 +20,17 @@ func (g goldenCounts) String() string {
 
 // TestGoldenSweeps pins the seed-1 sweeps `make chaos` runs for the
 // generic (8 scenarios), sharded (2), rebalance (2, 3 groups),
-// reconfig (4 @2s), recovery (4 @4s) and conflicts (4 @4s) scenarios.
+// reconfig (4 @2s), recovery (4 @4s), reads (4 @4s), conflicts (4 @4s)
+// and overload (4) scenarios.
 // The simulator is deterministic, so these counts should only move when
 // behaviour does: a change to the client retry loop, the replica, or
 // the nemesis that shifts one of them must say why in its commit.
-// Recovery seed 1 does not yet replay bit for bit: in 4 of 8 runs it
-// gave ops=1265 against the pinned 1266, because
-// releaseResponsesLocked (core/primary.go) walks the pending map in
-// random order (see the determinism item in ROADMAP.md).
-// The reads and overload sweeps are left out because they drift
-// further: two runs of reads seed 3 gave 1027 and 1005 ops, and three
-// runs of overload seed 1 gave 1502, 1519 and 1613. Their pinned-seed
-// verdict tests cover them instead.
+// The primary releases responses and fails waiters in trace index
+// order, not map order, so every row replays bit for bit; before that,
+// the reads and overload sweeps moved on nearly every run.
 func TestGoldenSweeps(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 24 chaos scenarios")
+		t.Skip("runs 32 chaos scenarios")
 	}
 	sweeps := []struct {
 		sc   Scenario
@@ -55,8 +51,8 @@ func TestGoldenSweeps(t *testing.T) {
 			{7894, 0, 7894, 32},
 		}},
 		{Scenario{Name: "rebalance", Groups: 3}, []goldenCounts{
-			{2849, 0, 2849, 42},
-			{1527, 0, 1527, 42},
+			{2907, 0, 2907, 42},
+			{1530, 0, 1530, 42},
 		}},
 		{Scenario{Name: "reconfig", Duration: 2 * time.Second}, []goldenCounts{
 			{942, 0, 942, 8},
@@ -65,16 +61,28 @@ func TestGoldenSweeps(t *testing.T) {
 			{1021, 0, 1021, 8},
 		}},
 		{Scenario{Name: "recovery", Duration: 4 * time.Second}, []goldenCounts{
-			{1266, 0, 1266, 8},
-			{1292, 0, 1292, 6},
-			{1246, 0, 1246, 8},
-			{1204, 0, 1204, 8},
+			{1269, 0, 1269, 8},
+			{1154, 0, 1154, 6},
+			{1263, 0, 1263, 8},
+			{1313, 0, 1313, 8},
+		}},
+		{Scenario{Name: "reads", Duration: 4 * time.Second}, []goldenCounts{
+			{965, 0, 965, 4},
+			{1001, 0, 1001, 4},
+			{873, 0, 873, 4},
+			{933, 0, 933, 4},
 		}},
 		{Scenario{Name: "conflicts", Duration: 4 * time.Second}, []goldenCounts{
 			{969, 0, 969, 19},
 			{1143, 0, 1143, 19},
-			{1240, 0, 1240, 19},
+			{1222, 0, 1222, 19},
 			{1015, 0, 1015, 19},
+		}},
+		{Scenario{Name: "overload"}, []goldenCounts{
+			{1485, 21, 1481, 36},
+			{1536, 21, 1534, 36},
+			{1428, 12, 1425, 36},
+			{1274, 7, 1273, 36},
 		}},
 	}
 	for _, sw := range sweeps {

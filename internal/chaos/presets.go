@@ -262,8 +262,8 @@ func reconfigPreset(r *execution) {
 func recoveryPreset(r *execution) {
 	r.options = func(o *cluster.Options) {
 		o.Template.ElectionTimeout = 120 * time.Millisecond
-		o.Template.CheckpointEvery = 0                   // periodic checkpoints off: the old livelock setup
-		o.Template.MaxLogInstancesWithoutCheckpoint = 48 // the log-growth floor is the only checkpoint driver
+		o.Template.CheckpointEvery = 0                    // periodic checkpoints off: the old livelock setup
+		o.Template.MaxLogBytesWithoutCheckpoint = 3 << 10 // about 50 deltas; only the log-growth floor triggers checkpoints
 	}
 	r.load = r.appLoad
 	r.nemesis = func() {

@@ -196,8 +196,8 @@ func TestRepeatedRestartCycles(t *testing.T) {
 
 // TestWALFaultRestartFromDisk arms a write fault under the primary's WAL
 // while clients write: the primary crash-stops on it, and once restarted
-// from its disk it must hold every instance it had chosen before the
-// fault was armed, then rejoin and converge with the others.
+// from its disk it must hold every instance its crash-stopped node still
+// reported chosen, then rejoin and converge with the others.
 func TestWALFaultRestartFromDisk(t *testing.T) {
 	e := sim.New(4)
 	var failure string
@@ -233,17 +233,17 @@ func TestWALFaultRestartFromDisk(t *testing.T) {
 			}
 		})
 		e.Sleep(200 * time.Millisecond)
-		base, chosen := c.Replica(p).ChosenLog()
-		if len(chosen) == 0 {
-			failure = "nothing chosen before the fault"
-			return
-		}
 		c.Disks[p].FailWrites("wal", 1)
 		for c.Replica(p).Role() != core.RoleFaulted {
 			e.Sleep(time.Millisecond)
 		}
 		if err := c.Replica(p).FaultError(); !errors.Is(err, storage.ErrInjected) {
 			failure = fmt.Sprintf("primary %d faulted with %v, want the injected write error", p, err)
+			return
+		}
+		base, chosen := c.Replica(p).ChosenLog()
+		if len(chosen) == 0 {
+			failure = "the crash-stopped primary reports nothing chosen"
 			return
 		}
 		c.Crash(p)

@@ -133,18 +133,10 @@ func (r *Replica) acceptSnapshotCopy(blob []byte, from int) {
 		return
 	}
 	r.mu.Lock()
-	r.noteSnapshotLocked(s.Inst)
+	r.noteSnapshotLocked(s.Inst, len(blob))
 	r.cond.Broadcast()
-	// Garbage-collect the covered prefix of this replica's trace view.
-	if p := r.prim; p != nil {
-		clamped := s.Cut.Clone()
-		for t := range clamped {
-			if t < len(p.lcc) && p.lcc[t] < clamped[t] {
-				clamped[t] = p.lcc[t]
-			}
-		}
-		p.tr.Forget(clamped, p.tr.LiveLowWater(clamped))
-	}
+	// Garbage-collect the covered prefix of a secondary's trace; the
+	// primary's keeps nothing below its last consistent cut (fold).
 	var rep *sched.Replayer
 	if r.secondaryLocked() {
 		rep = r.replayerOfLocked()

@@ -22,3 +22,11 @@ func (r *Replica) Incarnation() int {
 	}
 	return r.inc.seq
 }
+
+// WorkerWaits returns how many times request worker i has gone to sleep
+// waiting for work.
+func (r *Replica) WorkerWaits(i int) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.workWaits[i]
+}

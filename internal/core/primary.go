@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"math"
+	"slices"
 	"time"
 
 	"rex/internal/env"
@@ -24,6 +24,7 @@ type primaryState struct {
 
 	pending     map[uint64]*pendingReq // admitted requests by trace index
 	outstanding int                    // admitted but unanswered
+	releasable  []uint64               // releaseResponsesLocked's scratch
 	workQ       []reqWork              // dispatch queue of an unclassified state machine
 
 	// Conflict-class dispatch (classified state machines only; see
@@ -83,7 +84,7 @@ func (r *Replica) newPrimaryStateLocked(inc *incarnation, tr *trace.Trace, cut t
 		// accounting; seed the in-flight counter with them so a catch-all
 		// barrier waits for their completion. finishCarried decrements it
 		// as they finish.
-		p.classDispatched = openRequests(tr)
+		p.classDispatched = tr.OpenRequests()
 	}
 	// A change proposed by the previous primary either committed (we saw it
 	// in the stream) or died with it. Any learner still in the membership
@@ -94,25 +95,6 @@ func (r *Replica) newPrimaryStateLocked(inc *incarnation, tr *trace.Trace, cut t
 	return p
 }
 
-// openRequests counts requests in tr whose req-begin has no req-end yet:
-// handlers carried across the replay→record mode change. Checkpoint pauses
-// happen at request boundaries, so a garbage-collected trace prefix never
-// hides an unmatched req-begin.
-func openRequests(tr *trace.Trace) int {
-	open := make(map[uint64]bool)
-	for t := 0; t < tr.NumThreads(); t++ {
-		tr.EachEvent(t, 0, math.MaxInt32, func(ev trace.Event) {
-			switch ev.Kind {
-			case trace.KindReqBegin:
-				open[uint64(ev.Res)] = true
-			case trace.KindReqEnd:
-				delete(open, uint64(ev.Res))
-			}
-		})
-	}
-	return len(open)
-}
-
 // fail closes every waiter's channel: admitted requests (even completed
 // but unreleased ones: their commit never covered them here, so the client
 // must retry at the new primary, and dedup makes the retry idempotent) and
@@ -121,8 +103,15 @@ func openRequests(tr *trace.Trace) int {
 // consensus, which is what Stop, the one caller that keeps the state,
 // reports afterwards.
 func (p *primaryState) fail() {
-	for idx, pr := range p.pending {
-		pr.ch.Close()
+	idxs := make([]uint64, 0, len(p.pending))
+	for idx := range p.pending {
+		idxs = append(idxs, idx)
+	}
+	// Index order, not map order: each close wakes a submitter, and the
+	// simulator must see the same wake-ups on every run.
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		p.pending[idx].ch.Close()
 		delete(p.pending, idx)
 	}
 	for id, ch := range p.pendingBarriers {
@@ -133,8 +122,11 @@ func (p *primaryState) fail() {
 	p.proposing = false
 }
 
-// fold applies a committed delta to the primary's trace and advances the
-// last consistent cut.
+// fold applies a committed delta to the primary's trace, advances the
+// last consistent cut and forgets what lies below it. The primary reads
+// its committed trace only to advance that cut, which starts from the
+// previous one, and never reads request bodies from it, so it keeps no
+// more than the events past the cut.
 func (p *primaryState) fold(d *trace.Delta) error {
 	if err := p.tr.Apply(d); err != nil {
 		return err
@@ -144,6 +136,7 @@ func (p *primaryState) fold(d *trace.Delta) error {
 		return err
 	}
 	p.lcc = lcc
+	p.tr.Forget(lcc, p.tr.ReqEnd())
 	return nil
 }
 
@@ -285,16 +278,18 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 	switch {
 	case classifier == nil:
 		prim.workQ = append(prim.workQ, work)
+		r.workReady[0].Signal()
 	case class == ConflictAll:
 		prim.barrierQ = append(prim.barrierQ, work)
+		r.workReady[0].Broadcast()
 	default:
 		// Deterministic class → thread assignment: same-class requests are
 		// serialized by program order on one thread, which is what lets
 		// class-owned lock events be elided from the trace.
 		t := int(class % uint32(r.cfg.Workers))
 		prim.classQ[t] = append(prim.classQ[t], work)
+		r.workReady[t].Broadcast()
 	}
-	r.cond.Broadcast()
 	r.mu.Unlock()
 
 	v, ok := p.ch.Recv()
@@ -396,6 +391,10 @@ func (r *Replica) pressureLocked() int {
 func (r *Replica) nextWork(inc *incarnation, ti int) (w reqWork, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	ready := r.workReady[0] // shared by an unclassified state machine's workers
+	if inc.classifier != nil {
+		ready = r.workReady[ti]
+	}
 	for {
 		p := r.prim
 		if r.inc != inc || r.stopped || p == nil {
@@ -403,9 +402,9 @@ func (r *Replica) nextWork(inc *incarnation, ti int) (w reqWork, ok bool) {
 		}
 		if p.ckPauseWorkers {
 			p.ckPausedW++
-			r.cond.Broadcast()
+			r.cond.Broadcast() // initiateCheckpoint counts paused workers
 			for p.ckPauseWorkers && r.inc == inc && !r.stopped {
-				r.cond.Wait()
+				ready.Wait()
 			}
 			p.ckPausedW--
 			continue
@@ -417,9 +416,19 @@ func (r *Replica) nextWork(inc *incarnation, ti int) (w reqWork, ok bool) {
 				return w, true
 			}
 		} else if w, ok := p.nextClassWork(ti); ok {
+			if w.class == ConflictAll && len(p.barrierQ) == 0 {
+				// The last queued barrier left: classified work queued
+				// behind it may run.
+				for t, q := range p.classQ {
+					if t != ti && len(q) > 0 {
+						r.workReady[t].Broadcast()
+					}
+				}
+			}
 			return w, true
 		}
-		r.cond.Wait()
+		r.workWaits[ti]++
+		ready.Wait()
 	}
 }
 
@@ -487,9 +496,8 @@ func (r *Replica) completeLocal(inc *incarnation, work reqWork, resp []byte, end
 	if r.inc != inc || prim == nil {
 		return // a rebuild superseded this incarnation, or demoted meanwhile; client will retry
 	}
-	if inc.classifier != nil {
-		prim.noteClassComplete(end, work.class == ConflictAll)
-		r.cond.Broadcast()
+	if inc.classifier != nil && prim.noteClassComplete(end, work.class == ConflictAll) {
+		r.workReady[0].Broadcast()
 	}
 	p, ok := prim.pending[work.idx]
 	if !ok {
@@ -511,9 +519,10 @@ func (r *Replica) completeLocal(inc *incarnation, work reqWork, resp []byte, end
 // when a request finishes on a worker thread: the thread's last req-end
 // (barrier in-edges point at these), the in-flight count the barrier drains
 // on, and — when the finished request was itself a catch-all — the
-// after-barrier edge every other thread's next dispatch must carry. The
-// caller broadcasts the change to waiting workers.
-func (p *primaryState) noteClassComplete(end trace.EventID, barrier bool) {
+// after-barrier edge every other thread's next dispatch must carry. It
+// reports whether a queued barrier may now run, which the caller tells
+// worker 0.
+func (p *primaryState) noteClassComplete(end trace.EventID, barrier bool) (barrierReady bool) {
 	t := int(end.Thread)
 	if t >= 0 && t < len(p.classLastEnd) {
 		p.classLastEnd[t] = end
@@ -528,6 +537,7 @@ func (p *primaryState) noteClassComplete(end trace.EventID, barrier bool) {
 			}
 		}
 	}
+	return len(p.barrierQ) > 0 && p.classDispatched == 0
 }
 
 func (r *Replica) releaseOneLocked(prim *primaryState, idx uint64, p *pendingReq) {
@@ -547,13 +557,20 @@ func (r *Replica) releaseOneLocked(prim *primaryState, idx uint64, p *pendingReq
 }
 
 // releaseResponsesLocked flushes every pending response now covered by the
-// committed last consistent cut.
+// committed last consistent cut, in trace index order so that the
+// submitters wake in the same order on every run.
 func (r *Replica) releaseResponsesLocked(prim *primaryState) {
+	ready := prim.releasable[:0]
 	for idx, p := range prim.pending {
 		if p.done && prim.lcc.Covers(p.end) {
-			r.releaseOneLocked(prim, idx, p)
+			ready = append(ready, idx)
 		}
 	}
+	slices.Sort(ready)
+	for _, idx := range ready {
+		r.releaseOneLocked(prim, idx, prim.pending[idx])
+	}
+	prim.releasable = ready[:0]
 }
 
 // proposePump collects the recorder's growth and proposes it (§3.1). It is
@@ -644,7 +661,7 @@ func (r *Replica) initiateCheckpoint() error {
 	// Phase 1: pause request workers at request boundaries. Timer threads
 	// keep running so background tasks can unblock stalled handlers.
 	p.ckPauseWorkers = true
-	r.cond.Broadcast()
+	r.wakeAllLocked()
 	for p.ckPausedW < r.cfg.Workers && r.prim == p && !r.stopped {
 		r.cond.Wait()
 	}
@@ -657,7 +674,7 @@ func (r *Replica) initiateCheckpoint() error {
 	if r.prim != p || r.stopped {
 		p.ckPauseWorkers = false
 		p.ckPauseTimers = false
-		r.cond.Broadcast()
+		r.wakeAllLocked()
 		return errNotPrimaryNow
 	}
 	cut := make(trace.Cut, total)
@@ -667,14 +684,12 @@ func (r *Replica) initiateCheckpoint() error {
 	p.nextMarkID++
 	id := p.markBase + p.nextMarkID
 	rt.Recorder().AddMark(trace.Mark{ID: id, Cut: cut})
-	if r.applied > r.lastCkptInst {
-		// Reset the log-growth floor immediately; the mark's own commit
-		// will bump this again to its exact instance.
-		r.lastCkptInst = r.applied
-	}
+	// Reset the log-growth floor now, not when the mark commits, so the
+	// floor does not fire again meanwhile.
+	r.logBytes = 0
 	p.ckPauseWorkers = false
 	p.ckPauseTimers = false
-	r.cond.Broadcast()
+	r.wakeAllLocked()
 	r.obs.ckptPause.Observe(r.e.Now() - pauseStart)
 	r.logf("checkpoint mark %d at cut %v", id, cut)
 	return nil

@@ -104,16 +104,19 @@ type Config struct {
 	Group int
 	// CheckpointEvery is the primary's checkpoint initiation period; 0
 	// disables periodic checkpoints (Checkpoint can still be called).
-	// Even at 0, the MaxLogInstancesWithoutCheckpoint floor still forces a
+	// Even at 0, the MaxLogBytesWithoutCheckpoint floor still forces a
 	// checkpoint when the log has grown too far, keeping rebuild cost —
 	// and hence recovery time — bounded.
 	CheckpointEvery time.Duration
-	// MaxLogInstancesWithoutCheckpoint is the log-growth checkpoint floor:
-	// when the committed log holds at least this many instances beyond the
-	// last checkpoint mark, the primary initiates a checkpoint regardless
-	// of CheckpointEvery. 0 selects the default (4096); negative disables
-	// the floor (rebuild cost then grows without bound — test-only).
-	MaxLogInstancesWithoutCheckpoint int64
+	// MaxLogBytesWithoutCheckpoint is the log-growth checkpoint floor:
+	// once the trace deltas committed since the last checkpoint mark add
+	// up to this many bytes, the primary initiates a checkpoint regardless
+	// of CheckpointEvery. 0 selects the default: the size of the newest
+	// checkpoint this replica built, accepted or loaded, and at least
+	// 64 KiB, so a rebuild never replays more than one checkpoint's worth
+	// of log. Negative disables the floor (rebuild cost
+	// then grows without bound — test-only).
+	MaxLogBytesWithoutCheckpoint int64
 	// StatusEvery is the secondary's replay-status report period, feeding
 	// the primary's flow control.
 	StatusEvery time.Duration
@@ -224,9 +227,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.MaxAdmissionWaiters <= 0 {
 		cfg.MaxAdmissionWaiters = 4 * cfg.MaxOutstanding
 	}
-	if cfg.MaxLogInstancesWithoutCheckpoint == 0 {
-		cfg.MaxLogInstancesWithoutCheckpoint = 4096
-	}
 	if cfg.ReadWaitTimeout <= 0 {
 		cfg.ReadWaitTimeout = time.Second
 	}
@@ -289,6 +289,14 @@ type Replica struct {
 
 	mu   env.Mutex
 	cond env.Cond
+	// workReady wakes idle request workers (r.mu). A classified state
+	// machine's worker t waits on workReady[t], and an admission wakes
+	// only the worker its queue feeds; an unclassified one's workers share
+	// workReady[0], and an admission signals any one of them. Pauses, role
+	// changes and stop wake them all (wakeAllLocked). workWaits counts
+	// each worker's sleeps there.
+	workReady []env.Cond
+	workWaits []uint64
 
 	inc       *incarnation  // nil until Start's first rebuild publishes
 	prim      *primaryState // non-nil exactly while this replica is the primary
@@ -327,12 +335,15 @@ type Replica struct {
 
 	// Checkpointing (under mu). snapInst is the newest stored checkpoint's
 	// instance (haveSnap: one is stored), so a pushed copy is judged
-	// without reading the store.
-	markInst     map[uint64]uint64 // checkpoint mark → instance carrying it
-	snapInst     uint64
-	haveSnap     bool
-	ckptSizeHint int    // size of the last checkpoint built here, presizes the next
-	lastCkptInst uint64 // newest instance carrying (or following) a mark; the floor's base
+	// without reading the store; ckptSize is its size, which presizes the
+	// next checkpoint built here and is the default log-growth floor.
+	// logBytes counts the trace delta bytes committed since the newest
+	// mark, which the floor compares against.
+	markInst map[uint64]uint64 // checkpoint mark → instance carrying it
+	snapInst uint64
+	haveSnap bool
+	ckptSize int
+	logBytes int
 
 	// peers are the secondaries' last replay-status reports, which feed
 	// the primary's flow control; they arrive in every role.
@@ -403,6 +414,11 @@ func NewReplica(cfg Config) (*Replica, error) {
 	r.obs = newReplicaMetrics(cfg.Metrics)
 	r.mu = cfg.Env.NewMutex()
 	r.cond = cfg.Env.NewCond(r.mu)
+	r.workReady = make([]env.Cond, cfg.Workers)
+	r.workWaits = make([]uint64, cfg.Workers)
+	for i := range r.workReady {
+		r.workReady[i] = cfg.Env.NewCond(r.mu)
+	}
 	r.commitMu = cfg.Env.NewMutex()
 	r.commitCond = cfg.Env.NewCond(r.commitMu)
 	r.lifeQ = cfg.Env.NewChan(0)
@@ -497,7 +513,7 @@ func (r *Replica) Start() error {
 	if r.cfg.CheckpointEvery > 0 {
 		r.spawn("ckpt-timer", r.checkpointTimer)
 	}
-	if r.cfg.MaxLogInstancesWithoutCheckpoint > 0 {
+	if r.cfg.MaxLogBytesWithoutCheckpoint >= 0 {
 		r.spawn("ckpt-floor", r.checkpointFloorLoop)
 	}
 	for i := 0; i < r.cfg.ReadWorkers; i++ {
@@ -614,10 +630,20 @@ func (r *Replica) fault(err error) {
 // current incarnation's replay, which releases its workers.
 func (r *Replica) wakeAndAbortUnlock() {
 	rep := r.replayerOfLocked()
-	r.cond.Broadcast()
+	r.wakeAllLocked()
 	r.mu.Unlock()
 	if rep != nil {
 		rep.Abort()
+	}
+}
+
+// wakeAllLocked wakes every waiter on r.cond and every idle request
+// worker: for a change any of them may be waiting on (a role change, a
+// rebuild, a checkpoint pause, stop).
+func (r *Replica) wakeAllLocked() {
+	r.cond.Broadcast()
+	for _, c := range r.workReady {
+		c.Broadcast()
 	}
 }
 
@@ -734,8 +760,10 @@ func (r *Replica) applyLoop() {
 		for _, m := range d.Marks {
 			r.markInst[m.ID] = evt.inst
 		}
-		if len(d.Marks) > 0 && evt.inst > r.lastCkptInst {
-			r.lastCkptInst = evt.inst
+		if len(d.Marks) > 0 {
+			r.logBytes = 0
+		} else {
+			r.logBytes += len(evt.val)
 		}
 		var applyErr error
 		wakePump := false
@@ -931,7 +959,7 @@ func (r *Replica) demote(leader int) {
 		r.dropPrimaryLocked()
 		r.logf("demoted; new leader is %d", leader)
 	}
-	r.cond.Broadcast()
+	r.wakeAllLocked()
 	r.mu.Unlock()
 	if wasPrimary {
 		if err := r.rebuild(); err != nil {
@@ -962,20 +990,28 @@ func (r *Replica) checkpointTimer() {
 // poll is fine.
 const checkpointFloorPoll = 25 * time.Millisecond
 
-// checkpointFloorLoop enforces Config.MaxLogInstancesWithoutCheckpoint:
-// even with CheckpointEvery == 0, the primary initiates a checkpoint once
-// the committed log has grown that many instances past the last checkpoint
-// mark, so a recovery never rebuilds over an unbounded log (the
-// checkpoint-disabled livelock; see DESIGN.md "Recovery bounds").
+// minCheckpointFloorBytes is the smallest default log-growth floor, so a
+// small state is not checkpointed every few commits.
+const minCheckpointFloorBytes = 64 << 10
+
+// checkpointFloorLoop enforces Config.MaxLogBytesWithoutCheckpoint: even
+// with CheckpointEvery == 0, the primary initiates a checkpoint once the
+// log committed since the last checkpoint mark reaches the floor, so a
+// recovery never rebuilds over an unbounded log (the checkpoint-disabled
+// livelock; see DESIGN.md "Recovery bounds"). The floor is counted in
+// bytes, not instances, so it does not depend on how many requests the
+// propose pump packs into one instance.
 func (r *Replica) checkpointFloorLoop() {
-	floor := uint64(r.cfg.MaxLogInstancesWithoutCheckpoint)
 	for {
 		if !r.sleepInterruptible(checkpointFloorPoll) {
 			return
 		}
 		r.mu.Lock()
-		due := r.prim != nil && !r.prim.ckPauseWorkers &&
-			r.applied > r.lastCkptInst && r.applied-r.lastCkptInst >= floor
+		floor := int(r.cfg.MaxLogBytesWithoutCheckpoint)
+		if floor == 0 {
+			floor = max(r.ckptSize, minCheckpointFloorBytes)
+		}
+		due := r.prim != nil && !r.prim.ckPauseWorkers && r.logBytes >= floor
 		r.mu.Unlock()
 		if !due {
 			continue

@@ -27,13 +27,13 @@ func TestPromoteDemoteChurnResync(t *testing.T) {
 		opts := cluster.Options{
 			Replicas: 3,
 			Template: core.Config{
-				Workers:                          4,
-				Timers:                           1,
-				HeartbeatEvery:                   20 * time.Millisecond,
-				ElectionTimeout:                  120 * time.Millisecond,
-				CheckpointEvery:                  0,  // periodic checkpoints off: the old livelock setup
-				MaxLogInstancesWithoutCheckpoint: 24, // the log-growth floor is the only checkpoint driver
-				Seed:                             29,
+				Workers:                      4,
+				Timers:                       1,
+				HeartbeatEvery:               20 * time.Millisecond,
+				ElectionTimeout:              120 * time.Millisecond,
+				CheckpointEvery:              0,    // periodic checkpoints off: the old livelock setup
+				MaxLogBytesWithoutCheckpoint: 1536, // about 24 deltas; only the log-growth floor triggers checkpoints
+				Seed:                         29,
 			},
 		}
 		c := cluster.New(e, newTKV, opts)

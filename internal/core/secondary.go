@@ -54,7 +54,7 @@ func (r *Replica) checkpointCoordinator(inc *incarnation) {
 		}
 		rep.CompleteMark(m.ID)
 		r.mu.Lock()
-		r.noteSnapshotLocked(inst)
+		r.noteSnapshotLocked(inst, len(buf)-snapHeadroom)
 		r.mu.Unlock()
 		r.logf("checkpoint %d taken at cut %v (instance %d)", m.ID, m.Cut, inst)
 		// Garbage-collect the covered prefix — both the consensus log and

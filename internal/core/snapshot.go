@@ -197,13 +197,15 @@ func decodeSnapshot(buf []byte) (*snapshotBlob, error) {
 // buildSnapshot serializes the application at a checkpoint mark whose cut
 // replay has reached (every logical thread paused exactly at the cut). It
 // returns the checkpoint at buf[snapHeadroom:], serialized once into a
-// buffer presized from the previous checkpoint, with the headroom free
-// for snapFrame.
+// buffer presized from the newest checkpoint this replica holds, whoever
+// built it, with the headroom free for snapFrame. The state can grow by
+// up to a floor's worth of log between checkpoints, so the buffer leaves
+// half as much again.
 func (r *Replica) buildSnapshot(inc *incarnation, rep *sched.Replayer, m trace.Mark, inst uint64) ([]byte, error) {
 	r.mu.Lock()
-	hint := r.ckptSizeHint
+	hint := r.ckptSize
 	r.mu.Unlock()
-	e := wire.NewEncoder(make([]byte, snapHeadroom, snapHeadroom+hint+hint/8))
+	e := wire.NewEncoder(make([]byte, snapHeadroom, snapHeadroom+hint+hint/2))
 	blob := &snapshotBlob{
 		MarkID:   m.ID,
 		Inst:     inst,
@@ -219,7 +221,6 @@ func (r *Replica) buildSnapshot(inc *incarnation, rep *sched.Replayer, m trace.M
 	r.mu.Lock()
 	blob.Dedup = r.dedup
 	blob.encodeTail(e)
-	r.ckptSizeHint = e.Len() - snapHeadroom
 	r.mu.Unlock()
 	return e.Bytes(), nil
 }
@@ -235,16 +236,16 @@ func (r *Replica) loadLocalSnapshot() (*snapshotBlob, bool, error) {
 		return nil, false, err
 	}
 	r.mu.Lock()
-	r.noteSnapshotLocked(s.Inst)
+	r.noteSnapshotLocked(s.Inst, len(data))
 	r.mu.Unlock()
 	return s, true, nil
 }
 
-// noteSnapshotLocked records that the local store holds a checkpoint at
-// instance inst.
-func (r *Replica) noteSnapshotLocked(inst uint64) {
+// noteSnapshotLocked records that the local store holds a checkpoint of
+// size bytes at instance inst.
+func (r *Replica) noteSnapshotLocked(inst uint64, size int) {
 	if !r.haveSnap || inst > r.snapInst {
-		r.snapInst, r.haveSnap = inst, true
+		r.snapInst, r.haveSnap, r.ckptSize = inst, true, size
 	}
 }
 
@@ -350,6 +351,7 @@ func (r *Replica) rebuild() error {
 			tr = trace.New(threads)
 		}
 		var delta trace.Delta
+		logBytes := 0 // since the newest mark, for the log-growth floor
 		for i := startInst; i < st.Seq; i++ {
 			raw := st.Vals[i-st.Base]
 			if reconfig.IsMeta(raw) {
@@ -373,6 +375,11 @@ func (r *Replica) rebuild() error {
 			}
 			if err := tr.Apply(&delta); err != nil {
 				return fmt.Errorf("rex: replaying chosen delta %d: %w", i, err)
+			}
+			if len(delta.Marks) > 0 {
+				logBytes = 0
+			} else {
+				logBytes += len(raw)
 			}
 		}
 
@@ -426,17 +433,15 @@ func (r *Replica) rebuild() error {
 		}
 		r.dropPrimaryLocked()
 		r.inc = inc
-		if st.Seq > r.applied {
+		if st.Seq >= r.applied {
 			r.applied = st.Seq
-		}
-		if startInst > r.lastCkptInst {
-			r.lastCkptInst = startInst
+			r.logBytes = logBytes
 		}
 		if latest != nil && latest.Epoch > r.member.Epoch {
 			r.member = latest.Clone()
 		}
 		r.spawnExecution(inc)
-		r.cond.Broadcast()
+		r.wakeAllLocked()
 		r.mu.Unlock()
 		if old != nil {
 			old.rt.Replayer().Abort() // release the previous incarnation's workers

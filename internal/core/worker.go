@@ -204,8 +204,9 @@ func (r *Replica) finishCarried(inc *incarnation, w *sched.Worker, idx uint64, r
 	end := w.Record(trace.Event{Kind: trace.KindReqEnd, Res: uint32(idx), Arg: hashResponse(resp)}, nil)
 	r.mu.Lock()
 	if p := r.prim; p != nil && inc.classifier != nil && r.inc == inc {
-		p.noteClassComplete(end, req.Class == ConflictAll)
-		r.cond.Broadcast()
+		if p.noteClassComplete(end, req.Class == ConflictAll) {
+			r.workReady[0].Broadcast()
+		}
 	}
 	r.dedup[req.Client] = dedupEntry{seq: req.Seq, resp: resp}
 	r.stats.ReqsCompleted++

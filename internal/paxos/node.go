@@ -536,18 +536,30 @@ func (n *Node) Compact(upTo uint64) {
 }
 
 // ChosenSnapshot returns a consistent copy of the learner state, safe to
-// call from any task while the node is running.
+// call from any task. Once the event loop has exited (stop or storage
+// fault) it answers from the state the loop left: the loop closed its
+// inbox before exiting and changes nothing after that.
 func (n *Node) ChosenSnapshot() ChosenState {
 	reply := n.cfg.Env.NewChan(1)
 	if !n.inbox.Send(chosenReq{reply: reply}) {
-		return ChosenState{Base: n.chosenBase, Seq: n.chosenSeq}
+		return n.chosenState()
 	}
 	v, ok := reply.Recv()
 	if !ok {
-		// The loop exited (stop or storage fault) before answering.
-		return ChosenState{Base: n.chosenBase, Seq: n.chosenSeq}
+		return n.chosenState()
 	}
 	return v.(ChosenState)
+}
+
+// chosenState copies the learner state. Only the event loop, or anyone
+// once the loop has exited, may call it.
+func (n *Node) chosenState() ChosenState {
+	return ChosenState{
+		Base:    n.chosenBase,
+		Vals:    append([][]byte(nil), n.chosen...),
+		Seq:     n.chosenSeq,
+		Configs: n.scheduledConfigs(n.chosenBase),
+	}
 }
 
 // Stop shuts the node down and waits for the event loop to exit.
@@ -675,12 +687,7 @@ func (n *Node) handleCmd(v any) (quit bool) {
 		// Snapshots promise durable state, as the record-per-fsync design
 		// delivered by construction.
 		n.flushWAL()
-		c.reply.Send(ChosenState{
-			Base:    n.chosenBase,
-			Vals:    append([][]byte(nil), n.chosen...),
-			Seq:     n.chosenSeq,
-			Configs: n.scheduledConfigs(n.chosenBase),
-		})
+		c.reply.Send(n.chosenState())
 	case stopCmd:
 		n.flushBatch()
 		n.stopped = true

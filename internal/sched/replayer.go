@@ -18,12 +18,18 @@ import (
 // residue of an inconsistent proposal, so a leader change never needs to
 // roll a secondary back — only a demoted primary rolls back (§3.2, §5.2).
 type Replayer struct {
-	mu   env.Mutex
-	grow env.Cond // trace/limit growth, mark completion, abort
+	mu env.Mutex
+	// release[t] wakes thread t's Next: broadcast when t's release limit
+	// grows, and for every thread when a mark completes or replay aborts.
+	release []env.Cond
 	// perThread[t] is signaled when executed[t] advances; edge waiters wait
 	// on the source thread's cond to avoid broadcast storms.
 	perThread []env.Cond
-	progress  env.Cond // any watermark advance (mark coordinator, catch-up)
+	// progress is broadcast on any watermark advance (mark coordinator,
+	// catch-up, session reads), but only while progressWaiters > 0.
+	progress        env.Cond
+	progressWaiters int
+	nextWaits       []uint64 // per thread: times Next went to sleep
 
 	tr       *trace.Trace
 	limit    trace.Cut // last consistent cut of the applied deltas
@@ -78,10 +84,13 @@ func NewReplayer(e env.Env, tr *trace.Trace, base trace.Cut) (*Replayer, error) 
 		return nil, err
 	}
 	r.limit = limit
-	r.grow = e.NewCond(r.mu)
 	r.progress = e.NewCond(r.mu)
+	r.release = make([]env.Cond, n)
+	r.perThread = make([]env.Cond, n)
+	r.nextWaits = make([]uint64, n)
 	for t := 0; t < n; t++ {
-		r.perThread = append(r.perThread, e.NewCond(r.mu))
+		r.release[t] = e.NewCond(r.mu)
+		r.perThread[t] = e.NewCond(r.mu)
 	}
 	// Marks already in the trace beyond base are still pending.
 	for _, m := range tr.Marks {
@@ -93,7 +102,8 @@ func NewReplayer(e env.Env, tr *trace.Trace, base trace.Cut) (*Replayer, error) 
 }
 
 // Extend applies a committed delta to the trace, advances the release
-// frontier to the new last consistent cut, and wakes blocked workers.
+// frontier to the new last consistent cut, and wakes the workers of the
+// threads whose frontier moved; no other thread has anything new to run.
 //
 // On a replayer that is already aborted it returns ErrReplayerAborted
 // without touching the trace. If the delta's cuts have desynchronized from
@@ -126,6 +136,11 @@ func (r *Replayer) Extend(d *trace.Delta) error {
 		r.abortLocked()
 		return err
 	}
+	for t := range limit {
+		if limit[t] > r.limit[t] {
+			r.release[t].Broadcast()
+		}
+	}
 	r.limit = limit
 	if r.ob != nil && !r.executed.AtLeast(r.limit) {
 		if len(r.lagQ) < maxLagQ {
@@ -135,7 +150,6 @@ func (r *Replayer) Extend(d *trace.Delta) error {
 		}
 	}
 	r.marks = append(r.marks, d.Marks...)
-	r.grow.Broadcast()
 	return nil
 }
 
@@ -159,7 +173,8 @@ func (r *Replayer) Next(t int32) (trace.Event, trace.EventID, bool) {
 			id := trace.EventID{Thread: t, Clock: next}
 			return r.tr.Event(id), id, true
 		}
-		r.grow.Wait()
+		r.nextWaits[t]++
+		r.release[t].Wait()
 	}
 }
 
@@ -226,17 +241,22 @@ func (r *Replayer) WaitSources(in []trace.EventID) bool {
 
 // Commit marks thread t's next event as executed and wakes its waiters.
 // Wrappers call it after performing the real operation, so an edge wait
-// completing implies the source's real effect has happened.
+// completing implies the source's real effect has happened. Nothing reads
+// an executed event again, so the trace prunes them chunk by chunk
+// instead of holding them until the next checkpoint.
 func (r *Replayer) Commit(t int32) {
 	r.mu.Lock()
 	r.executed[t]++
+	r.tr.PruneTo(int(t), r.executed[t])
 	r.replayedEvents++
 	for len(r.lagQ) > 0 && r.executed.AtLeast(r.lagQ[0].cut) {
 		r.ob.CommitLag.Observe(r.e.Now() - r.lagQ[0].at)
 		r.lagQ = r.lagQ[1:]
 	}
 	r.perThread[t].Broadcast()
-	r.progress.Broadcast()
+	if r.progressWaiters > 0 {
+		r.progress.Broadcast()
+	}
 	r.mu.Unlock()
 }
 
@@ -271,7 +291,7 @@ func (r *Replayer) WaitCaughtUp() bool {
 		if r.aborted {
 			return false
 		}
-		r.progress.Wait()
+		r.waitProgressLocked()
 	}
 	return !r.aborted
 }
@@ -312,7 +332,7 @@ func (r *Replayer) WaitExecutedAtLeast(cut trace.Cut, timeout time.Duration) boo
 		if r.aborted || r.e.Now() >= deadline {
 			return false
 		}
-		r.progress.Wait()
+		r.waitProgressLocked()
 	}
 	return true
 }
@@ -337,9 +357,17 @@ func (r *Replayer) WaitMarkReached(m trace.Mark) bool {
 		if r.aborted {
 			return false
 		}
-		r.progress.Wait()
+		r.waitProgressLocked()
 	}
 	return !r.aborted
+}
+
+// waitProgressLocked waits for the next watermark advance, counted so that
+// Commit broadcasts only when somebody listens.
+func (r *Replayer) waitProgressLocked() {
+	r.progressWaiters++
+	r.progress.Wait()
+	r.progressWaiters--
 }
 
 // CompleteMark retires the oldest pending mark (which must match id) and
@@ -351,7 +379,7 @@ func (r *Replayer) CompleteMark(id uint64) {
 		panic("sched: CompleteMark out of order")
 	}
 	r.marks = r.marks[1:]
-	r.grow.Broadcast()
+	r.wakeAllLocked()
 }
 
 // Abort unblocks every waiter; Next and WaitSources return false.
@@ -370,9 +398,17 @@ func (r *Replayer) Aborted() bool {
 
 func (r *Replayer) abortLocked() {
 	r.aborted = true
-	r.grow.Broadcast()
+	r.wakeAllLocked()
 	r.progress.Broadcast()
 	for _, c := range r.perThread {
+		c.Broadcast()
+	}
+}
+
+// wakeAllLocked wakes every thread's Next: a completed mark may release
+// events on any thread, and an abort ends them all.
+func (r *Replayer) wakeAllLocked() {
+	for _, c := range r.release {
 		c.Broadcast()
 	}
 }

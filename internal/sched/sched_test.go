@@ -533,3 +533,61 @@ func TestCollectIntoMatchesCollect(t *testing.T) {
 		clear(scratch.Reqs)
 	}
 }
+
+// TestExtendWakesOnlyReleasedThreads pins the replayer's wake-ups: an
+// Extend that releases events on thread 0 only leaves thread 1's Next
+// asleep, while completing a mark and aborting wake every thread.
+func TestExtendWakesOnlyReleasedThreads(t *testing.T) {
+	e := sim.New(2)
+	e.Run(func() {
+		tr := trace.New(2)
+		tr.Marks = append(tr.Marks, trace.Mark{ID: 7, Cut: trace.Cut{1, 0}})
+		rep := mustReplayer(t, e, tr, nil)
+		got0, got1 := e.NewChan(2), e.NewChan(1)
+		e.Go("t0", func() {
+			for i := 0; i < 2; i++ {
+				_, id, ok := rep.Next(0)
+				got0.Send(ok && id.Clock == int32(i+1))
+				rep.Commit(0)
+			}
+		})
+		e.Go("t1", func() {
+			_, _, ok := rep.Next(1)
+			got1.Send(ok)
+		})
+		e.Sleep(time.Millisecond)
+		if w0, w1 := rep.NextWaits(0), rep.NextWaits(1); w0 != 1 || w1 != 1 {
+			t.Fatalf("sleeps before Extend: thread 0 %d, thread 1 %d; want 1 and 1", w0, w1)
+		}
+
+		d := &trace.Delta{Base: trace.Cut{0, 0}, Threads: make([]trace.ThreadLog, 2)}
+		d.Threads[0].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1}, nil)
+		d.Threads[0].Append(trace.Event{Kind: trace.KindLockRel, Res: 1}, nil)
+		if err := rep.Extend(d); err != nil {
+			t.Fatal(err)
+		}
+		e.Sleep(time.Millisecond)
+		if v, _ := got0.Recv(); !v.(bool) {
+			t.Fatal("thread 0 did not get its first event")
+		}
+		// Thread 0's second event lies beyond the pending mark: it sleeps
+		// again. Thread 1 had nothing released and was never woken.
+		if w0, w1 := rep.NextWaits(0), rep.NextWaits(1); w0 != 2 || w1 != 1 {
+			t.Fatalf("sleeps after Extend: thread 0 %d, thread 1 %d; want 2 and 1", w0, w1)
+		}
+
+		rep.CompleteMark(7)
+		e.Sleep(time.Millisecond)
+		if v, _ := got0.Recv(); !v.(bool) {
+			t.Fatal("thread 0 not released past the completed mark")
+		}
+		if w1 := rep.NextWaits(1); w1 != 2 {
+			t.Fatalf("thread 1 sleeps after CompleteMark = %d, want 2 (woken, nothing to run)", w1)
+		}
+
+		rep.Abort()
+		if v, _ := got1.Recv(); v.(bool) {
+			t.Fatal("thread 1's Next returned an event after abort")
+		}
+	})
+}

@@ -39,12 +39,23 @@ func (c *chunk) in(i int) []EventID {
 // chunk (c-1-start)>>chunkShift at slot (c-1-start)&chunkMask; chunks
 // holds exactly the chunks covering clocks start+1..end. Events with clocks
 // at or below base were garbage collected, though up to one chunk's worth
-// of them may still sit in chunks[0].
+// of them may still sit in chunks[0]. pruned keeps, oldest first, the
+// request boundaries of the events pruneTo collected before a checkpoint
+// did.
 type threadLog struct {
 	base   int32
 	start  int32
 	end    int32
 	chunks []*chunk
+	pruned []reqEvent
+}
+
+// reqEvent is a req-begin or req-end event of a pruned chunk: all that
+// request bookkeeping (LiveReqs, LiveLowWater, OpenRequests) reads of it.
+type reqEvent struct {
+	clock int32
+	kind  Kind
+	res   uint32
 }
 
 // slot locates clock c, which must lie in (start, end].
@@ -87,8 +98,15 @@ func (l *threadLog) newChunk() *chunk {
 
 // forgetTo garbage-collects events with clock ≤ c (clamped to what is
 // present), releasing every chunk that lies wholly inside the collected
-// prefix. Nothing is copied.
+// prefix, and the request boundaries pruned from it.
 func (l *threadLog) forgetTo(c int32) {
+	n := 0
+	for n < len(l.pruned) && l.pruned[n].clock <= c {
+		n++
+	}
+	if n > 0 {
+		l.pruned = append(l.pruned[:0], l.pruned[n:]...)
+	}
 	if c <= l.base {
 		return
 	}
@@ -103,6 +121,49 @@ func (l *threadLog) forgetTo(c int32) {
 	clear(l.chunks[:drop])
 	l.chunks = l.chunks[drop:]
 	l.start += int32(drop) << chunkShift
+}
+
+// pruneTo collects every chunk that lies wholly at or below clock c,
+// keeping only its request boundaries in pruned. Unlike forgetTo it loses
+// nothing that request bookkeeping reads, so it may run ahead of a
+// checkpoint.
+func (l *threadLog) pruneTo(c int32) {
+	if c > l.end {
+		c = l.end
+	}
+	drop := int(c-l.start) >> chunkShift
+	if drop <= 0 {
+		return
+	}
+	for k, ch := range l.chunks[:drop] {
+		first := l.start + int32(k)<<chunkShift + 1
+		for i := range ch.events {
+			ev := &ch.events[i]
+			if clock := first + int32(i); clock > l.base && (ev.Kind == KindReqBegin || ev.Kind == KindReqEnd) {
+				l.pruned = append(l.pruned, reqEvent{clock: clock, kind: ev.Kind, res: ev.Res})
+			}
+		}
+	}
+	clear(l.chunks[:drop])
+	l.chunks = l.chunks[drop:]
+	l.start += int32(drop) << chunkShift
+	l.base = max(l.base, l.start)
+}
+
+// eachReq calls fn on the request boundaries with clocks at or below hi,
+// pruned and retained, in clock order.
+func (l *threadLog) eachReq(hi int32, fn func(kind Kind, res uint32)) {
+	for _, p := range l.pruned {
+		if p.clock > hi {
+			return
+		}
+		fn(p.kind, p.res)
+	}
+	l.each(l.base, hi, func(ev Event) {
+		if ev.Kind == KindReqBegin || ev.Kind == KindReqEnd {
+			fn(ev.Kind, ev.Res)
+		}
+	})
 }
 
 // truncateTo drops events with clock > c; base ≤ c ≤ end. The tail

@@ -19,13 +19,17 @@ type model struct {
 	evs     [][]trace.Event     // evs[t][c-1] is event (t, c)
 	ins     [][][]trace.EventID // its in-edge sources
 	base    trace.Cut           // collected prefix per thread
+	pruned  trace.Cut           // events at or below are unreadable, but still count as request boundaries
 	reqs    []trace.Req
 	reqBase uint64
 }
 
 func newModel(n int) *model {
-	return &model{evs: make([][]trace.Event, n), ins: make([][][]trace.EventID, n), base: make(trace.Cut, n)}
+	return &model{evs: make([][]trace.Event, n), ins: make([][][]trace.EventID, n), base: make(trace.Cut, n), pruned: make(trace.Cut, n)}
 }
+
+// floor is thread t's last unreadable clock: collected or pruned.
+func (m *model) floor(t int) int32 { return max(m.base[t], m.pruned[t]) }
 
 func (m *model) frontier() trace.Cut {
 	c := make(trace.Cut, len(m.evs))
@@ -38,7 +42,7 @@ func (m *model) frontier() trace.Cut {
 // truncate mirrors Trace.TruncateTo, reporting false where it must fail.
 func (m *model) truncate(cut trace.Cut) bool {
 	for t := range m.evs {
-		if cut[t] < m.base[t] || int(cut[t]) > len(m.evs[t]) {
+		if cut[t] < m.floor(t) || int(cut[t]) > len(m.evs[t]) {
 			return false
 		}
 	}
@@ -61,7 +65,7 @@ func (m *model) consistentCut(base trace.Cut) trace.Cut {
 	for changed := true; changed; {
 		changed = false
 		for t := range m.evs {
-			lo := max(m.base[t], base[t])
+			lo := max(m.floor(t), base[t])
 		scan:
 			for c := lo + 1; c <= cut[t]; c++ {
 				for _, src := range m.ins[t][c-1] {
@@ -82,7 +86,7 @@ func (m *model) isConsistent(cut trace.Cut) bool {
 		if int(cut[t]) > len(m.evs[t]) {
 			return false
 		}
-		for c := m.base[t] + 1; c <= cut[t]; c++ {
+		for c := m.floor(t) + 1; c <= cut[t]; c++ {
 			for _, src := range m.ins[t][c-1] {
 				if !cut.Covers(src) {
 					return false
@@ -110,6 +114,23 @@ func (m *model) live(cut trace.Cut) []trace.IndexedReq {
 		}
 	}
 	return live
+}
+
+// openRequests mirrors Trace.OpenRequests: request boundaries from the
+// collected base on, begins opening and ends closing, thread by thread.
+func (m *model) openRequests() int {
+	open := map[uint32]bool{}
+	for t := range m.evs {
+		for _, ev := range m.evs[t][m.base[t]:] {
+			switch ev.Kind {
+			case trace.KindReqBegin:
+				open[ev.Res] = true
+			case trace.KindReqEnd:
+				delete(open, ev.Res)
+			}
+		}
+	}
+	return len(open)
 }
 
 // heldIn is an In slice a replay worker took, with a copy of its contents
@@ -148,16 +169,23 @@ func (s *storeRun) clock(lo, hi int32) int32 {
 }
 
 // cutBetween picks a cut between the collected base and the frontier.
-func (s *storeRun) cutBetween() trace.Cut { return s.cutWithin(1 << 30) }
+func (s *storeRun) cutBetween() trace.Cut {
+	f := s.m.frontier()
+	c := make(trace.Cut, len(f))
+	for t := range c {
+		c[t] = s.clock(s.m.base[t], f[t])
+	}
+	return c
+}
 
-// cutWithin picks a cut between the collected base and the frontier, at
+// cutWithin picks a cut between the readable floor and the frontier, at
 // most span events behind the frontier on each thread: a rebase discards
 // a recent residue, not the whole trace.
 func (s *storeRun) cutWithin(span int32) trace.Cut {
 	f := s.m.frontier()
 	c := make(trace.Cut, len(f))
 	for t := range c {
-		c[t] = s.clock(max(s.m.base[t], f[t]-span), f[t])
+		c[t] = s.clock(max(s.m.floor(t), f[t]-span), f[t])
 	}
 	return c
 }
@@ -179,8 +207,13 @@ func (s *storeRun) randomDelta(rebase trace.Cut) *trace.Delta {
 	for t := 0; t < n; t++ {
 		for i := s.rng.Intn(120); i > 0; i-- {
 			ev := trace.Event{Kind: trace.KindLockAcq, Res: uint32(s.rng.Intn(5)), Arg: s.rng.Uint64()}
-			if reqEnd > 0 && s.rng.Intn(3) == 0 {
-				ev = trace.Event{Kind: trace.KindReqEnd, Res: uint32(s.rng.Intn(reqEnd))}
+			if reqEnd > 0 {
+				switch s.rng.Intn(6) {
+				case 0, 1:
+					ev = trace.Event{Kind: trace.KindReqEnd, Res: uint32(s.rng.Intn(reqEnd))}
+				case 2:
+					ev = trace.Event{Kind: trace.KindReqBegin, Res: uint32(s.rng.Intn(reqEnd))}
+				}
 			}
 			var in []trace.EventID
 			for j := s.rng.Intn(3); j > 0; j-- {
@@ -260,15 +293,28 @@ func (s *storeRun) forget() {
 	s.m.forget(cut, keep)
 }
 
+// prune collects a thread's whole chunks up to a clock, as a replay worker
+// does behind its executed frontier. Chunks are aligned to clock numbers,
+// so what becomes unreadable ends at a multiple of the chunk length.
+func (s *storeRun) prune() {
+	f := s.m.frontier()
+	t := s.rng.Intn(len(f))
+	c := s.clock(s.m.floor(t), f[t])
+	s.tr.PruneTo(t, c)
+	if aligned := c / trace.ChunkLen * trace.ChunkLen; aligned > s.m.pruned[t] {
+		s.m.pruned[t] = aligned
+	}
+}
+
 // hold takes In slices of a few retained events, as replay workers do.
 func (s *storeRun) hold() {
 	f := s.m.frontier()
 	for i := 0; i < 4; i++ {
 		t := s.rng.Intn(len(f))
-		if f[t] == s.m.base[t] {
+		if f[t] == s.m.floor(t) {
 			continue
 		}
-		id := trace.EventID{Thread: int32(t), Clock: s.clock(s.m.base[t]+1, f[t])}
+		id := trace.EventID{Thread: int32(t), Clock: s.clock(s.m.floor(t)+1, f[t])}
 		in := s.tr.In(id)
 		s.held = append(s.held, heldIn{id: id, in: in, want: slices.Clone(in)})
 	}
@@ -297,10 +343,10 @@ func (s *storeRun) check(step int) {
 	for th := range m.evs {
 		var seen []trace.Event
 		tr.EachEvent(th, 0, f[th], func(ev trace.Event) { seen = append(seen, ev) })
-		if want := m.evs[th][m.base[th]:]; !slices.Equal(seen, want) {
+		if want := m.evs[th][m.floor(th):]; !slices.Equal(seen, want) {
 			t.Fatalf("step %d: thread %d events differ from the model (%d vs %d)", step, th, len(seen), len(want))
 		}
-		for c := m.base[th] + 1; c <= f[th]; c++ {
+		for c := m.floor(th) + 1; c <= f[th]; c++ {
 			id := trace.EventID{Thread: int32(th), Clock: c}
 			if got := tr.Event(id); got != m.evs[th][c-1] {
 				t.Fatalf("step %d: Event%v = %+v, want %+v", step, id, got, m.evs[th][c-1])
@@ -310,11 +356,14 @@ func (s *storeRun) check(step int) {
 			}
 			edges += len(m.ins[th][c-1])
 		}
-		events += int(f[th] - m.base[th])
+		events += int(f[th] - m.floor(th))
 	}
 	st := tr.Stats()
 	if st.Events != events || st.Edges != edges || st.Reqs != len(m.reqs)-int(m.reqBase) {
 		t.Fatalf("step %d: Stats = %+v, want %d events %d edges %d reqs", step, st, events, edges, len(m.reqs)-int(m.reqBase))
+	}
+	if got, want := tr.OpenRequests(), m.openRequests(); got != want {
+		t.Fatalf("step %d: OpenRequests = %d, want %d", step, got, want)
 	}
 	if got := tr.ReqEnd(); got != uint64(len(m.reqs)) {
 		t.Fatalf("step %d: ReqEnd = %d, want %d", step, got, len(m.reqs))
@@ -327,7 +376,10 @@ func (s *storeRun) check(step int) {
 		}
 	}
 	base := m.base.Clone()
-	if s.lcc != nil && s.lcc.AtLeast(m.base) && m.isConsistent(s.lcc) {
+	for th := range base {
+		base[th] = m.floor(th)
+	}
+	if s.lcc != nil && s.lcc.AtLeast(base) && m.isConsistent(s.lcc) {
 		base = s.lcc
 	}
 	cc, err := tr.ConsistentCut(base)
@@ -369,9 +421,10 @@ func (s *storeRun) check(step int) {
 }
 
 // TestQuickChunkedStoreMatchesModel runs random interleavings of Apply
-// (with and without rebase), TruncateTo, Forget, ConsistentCut,
-// IsConsistent, LiveLowWater and Replayer.LiveReqs against a plain-slice
-// model. Threads grow across several chunks and cuts land on and next to
+// (with and without rebase), TruncateTo, Forget, PruneTo, ConsistentCut,
+// IsConsistent, LiveLowWater, OpenRequests and Replayer.LiveReqs against
+// a plain-slice model; a pruned event stays a request boundary until
+// Forget collects it. Threads grow across several chunks and cuts land on and next to
 // chunk boundaries. In slices taken as a replay worker would must never
 // change unless a truncation discarded their event.
 func TestQuickChunkedStoreMatchesModel(t *testing.T) {
@@ -396,6 +449,8 @@ func TestQuickChunkedStoreMatchesModel(t *testing.T) {
 					s.forget()
 				case r < 17:
 					s.applyBadRebase()
+				case r < 18:
+					s.prune()
 				default:
 					s.hold()
 				}

@@ -14,6 +14,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // ErrCutBeyondTrace reports that a cut references events outside the
@@ -312,14 +313,40 @@ func (tr *Trace) endedIn(cut Cut) map[uint64]bool {
 	done := make(map[uint64]bool)
 	for t := range tr.threads {
 		if t < len(cut) {
-			tr.threads[t].each(0, cut[t], func(ev Event) {
-				if ev.Kind == KindReqEnd {
-					done[uint64(ev.Res)] = true
+			tr.threads[t].eachReq(cut[t], func(kind Kind, res uint32) {
+				if kind == KindReqEnd {
+					done[uint64(res)] = true
 				}
 			})
 		}
 	}
 	return done
+}
+
+// OpenRequests counts the requests whose req-begin is in the trace and
+// whose req-end is not: handlers that were running when the trace ends.
+// A checkpoint pause happens at request boundaries, so a collected prefix
+// never hides an unmatched req-begin.
+func (tr *Trace) OpenRequests() int {
+	open := make(map[uint32]bool)
+	for t := range tr.threads {
+		tr.threads[t].eachReq(math.MaxInt32, func(kind Kind, res uint32) {
+			if kind == KindReqBegin {
+				open[res] = true
+			} else {
+				delete(open, res)
+			}
+		})
+	}
+	return len(open)
+}
+
+// PruneTo collects thread t's events at or below clock c in whole chunks,
+// keeping what LiveReqs, LiveLowWater and OpenRequests read of them, so a
+// replica that has executed them need not hold them until the next
+// checkpoint. Callers must not read those events again (Event, In).
+func (tr *Trace) PruneTo(t int, c int32) {
+	tr.threads[t].pruneTo(c)
 }
 
 // Forget garbage-collects the trace prefix covered by a checkpoint: all
