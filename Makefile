@@ -88,6 +88,7 @@ chaos:
 FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/paxos:FuzzDecodeMessage \
+	./internal/paxos:FuzzDecodeLentFrame \
 	./internal/core:FuzzDecodeCtrl \
 	./internal/core:FuzzDecodeSnapshot \
 	./internal/reconfig:FuzzDecodeValue \

@@ -5,6 +5,8 @@ package apps
 import (
 	"bytes"
 	"testing"
+
+	"rex/internal/alloctest"
 )
 
 // TestReadCheckpointCountsBoundedByInput pins the checkpoint readers'
@@ -15,7 +17,7 @@ func TestReadCheckpointCountsBoundedByInput(t *testing.T) {
 		sm := newStateMachine(t, ca.app).SM
 		for i, p := range checkpointCountProbes(ca.header) {
 			var err error
-			got := minAllocBytes(1023, func() { err = sm.ReadCheckpoint(bytes.NewReader(p)) })
+			got := alloctest.MinBytes(1023, func() { err = sm.ReadCheckpoint(bytes.NewReader(p)) })
 			if err == nil {
 				t.Errorf("%s probe %d (%x) read", ca.app.Name, i, p)
 			}

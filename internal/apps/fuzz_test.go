@@ -2,35 +2,12 @@ package apps
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
+	"rex/internal/alloctest"
 	"rex/internal/core"
 	"rex/internal/env"
 )
-
-// minAllocBytes returns the bytes the process allocated while a
-// repeatable f ran. A run within limit settles it; a run over limit is
-// repeated and the least of five kept, so an allocation by some other
-// goroutine cannot fail a pin.
-func minAllocBytes(limit uint64, f func()) uint64 {
-	var least uint64
-	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
-		}
-	}
-	return least
-}
-
-// maxDecodeAlloc bounds what reading an n-byte checkpoint may allocate:
-// every count is bounded by the input, and each item costs a few dozen
-// bytes.
-func maxDecodeAlloc(n int) uint64 { return 128*uint64(n) + 4096 }
 
 // checkpointApps are the applications whose checkpoint readers decode
 // counts, with the number of single-byte fields before the first count.
@@ -93,7 +70,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		for i, in := range insts {
 			name := checkpointApps[i].app.Name
 			var err error
-			if got := minAllocBytes(maxDecodeAlloc(len(data)), func() { err = in.sm.ReadCheckpoint(bytes.NewReader(data)) }); got > maxDecodeAlloc(len(data)) {
+			if got := alloctest.MinBytes(alloctest.MaxDecode(len(data), 128), func() { err = in.sm.ReadCheckpoint(bytes.NewReader(data)) }); got > alloctest.MaxDecode(len(data), 128) {
 				t.Fatalf("%s: reading %d bytes allocated %d", name, len(data), got)
 			}
 			if err != nil {

@@ -60,7 +60,7 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 		}
 	}
 	for n := 0; n < m.Nodes; n++ {
-		mc.Muxes = append(mc.Muxes, shard.NewNodeMux(e, mc.Net.Endpoint(n), m, n))
+		mc.Muxes = append(mc.Muxes, shard.NewNodeMux(mc.Net.Endpoint(n), m, n))
 	}
 	for g := 0; g < m.Groups(); g++ {
 		g := g

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 
 	"rex/internal/sched"
+	"rex/internal/transport"
 	"rex/internal/wire"
 )
 
@@ -22,6 +23,8 @@ type ctrlMsg struct {
 	Applied uint64
 	Backlog uint64
 	Blob    []byte
+
+	from int // sender of a received message
 }
 
 func (m *ctrlMsg) encode() []byte {
@@ -33,8 +36,8 @@ func (m *ctrlMsg) encode() []byte {
 	return e.Bytes()
 }
 
-// decodeCtrl decodes a control message. Blob aliases buf: each received
-// frame is a fresh buffer, so a pushed checkpoint is never copied again.
+// decodeCtrl decodes a control message. Blob aliases buf, which the
+// caller keeps (receiveCtrl), so a pushed checkpoint is never copied again.
 func decodeCtrl(buf []byte) (*ctrlMsg, bool) {
 	d := wire.NewDecoder(buf)
 	m := &ctrlMsg{Kind: d.Byte()}
@@ -69,18 +72,34 @@ func (r *Replica) broadcastCtrl(payload []byte) {
 	}
 }
 
+// receiveCtrl is the control channel's transport handler. It runs on the
+// endpoint's reading goroutine: it decodes the message and queues it for
+// ctrlLoop. A checkpoint push keeps its frame (Delivery.Keep): one larger
+// than the read buffer was read into a buffer of its own, which becomes
+// the blob, so a pushed checkpoint is allocated once.
+func (r *Replica) receiveCtrl(d transport.Delivery) {
+	payload := d.Payload
+	if len(payload) > 0 && payload[0] == ctrlSnapBlob {
+		payload = d.Keep()
+	}
+	m, valid := decodeCtrl(payload)
+	if !valid {
+		r.logf("dropping corrupt control message from %d", d.From)
+		return
+	}
+	m.from = d.From
+	r.ctrlQ.Send(m)
+}
+
 // ctrlLoop handles control-plane traffic.
 func (r *Replica) ctrlLoop() {
 	for {
-		payload, from, ok := r.ctrl.Recv()
+		v, ok := r.ctrlQ.Recv()
 		if !ok {
 			return
 		}
-		m, valid := decodeCtrl(payload)
-		if !valid {
-			r.logf("dropping corrupt control message from %d", from)
-			continue
-		}
+		m := v.(*ctrlMsg)
+		from := m.from
 		switch m.Kind {
 		case ctrlStatus:
 			r.mu.Lock()

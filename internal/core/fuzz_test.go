@@ -2,38 +2,12 @@ package core
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 
+	"rex/internal/alloctest"
 	"rex/internal/reconfig"
 	"rex/internal/trace"
 )
-
-// allocBytes returns the bytes the process allocated while f ran.
-func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// minAllocBytes is allocBytes for a repeatable f. A run within limit
-// settles it; a run over limit is repeated and the least of five kept, so
-// an allocation by some other goroutine cannot fail a pin. Reading the
-// counters stops the world, the larger part of a fuzz execution's cost,
-// so a run within limit is never repeated.
-func minAllocBytes(limit uint64, f func()) uint64 {
-	least := allocBytes(f)
-	for i := 1; i < 5 && least > limit; i++ {
-		least = min(least, allocBytes(f))
-	}
-	return least
-}
-
-// maxDecodeAlloc bounds what decoding n input bytes may allocate: every
-// count is bounded by the input, and each item costs a few dozen bytes.
-func maxDecodeAlloc(n int) uint64 { return 128*uint64(n) + 4096 }
 
 func FuzzDecodeCtrl(f *testing.F) {
 	f.Add((&ctrlMsg{Kind: ctrlStatus, Applied: 7, Backlog: 3}).encode())
@@ -43,7 +17,7 @@ func FuzzDecodeCtrl(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m *ctrlMsg
 		var ok bool
-		if got := minAllocBytes(maxDecodeAlloc(len(data)), func() { m, ok = decodeCtrl(data) }); got > maxDecodeAlloc(len(data)) {
+		if got := alloctest.MinBytes(alloctest.MaxDecode(len(data), 128), func() { m, ok = decodeCtrl(data) }); got > alloctest.MaxDecode(len(data), 128) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if !ok {
@@ -77,11 +51,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var head, s *snapshotBlob
 		var errHead, err error
-		got := minAllocBytes(maxDecodeAlloc(len(data)), func() {
+		got := alloctest.MinBytes(alloctest.MaxDecode(len(data), 128), func() {
 			head, errHead = decodeSnapshotHeader(data)
 			s, err = decodeSnapshot(data)
 		})
-		if got > maxDecodeAlloc(len(data)) {
+		if got > alloctest.MaxDecode(len(data), 128) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {

@@ -95,31 +95,38 @@ func (r *Replica) newPrimaryStateLocked(inc *incarnation, tr *trace.Trace, cut t
 	return p
 }
 
-// fail closes every waiter's channel: admitted requests (even completed
-// but unreleased ones: their commit never covered them here, so the client
-// must retry at the new primary, and dedup makes the retry idempotent) and
-// barrier readers, who lose their leadership proof and retry instead of
-// waiting out the timeout. Nothing is left pending, outstanding or in
-// consensus, which is what Stop, the one caller that keeps the state,
-// reports afterwards.
+// fail wakes every waiter: admitted requests (even completed but
+// unreleased ones: their commit never covered them here, so the client
+// must retry at the new primary, and dedup makes the retry idempotent),
+// through their reply slot's failed flag so the slot can be reused, and
+// barrier readers, whose channels it closes: they lose their leadership
+// proof and retry instead of waiting out the timeout. Nothing is left
+// pending, outstanding or in consensus, which is what Stop, the one
+// caller that keeps the state, reports afterwards.
 func (p *primaryState) fail() {
-	idxs := make([]uint64, 0, len(p.pending))
-	for idx := range p.pending {
-		idxs = append(idxs, idx)
-	}
-	// Index order, not map order: each close wakes a submitter, and the
-	// simulator must see the same wake-ups on every run.
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		p.pending[idx].ch.Close()
+	// Index and id order, not map order: each wake-up releases a
+	// submitter or a reader, and the simulator must see the same wake-ups
+	// on every run.
+	for _, idx := range sortedKeys(p.pending) {
+		p.pending[idx].wake(true)
 		delete(p.pending, idx)
 	}
-	for id, ch := range p.pendingBarriers {
-		ch.Close()
+	for _, id := range sortedKeys(p.pendingBarriers) {
+		p.pendingBarriers[id].Close()
 		delete(p.pendingBarriers, id)
 	}
 	p.outstanding = 0
 	p.proposing = false
+}
+
+// sortedKeys returns m's keys in increasing order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // fold applies a committed delta to the primary's trace, advances the
@@ -153,13 +160,6 @@ var ErrStaleSeq = errors.New("rex: stale client sequence number")
 func (r *Replica) Submit(client, seq uint64, body []byte) ([]byte, error) {
 	resp, _, err := r.SubmitToken(client, seq, body)
 	return resp, err
-}
-
-// submitResult is the payload a pendingReq channel carries: the response
-// plus the session token covering the write's commit.
-type submitResult struct {
-	resp []byte
-	tok  readpath.Token
 }
 
 // SubmitToken is Submit returning a session token alongside the response:
@@ -270,7 +270,8 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		class = classifier.ClassifyConflict(body)
 	}
 	idx := r.inc.rt.Recorder().AddReq(trace.Req{Client: client, Seq: seq, Class: class, Body: body})
-	p := &pendingReq{client: client, seq: seq, at: r.e.Now(), ch: r.e.NewChan(1)}
+	p := r.replySlot()
+	p.client, p.seq, p.at = client, seq, r.e.Now()
 	r.obs.reqsAdmitted.Inc()
 	prim.pending[idx] = p
 	prim.outstanding++
@@ -291,13 +292,29 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 		r.workReady[t].Broadcast()
 	}
 	r.mu.Unlock()
+	return r.awaitReply(p)
+}
 
-	v, ok := p.ch.Recv()
-	if !ok {
+// replySlot returns a write's reply slot from the replica's free list, so
+// a write allocates neither a reply channel nor a boxed result.
+func (r *Replica) replySlot() *pendingReq {
+	if v, ok, _ := r.replySlots.TryRecv(); ok {
+		return v.(*pendingReq)
+	}
+	return &pendingReq{ch: r.e.NewChan(1)}
+}
+
+// awaitReply waits until p is released or failed, then gives the slot
+// back to the free list.
+func (r *Replica) awaitReply(p *pendingReq) ([]byte, readpath.Token, error) {
+	p.ch.Recv()
+	resp, tok, failed := p.resp, p.tok, p.failed
+	*p = pendingReq{ch: p.ch}
+	r.replySlots.TrySend(p)
+	if failed {
 		return nil, readpath.Token{}, ErrStopped
 	}
-	res := v.(submitResult)
-	return res.resp, res.tok, nil
+	return resp, tok, nil
 }
 
 // tokenLocked builds a session token from the replica's committed
@@ -550,7 +567,8 @@ func (r *Replica) releaseOneLocked(prim *primaryState, idx uint64, p *pendingReq
 		r.admCtrl.OnSojourn(now, sojourn)
 		r.obs.admissionPressure.Set(int64(r.pressureLocked()))
 	}
-	p.ch.Send(submitResult{resp: p.resp, tok: r.tokenLocked()})
+	p.tok = r.tokenLocked()
+	p.wake(false)
 	delete(prim.pending, idx)
 	prim.outstanding--
 	r.cond.Broadcast()

@@ -9,6 +9,7 @@ import (
 	"rex/internal/obs"
 	"rex/internal/overload"
 	"rex/internal/paxos"
+	"rex/internal/readpath"
 	"rex/internal/reconfig"
 	"rex/internal/sched"
 	"rex/internal/storage"
@@ -239,13 +240,24 @@ func (r *Replica) logf(format string, args ...any) {
 	}
 }
 
+// pendingReq is an admitted write's reply slot. Slots come from the
+// replica's free list (replySlot) and go back once the submitter has read
+// its reply (awaitReply).
 type pendingReq struct {
 	client, seq uint64
 	resp        []byte
+	tok         readpath.Token // the committed frontier covering the write
 	end         trace.EventID
 	done        bool
+	failed      bool          // woken by primaryState.fail, not released
 	at          time.Duration // admission time, for stage latency metrics
-	ch          env.Chan      // cap 1; receives []byte or is closed on demotion
+	ch          env.Chan      // cap 1; signalled once on release or failure
+}
+
+// wake signals the submitter waiting on p: its reply is set, or it failed.
+func (p *pendingReq) wake(failed bool) {
+	p.failed = failed
+	p.ch.Send(struct{}{})
 }
 
 type dedupEntry struct {
@@ -284,6 +296,7 @@ type Replica struct {
 	obs         *replicaMetrics
 	mux         *transport.Mux
 	ctrl        transport.Endpoint
+	ctrlQ       env.Chan // received control messages (*ctrlMsg), for ctrlLoop
 	node        *paxos.Node
 	nodeStarted bool
 
@@ -353,15 +366,18 @@ type Replica struct {
 	// drives heartbeats and elections, so it must never block behind the
 	// apply path (a replica mid-rebuild can stall apply for a long time;
 	// blocking here was the election-churn half of the checkpoint-disabled
-	// livelock). Committed instances land in an unbounded slice queue and
-	// applyLoop drains them at its own pace.
+	// livelock). Committed instances land in an unbounded slice queue,
+	// commitQ[commitHead:], and applyLoop drains them at its own pace. The
+	// queue keeps its array as env.Chan does.
 	commitMu     env.Mutex
 	commitCond   env.Cond
 	commitQ      []committedEvt
+	commitHead   int
 	commitClosed bool
 
 	queryQ     env.Chan // *querySlot to the read workers
 	querySlots env.Chan // free *querySlot values, reused by runQuery
+	replySlots env.Chan // free *pendingReq values, reused by writes
 	lifeQ      env.Chan
 
 	group *env.Group // all long-lived tasks, for Stop
@@ -424,9 +440,11 @@ func NewReplica(cfg Config) (*Replica, error) {
 	r.lifeQ = cfg.Env.NewChan(0)
 	r.queryQ = cfg.Env.NewChan(0)
 	r.querySlots = cfg.Env.NewChan(0)
+	r.replySlots = cfg.Env.NewChan(0)
 	r.proposeWake = cfg.Env.NewChan(1)
 	r.group = env.NewGroup(cfg.Env)
-	r.mux = transport.NewMux(cfg.Env, cfg.Endpoint, 0, ctrlKindBase)
+	r.ctrlQ = cfg.Env.NewChan(0)
+	r.mux = transport.NewMux(cfg.Endpoint, 0, ctrlKindBase)
 	r.ctrl = r.mux.Channel(1)
 	node, err := paxos.NewNode(paxos.Config{
 		ID:              cfg.ID,
@@ -479,6 +497,7 @@ func (r *Replica) Start() error {
 	joinCluster := func() {
 		r.nodeStarted = true
 		r.node.Start()
+		r.ctrl.Attach(r.receiveCtrl)
 		// The control plane must run alongside the learner: catching up
 		// across a compaction gap needs checkpoint transfers (ctrlLoop)
 		// and gap fast-forwards (lifecycleLoop's handleGap).
@@ -544,6 +563,7 @@ func (r *Replica) Stop() {
 	r.wakeAndAbortUnlock()
 	r.node.Stop()
 	r.mux.Close()
+	r.ctrlQ.Close()
 	r.closeCommitQ()
 	r.lifeQ.Close()
 	r.queryQ.Close()
@@ -653,7 +673,7 @@ func (r *Replica) enqueueCommit(evt committedEvt) {
 	r.commitMu.Lock()
 	if !r.commitClosed {
 		r.commitQ = append(r.commitQ, evt)
-		r.obs.applyBacklog.Set(int64(len(r.commitQ)))
+		r.obs.applyBacklog.Set(int64(len(r.commitQ) - r.commitHead))
 		r.commitCond.Broadcast()
 	}
 	r.commitMu.Unlock()
@@ -664,26 +684,36 @@ func (r *Replica) enqueueCommit(evt committedEvt) {
 func (r *Replica) nextCommit() (committedEvt, bool) {
 	r.commitMu.Lock()
 	defer r.commitMu.Unlock()
-	for len(r.commitQ) == 0 {
+	for r.commitHead == len(r.commitQ) {
 		if r.commitClosed {
 			return committedEvt{}, false
 		}
 		r.commitCond.Wait()
 	}
-	evt := r.commitQ[0]
-	r.commitQ[0] = committedEvt{}
-	r.commitQ = r.commitQ[1:]
-	if len(r.commitQ) == 0 {
-		r.commitQ = nil // let the drained backing array go
+	evt := r.commitQ[r.commitHead]
+	r.commitQ[r.commitHead] = committedEvt{}
+	r.commitHead++
+	if r.commitHead > len(r.commitQ)/2 {
+		// Slide the live tail to the front once the drained prefix passes
+		// half, and let a catch-up backlog's array go once it drains.
+		n := copy(r.commitQ, r.commitQ[r.commitHead:])
+		clear(r.commitQ[n:])
+		r.commitQ, r.commitHead = r.commitQ[:n], 0
+		if n == 0 && cap(r.commitQ) > maxKeptCommits {
+			r.commitQ = nil
+		}
 	}
-	r.obs.applyBacklog.Set(int64(len(r.commitQ)))
+	r.obs.applyBacklog.Set(int64(len(r.commitQ) - r.commitHead))
 	return evt, true
 }
+
+// maxKeptCommits is the largest commit queue array an empty queue keeps.
+const maxKeptCommits = 1024
 
 func (r *Replica) closeCommitQ() {
 	r.commitMu.Lock()
 	r.commitClosed = true
-	r.commitQ = nil
+	r.commitQ, r.commitHead = nil, 0
 	r.commitCond.Broadcast()
 	r.commitMu.Unlock()
 }

@@ -33,7 +33,7 @@ func TestCommitRefWithOtherBallotLearns(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.accepted[0] = acceptedEntry{Inst: 0, Ballot: Ballot{Round: 1, Node: 0}, Val: []byte("old")}
-		n.handleMessage(&message{Kind: mCommitRef, Ballot: Ballot{Round: 2, Node: 2}, Inst: 0}, 2)
+		n.handleMessage(&message{Kind: mCommitRef, Ballot: Ballot{Round: 2, Node: 2}, Inst: 0, from: 2})
 		if n.chosenSeq != 0 {
 			t.Fatalf("committed on a reference to another ballot: chosenSeq=%d", n.chosenSeq)
 		}
@@ -44,7 +44,7 @@ func TestCommitRefWithOtherBallotLearns(t *testing.T) {
 			t.Errorf("LearnReqs = %d, want 1", n.cfg.Metrics.LearnReqs.Value())
 		}
 		n.outbox = n.outbox[:0]
-		n.handleMessage(&message{Kind: mLearnReply, FromInst: 0, Vals: [][]byte{[]byte("new")}}, 2)
+		n.handleMessage(&message{Kind: mLearnReply, FromInst: 0, Vals: [][]byte{[]byte("new")}, from: 2})
 		n.flushBatch()
 		if len(got) != 1 || got[0] != "new" {
 			t.Fatalf("committed %q, want [new]", got)
@@ -52,7 +52,7 @@ func TestCommitRefWithOtherBallotLearns(t *testing.T) {
 
 		// The matching ballot commits the follower's own copy, sending nothing.
 		n.accepted[1] = acceptedEntry{Inst: 1, Ballot: Ballot{Round: 2, Node: 2}, Val: []byte("mine")}
-		n.handleMessage(&message{Kind: mCommitRef, Ballot: Ballot{Round: 2, Node: 2}, Inst: 1}, 2)
+		n.handleMessage(&message{Kind: mCommitRef, Ballot: Ballot{Round: 2, Node: 2}, Inst: 1, from: 2})
 		n.flushBatch()
 		if len(got) != 2 || got[1] != "mine" || n.cfg.Metrics.LearnReqs.Value() != 1 {
 			t.Fatalf("committed %q with %d learn requests, want [new mine] with 1", got, n.cfg.Metrics.LearnReqs.Value())

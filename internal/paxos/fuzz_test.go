@@ -2,35 +2,10 @@ package paxos
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
+
+	"rex/internal/alloctest"
 )
-
-// allocBytes returns the bytes the process allocated while f ran.
-func allocBytes(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// minAllocBytes is allocBytes for a repeatable f. A run within limit
-// settles it; a run over limit is repeated and the least of five kept, so
-// an allocation by some other goroutine cannot fail a pin. Reading the
-// counters stops the world, the larger part of a fuzz execution's cost,
-// so a run within limit is never repeated.
-func minAllocBytes(limit uint64, f func()) uint64 {
-	least := allocBytes(f)
-	for i := 1; i < 5 && least > limit; i++ {
-		least = min(least, allocBytes(f))
-	}
-	return least
-}
-
-// maxDecodeAlloc bounds what decoding n input bytes may allocate: every
-// count is bounded by the input, and each item costs a few dozen bytes.
-func maxDecodeAlloc(n int) uint64 { return 64*uint64(n) + 4096 }
 
 func FuzzDecodeMessage(f *testing.F) {
 	for _, m := range []*message{
@@ -48,7 +23,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m *message
 		var err error
-		if got := minAllocBytes(maxDecodeAlloc(len(data)), func() { m, err = decodeMessage(data) }); got > maxDecodeAlloc(len(data)) {
+		if got := alloctest.MinBytes(alloctest.MaxDecode(len(data), 64), func() { m, err = decodeMessage(data) }); got > alloctest.MaxDecode(len(data), 64) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {
@@ -74,4 +49,34 @@ func countProbes() [][]byte {
 		append(append([]byte(nil), header...), huge...),            // accepted entries
 		append(append(append([]byte(nil), header...), 0), huge...), // values
 	}
+}
+
+// FuzzDecodeLentFrame guards the borrowing rule: a message decoded from a
+// lent frame holds nothing of it, so overwriting the frame afterwards, as
+// the endpoint's next read does, leaves the message equal to a decode of
+// an untouched copy.
+func FuzzDecodeLentFrame(f *testing.F) {
+	for _, m := range []*message{
+		{Kind: mAccept, Ballot: Ballot{3, 1}, Inst: 9, Epoch: 1, Val: []byte("delta")},
+		{Kind: mEpochNack, Epoch: 4, FromInst: 2, Val: []byte("membership")},
+		{Kind: mPromise, Ballot: Ballot{2, 2}, ChosenSeq: 4, Accepted: []acceptedEntry{{Inst: 4, Ballot: Ballot{1, 0}, Val: []byte("a")}}},
+		{Kind: mLearnReply, FromInst: 7, Vals: [][]byte{[]byte("x"), nil, []byte("yz")}},
+	} {
+		f.Add(m.encode())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lent, owned message
+		if err := owned.decode(bytes.Clone(data), false); err != nil {
+			return
+		}
+		if err := lent.decode(data, true); err != nil {
+			t.Fatalf("a lent frame failed to decode: %v", err)
+		}
+		for i := range data {
+			data[i] = 0xa5
+		}
+		if !bytes.Equal(lent.encode(), owned.encode()) {
+			t.Fatalf("a message decoded from a lent frame changed with the frame:\n%x\n%x", lent.encode(), owned.encode())
+		}
+	})
 }

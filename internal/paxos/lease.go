@@ -53,7 +53,7 @@ func (n *Node) grantLease(m *message, from int) {
 	n.leaseTo = from
 	n.leaseUntil = n.cfg.Env.Now() + n.cfg.LeaseDuration
 	n.cfg.Metrics.LeaseGrants.Inc()
-	n.send(from, &message{Kind: mLeaseGrant, Ballot: m.Ballot, Inst: m.Inst, Epoch: n.activeEpoch})
+	n.send(from, n.out(message{Kind: mLeaseGrant, Ballot: m.Ballot, Inst: m.Inst, Epoch: n.activeEpoch}))
 }
 
 // onLeaseGrant folds a voter's grant into the leader's lease window.

@@ -12,6 +12,8 @@ package paxos
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"rex/internal/wire"
 )
@@ -129,7 +131,8 @@ type acceptedEntry struct {
 }
 
 // message is the single wire type exchanged between nodes; fields are used
-// per kind.
+// per kind. Messages come from the node's free list (msgPool), so a
+// received one is a pointer the inbox carries without boxing.
 type message struct {
 	Kind      msgKind
 	Ballot    Ballot
@@ -140,13 +143,13 @@ type message struct {
 	Val       []byte // mAccept/mCommit: proposal value; mEpochNack: membership
 	Accepted  []acceptedEntry
 	Vals      [][]byte // mLearnReply: chosen values
+
+	from int  // sender of a received message
+	held bool // kept past its handling: a Promise in n.promises
 }
 
-// encode returns m's wire form in an exact-size slice the caller owns,
-// encoding through a pooled scratch buffer so steady state allocates only
-// that slice.
-func (m *message) encode() []byte {
-	e := wire.GetEncoder(0)
+// encodeTo appends m's wire form to e.
+func (m *message) encodeTo(e *wire.Encoder) {
 	e.Byte(byte(m.Kind))
 	e.Uvarint(m.Ballot.Round)
 	e.Uvarint(uint64(m.Ballot.Node))
@@ -166,9 +169,6 @@ func (m *message) encode() []byte {
 	for _, v := range m.Vals {
 		e.BytesVal(v)
 	}
-	out := e.AppendCopy(make([]byte, 0, e.Len()))
-	e.Release()
-	return out
 }
 
 // Minimum encoded sizes of the repeated items, which bound their counts by
@@ -178,12 +178,15 @@ const (
 	minValBytes      = 1 // value length
 )
 
-// decodeMessage parses a received frame. Every value in the message
-// aliases buf, which the receiver owns (transport.Endpoint), so buf must
-// stay unchanged while any of them is held.
-func decodeMessage(buf []byte) (*message, error) {
+// decode parses a received frame into m. Every value a node may keep
+// past handling — an Accept's or a Commit's value, each promised entry's
+// value, each learned value, a membership — is copied out of a lent
+// frame, which the endpoint overwrites once its handler returns
+// (transport.Delivery); a frame the receiver owns is aliased. Nothing
+// else is copied, so an Accepted, a CommitRef or a heartbeat decodes
+// without allocating.
+func (m *message) decode(buf []byte, lent bool) error {
 	d := wire.NewDecoder(buf)
-	m := &message{}
 	m.Kind = msgKind(d.Byte())
 	m.Ballot.Round = d.Uvarint()
 	m.Ballot.Node = uint32(d.Uvarint())
@@ -191,38 +194,61 @@ func decodeMessage(buf []byte) (*message, error) {
 	m.FromInst = d.Uvarint()
 	m.ChosenSeq = d.Uvarint()
 	m.Epoch = d.Uvarint()
-	m.Val = valOf(d.BytesVal())
+	m.Val = keepVal(d.BytesVal(), lent)
+	m.Accepted, m.Vals = m.Accepted[:0], m.Vals[:0]
 	if n := d.Count(minAcceptedBytes); n > 0 {
-		m.Accepted = make([]acceptedEntry, 0, n)
+		m.Accepted = slices.Grow(m.Accepted, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			a := acceptedEntry{Inst: d.Uvarint()}
 			a.Ballot.Round = d.Uvarint()
 			a.Ballot.Node = uint32(d.Uvarint())
-			a.Val = valOf(d.BytesVal())
+			a.Val = keepVal(d.BytesVal(), lent)
 			m.Accepted = append(m.Accepted, a)
 		}
 	}
 	if n := d.Count(minValBytes); n > 0 {
-		m.Vals = make([][]byte, 0, n)
+		m.Vals = slices.Grow(m.Vals, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
-			m.Vals = append(m.Vals, valOf(d.BytesVal()))
+			m.Vals = append(m.Vals, keepVal(d.BytesVal(), lent))
 		}
 	}
 	if err := d.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Kind == mInvalid || m.Kind > maxKind {
-		return nil, wire.ErrCorrupt
+		return wire.ErrCorrupt
 	}
-	return m, nil
+	return nil
 }
 
-// valOf returns a decoded value as the message holds it: the frame's
-// bytes, or nil when the value is empty, so an empty value reads as
-// absent just as the sender's nil did.
-func valOf(b []byte) []byte {
-	if len(b) == 0 {
+// keepVal returns a decoded value as the message holds it: nil when it is
+// empty, so an empty value reads as absent just as the sender's nil did;
+// an exact-size copy when the frame is lent; else the frame's bytes.
+func keepVal(b []byte, lent bool) []byte {
+	switch {
+	case len(b) == 0:
 		return nil
+	case lent:
+		return append(make([]byte, 0, len(b)), b...)
 	}
-	return b
+	return b[:len(b):len(b)]
+}
+
+// msgPool is a node's free list of messages. Endpoint readers take
+// messages to decode into, the event loop takes outgoing ones, and the
+// event loop gives both back once handled or sent.
+type msgPool struct{ free sync.Pool }
+
+func (p *msgPool) get() *message {
+	if m, ok := p.free.Get().(*message); ok {
+		return m
+	}
+	return new(message)
+}
+
+// put gives back m, which its caller owns and drops: no other holder of m
+// may remain.
+func (p *msgPool) put(m *message) {
+	*m = message{}
+	p.free.Put(m)
 }

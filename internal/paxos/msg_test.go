@@ -4,7 +4,25 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+
+	"rex/internal/wire"
 )
+
+// encode returns m's wire form in a buffer of its own.
+func (m *message) encode() []byte {
+	e := wire.NewEncoder(nil)
+	m.encodeTo(e)
+	return e.Bytes()
+}
+
+// decodeMessage decodes a frame the caller owns into a new message.
+func decodeMessage(buf []byte) (*message, error) {
+	m := &message{}
+	if err := m.decode(buf, false); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
 func TestBallotOrdering(t *testing.T) {
 	cases := []struct {
@@ -60,7 +78,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if len(got.Vals) != 3 || string(got.Vals[2]) != "ccc" {
 		t.Errorf("vals = %+v", got.Vals)
 	}
-	// Values alias the frame, but an empty one still reads as nil.
+	// An empty value still reads as nil.
 	if got.Accepted[1].Val != nil || got.Vals[1] != nil {
 		t.Errorf("empty values decoded as %#v and %#v, want nil", got.Accepted[1].Val, got.Vals[1])
 	}

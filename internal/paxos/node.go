@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -88,11 +89,13 @@ func (c *Config) logf(format string, args ...any) {
 }
 
 // Node is one replica's Paxos engine. All state is owned by the event-loop
-// task; external methods communicate through the inbox.
+// task; external methods communicate through the inbox, and the endpoint's
+// readers queue each received message there (receive).
 type Node struct {
 	cfg   Config
 	inbox env.Chan
 	rng   *rand.Rand
+	msgs  msgPool
 
 	tick time.Duration // timer period: HeartbeatEvery/2, or 10ms
 
@@ -115,7 +118,8 @@ type Node struct {
 	// Candidate state.
 	preparing  bool
 	prepBallot Ballot
-	promises   map[int]*message
+	promises   []*message // this election's, one per sender, in sender order
+	handling   *message   // the received message being handled
 	prepSent   time.Duration
 
 	// Proposer state. The leader keeps at most one consensus instance
@@ -168,9 +172,11 @@ type Node struct {
 	walRecs [][]byte // scratch sub-slice view passed to AppendBatch
 	outbox  []outMsg
 	commits []commitNote
+	sendEnc *wire.Encoder // each outgoing message is encoded here, then lent to Send
 }
 
-// outMsg is a deferred send; to < 0 broadcasts.
+// outMsg is a deferred send; to < 0 broadcasts. It owns its message, which
+// flushBatch gives back to the free list once sent.
 type outMsg struct {
 	to int
 	m  *message
@@ -194,11 +200,7 @@ type inflightState struct {
 	sentAt time.Duration
 }
 
-// internal inbox commands
-type netMsg struct {
-	m    *message
-	from int
-}
+// internal inbox commands; a received message is queued as its *message
 type tickMsg struct{}
 type proposeCmd struct{ val []byte }
 type compactCmd struct{ upTo uint64 }
@@ -249,6 +251,7 @@ func NewNode(cfg Config) (*Node, error) {
 		leaseTo:    -1,
 		grantAt:    make(map[int]time.Duration),
 		walEnc:     wire.NewEncoder(nil),
+		sendEnc:    wire.NewEncoder(nil),
 	}
 	base := reconfig.Initial(cfg.N)
 	if cfg.Members != nil {
@@ -443,35 +446,52 @@ func (n *Node) flushBatch() {
 		}
 		n.commits = n.commits[:0]
 	}
-	if len(n.outbox) > 0 {
-		// A message to self never crosses the endpoint: it goes straight
-		// back into this node's inbox, after the WAL flush above like any
-		// send. Each message is encoded at most once, however many peers
-		// it goes to.
-		var enc *message
+	n.flushSends()
+}
+
+// maxSendBuf is the largest scratch encoder flushSends keeps between
+// batches; a larger learn reply's buffer goes with it.
+const maxSendBuf = 64 << 10
+
+// flushSends releases the outbox. Each message is encoded at most once,
+// into the scratch encoder, however many peers it goes to, and goes back
+// to the free list once sent. A message to self never crosses the
+// endpoint: it goes straight back into this node's inbox, after the WAL
+// flush like any send, and is given back once handled.
+func (n *Node) flushSends() {
+	for i := range n.outbox {
+		o := n.outbox[i]
+		n.outbox[i] = outMsg{}
+		var one [1]int
+		to := n.peerList()
+		if o.to >= 0 {
+			one[0] = o.to
+			to = one[:]
+		}
 		var payload []byte
-		deliver := func(to int, m *message) {
-			if to == n.cfg.ID {
-				n.inbox.Send(netMsg{m: m, from: to})
-				return
+		self := false
+		for _, peer := range to {
+			if peer == n.cfg.ID {
+				self = true
+				continue
 			}
-			if m != enc {
-				enc, payload = m, m.encode()
+			if payload == nil {
+				n.sendEnc.Reset()
+				o.m.encodeTo(n.sendEnc)
+				payload = n.sendEnc.Bytes()
 			}
-			n.cfg.Endpoint.Send(to, payload)
+			n.cfg.Endpoint.Send(peer, payload)
 		}
-		for i := range n.outbox {
-			o := n.outbox[i]
-			if o.to < 0 {
-				for _, peer := range n.peerList() {
-					deliver(peer, o.m)
-				}
-			} else {
-				deliver(o.to, o.m)
-			}
-			n.outbox[i] = outMsg{}
+		if self {
+			o.m.from = n.cfg.ID
+			n.inbox.Send(o.m)
+		} else {
+			n.msgs.put(o.m)
 		}
-		n.outbox = n.outbox[:0]
+	}
+	n.outbox = n.outbox[:0]
+	if cap(n.sendEnc.Bytes()) > maxSendBuf {
+		n.sendEnc = wire.NewEncoder(nil)
 	}
 }
 
@@ -484,27 +504,12 @@ func (n *Node) Chosen() (base uint64, vals [][]byte) {
 // ChosenSeq returns the number of instances known chosen.
 func (n *Node) ChosenSeq() uint64 { return n.chosenSeq }
 
-// Start launches the node's tasks: the event loop, the network pump, and
-// the ticker.
+// Start attaches the node to its endpoint and launches its tasks: the
+// event loop and the ticker.
 func (n *Node) Start() {
 	e := n.cfg.Env
 	n.electionDeadline = e.Now() + n.electionTimeout()
-	e.Go(fmt.Sprintf("paxos-%d-pump", n.cfg.ID), func() {
-		for {
-			payload, from, ok := n.cfg.Endpoint.Recv()
-			if !ok {
-				return
-			}
-			m, err := decodeMessage(payload)
-			if err != nil {
-				n.cfg.logf("dropping corrupt message from %d: %v", from, err)
-				continue
-			}
-			if !n.inbox.Send(netMsg{m: m, from: from}) {
-				return
-			}
-		}
-	})
+	n.cfg.Endpoint.Attach(n.receive)
 	e.Go(fmt.Sprintf("paxos-%d-tick", n.cfg.ID), func() {
 		for {
 			e.Sleep(n.tick)
@@ -514,6 +519,23 @@ func (n *Node) Start() {
 		}
 	})
 	e.Go(fmt.Sprintf("paxos-%d-loop", n.cfg.ID), n.loop)
+}
+
+// receive is the node's transport handler. It runs on the endpoint's
+// reading goroutine: it decodes the frame into a message from the free
+// list, copying out what the frame only lends, and queues it for the
+// event loop — the frame's one hand-off.
+func (n *Node) receive(d transport.Delivery) {
+	m := n.msgs.get()
+	if err := m.decode(d.Payload, d.Lent); err != nil {
+		n.cfg.logf("dropping corrupt message from %d: %v", d.From, err)
+		n.msgs.put(m)
+		return
+	}
+	m.from = d.From
+	if !n.inbox.Send(m) {
+		n.msgs.put(m)
+	}
 }
 
 // Propose enqueues val for consensus. Only the leader's queue drains; a
@@ -576,9 +598,16 @@ func (n *Node) electionTimeout() time.Duration {
 	return base + time.Duration(n.rng.Int63n(int64(base)+1))
 }
 
-// send and broadcast queue into the outbox; the event loop releases the
-// messages only after the WAL batch holding any state they advertise has
-// been flushed (see flushBatch).
+// out returns a message from the free list set to v.
+func (n *Node) out(v message) *message {
+	m := n.msgs.get()
+	*m = v
+	return m
+}
+
+// send and broadcast queue into the outbox, which takes m; the event loop
+// releases the messages only after the WAL batch holding any state they
+// advertise has been flushed (see flushBatch).
 func (n *Node) send(to int, m *message) {
 	n.outbox = append(n.outbox, outMsg{to: to, m: m})
 }
@@ -640,8 +669,13 @@ func (n *Node) loop() {
 // loop must exit.
 func (n *Node) handleCmd(v any) (quit bool) {
 	switch c := v.(type) {
-	case netMsg:
-		n.handleMessage(c.m, c.from)
+	case *message:
+		n.handling = c
+		n.handleMessage(c)
+		n.handling = nil
+		if !c.held {
+			n.msgs.put(c)
+		}
 	case tickMsg:
 		n.handleTick()
 	case proposeCmd:
@@ -706,14 +740,14 @@ func (n *Node) handleTick() {
 		if now-n.lastHeartbeat >= n.cfg.HeartbeatEvery {
 			n.lastHeartbeat = now
 			n.cfg.Metrics.Heartbeats.Inc()
-			hb := &message{Kind: mHeartbeat, Ballot: n.prepBallot, ChosenSeq: n.chosenSeq, Epoch: n.activeEpoch}
+			hb := n.out(message{Kind: mHeartbeat, Ballot: n.prepBallot, ChosenSeq: n.chosenSeq, Epoch: n.activeEpoch})
 			n.stampHeartbeat(hb, now)
 			n.broadcast(hb)
 		}
 		// Retransmit a stuck proposal (lost Accept or Accepted).
 		if st := n.open; st != nil && now-st.sentAt >= 4*n.tick {
 			st.sentAt = now
-			n.broadcast(&message{Kind: mAccept, Ballot: n.prepBallot, Inst: st.inst, Val: st.val, Epoch: n.epochAt(st.inst)})
+			n.broadcast(n.out(message{Kind: mAccept, Ballot: n.prepBallot, Inst: st.inst, Val: st.val, Epoch: n.epochAt(st.inst)}))
 		}
 		return
 	}
@@ -728,7 +762,7 @@ func (n *Node) handleTick() {
 	if n.preparing && now-n.prepSent >= 4*n.tick {
 		// Retransmit the Prepare (lost messages).
 		n.prepSent = now
-		n.broadcast(&message{Kind: mPrepare, Ballot: n.prepBallot, FromInst: n.chosenSeq, Epoch: n.activeEpoch})
+		n.broadcast(n.out(message{Kind: mPrepare, Ballot: n.prepBallot, FromInst: n.chosenSeq, Epoch: n.activeEpoch}))
 	}
 	if now >= n.electionDeadline {
 		if n.holdElection() {
@@ -753,12 +787,12 @@ func (n *Node) startElection() {
 	}
 	n.prepBallot = Ballot{Round: round + 1, Node: uint32(n.cfg.ID)}
 	n.preparing = true
-	n.promises = make(map[int]*message)
+	n.dropPromises()
 	n.prepSent = now
 	n.electionDeadline = now + n.electionTimeout()
 	n.cfg.Metrics.Elections.Inc()
 	n.cfg.logf("starting election with ballot %v from instance %d", n.prepBallot, n.chosenSeq)
-	n.broadcast(&message{Kind: mPrepare, Ballot: n.prepBallot, FromInst: n.chosenSeq, Epoch: n.activeEpoch})
+	n.broadcast(n.out(message{Kind: mPrepare, Ballot: n.prepBallot, FromInst: n.chosenSeq, Epoch: n.activeEpoch}))
 }
 
 // observeBallot tracks the highest ballot seen and fires leadership
@@ -786,10 +820,11 @@ func (n *Node) observeBallot(b Ballot) {
 	}
 }
 
-func (n *Node) handleMessage(m *message, from int) {
+func (n *Node) handleMessage(m *message) {
 	if n.stopped {
 		return
 	}
+	from := m.from
 	switch m.Kind {
 	case mPrepare:
 		n.onPrepare(m, from)
@@ -853,7 +888,7 @@ func (n *Node) onPrepare(m *message, from int) {
 	}
 	if m.Ballot.Less(n.promised) {
 		n.cfg.Metrics.NacksSent.Inc()
-		n.send(from, &message{Kind: mNack, Ballot: n.promised})
+		n.send(from, n.out(message{Kind: mNack, Ballot: n.promised}))
 		return
 	}
 	if n.promised.Less(m.Ballot) {
@@ -864,12 +899,14 @@ func (n *Node) onPrepare(m *message, from int) {
 	// A prepare from a live candidate resets the election timer: give the
 	// election a chance to complete before competing.
 	n.electionDeadline = n.cfg.Env.Now() + n.electionTimeout()
-	reply := &message{Kind: mPromise, Ballot: m.Ballot, ChosenSeq: n.chosenSeq}
+	reply := n.out(message{Kind: mPromise, Ballot: m.Ballot, ChosenSeq: n.chosenSeq})
 	for inst, a := range n.accepted {
 		if inst >= m.FromInst {
 			reply.Accepted = append(reply.Accepted, a)
 		}
 	}
+	// In instance order, so a promise's bytes are the same on every run.
+	slices.SortFunc(reply.Accepted, func(a, b acceptedEntry) int { return cmp.Compare(a.Inst, b.Inst) })
 	n.send(from, reply)
 }
 
@@ -877,13 +914,40 @@ func (n *Node) onPromise(m *message, from int) {
 	if !n.preparing || m.Ballot != n.prepBallot {
 		return
 	}
-	n.promises[from] = m
+	n.keepPromise(m)
 	if m.ChosenSeq > n.chosenSeq {
 		// A peer knows more chosen instances: learn them before leading.
 		n.cfg.Metrics.LearnReqs.Inc()
-		n.send(from, &message{Kind: mLearn, FromInst: n.chosenSeq})
+		n.send(from, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
 	}
 	n.tryCompleteElection()
+}
+
+// keepPromise holds m, this election's promise from m.from, in sender
+// order, in place of an earlier one from the same sender.
+func (n *Node) keepPromise(m *message) {
+	m.held = true
+	i, found := slices.BinarySearchFunc(n.promises, m.from, func(p *message, id int) int { return cmp.Compare(p.from, id) })
+	if found {
+		n.promises[i].held = false
+		n.msgs.put(n.promises[i])
+		n.promises[i] = m
+		return
+	}
+	n.promises = slices.Insert(n.promises, i, m)
+}
+
+// dropPromises lets go of the last election's promises: each goes back
+// to the free list, the one in hand once its handling ends.
+func (n *Node) dropPromises() {
+	for _, p := range n.promises {
+		p.held = false
+		if p != n.handling {
+			n.msgs.put(p)
+		}
+	}
+	clear(n.promises)
+	n.promises = n.promises[:0]
 }
 
 func (n *Node) tryCompleteElection() {
@@ -896,8 +960,8 @@ func (n *Node) tryCompleteElection() {
 	// every one of them before it may adopt-and-reproprose.
 	for _, sc := range n.scheduledConfigs(n.chosenSeq) {
 		got := 0
-		for id := range n.promises {
-			if sc.M.IsVoter(id) {
+		for _, p := range n.promises {
+			if sc.M.IsVoter(p.from) {
 				got++
 			}
 		}
@@ -917,7 +981,8 @@ func (n *Node) tryCompleteElection() {
 	// Phase 1 complete: adopt the highest-ballot accepted value for every
 	// instance at or past chosenSeq and re-run phase 2 for them in order.
 	// There can be several: an acceptor that missed the commit of one
-	// instance still holds it next to the one opened after it.
+	// instance still holds it next to the one opened after it. Promises
+	// are walked in sender order, so a tie keeps the same copy every run.
 	for _, p := range n.promises {
 		for i := range p.Accepted {
 			a := p.Accepted[i]
@@ -929,6 +994,7 @@ func (n *Node) tryCompleteElection() {
 			}
 		}
 	}
+	n.dropPromises()
 	n.preparing = false
 	n.isLeader = true
 	n.curLeader = n.cfg.ID
@@ -976,7 +1042,7 @@ func (n *Node) onAccept(m *message, from int) {
 	}
 	if m.Ballot.Less(n.promised) {
 		n.cfg.Metrics.NacksSent.Inc()
-		n.send(from, &message{Kind: mNack, Ballot: n.promised})
+		n.send(from, n.out(message{Kind: mNack, Ballot: n.promised}))
 		return
 	}
 	if n.promised.Less(m.Ballot) {
@@ -1001,7 +1067,7 @@ func (n *Node) onAccept(m *message, from int) {
 		n.accepted[m.Inst] = a
 		n.persistAccepted(a)
 	}
-	n.send(from, &message{Kind: mAccepted, Ballot: m.Ballot, Inst: m.Inst})
+	n.send(from, n.out(message{Kind: mAccepted, Ballot: m.Ballot, Inst: m.Inst}))
 }
 
 func (n *Node) onAccepted(m *message, from int) {
@@ -1043,20 +1109,13 @@ func (n *Node) onAccepted(m *message, from int) {
 func (n *Node) announceCommit(inst uint64, val []byte) {
 	cfgm := n.configAt(inst)
 	epoch := n.epochAt(inst)
-	var ref, full *message
 	for _, peer := range n.peerList() {
 		switch {
 		case peer == n.cfg.ID:
 		case cfgm.IsVoter(peer):
-			if ref == nil {
-				ref = &message{Kind: mCommitRef, Ballot: n.prepBallot, Inst: inst, Epoch: epoch}
-			}
-			n.send(peer, ref)
+			n.send(peer, n.out(message{Kind: mCommitRef, Ballot: n.prepBallot, Inst: inst, Epoch: epoch}))
 		default:
-			if full == nil {
-				full = &message{Kind: mCommit, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: epoch}
-			}
-			n.send(peer, full)
+			n.send(peer, n.out(message{Kind: mCommit, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: epoch}))
 		}
 	}
 }
@@ -1075,7 +1134,7 @@ func (n *Node) onCommitRef(m *message, from int) {
 		return
 	}
 	n.cfg.Metrics.LearnReqs.Inc()
-	n.send(from, &message{Kind: mLearn, FromInst: n.chosenSeq})
+	n.send(from, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
 }
 
 func (n *Node) onHeartbeat(m *message, from int) {
@@ -1099,7 +1158,7 @@ func (n *Node) onHeartbeat(m *message, from int) {
 	n.grantLease(m, from)
 	if m.ChosenSeq > n.chosenSeq {
 		n.cfg.Metrics.LearnReqs.Inc()
-		n.send(from, &message{Kind: mLearn, FromInst: n.chosenSeq})
+		n.send(from, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
 	}
 }
 
@@ -1107,11 +1166,11 @@ func (n *Node) onLearn(m *message, from int) {
 	if m.FromInst < n.chosenBase {
 		// Compacted away: the peer needs a checkpoint transfer, which the
 		// Rex layer handles; point it at our compaction horizon.
-		n.send(from, &message{Kind: mLearnNack, FromInst: n.chosenBase})
+		n.send(from, n.out(message{Kind: mLearnNack, FromInst: n.chosenBase}))
 		return
 	}
 	const batch = 64
-	reply := &message{Kind: mLearnReply, FromInst: m.FromInst}
+	reply := n.out(message{Kind: mLearnReply, FromInst: m.FromInst})
 	for i := m.FromInst; i < n.chosenSeq && len(reply.Vals) < batch; i++ {
 		reply.Vals = append(reply.Vals, n.chosen[i-n.chosenBase])
 	}
@@ -1128,7 +1187,7 @@ func (n *Node) commitValue(inst uint64, val []byte, from int) {
 		// Gap: stash and ask for the missing prefix.
 		n.pendingVal[inst] = val
 		n.cfg.Metrics.LearnReqs.Inc()
-		n.send(from, &message{Kind: mLearn, FromInst: n.chosenSeq})
+		n.send(from, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
 		return
 	}
 	for {
@@ -1179,7 +1238,7 @@ func (n *Node) startPhase2(inst uint64, val []byte) {
 		sentAt: n.cfg.Env.Now(),
 	}
 	n.open = &n.inflight
-	n.broadcast(&message{Kind: mAccept, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: n.epochAt(inst)})
+	n.broadcast(n.out(message{Kind: mAccept, Ballot: n.prepBallot, Inst: inst, Val: val, Epoch: n.epochAt(inst)}))
 }
 
 // proposeNext opens instance chosenSeq when none is open: with the head of
@@ -1217,7 +1276,14 @@ func (n *Node) handleCompact(upTo uint64) {
 	e.Uvarint(n.promised.Round)
 	e.Uvarint(uint64(n.promised.Node))
 	recs = append(recs, append([]byte(nil), e.Bytes()...))
-	for _, a := range n.accepted {
+	// In instance order, so the rewritten log is the same on every run.
+	insts := make([]uint64, 0, len(n.accepted))
+	for inst := range n.accepted {
+		insts = append(insts, inst)
+	}
+	slices.Sort(insts)
+	for _, inst := range insts {
+		a := n.accepted[inst]
 		if a.Inst < upTo {
 			continue
 		}

@@ -210,12 +210,12 @@ func (n *Node) sendEpochNack(to int) {
 	idx := n.configIdx(n.chosenSeq)
 	sc := n.configs[idx]
 	n.cfg.Metrics.EpochNacks.Inc()
-	n.send(to, &message{
+	n.send(to, n.out(message{
 		Kind:     mEpochNack,
 		Epoch:    sc.M.Epoch,
 		FromInst: sc.FromInst,
 		Val:      reconfig.EncodeValue(sc.M),
-	})
+	}))
 }
 
 // onEpochNack adopts a newer membership a peer told us about, then asks the
@@ -238,7 +238,7 @@ func (n *Node) onEpochNack(m *message, from int) {
 		n.electionDeadline = n.cfg.Env.Now() + n.electionTimeout()
 	}
 	n.cfg.Metrics.LearnReqs.Inc()
-	n.send(from, &message{Kind: mLearn, FromInst: n.chosenSeq})
+	n.send(from, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
 }
 
 // AdoptConfigs installs a config schedule recovered from a checkpoint
@@ -268,6 +268,6 @@ func (n *Node) learnTick() {
 		n.learnRR++
 	}
 	n.cfg.Metrics.LearnReqs.Inc()
-	n.send(target, &message{Kind: mLearn, FromInst: n.chosenSeq})
+	n.send(target, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
 	n.electionDeadline = n.cfg.Env.Now() + n.electionTimeout()
 }

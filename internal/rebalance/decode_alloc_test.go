@@ -2,7 +2,11 @@
 
 package rebalance
 
-import "testing"
+import (
+	"testing"
+
+	"rex/internal/alloctest"
+)
 
 // TestDecodeGroupStatusCountsBoundedByInput pins the status reply
 // decoder's allocation on replies whose span counts claim far more spans
@@ -10,7 +14,7 @@ import "testing"
 func TestDecodeGroupStatusCountsBoundedByInput(t *testing.T) {
 	for i, p := range groupStatusCountProbes() {
 		var err error
-		got := minAllocBytes(1023, func() { _, err = DecodeGroupStatus(p) })
+		got := alloctest.MinBytes(1023, func() { _, err = DecodeGroupStatus(p) })
 		if err == nil {
 			t.Errorf("probe %d (%x) decoded", i, p)
 		}

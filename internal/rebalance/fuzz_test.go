@@ -2,31 +2,10 @@ package rebalance
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
+
+	"rex/internal/alloctest"
 )
-
-// minAllocBytes returns the bytes the process allocated while a
-// repeatable f ran. A run within limit settles it; a run over limit is
-// repeated and the least of five kept, so an allocation by some other
-// goroutine cannot fail a pin.
-func minAllocBytes(limit uint64, f func()) uint64 {
-	var least uint64
-	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
-		}
-	}
-	return least
-}
-
-// maxDecodeAlloc bounds what decoding n input bytes may allocate: every
-// count is bounded by the input, and each item costs a few dozen bytes.
-func maxDecodeAlloc(n int) uint64 { return 128*uint64(n) + 4096 }
 
 // groupStatusCountProbes are short status replies whose span counts
 // announce far more spans (2^20, 2^40) than the input holds.
@@ -53,7 +32,7 @@ func FuzzDecodeGroupStatus(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var gs *GroupStatus
 		var err error
-		if got := minAllocBytes(maxDecodeAlloc(len(data)), func() { gs, err = DecodeGroupStatus(data) }); got > maxDecodeAlloc(len(data)) {
+		if got := alloctest.MinBytes(alloctest.MaxDecode(len(data), 128), func() { gs, err = DecodeGroupStatus(data) }); got > alloctest.MaxDecode(len(data), 128) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {

@@ -7,11 +7,11 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rex/internal/alloctest"
 	"rex/internal/core"
 	"rex/internal/readpath"
 )
@@ -232,31 +232,6 @@ func TestServerReplyOneWrite(t *testing.T) {
 	client.Close()
 }
 
-// allocBytes returns the bytes the process allocated while a
-// repeatable f ran. A run within limit settles it; a run over limit is
-// repeated and the least of five kept, so an allocation by some other
-// goroutine cannot fail a pin. Reading the counters stops the world, the
-// larger part of a fuzz execution's cost, so a run within limit is never
-// repeated.
-func allocBytes(limit uint64, f func()) uint64 {
-	var least uint64
-	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
-		}
-	}
-	return least
-}
-
-// maxReadAlloc bounds what reading n bytes of frames may allocate: the
-// 4 kB read buffer, wire.ReadAhead for a body that never arrives, a
-// constant times the bytes that did, and an error.
-func maxReadAlloc(n int) uint64 { return 80<<10 + 8*uint64(n) }
-
 // TestReadFrameAllocBoundedByInput pins the length-prefix probes: a
 // header announcing up to 64 MB must cost a bounded multiple of the bytes
 // that actually arrived, not what it announces.
@@ -269,9 +244,9 @@ func TestReadFrameAllocBoundedByInput(t *testing.T) {
 		{"64 MB announced, header only", []byte{0x03, 0xff, 0xff, 0xff}, 128 << 10},
 		{"64 MB announced, 3 body bytes", []byte{0x03, 0xff, 0xff, 0xff, KindSubmitToken, 0, 1}, 128 << 10},
 		{"1 MB announced, header only", []byte{0x00, 0x10, 0x00, 0x00}, 128 << 10},
-		{"2 MB announced, 200 kB sent", append([]byte{0x00, 0x20, 0x00, 0x00}, make([]byte, 200<<10)...), maxReadAlloc(200<<10 + 4)},
+		{"2 MB announced, 200 kB sent", append([]byte{0x00, 0x20, 0x00, 0x00}, make([]byte, 200<<10)...), alloctest.MaxFrameRead(200<<10 + 4)},
 	} {
-		got := allocBytes(c.max, func() {
+		got := alloctest.MinBytes(c.max, func() {
 			fc, _ := newReaderFrameConn(c.probe)
 			if _, err := fc.readFrame(time.Time{}); err == nil {
 				t.Errorf("%s: read a frame from a truncated body", c.name)
@@ -300,7 +275,7 @@ func FuzzServerReadFrame(f *testing.F) {
 				keep(frame)
 			}
 		}
-		if got := allocBytes(maxReadAlloc(len(data)), func() { readAll(func([]byte) {}) }); got > maxReadAlloc(len(data)) {
+		if got := alloctest.MinBytes(alloctest.MaxFrameRead(len(data)), func() { readAll(func([]byte) {}) }); got > alloctest.MaxFrameRead(len(data)) {
 			t.Fatalf("reading %d bytes allocated %d", len(data), got)
 		}
 		var frames [][]byte
@@ -332,7 +307,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req wireRequest
 		var err error
-		if got := allocBytes(1024+uint64(len(data)), func() { req, err = decodeRequest(data) }); got > 1024+uint64(len(data)) {
+		if got := alloctest.MinBytes(1024+uint64(len(data)), func() { req, err = decodeRequest(data) }); got > 1024+uint64(len(data)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {

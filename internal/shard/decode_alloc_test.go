@@ -2,7 +2,11 @@
 
 package shard
 
-import "testing"
+import (
+	"testing"
+
+	"rex/internal/alloctest"
+)
 
 // TestDecodeShardMapCountsBoundedByInput pins DecodeShardMap's allocation
 // on maps whose counts claim far more items than they carry: the 10-byte
@@ -11,7 +15,7 @@ import "testing"
 // client-proposed one (rebalance) reach this decoder.
 func TestDecodeShardMapCountsBoundedByInput(t *testing.T) {
 	for i, p := range shardMapCountProbes() {
-		got := minAllocBytes(1023, func() {
+		got := alloctest.MinBytes(1023, func() {
 			if _, err := DecodeShardMapBytes(p); err == nil {
 				t.Errorf("probe %d (%x) decoded", i, p)
 			}

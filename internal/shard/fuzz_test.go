@@ -2,33 +2,10 @@ package shard
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
+
+	"rex/internal/alloctest"
 )
-
-// minAllocBytes returns the bytes the process allocated while a
-// repeatable f ran. A run within limit settles it; a run over limit is
-// repeated and the least of five kept, so an allocation by some other
-// goroutine cannot fail a pin. Reading the counters stops the world, the
-// larger part of a fuzz execution's cost, so a run within limit is never
-// repeated.
-func minAllocBytes(limit uint64, f func()) uint64 {
-	var least uint64
-	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
-		}
-	}
-	return least
-}
-
-// maxDecodeAlloc bounds what decoding n input bytes may allocate: every
-// count is bounded by the input, and each item costs a few dozen bytes.
-func maxDecodeAlloc(n int) uint64 { return 128*uint64(n) + 4096 }
 
 // shardMapCountProbes are short maps whose counts announce far more
 // replicas, groups or ranges than the input holds.
@@ -54,7 +31,7 @@ func FuzzDecodeShardMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var dm *ShardMap
 		var err error
-		if got := minAllocBytes(maxDecodeAlloc(len(data)), func() { dm, err = DecodeShardMapBytes(data) }); got > maxDecodeAlloc(len(data)) {
+		if got := alloctest.MinBytes(alloctest.MaxDecode(len(data), 128), func() { dm, err = DecodeShardMapBytes(data) }); got > alloctest.MaxDecode(len(data), 128) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
 		}
 		if err != nil {

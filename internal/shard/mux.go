@@ -1,9 +1,10 @@
 package shard
 
 import (
-	"rex/internal/env"
+	"encoding/binary"
+	"sync"
+
 	"rex/internal/transport"
-	"rex/internal/wire"
 )
 
 // NodeMux multiplexes one replica endpoint per hosted group over a single
@@ -12,116 +13,106 @@ import (
 // prefixed with a uvarint group id; inbound messages are routed to the
 // group's sub-endpoint with the sender translated from node id to the
 // sender's replica index within that group (which is what Paxos
-// addresses).
+// addresses). Routing is a table lookup on the node endpoint's reading
+// goroutine; a group's payloads that arrive before its replica attaches
+// wait in the group's sub-endpoint.
 type NodeMux struct {
-	e    env.Env
 	ep   transport.Endpoint
 	m    *ShardMap
 	node int
 
-	mu   env.Mutex
+	mu   sync.Mutex
 	subs map[int]*groupEndpoint
 }
 
-type groupDelivery struct {
-	payload []byte
-	from    int
-}
-
-// NewNodeMux wraps the node-level endpoint and starts the demux pump.
-func NewNodeMux(e env.Env, ep transport.Endpoint, m *ShardMap, node int) *NodeMux {
+// NewNodeMux wraps the node-level endpoint and attaches the router to it.
+func NewNodeMux(ep transport.Endpoint, m *ShardMap, node int) *NodeMux {
 	nm := &NodeMux{
-		e:    e,
 		ep:   ep,
 		m:    m,
 		node: node,
-		mu:   e.NewMutex(),
 		subs: make(map[int]*groupEndpoint),
 	}
-	e.Go("shard-mux", nm.pump)
+	ep.Attach(nm.deliver)
 	return nm
 }
 
-func (nm *NodeMux) pump() {
-	for {
-		payload, fromNode, ok := nm.ep.Recv()
-		if !ok {
-			nm.mu.Lock()
-			for _, s := range nm.subs {
-				s.inbox.Close()
-			}
-			nm.mu.Unlock()
-			return
-		}
-		d := wire.NewDecoder(payload)
-		g := d.Uvarint()
-		if d.Err() != nil || g >= uint64(nm.m.Groups()) {
-			continue // unroutable
-		}
-		from := nm.m.ReplicaOn(int(g), fromNode)
-		if from < 0 {
-			continue // sender claims a group it has no replica in
-		}
-		nm.mu.Lock()
-		sub := nm.subs[int(g)]
-		nm.mu.Unlock()
-		if sub != nil {
-			sub.inbox.TrySend(groupDelivery{payload: payload[d.Offset():], from: from})
-		}
+func (nm *NodeMux) deliver(d transport.Delivery) {
+	g, n := binary.Uvarint(d.Payload)
+	if n <= 0 || g >= uint64(nm.m.Groups()) {
+		return // unroutable
+	}
+	from := nm.m.ReplicaOn(int(g), d.From)
+	if from < 0 {
+		return // sender claims a group it has no replica in
+	}
+	nm.mu.Lock()
+	sub := nm.subs[int(g)]
+	nm.mu.Unlock()
+	if sub != nil {
+		d.Payload, d.From = d.Payload[n:], from
+		sub.in.Deliver(d)
 	}
 }
 
 // Endpoint returns a fresh endpoint for group g's local replica,
-// replacing any previous one (a restarted replica starts with an empty
-// inbox, like a new process's socket). The replica must be placed on this
-// node.
+// replacing any previous one (a restarted replica starts with nothing
+// queued, like a new process's socket). The replica must be placed on
+// this node.
 func (nm *NodeMux) Endpoint(g int) transport.Endpoint {
 	if nm.m.ReplicaOn(g, nm.node) < 0 {
 		panic("shard: node hosts no replica of this group")
 	}
-	sub := &groupEndpoint{nm: nm, group: g, inbox: nm.e.NewChan(0)}
+	sub := &groupEndpoint{nm: nm, group: g}
 	nm.mu.Lock()
 	if old := nm.subs[g]; old != nil {
-		old.inbox.Close()
+		old.in.Close()
 	}
 	nm.subs[g] = sub
 	nm.mu.Unlock()
 	return sub
 }
 
-// Close shuts the node endpoint down; the pump then closes every group
+// Close shuts the node endpoint down and, with it, every group
 // sub-endpoint.
-func (nm *NodeMux) Close() { nm.ep.Close() }
+func (nm *NodeMux) Close() {
+	nm.ep.Close()
+	nm.mu.Lock()
+	for _, s := range nm.subs {
+		s.in.Close()
+	}
+	nm.mu.Unlock()
+}
 
 type groupEndpoint struct {
 	nm    *NodeMux
 	group int
-	inbox env.Chan
+	in    transport.Inlet
 }
 
 // ID is the local replica's index within its group (what Paxos uses).
 func (s *groupEndpoint) ID() int { return s.nm.m.ReplicaOn(s.group, s.nm.node) }
+
+// sendBufs holds the buffers group-prefixed frames are assembled in: the
+// node endpoint borrows a payload only for the length of Send.
+var sendBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *groupEndpoint) Send(to int, payload []byte) {
 	row := s.nm.m.Placement[s.group]
 	if to < 0 || to >= len(row) {
 		panic("shard: send to unknown group replica")
 	}
-	e := wire.NewEncoder(make([]byte, 0, len(payload)+2))
-	e.Uvarint(uint64(s.group))
-	buf := append(e.Bytes(), payload...)
+	bp := sendBufs.Get().(*[]byte)
+	buf := append(binary.AppendUvarint((*bp)[:0], uint64(s.group)), payload...)
 	s.nm.ep.Send(row[to], buf)
-}
-
-func (s *groupEndpoint) Recv() ([]byte, int, bool) {
-	v, ok := s.inbox.Recv()
-	if !ok {
-		return nil, 0, false
+	if cap(buf) <= 64<<10 {
+		*bp = buf
+		sendBufs.Put(bp)
 	}
-	d := v.(groupDelivery)
-	return d.payload, d.from, true
 }
 
-// Close closes only this group's inbox; the node endpoint and the other
+func (s *groupEndpoint) Attach(h transport.Handler) { s.in.Attach(h) }
+
+// Close ends delivery to this group only; the node endpoint and the other
 // groups keep running (one group's replica stopping is not a node crash).
-func (s *groupEndpoint) Close() { s.inbox.Close() }
+func (s *groupEndpoint) Close() { s.in.Close() }

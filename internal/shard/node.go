@@ -73,7 +73,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n := &Node{
 		cfg:  cfg,
-		mux:  NewNodeMux(cfg.Env, cfg.Endpoint, cfg.Map, cfg.Node),
+		mux:  NewNodeMux(cfg.Endpoint, cfg.Map, cfg.Node),
 		gids: gids,
 		reps: make(map[int]*core.Replica, len(gids)),
 		wals: make(map[int]*storage.FileLog, len(gids)),

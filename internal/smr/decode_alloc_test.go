@@ -4,29 +4,10 @@ package smr
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
-)
 
-// allocBytes returns the bytes the process allocated while a
-// repeatable f ran. A run within limit settles it; a run over limit is
-// repeated and the least of five kept, so an allocation by some other
-// goroutine cannot fail a pin. Reading the counters stops the world, the
-// larger part of a fuzz execution's cost, so a run within limit is never
-// repeated.
-func allocBytes(limit uint64, f func()) uint64 {
-	var least uint64
-	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
-		}
-	}
-	return least
-}
+	"rex/internal/alloctest"
+)
 
 // TestDecodeBatchCountBoundedByInput pins decodeBatch's allocation on
 // batches whose count claims far more entries than they carry (the 4-byte
@@ -38,7 +19,7 @@ func TestDecodeBatchCountBoundedByInput(t *testing.T) {
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, // 2^35 - 1
 	}
 	for i, p := range probes {
-		got := allocBytes(1023, func() {
+		got := alloctest.MinBytes(1023, func() {
 			if _, err := decodeBatch(p); err == nil {
 				t.Errorf("probe %d (%x) decoded", i, p)
 			}

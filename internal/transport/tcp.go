@@ -23,10 +23,14 @@ import (
 //     never held across network I/O.
 //   - Each peer has its own tcpPeer with a write lock held across
 //     dial+write, so one stalled or unreachable peer cannot block sends
-//     to the others.
-//   - Close stops the accept/read loops, closes their connections, and
-//     waits for them (ep.wg) before closing the inbox, so no loop can
-//     send on a closed channel.
+//     to the others. A send to self dials the endpoint's own listener,
+//     so it too is delivered by a reader, never on the sender's stack.
+//   - Each inbound connection has one reader goroutine, which calls the
+//     handler with a view into its read buffer and reads the next frame
+//     once the handler returns. Readers of different connections call
+//     the handler concurrently.
+//   - Close stops the accept and read loops, closes their connections,
+//     and waits for them (ep.wg).
 type TCPEndpoint struct {
 	id int
 	ln net.Listener
@@ -41,15 +45,15 @@ type TCPEndpoint struct {
 	addrs   map[int]string
 	peers   map[int]*tcpPeer
 
-	inbox chan tcpDelivery
-	wg    sync.WaitGroup
+	in Inlet
+	wg sync.WaitGroup
 
 	// Metrics (always collected; RegisterMetrics exports them).
 	framesIn  *obs.Counter
 	bytesIn   *obs.Counter
 	framesOut *obs.Counter
 	bytesOut  *obs.Counter
-	drops     *obs.Counter // inbox overflow + undeliverable sends
+	drops     *obs.Counter // undeliverable sends
 	redials   *obs.Counter // connections (re)established
 }
 
@@ -62,11 +66,6 @@ type tcpPeer struct {
 
 	connMu sync.Mutex
 	conn   net.Conn
-}
-
-type tcpDelivery struct {
-	payload []byte
-	from    int
 }
 
 // Frame: [4-byte big-endian length][4-byte big-endian sender id][payload].
@@ -99,7 +98,6 @@ func ListenTCP(id int, addrs []string) (*TCPEndpoint, error) {
 		accepted: make(map[net.Conn]struct{}),
 		addrs:    make(map[int]string, len(addrs)),
 		peers:    make(map[int]*tcpPeer, len(addrs)),
-		inbox:    make(chan tcpDelivery, 4096),
 
 		framesIn:  obs.NewCounter(),
 		bytesIn:   obs.NewCounter(),
@@ -115,6 +113,7 @@ func ListenTCP(id int, addrs []string) (*TCPEndpoint, error) {
 		ep.addrs[i] = a
 		ep.peers[i] = &tcpPeer{}
 	}
+	ep.addrs[id] = ln.Addr().String() // self-sends dial the bound port
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
@@ -165,8 +164,9 @@ func (ep *TCPEndpoint) SetPeer(id int, addr string) {
 // Addr returns the bound listen address.
 func (ep *TCPEndpoint) Addr() net.Addr { return ep.ln.Addr() }
 
-// RegisterMetrics exports the endpoint's counters and inbox depth gauge
-// into reg under tcp_-prefixed names (see DESIGN.md "Observability").
+// RegisterMetrics exports the endpoint's counters, and the depth of the
+// frames held for a handler not yet attached, into reg under tcp_-prefixed
+// names (see DESIGN.md "Observability").
 func (ep *TCPEndpoint) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("tcp_frames_in_total", ep.framesIn)
 	reg.RegisterCounter("tcp_bytes_in_total", ep.bytesIn)
@@ -174,7 +174,7 @@ func (ep *TCPEndpoint) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterCounter("tcp_bytes_out_total", ep.bytesOut)
 	reg.RegisterCounter("tcp_drops_total", ep.drops)
 	reg.RegisterCounter("tcp_redials_total", ep.redials)
-	reg.RegisterGaugeFunc("tcp_inbox_depth", func() int64 { return int64(len(ep.inbox)) })
+	reg.RegisterGaugeFunc("tcp_inbox_depth", func() int64 { return int64(ep.in.Pending()) })
 }
 
 func (ep *TCPEndpoint) acceptLoop() {
@@ -200,8 +200,7 @@ func (ep *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// readLoop reads one inbound connection's frames through a 4 kB buffer,
-// so one read usually returns a whole frame and any queued behind it.
+// readLoop delivers one inbound connection's frames to the handler.
 func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 	defer func() {
 		ep.mu.Lock()
@@ -210,60 +209,71 @@ func (ep *TCPEndpoint) readLoop(conn net.Conn) {
 		conn.Close()
 		ep.wg.Done()
 	}()
-	br := bufio.NewReader(conn)
-	largest := 0 // the largest frame this connection has delivered
+	fr := frameReader{br: bufio.NewReader(conn), conn: conn}
 	for {
-		payload, from, err := readFrame(br, conn, largest)
+		d, err := fr.next()
 		if err != nil {
 			return
 		}
-		largest = max(largest, len(payload))
-		// No closed-check is needed here: Close closes this connection and
-		// waits for this loop before closing the inbox, so the channel is
-		// always open when this send runs.
-		select {
-		case ep.inbox <- tcpDelivery{payload: payload, from: from}:
-			ep.framesIn.Inc()
-			ep.bytesIn.Add(uint64(len(payload)))
-		default:
-			// Inbox overflow: drop, like a congested network.
-			ep.drops.Inc()
-		}
+		ep.framesIn.Inc()
+		ep.bytesIn.Add(uint64(len(d.Payload)))
+		ep.in.Deliver(d)
 	}
 }
 
-// readFrame reads one frame from br, which buffers conn. A payload not
-// already buffered must arrive within frameBodyTimeout; conn may be nil
-// (no deadline). The payload grows as its bytes arrive (wire.ReadN), so a
-// header announcing 64 MB with nothing behind it costs 64 kB, not 64 MB.
-// largest is the largest frame the connection has already delivered in
-// full, and a payload of up to twice that size is allocated at once: a
-// connection that carries checkpoint pushes reads the next push, even of
-// a state that grew meanwhile, into one allocation, and what it trusts
-// is still bounded by bytes it received.
-func readFrame(br *bufio.Reader, conn net.Conn, largest int) ([]byte, int, error) {
-	hdr, err := br.Peek(8)
+// frameReader reads one connection's frames through a 4 kB buffer, so one
+// read usually returns a whole frame and any queued behind it.
+type frameReader struct {
+	br   *bufio.Reader
+	conn net.Conn // for the body deadline; nil for none
+	// largest is the largest frame read into a buffer of its own.
+	largest int
+	// lent is the length of the frame last lent out of br, which the
+	// next read drops from the buffer.
+	lent int
+}
+
+// next reads one frame. A payload that fits the read buffer is lent: a
+// view into the buffer, valid until the next call. A larger one is read
+// into a buffer of its own that grows as its bytes arrive (wire.ReadN),
+// so a header announcing 64 MB with nothing behind it costs 64 kB, not
+// 64 MB; and a payload of up to twice the largest such frame so far is
+// allocated at once, so a connection that carries checkpoint pushes reads
+// the next push, even of a state that grew meanwhile, into one
+// allocation, while what it trusts is still bounded by bytes it received.
+// A payload not already buffered must arrive within frameBodyTimeout.
+func (fr *frameReader) next() (Delivery, error) {
+	fr.br.Discard(fr.lent)
+	fr.lent = 0
+	hdr, err := fr.br.Peek(8)
 	if err != nil {
-		return nil, 0, err
+		return Delivery{}, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[0:4]))
-	from := int(binary.BigEndian.Uint32(hdr[4:8]))
-	br.Discard(8)
+	d := Delivery{From: int(binary.BigEndian.Uint32(hdr[4:8]))}
+	fr.br.Discard(8)
 	if n > tcpMaxFrame {
-		return nil, 0, errors.New("transport: oversized frame")
+		return Delivery{}, errors.New("transport: oversized frame")
 	}
-	timed := conn != nil && br.Buffered() < n
+	timed := fr.conn != nil && fr.br.Buffered() < n
 	if timed {
-		conn.SetReadDeadline(time.Now().Add(frameBodyTimeout))
+		fr.conn.SetReadDeadline(time.Now().Add(frameBodyTimeout))
 	}
-	payload, err := wire.ReadN(br, n, 2*largest)
+	if n <= fr.br.Size() {
+		d.Payload, err = fr.br.Peek(n)
+		d.Lent = true
+		fr.lent = len(d.Payload)
+	} else {
+		d.Payload, err = wire.ReadN(fr.br, n, 2*fr.largest)
+		fr.largest = max(fr.largest, n)
+	}
 	if err != nil {
-		return nil, 0, err
+		return Delivery{}, err
 	}
 	if timed {
-		conn.SetReadDeadline(time.Time{})
+		fr.conn.SetReadDeadline(time.Time{})
 	}
-	return payload, from, nil
+	return d, nil
 }
 
 // appendFrame assembles a frame into buf (reusing its capacity) so header
@@ -348,29 +358,11 @@ func (p *tcpPeer) dropConn(c net.Conn) {
 
 // Send implements Endpoint. Failures drop the message and the cached
 // connection; the next Send re-dials. Sends to different peers proceed
-// independently: only senders to the same peer serialize.
+// independently: only senders to the same peer serialize. The payload is
+// written (or staged and written) before Send returns.
 func (ep *TCPEndpoint) Send(to int, payload []byte) {
 	if to < 0 {
 		ep.drops.Inc()
-		return
-	}
-	if to == ep.id {
-		// Guard the self-delivery send with ep.mu: Close sets closed under
-		// the same mutex before it closes the inbox, so a send that passed
-		// the check completes before the channel can close.
-		ep.mu.Lock()
-		if ep.closed {
-			ep.mu.Unlock()
-			return
-		}
-		select {
-		case ep.inbox <- tcpDelivery{payload: payload, from: ep.id}:
-			ep.framesIn.Inc()
-			ep.bytesIn.Add(uint64(len(payload)))
-		default:
-			ep.drops.Inc()
-		}
-		ep.mu.Unlock()
 		return
 	}
 	ep.peersMu.Lock()
@@ -396,19 +388,13 @@ func (ep *TCPEndpoint) Send(to int, payload []byte) {
 	ep.bytesOut.Add(uint64(len(payload)))
 }
 
-// Recv implements Endpoint.
-func (ep *TCPEndpoint) Recv() ([]byte, int, bool) {
-	d, ok := <-ep.inbox
-	if !ok {
-		return nil, 0, false
-	}
-	return d.payload, d.from, true
-}
+// Attach implements Endpoint. Frames read before it are held, in order,
+// and handed to h before any later frame.
+func (ep *TCPEndpoint) Attach(h Handler) { ep.in.Attach(h) }
 
-// Close implements Endpoint. It stops the accept and read loops, closes
-// every connection (unblocking stalled reads and writes), waits for the
-// loops to exit, and only then closes the inbox — so no concurrent Send
-// or readLoop can hit a closed channel.
+// Close implements Endpoint. It stops delivery, stops the accept and read
+// loops, closes every connection (unblocking stalled reads and writes),
+// and waits for the loops to exit.
 func (ep *TCPEndpoint) Close() {
 	ep.mu.Lock()
 	if ep.closed {
@@ -416,6 +402,7 @@ func (ep *TCPEndpoint) Close() {
 		return
 	}
 	ep.closed = true
+	ep.in.Close()
 	conns := make([]net.Conn, 0, len(ep.accepted))
 	for c := range ep.accepted {
 		conns = append(conns, c)
@@ -441,5 +428,4 @@ func (ep *TCPEndpoint) Close() {
 		p.connMu.Unlock()
 	}
 	ep.wg.Wait()
-	close(ep.inbox)
 }

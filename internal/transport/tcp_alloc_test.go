@@ -9,8 +9,6 @@ import (
 	"net"
 	"runtime"
 	"testing"
-
-	"rex/internal/env"
 )
 
 // TestTCPLargeSendNotStaged pins the large-frame path of a mux channel
@@ -54,7 +52,7 @@ func TestTCPLargeSendNotStaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ep.Close()
-	mux := NewMux(env.NewReal(), ep, 0, 0x80)
+	mux := NewMux(ep, 0, 0x80)
 	ch := mux.Channel(1)
 	ch.Send(1, []byte{0x81}) // dial outside the measurement
 	<-warm
@@ -85,11 +83,12 @@ func TestReadFrameRepeatSizeOneAlloc(t *testing.T) {
 	for _, n := range []int{size, size, size, size, 2 * size, 2 * size} {
 		stream = append(stream, appendFrame(nil, 1, make([]byte, n))...)
 	}
-	br := bufio.NewReader(bytes.NewReader(stream))
+	fr := frameReader{br: bufio.NewReader(bytes.NewReader(stream))}
 	read := func(largest, want int) {
-		got, _, err := readFrame(br, nil, largest)
-		if err != nil || len(got) != want {
-			t.Fatalf("readFrame: %d bytes, %v; want %d", len(got), err, want)
+		fr.largest = largest
+		d, err := fr.next()
+		if err != nil || len(d.Payload) != want {
+			t.Fatalf("next: %d bytes, %v; want %d", len(d.Payload), err, want)
 		}
 	}
 	// AllocsPerRun(1, f) runs f twice: a warm-up and the measured run.

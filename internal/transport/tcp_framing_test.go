@@ -7,10 +7,12 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rex/internal/alloctest"
+	"rex/internal/env"
 )
 
 // countingConn counts the Reads and Writes that reach the wrapped conn.
@@ -73,14 +75,17 @@ func TestReadFrameShapes(t *testing.T) {
 			}
 			go tc.write(a, stream)
 			cc := &countingConn{Conn: b}
-			br := bufio.NewReader(cc)
+			fr := frameReader{br: bufio.NewReader(cc), conn: cc}
 			for i, want := range tc.frames {
-				got, from, err := readFrame(br, cc, 0)
+				d, err := fr.next()
 				if err != nil {
 					t.Fatalf("frame %d: %v", i, err)
 				}
-				if from != want.from || !bytes.Equal(got, want.payload) {
-					t.Fatalf("frame %d: %d bytes from %d, want %d from %d", i, len(got), from, len(want.payload), want.from)
+				if d.From != want.from || !bytes.Equal(d.Payload, want.payload) {
+					t.Fatalf("frame %d: %d bytes from %d, want %d from %d", i, len(d.Payload), d.From, len(want.payload), want.from)
+				}
+				if d.Lent != (len(want.payload) <= fr.br.Size()) {
+					t.Errorf("frame %d of %d bytes: lent = %v", i, len(want.payload), d.Lent)
 				}
 			}
 			if tc.name == "several frames in one segment" && cc.reads.Load() != 1 {
@@ -103,17 +108,17 @@ func TestReadFrameBodyTimeout(t *testing.T) {
 		a.Write(appendFrame(nil, 1, []byte("second")))
 		a.Write(append(appendFrameHeader(nil, 1, 100), 1, 2, 3)) // 3 of 100 bytes, then stall
 	}()
-	br := bufio.NewReader(b)
+	fr := frameReader{br: bufio.NewReader(b), conn: b}
 	for _, want := range []string{"first", "second"} {
-		got, _, err := readFrame(br, b, 0)
-		if err != nil || string(got) != want {
-			t.Fatalf("readFrame = %q, %v; want %q", got, err, want)
+		d, err := fr.next()
+		if err != nil || string(d.Payload) != want {
+			t.Fatalf("next = %q, %v; want %q", d.Payload, err, want)
 		}
 	}
 	start := time.Now()
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := readFrame(br, b, 0)
+		_, err := fr.next()
 		errc <- err
 	}()
 	var err error
@@ -149,8 +154,9 @@ func TestTCPStalledPeerDisconnected(t *testing.T) {
 	if _, err := c.Write(seg); err != nil {
 		t.Fatal(err)
 	}
+	q := collect(env.NewReal(), eps[0])
 	for _, want := range []string{"one", "two"} {
-		got, _, ok := eps[0].Recv()
+		got, _, ok := q.Recv()
 		if !ok || string(got) != want {
 			t.Fatalf("Recv = %q, %v; want %q", got, ok, want)
 		}
@@ -180,31 +186,6 @@ func TestTCPSmallSendOneWrite(t *testing.T) {
 	}
 }
 
-// allocBytes returns the bytes the process allocated while a
-// repeatable f ran. A run within limit settles it; a run over limit is
-// repeated and the least of five kept, so an allocation by some other
-// goroutine cannot fail a pin. Reading the counters stops the world, the
-// larger part of a fuzz execution's cost, so a run within limit is never
-// repeated.
-func allocBytes(limit uint64, f func()) uint64 {
-	var least uint64
-	for i := 0; i < 5 && (i == 0 || least > limit); i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
-			least = got
-		}
-	}
-	return least
-}
-
-// maxReadAlloc bounds what reading n bytes of frames may allocate: the
-// 4 kB read buffer, wire.ReadAhead for a payload that never arrives, and
-// a constant times the bytes that did.
-func maxReadAlloc(n int) uint64 { return 80<<10 + 8*uint64(n) }
-
 // TestReadFrameAllocBoundedByInput pins the length-prefix probes: a
 // header announcing up to 64 MB must cost a bounded multiple of the bytes
 // that actually arrived, not what it announces.
@@ -218,18 +199,16 @@ func TestReadFrameAllocBoundedByInput(t *testing.T) {
 		{"64 MB announced, header only", []byte{0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0}, 0, 128 << 10},
 		{"64 MB announced, 3 payload bytes", []byte{0x04, 0x00, 0x00, 0x00, 0, 0, 0, 1, 1, 2, 3}, 0, 128 << 10},
 		{"1 MB announced, header only", []byte{0x00, 0x10, 0x00, 0x00, 0, 0, 0, 2}, 0, 128 << 10},
-		{"2 MB announced, 200 kB sent", append([]byte{0x00, 0x20, 0x00, 0x00, 0, 0, 0, 1}, make([]byte, 200<<10)...), 0, maxReadAlloc(200<<10 + 8)},
-		{"a 200 kB frame, then 64 MB announced, header only", append(appendFrame(nil, 1, make([]byte, 200<<10)), 0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0), 1, maxReadAlloc(200<<10 + 16)},
+		{"2 MB announced, 200 kB sent", append([]byte{0x00, 0x20, 0x00, 0x00, 0, 0, 0, 1}, make([]byte, 200<<10)...), 0, alloctest.MaxFrameRead(200<<10 + 8)},
+		{"a 200 kB frame, then 64 MB announced, header only", append(appendFrame(nil, 1, make([]byte, 200<<10)), 0x03, 0xff, 0xff, 0xff, 0, 0, 0, 0), 1, alloctest.MaxFrameRead(200<<10 + 16)},
 	} {
-		got := allocBytes(c.max, func() {
-			br := bufio.NewReader(bytes.NewReader(c.probe))
-			largest, frames := 0, 0
+		got := alloctest.MinBytes(c.max, func() {
+			fr := frameReader{br: bufio.NewReader(bytes.NewReader(c.probe))}
+			frames := 0
 			for {
-				payload, _, err := readFrame(br, nil, largest)
-				if err != nil {
+				if _, err := fr.next(); err != nil {
 					break
 				}
-				largest = max(largest, len(payload))
 				frames++
 			}
 			if frames != c.frames {
@@ -250,18 +229,16 @@ func FuzzTCPReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		readAll := func(keep func(testFrame)) {
-			br := bufio.NewReader(bytes.NewReader(data))
-			largest := 0
+			fr := frameReader{br: bufio.NewReader(bytes.NewReader(data))}
 			for {
-				payload, from, err := readFrame(br, nil, largest)
+				d, err := fr.next()
 				if err != nil {
 					return
 				}
-				largest = max(largest, len(payload))
-				keep(testFrame{from, payload})
+				keep(testFrame{d.From, d.Payload})
 			}
 		}
-		if got := allocBytes(maxReadAlloc(len(data)), func() { readAll(func(testFrame) {}) }); got > maxReadAlloc(len(data)) {
+		if got := alloctest.MinBytes(alloctest.MaxFrameRead(len(data)), func() { readAll(func(testFrame) {}) }); got > alloctest.MaxFrameRead(len(data)) {
 			t.Fatalf("reading %d bytes allocated %d", len(data), got)
 		}
 		// Every frame read re-frames to the bytes it came from.

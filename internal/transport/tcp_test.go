@@ -5,9 +5,11 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rex/internal/env"
 	"rex/internal/obs"
 )
 
@@ -45,8 +47,9 @@ func TestTCPRoundTrip(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	got := make(chan string, 1)
+	q := collect(env.NewReal(), eps[1])
 	go func() {
-		payload, from, ok := eps[1].Recv()
+		payload, from, ok := q.Recv()
 		if ok {
 			got <- fmt.Sprintf("%s/%d", payload, from)
 		} else {
@@ -74,33 +77,31 @@ func TestTCPRoundTrip(t *testing.T) {
 func TestTCPSelfSend(t *testing.T) {
 	eps := listenLocal(t, 1)
 	defer eps[0].Close()
+	q := collect(env.NewReal(), eps[0])
 	eps[0].Send(0, []byte("loop"))
-	payload, from, ok := eps[0].Recv()
+	payload, from, ok := q.Recv()
 	if !ok || string(payload) != "loop" || from != 0 {
 		t.Fatalf("self-send got (%q, %d, %v)", payload, from, ok)
 	}
 }
 
-// TestTCPCloseTorture hammers Send (remote + self), Recv, and Close
-// concurrently. On the seed implementation this panics with "send on
-// closed channel" under -race; with the reworked Close (stop loops,
-// wg.Wait, then close inbox) it must survive.
+// TestTCPCloseTorture hammers Send (remote + self), delivery, and Close
+// concurrently. Close must be idempotent and race-free, and no handler
+// may run once it has returned.
 func TestTCPCloseTorture(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		eps := listenLocal(t, 3)
 		var wg sync.WaitGroup
 
-		// Drain every inbox until close.
-		for _, ep := range eps {
-			wg.Add(1)
-			go func(ep *TCPEndpoint) {
-				defer wg.Done()
-				for {
-					if _, _, ok := ep.Recv(); !ok {
-						return
-					}
+		// Every endpoint reads what it is sent until close.
+		var closed [3]atomic.Bool
+		for i, ep := range eps {
+			i := i
+			ep.Attach(func(d Delivery) {
+				if closed[i].Load() {
+					t.Error("handler ran after Close returned")
 				}
-			}(ep)
+			})
 		}
 		// Senders: each endpoint blasts all peers and itself.
 		stop := make(chan struct{})
@@ -125,13 +126,14 @@ func TestTCPCloseTorture(t *testing.T) {
 		// flight. Close must be idempotent and race-free.
 		time.Sleep(5 * time.Millisecond)
 		var cwg sync.WaitGroup
-		for _, ep := range eps {
+		for i, ep := range eps {
 			cwg.Add(1)
-			go func(ep *TCPEndpoint) {
+			go func(i int, ep *TCPEndpoint) {
 				defer cwg.Done()
 				ep.Close()
 				ep.Close() // second close is a no-op
-			}(ep)
+				closed[i].Store(true)
+			}(i, ep)
 		}
 		cwg.Wait()
 		close(stop)

@@ -2,10 +2,20 @@
 // Network implementation runs under any env.Env with configurable delay,
 // loss, and partitions — deterministic under the simulator — and is what
 // tests and benchmarks use; cmd/rexd wires the same interface to TCP.
+//
+// Delivery is pushed: an endpoint calls its receiver's Handler on the
+// goroutine that read the frame (TCPEndpoint's per-connection reader, or
+// the Network's delivery task), so a routing layer (Mux, shard.NodeMux)
+// is a table, not a goroutine, and a received frame reaches the consensus
+// event loop in one hand-off.
 package transport
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rex/internal/env"
@@ -13,23 +23,126 @@ import (
 
 // Endpoint is one replica's attachment to the network.
 //
-// Payloads change hands without a copy. The sender gives up a payload on
-// Send and never writes it again. The receiver owns a delivered payload
-// for as long as it likes, so values decoded from it may alias it rather
-// than copy it out. An in-process network hands one slice to every peer
-// it was sent to, so receivers only read a payload, never write it.
+// Payloads are borrowed in both directions. Send borrows its payload for
+// the call only: the endpoint copies or writes it before returning, so
+// the sender may reuse the buffer at once. A Handler borrows a delivered
+// payload until it returns: a TCP endpoint lends a view into its
+// connection's read buffer, which the next frame overwrites. A receiver
+// that holds a payload, or anything decoded from it, past its handler
+// copies it first (Delivery.Keep).
 type Endpoint interface {
 	// Send delivers payload to replica `to` asynchronously. Delivery may
 	// be delayed, dropped, or blocked by a partition; it is never
-	// duplicated or corrupted. Sends to self are delivered like any other.
+	// duplicated or corrupted. Sends to self are delivered like any
+	// other, never on the sender's stack.
 	Send(to int, payload []byte)
-	// Recv blocks for the next incoming message; ok is false once the
-	// endpoint is closed and drained.
-	Recv() (payload []byte, from int, ok bool)
-	// Close shuts the endpoint's inbox down.
+	// Attach sets the handler every received payload is delivered to,
+	// once. Payloads that arrive before it is attached wait for it; none
+	// is delivered after Close.
+	Attach(h Handler)
+	// Close stops delivery to the handler.
 	Close()
 	// ID returns the replica id this endpoint belongs to.
 	ID() int
+}
+
+// Handler receives one payload. It runs on the endpoint's reading
+// goroutine, concurrently with other connections' handlers, and must not
+// block: it decodes, or hands the payload off, and returns.
+type Handler func(d Delivery)
+
+// Delivery is one received payload, lent to the handler.
+type Delivery struct {
+	Payload []byte
+	From    int
+	// Lent is true when Payload is a view into the endpoint's read
+	// buffer, valid only until the handler returns; false when the
+	// endpoint allocated it for this delivery alone.
+	Lent bool
+}
+
+// Keep returns the payload for the receiver to hold past its handler:
+// the payload itself when the endpoint allocated it for this delivery,
+// else a copy. A frame read into its own buffer (a checkpoint push) is
+// therefore never copied again.
+func (d Delivery) Keep() []byte {
+	if d.Lent {
+		return bytes.Clone(d.Payload)
+	}
+	return d.Payload
+}
+
+// Inlet is where deliveries meet an endpoint's handler. Until the
+// handler is attached, deliveries are kept (Delivery.Keep) in arrival
+// order; Attach hands them over on its own goroutine before any later
+// delivery runs. After Close nothing is delivered. Its mutex is never held
+// while a handler runs or anything blocks, so it is safe under the
+// simulator too. The zero value is ready to use.
+type Inlet struct {
+	mu       sync.Mutex
+	h        Handler
+	pending  []Delivery
+	flushing bool
+	closed   bool
+}
+
+// Deliver passes d to the handler, or keeps it until one is attached.
+func (in *Inlet) Deliver(d Delivery) {
+	in.mu.Lock()
+	if in.h != nil && !in.flushing {
+		h := in.h
+		in.mu.Unlock()
+		h(d)
+		return
+	}
+	if !in.closed {
+		in.pending = append(in.pending, Delivery{Payload: d.Keep(), From: d.From})
+	}
+	in.mu.Unlock()
+}
+
+// Attach sets the handler and hands it what was kept. After Close it does
+// nothing.
+func (in *Inlet) Attach(h Handler) {
+	in.mu.Lock()
+	if in.closed {
+		in.mu.Unlock()
+		return
+	}
+	if in.h != nil {
+		in.mu.Unlock()
+		panic("transport: handler attached twice")
+	}
+	in.h = h
+	in.flushing = true
+	for len(in.pending) > 0 {
+		batch := in.pending
+		in.pending = nil
+		in.mu.Unlock()
+		for _, d := range batch {
+			h(d)
+		}
+		in.mu.Lock()
+	}
+	in.flushing = false
+	in.mu.Unlock()
+}
+
+// Close drops what was kept and everything delivered from now on.
+func (in *Inlet) Close() {
+	in.mu.Lock()
+	in.closed = true
+	in.h = func(Delivery) {}
+	in.pending = nil
+	in.mu.Unlock()
+}
+
+// Pending returns the number of deliveries kept for a handler not yet
+// attached.
+func (in *Inlet) Pending() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.pending)
 }
 
 // Network is an in-process message fabric between n replicas.
@@ -110,8 +223,11 @@ func (nw *Network) Grow(n int) {
 	}
 }
 
-// Endpoint returns replica i's endpoint.
-func (nw *Network) Endpoint(i int) Endpoint { return &netEndpoint{nw: nw, id: i} }
+// Endpoint returns replica i's endpoint, which receives from i's current
+// inbox (see Reset).
+func (nw *Network) Endpoint(i int) Endpoint {
+	return &netEndpoint{nw: nw, id: i, inbox: nw.inbox(i)}
+}
 
 // Reset gives replica i a fresh inbox, discarding any queued or in-flight
 // messages. Used when a crashed replica restarts: its previous endpoint
@@ -200,12 +316,17 @@ type delivery struct {
 }
 
 type netEndpoint struct {
-	nw *Network
-	id int
+	nw     *Network
+	id     int
+	inbox  env.Chan
+	closed atomic.Bool
 }
 
 func (ep *netEndpoint) ID() int { return ep.id }
 
+// Send copies payload, since the sender may reuse it once Send returns,
+// and queues one copy per destination, so every receiver owns what it is
+// delivered.
 func (ep *netEndpoint) Send(to int, payload []byte) {
 	nw := ep.nw
 	if to < 0 {
@@ -232,7 +353,7 @@ func (ep *netEndpoint) Send(to int, payload []byte) {
 		}
 		nw.mu.Unlock()
 		if inbox != nil {
-			inbox.TrySend(delivery{payload: payload, from: ep.id})
+			inbox.TrySend(delivery{payload: bytes.Clone(payload), from: ep.id})
 		}
 		return
 	}
@@ -267,7 +388,7 @@ func (ep *netEndpoint) Send(to int, payload []byte) {
 	inbox := nw.inboxes[to]
 	nw.mu.Unlock()
 
-	msg := delivery{payload: payload, from: ep.id}
+	msg := delivery{payload: bytes.Clone(payload), from: ep.id}
 	if d <= 0 {
 		inbox.TrySend(msg)
 		return
@@ -284,15 +405,23 @@ func (ep *netEndpoint) Send(to int, payload []byte) {
 	})
 }
 
-func (ep *netEndpoint) Recv() ([]byte, int, bool) {
-	v, ok := ep.nw.inbox(ep.id).Recv()
-	if !ok {
-		return nil, 0, false
-	}
-	d := v.(delivery)
-	return d.payload, d.from, true
+// Attach starts the endpoint's delivery task, which plays the part of a
+// TCP endpoint's reader: it takes each payload off the inbox and calls h.
+// Payloads queued before Attach wait in the inbox.
+func (ep *netEndpoint) Attach(h Handler) {
+	ep.nw.e.Go(fmt.Sprintf("net-%d-deliver", ep.id), func() {
+		for {
+			v, ok := ep.inbox.Recv()
+			if !ok || ep.closed.Load() {
+				return
+			}
+			d := v.(delivery)
+			h(Delivery{Payload: d.payload, From: d.from})
+		}
+	})
 }
 
 func (ep *netEndpoint) Close() {
-	ep.nw.inbox(ep.id).Close()
+	ep.closed.Store(true)
+	ep.inbox.Close()
 }

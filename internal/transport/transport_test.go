@@ -5,14 +5,35 @@ import (
 	"testing"
 	"time"
 
+	"rex/internal/env"
 	"rex/internal/sim"
 )
+
+// queue collects what an endpoint delivers, for tests that read it in
+// order. It keeps each payload, which a handler only borrows.
+type queue struct{ ch env.Chan }
+
+func collect(e env.Env, ep Endpoint) *queue {
+	q := &queue{ch: e.NewChan(0)}
+	ep.Attach(func(d Delivery) { q.ch.Send(Delivery{Payload: d.Keep(), From: d.From}) })
+	return q
+}
+
+// Recv blocks for the next delivery.
+func (q *queue) Recv() (payload []byte, from int, ok bool) {
+	v, ok := q.ch.Recv()
+	if !ok {
+		return nil, 0, false
+	}
+	d := v.(Delivery)
+	return d.Payload, d.From, true
+}
 
 func TestDeliveryWithDelay(t *testing.T) {
 	e := sim.New(2)
 	e.Run(func() {
 		nw := NewNetwork(e, 2, 5*time.Millisecond, 1)
-		a, b := nw.Endpoint(0), nw.Endpoint(1)
+		a, b := nw.Endpoint(0), collect(e, nw.Endpoint(1))
 		start := e.Now()
 		a.Send(1, []byte("hello"))
 		payload, from, ok := b.Recv()
@@ -30,9 +51,10 @@ func TestSelfSendIsImmediate(t *testing.T) {
 	e.Run(func() {
 		nw := NewNetwork(e, 2, 50*time.Millisecond, 1)
 		a := nw.Endpoint(0)
+		q := collect(e, a)
 		start := e.Now()
 		a.Send(0, []byte("loop"))
-		_, _, ok := a.Recv()
+		_, _, ok := q.Recv()
 		if !ok {
 			t.Fatal("self recv failed")
 		}
@@ -46,7 +68,7 @@ func TestFIFOPerLink(t *testing.T) {
 	e := sim.New(2)
 	e.Run(func() {
 		nw := NewNetwork(e, 2, time.Millisecond, 1)
-		a, b := nw.Endpoint(0), nw.Endpoint(1)
+		a, b := nw.Endpoint(0), collect(e, nw.Endpoint(1))
 		for i := 0; i < 20; i++ {
 			a.Send(1, []byte(fmt.Sprintf("%d", i)))
 		}
@@ -64,20 +86,21 @@ func TestPartitionBlocksDirected(t *testing.T) {
 	e.Run(func() {
 		nw := NewNetwork(e, 2, time.Millisecond, 1)
 		a, b := nw.Endpoint(0), nw.Endpoint(1)
+		qa, qb := collect(e, a), collect(e, b)
 		nw.SetPartition(0, 1, true)
 		a.Send(1, []byte("blocked"))
 		b.Send(0, []byte("open"))
-		payload, _, ok := a.Recv()
+		payload, _, ok := qa.Recv()
 		if !ok || string(payload) != "open" {
 			t.Fatalf("reverse direction broken: %q", payload)
 		}
 		e.Sleep(10 * time.Millisecond)
-		if n := nw.inboxes[1].Len(); n != 0 {
+		if n := qb.ch.Len(); n != 0 {
 			t.Errorf("partitioned link delivered %d messages", n)
 		}
 		nw.SetPartition(0, 1, false)
 		a.Send(1, []byte("now"))
-		payload, _, _ = b.Recv()
+		payload, _, _ = qb.Recv()
 		if string(payload) != "now" {
 			t.Errorf("after healing got %q", payload)
 		}
@@ -144,25 +167,70 @@ func TestStatsCountBytes(t *testing.T) {
 }
 
 func TestCloseUnblocksReceiver(t *testing.T) {
+	// Close ends delivery: neither a payload in flight at Close nor one
+	// sent after it reaches the handler.
 	e := sim.New(2)
 	e.Run(func() {
 		nw := NewNetwork(e, 2, time.Millisecond, 1)
-		b := nw.Endpoint(1)
-		got := make(chan bool, 1)
-		e.Go("rx", func() {
-			_, _, ok := b.Recv()
-			got <- ok
-		})
-		e.Sleep(time.Millisecond)
+		a, b := nw.Endpoint(0), nw.Endpoint(1)
+		got := 0
+		b.Attach(func(Delivery) { got++ })
+		a.Send(1, []byte("before"))
+		e.Sleep(2 * time.Millisecond)
+		if got != 1 {
+			t.Fatalf("%d deliveries before Close, want 1", got)
+		}
+		a.Send(1, []byte("in flight"))
 		b.Close()
-		e.Sleep(time.Millisecond)
-		select {
-		case ok := <-got:
-			if ok {
-				t.Error("Recv reported ok after Close")
+		a.Send(1, []byte("after"))
+		e.Sleep(2 * time.Millisecond)
+		if got != 1 {
+			t.Errorf("%d deliveries, want none after Close", got-1)
+		}
+	})
+}
+
+func TestHandlerBorrowsAndSenderReuses(t *testing.T) {
+	// The network copies at Send, so a sender may overwrite its buffer at
+	// once, and each receiver owns the copy it is handed (Lent is false).
+	e := sim.New(2)
+	e.Run(func() {
+		nw := NewNetwork(e, 3, time.Millisecond, 1)
+		var got []Delivery
+		for i := 1; i < 3; i++ {
+			nw.Endpoint(i).Attach(func(d Delivery) { got = append(got, d) })
+		}
+		buf := []byte("first")
+		a := nw.Endpoint(0)
+		a.Send(1, buf)
+		a.Send(2, buf)
+		copy(buf, "XXXXX")
+		e.Sleep(2 * time.Millisecond)
+		if len(got) != 2 || string(got[0].Payload) != "first" || string(got[1].Payload) != "first" {
+			t.Fatalf("deliveries = %+v, want two of %q", got, "first")
+		}
+		if got[0].Lent || &got[0].Keep()[0] != &got[0].Payload[0] || &got[0].Payload[0] == &got[1].Payload[0] {
+			t.Error("each receiver should own a copy of its own")
+		}
+	})
+}
+
+func TestFramesWaitForHandler(t *testing.T) {
+	// Payloads that arrive before the handler is attached wait for it and
+	// are then delivered in order.
+	e := sim.New(2)
+	e.Run(func() {
+		nw := NewNetwork(e, 2, time.Millisecond, 1)
+		a, b := nw.Endpoint(0), nw.Endpoint(1)
+		for i := 0; i < 3; i++ {
+			a.Send(1, []byte{byte(i)})
+		}
+		e.Sleep(5 * time.Millisecond)
+		q := collect(e, b)
+		for i := 0; i < 3; i++ {
+			if p, _, ok := q.Recv(); !ok || len(p) != 1 || p[0] != byte(i) {
+				t.Fatalf("delivery %d = %v, %v", i, p, ok)
 			}
-		default:
-			t.Error("receiver still blocked after Close")
 		}
 	})
 }
@@ -172,19 +240,20 @@ func TestSetDelayOverridesPerLink(t *testing.T) {
 	e.Run(func() {
 		nw := NewNetwork(e, 2, time.Millisecond, 1)
 		a, b := nw.Endpoint(0), nw.Endpoint(1)
+		qa, qb := collect(e, a), collect(e, b)
 
 		// A fixed override (max <= min) pins the directed link; the reverse
 		// direction keeps the base delay — slow links are asymmetric.
 		nw.SetDelay(0, 1, 40*time.Millisecond, 0)
 		start := e.Now()
 		a.Send(1, []byte("slow"))
-		b.Recv()
+		qb.Recv()
 		if got := e.Now() - start; got != 40*time.Millisecond {
 			t.Errorf("overridden link delivered after %v, want 40ms", got)
 		}
 		start = e.Now()
 		b.Send(0, []byte("base"))
-		a.Recv()
+		qa.Recv()
 		if got := e.Now() - start; got != time.Millisecond {
 			t.Errorf("reverse link delivered after %v, want base 1ms", got)
 		}
@@ -194,7 +263,7 @@ func TestSetDelayOverridesPerLink(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			start = e.Now()
 			a.Send(1, []byte("jittered"))
-			b.Recv()
+			qb.Recv()
 			got := e.Now() - start
 			if got < 10*time.Millisecond || got >= 30*time.Millisecond {
 				t.Errorf("ranged delay %v outside [10ms, 30ms)", got)
@@ -205,7 +274,7 @@ func TestSetDelayOverridesPerLink(t *testing.T) {
 		nw.Heal()
 		start = e.Now()
 		a.Send(1, []byte("healed"))
-		b.Recv()
+		qb.Recv()
 		if got := e.Now() - start; got != time.Millisecond {
 			t.Errorf("healed link delivered after %v, want base 1ms", got)
 		}
@@ -219,7 +288,7 @@ func TestSetDelayDeterministicPerSeed(t *testing.T) {
 		e.Run(func() {
 			nw := NewNetwork(e, 2, time.Millisecond, seed)
 			nw.SetDelay(0, 1, time.Millisecond, 20*time.Millisecond)
-			a, b := nw.Endpoint(0), nw.Endpoint(1)
+			a, b := nw.Endpoint(0), collect(e, nw.Endpoint(1))
 			for i := 0; i < 10; i++ {
 				start := e.Now()
 				a.Send(1, []byte("x"))
