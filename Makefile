@@ -28,7 +28,7 @@ race:
 	$(GO) test -race ./internal/trace ./internal/sched ./internal/rexsync
 	$(GO) test -race ./internal/paxos ./internal/reconfig
 	$(GO) test -race ./internal/client ./internal/server ./internal/shard
-	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused|TestRepeatedRestartCycles' ./internal/cluster/
+	$(GO) test -race -run 'TestMultiCluster|TestReplacementDrill|TestRemovedIdentityRefused|TestRepeatedRestartCycles|TestPowerLossOnEveryReplica' ./internal/cluster/
 	$(GO) test -race -run 'TestRecoveryScenarioPinnedSeed|TestReadsScenarioPinnedSeed|TestConflictsScenarioPinnedSeed|TestOverloadScenarioPinnedSeed' ./internal/chaos/
 	$(GO) test -race -run 'TestMigrationWindowProperty' ./internal/rebalance/
 
@@ -89,6 +89,7 @@ FUZZTIME ?= 10s
 FUZZ_TARGETS = \
 	./internal/paxos:FuzzDecodeMessage \
 	./internal/paxos:FuzzDecodeLentFrame \
+	./internal/paxos:FuzzRecoverLog \
 	./internal/core:FuzzDecodeCtrl \
 	./internal/core:FuzzDecodeSnapshot \
 	./internal/reconfig:FuzzDecodeValue \

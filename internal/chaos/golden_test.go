@@ -44,7 +44,7 @@ func TestGoldenSweeps(t *testing.T) {
 			{777, 12, 769, 6},
 			{1181, 0, 1181, 8},
 			{791, 0, 791, 8},
-			{968, 0, 968, 6},
+			{1240, 0, 1240, 6},
 		}},
 		{Scenario{Name: "shards", Groups: 4, Duration: 3 * time.Second}, []goldenCounts{
 			{7922, 0, 7922, 32},

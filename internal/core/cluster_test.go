@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -13,9 +15,11 @@ import (
 	"rex/internal/cluster"
 	"rex/internal/core"
 	"rex/internal/env"
+	"rex/internal/obs"
 	"rex/internal/rexsync"
 	"rex/internal/sched"
 	"rex/internal/sim"
+	"rex/internal/storage"
 	"rex/internal/wire"
 )
 
@@ -594,12 +598,27 @@ func TestTimerBackgroundTaskReplicates(t *testing.T) {
 	})
 }
 
+// TestClusterDeterminism runs one seeded load twice in the simulator. The
+// runs must agree on the converged state and on a digest of everything a
+// schedule change would move: each replica's chosen log, the virtual time
+// at exit, and the Paxos and WAL counters. On a mismatch it prints both
+// digests, which name the first line that differs.
 func TestClusterDeterminism(t *testing.T) {
-	run := func() string {
-		var state string
+	run := func() (state, digest string) {
 		e := sim.New(8)
 		e.Run(func() {
-			c := cluster.New(e, newTKV, defaultOpts())
+			opts := defaultOpts()
+			regs := make([]*obs.Registry, opts.Replicas)
+			opts.Derive = func(cfg core.Config) core.Config {
+				reg := obs.NewRegistry()
+				wal := storage.NewLogMetrics()
+				wal.Register(reg)
+				cfg.Log.(*storage.FileLog).SetMetrics(wal)
+				cfg.Metrics = reg
+				regs[cfg.ID] = reg
+				return cfg
+			}
+			c := cluster.New(e, newTKV, opts)
 			if err := c.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -620,12 +639,36 @@ func TestClusterDeterminism(t *testing.T) {
 			}
 			g.Wait()
 			state = waitConverged(t, e, c, 10*time.Second)
+			var d strings.Builder
+			for i, r := range c.Replicas {
+				base, vals := r.ChosenLog()
+				h := sha256.New()
+				for _, v := range vals {
+					h.Write(binary.AppendUvarint(nil, uint64(len(v))))
+					h.Write(v)
+				}
+				fmt.Fprintf(&d, "replica %d chosen [%d, +%d) %x\n", i, base, len(vals), h.Sum(nil)[:8])
+			}
 			c.Stop()
+			fmt.Fprintf(&d, "exit at %v\n", e.Now())
+			for i, reg := range regs {
+				m := reg.Snapshot()
+				batch := m.Size("rex_paxos_persist_batch_records")
+				fmt.Fprintf(&d, "replica %d commits=%d persist_batches=%d persist_records=%d wal_appends=%d wal_fsyncs=%d\n",
+					i, m.Counter("rex_paxos_commits_total"), batch.Count, batch.Sum,
+					m.Counter("rex_wal_appends_total"), m.Counter("rex_wal_fsyncs_total"))
+			}
+			digest = d.String()
 		})
-		return state
+		return state, digest
 	}
-	if run() != run() {
+	s1, d1 := run()
+	s2, d2 := run()
+	if s1 != s2 {
 		t.Error("two identically seeded cluster runs diverged")
+	}
+	if d1 != d2 {
+		t.Errorf("two identically seeded cluster runs took different schedules:\n--- first\n%s--- second\n%s", d1, d2)
 	}
 }
 

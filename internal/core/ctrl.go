@@ -147,6 +147,13 @@ func (r *Replica) acceptSnapshotCopy(blob []byte, from int) {
 	if stale {
 		return // already have an equal or newer checkpoint
 	}
+	// As for a checkpoint built here: the chosen log this replica holds
+	// goes to disk first (a node not started yet holds nothing unsynced).
+	// A copy can still be ahead of it, when the learner has not reached
+	// s.Inst yet; rebuild handles that (errSnapshotAhead).
+	if r.nodeStarted && !r.node.Sync() {
+		return
+	}
 	if err := r.cfg.Snapshots.Save(s.MarkID, blob); err != nil {
 		r.logf("saving snapshot copy failed: %v", err)
 		return

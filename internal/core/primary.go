@@ -341,6 +341,8 @@ func (r *Replica) tokenLocked() readpath.Token {
 func (r *Replica) throttledLocked() bool {
 	now := r.e.Now()
 	stale := 8 * r.cfg.StatusEvery
+	// An any-of over the peers, with no side effects: map order cannot
+	// change the answer.
 	for id, st := range r.peers {
 		if id == r.cfg.ID {
 			continue

@@ -211,6 +211,8 @@ func (r *Replica) drainObservedWrites(deadline time.Duration) error {
 	if p == nil || len(p.pending) == 0 {
 		return nil
 	}
+	// The walks below collect a set and ask whether any member is still
+	// pending: map order cannot change either answer.
 	observed := make([]uint64, 0, len(p.pending))
 	for idx := range p.pending {
 		observed = append(observed, idx)

@@ -47,6 +47,15 @@ func (r *Replica) checkpointCoordinator(inc *incarnation) {
 			rep.CompleteMark(m.ID)
 			continue
 		}
+		// The chosen log must reach inst on disk before a checkpoint at
+		// inst does: chosen records are written lazily, and a checkpoint
+		// ahead of the local log makes a lone restart wait on peers
+		// (errSnapshotAhead).
+		if !r.node.Sync() {
+			r.logf("checkpoint %d not saved: consensus stopped", m.ID)
+			rep.CompleteMark(m.ID)
+			continue
+		}
 		if err := r.cfg.Snapshots.Save(m.ID, buf[snapHeadroom:]); err != nil {
 			r.logf("checkpoint %d save failed: %v", m.ID, err)
 			rep.CompleteMark(m.ID)

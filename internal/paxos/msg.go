@@ -8,6 +8,15 @@
 // OnBecomeLeader fires when the local replica finishes phase 1 across all
 // open instances without seeing a higher ballot; OnNewLeader(r) fires
 // whenever a higher ballot from replica r is observed.
+//
+// Durability: acceptor state (promises, accepted values, advance markers,
+// membership) is forced to the WAL before any message that advertises it.
+// Chosen records are not forced: a chosen value survives on the accepted
+// records a quorum forced, so OnCommitted fires without waiting on the
+// local disk, and a chosen record that points at the local accepted one
+// carries no value of its own. After a crash the recovered chosen log may
+// be shorter than before, never different; the learner re-fetches the
+// rest.
 package paxos
 
 import (

@@ -45,7 +45,8 @@ type Config struct {
 	LeaseDuration time.Duration
 
 	// OnCommitted fires for every chosen instance in order. It runs on the
-	// node's event loop and must not block for long.
+	// node's event loop and must not block for long. It does not wait for
+	// the instance's chosen record to reach the WAL (see walForce).
 	OnCommitted func(inst uint64, val []byte)
 	// OnBecomeLeader fires when this replica has completed phase 1 across
 	// all open instances without seeing a higher ballot AND every instance
@@ -134,6 +135,10 @@ type Node struct {
 	lastHeartbeat    time.Duration
 	electionDeadline time.Duration
 	stopped          bool
+	// replyTo is the reply channel of the command being handled, which
+	// flushes the WAL first; a storage fault closes it, so the caller
+	// does not wait for a reply that never comes.
+	replyTo env.Chan
 
 	// Read-lease state (lease.go). Voter side: leaseTo/leaseUntil is the
 	// silent window granted to the current leader. Leader side: grantAt
@@ -164,15 +169,20 @@ type Node struct {
 	// messages and commit callbacks instead of acting immediately; the
 	// event loop flushes everything it drained from the inbox with ONE
 	// AppendBatch — so N messages cost one fsync, not N — and only then
-	// releases the sends and callbacks. Persistence therefore still
-	// happens before any state is advertised, exactly as in the
-	// record-per-fsync design.
-	walEnc  *wire.Encoder
-	walEnds []int    // arena offset after each pending record
-	walRecs [][]byte // scratch sub-slice view passed to AppendBatch
-	outbox  []outMsg
-	commits []commitNote
-	sendEnc *wire.Encoder // each outgoing message is encoded here, then lent to Send
+	// releases the sends and callbacks. Acceptor state (promise, accepted,
+	// advance, config records) therefore persists before any message
+	// advertising it, as in the record-per-fsync design. Chosen records do
+	// not set walForce: a chosen fact survives on a quorum's accepted
+	// records, so they ride the next forced flush (or Compact,
+	// ChosenSnapshot, Sync, Stop) and the callbacks behind them go out at
+	// once.
+	walEnc   *wire.Encoder
+	walEnds  []int    // arena offset after each pending record
+	walRecs  [][]byte // scratch sub-slice view passed to AppendBatch
+	walForce bool     // a pending record must be durable before the batch is released
+	outbox   []outMsg
+	commits  []commitNote
+	sendEnc  *wire.Encoder // each outgoing message is encoded here, then lent to Send
 }
 
 // outMsg is a deferred send; to < 0 broadcasts. It owns its message, which
@@ -205,6 +215,7 @@ type tickMsg struct{}
 type proposeCmd struct{ val []byte }
 type compactCmd struct{ upTo uint64 }
 type stopCmd struct{ done env.Chan }
+type syncCmd struct{ done env.Chan }
 type chosenReq struct{ reply env.Chan }
 type advanceCmd struct{ to uint64 }
 type adoptCmd struct{ configs []reconfig.Scheduled }
@@ -270,23 +281,41 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Durable record kinds.
+// Durable record kinds. A chosen instance is recorded as recChosenRef
+// (instance, ballot) when this node's accepted record for the instance
+// holds the value at that ballot, and as recChosen with the value's bytes
+// when it learned the value without accepting it there. Neither forces a
+// flush.
 const (
-	recPromised byte = 1
-	recAccepted byte = 2
-	recChosen   byte = 3
-	recAdvance  byte = 4
-	recConfig   byte = 5
+	recPromised  byte = 1
+	recAccepted  byte = 2
+	recChosen    byte = 3
+	recAdvance   byte = 4
+	recConfig    byte = 5
+	recChosenRef byte = 6
 )
 
+// chosenRec is a recovered chosen record: the value, or for a reference
+// the ballot its accepted record must reach.
+type chosenRec struct {
+	val    []byte
+	ref    bool
+	ballot Ballot
+}
+
+// recover rebuilds durable state from the log. A chosen reference
+// resolves to this node's accepted value for the instance at the
+// reference's ballot or above, which by Paxos safety is the chosen value;
+// the recovered chosen log ends at the first instance it cannot resolve
+// (or never recorded), and the learner re-fetches from there. So it may be
+// shorter than before a crash, never different.
 func (n *Node) recover() error {
 	recs, err := n.cfg.Log.Records()
 	if err != nil {
 		return err
 	}
-	chosenMap := make(map[uint64][]byte)
-	var maxChosen, advTo uint64
-	hasChosen := false
+	chosenMap := make(map[uint64]chosenRec)
+	var advTo uint64
 	for _, rec := range recs {
 		d := wire.NewDecoder(rec)
 		switch d.Byte() {
@@ -307,11 +336,13 @@ func (n *Node) recover() error {
 			inst := d.Uvarint()
 			val := append([]byte(nil), d.BytesVal()...)
 			if d.Err() == nil {
-				chosenMap[inst] = val
-				if !hasChosen || inst > maxChosen {
-					maxChosen = inst
-				}
-				hasChosen = true
+				chosenMap[inst] = chosenRec{val: val}
+			}
+		case recChosenRef:
+			inst := d.Uvarint()
+			b := Ballot{Round: d.Uvarint(), Node: uint32(d.Uvarint())}
+			if d.Err() == nil {
+				chosenMap[inst] = chosenRec{ref: true, ballot: b}
 			}
 		case recConfig:
 			from := d.Uvarint()
@@ -328,25 +359,29 @@ func (n *Node) recover() error {
 			return fmt.Errorf("paxos: corrupt log record: %w", d.Err())
 		}
 	}
-	if hasChosen {
-		// Find the lowest chosen instance at or above any advance marker
-		// (the compaction base) and take the contiguous run from there.
-		lo := maxChosen
-		for inst := range chosenMap {
-			if inst < lo && inst >= advTo {
-				lo = inst
-			}
+	// Find the lowest chosen instance at or above any advance marker (the
+	// compaction base) and take the contiguous run from there.
+	lo, found := uint64(0), false
+	for inst := range chosenMap {
+		if inst >= advTo && (!found || inst < lo) {
+			lo, found = inst, true
 		}
-		if lo < advTo {
-			lo = advTo
-		}
+	}
+	if found {
 		n.chosenBase = lo
 		for inst := lo; ; inst++ {
-			v, ok := chosenMap[inst]
+			c, ok := chosenMap[inst]
 			if !ok {
 				break
 			}
-			n.chosen = append(n.chosen, v)
+			if c.ref {
+				a, ok := n.accepted[inst]
+				if !ok || a.Ballot.Less(c.ballot) {
+					break
+				}
+				c.val = a.Val
+			}
+			n.chosen = append(n.chosen, c.val)
 		}
 		n.chosenSeq = n.chosenBase + uint64(len(n.chosen))
 	}
@@ -354,6 +389,12 @@ func (n *Node) recover() error {
 		n.chosenBase = advTo
 		n.chosen = nil
 		n.chosenSeq = advTo
+	}
+	// A chosen instance needs no accepted entry, as after commitValue.
+	for inst := range n.accepted {
+		if inst < n.chosenSeq {
+			delete(n.accepted, inst)
+		}
 	}
 	return nil
 }
@@ -366,9 +407,11 @@ func (n *Node) storageFailed(op string, err error) {
 	panic(storageFault{err: fmt.Errorf("paxos: log %s failed: %w", op, err)})
 }
 
-// walEnd closes the record currently being written into the arena.
+// walEnd closes the record currently being written into the arena: a
+// record the batch must not be released before.
 func (n *Node) walEnd() {
 	n.walEnds = append(n.walEnds, n.walEnc.Len())
+	n.walForce = true
 }
 
 func (n *Node) persistPromised() {
@@ -389,13 +432,30 @@ func (n *Node) persistAccepted(a acceptedEntry) {
 	n.walEnd()
 }
 
-func (n *Node) persistChosen(inst uint64, val []byte) {
+// persistChosen records that val was chosen in inst at ballot b (zero when
+// unknown). When this node's accepted entry for inst holds b, the record
+// points at it instead of carrying val again; it goes to the arena without
+// forcing a flush (see walForce). It must run before the accepted entry is
+// dropped, and its accepted record is already in the log or ahead of it in
+// the arena.
+func (n *Node) persistChosen(inst uint64, b Ballot, val []byte) {
 	e := n.walEnc
-	e.Byte(recChosen)
-	e.Uvarint(inst)
-	e.BytesVal(val)
-	n.walEnd()
+	if a, ok := n.accepted[inst]; ok && a.Ballot == b {
+		e.Byte(recChosenRef)
+		e.Uvarint(inst)
+		e.Uvarint(b.Round)
+		e.Uvarint(uint64(b.Node))
+	} else {
+		e.Byte(recChosen)
+		e.Uvarint(inst)
+		e.BytesVal(val)
+	}
+	n.walEnds = append(n.walEnds, e.Len())
 }
+
+// maxLazyWAL bounds the chosen records that wait for a forced flush, as on
+// a learner, which accepts nothing.
+const maxLazyWAL = 1 << 20
 
 // flushWAL retires every record pending in the arena with one AppendBatch
 // (one fsync under a file log). A failure unwinds into the crash-stop
@@ -405,6 +465,7 @@ func (n *Node) flushWAL() {
 	if len(n.walEnds) == 0 {
 		return
 	}
+	n.walForce = false
 	buf := n.walEnc.Bytes()
 	recs := n.walRecs[:0]
 	prev := 0
@@ -424,9 +485,12 @@ func (n *Node) flushWAL() {
 }
 
 // flushBatch releases everything deferred during the current drain cycle,
-// in durability order: WAL first, then commit callbacks, then sends.
+// in durability order: the WAL when it holds a forcing record, then commit
+// callbacks, then sends. Chosen records alone stay pending.
 func (n *Node) flushBatch() {
-	n.flushWAL()
+	if n.walForce || n.walEnc.Len() > maxLazyWAL {
+		n.flushWAL()
+	}
 	if len(n.commits) > 0 {
 		// n.commits may grow while we iterate (OnCommitted is documented
 		// to run on the event loop and must not re-enter, but commitValue
@@ -584,6 +648,19 @@ func (n *Node) chosenState() ChosenState {
 	}
 }
 
+// Sync makes every chosen record this node holds durable and returns true,
+// or returns false once the node has stopped. Call it before saving a
+// checkpoint, so the chosen log reaches the checkpoint's instance on disk
+// first.
+func (n *Node) Sync() bool {
+	done := n.cfg.Env.NewChan(1)
+	if !n.inbox.Send(syncCmd{done: done}) {
+		return false
+	}
+	_, ok := done.Recv()
+	return ok
+}
+
 // Stop shuts the node down and waits for the event loop to exit.
 func (n *Node) Stop() {
 	done := n.cfg.Env.NewChan(1)
@@ -636,6 +713,9 @@ func (n *Node) loop() {
 		n.inbox.Close()
 		n.cfg.logf("storage fault, going silent: %v", sf.err)
 		n.cfg.OnStorageFault(sf.err)
+		if n.replyTo != nil {
+			n.replyTo.Close()
+		}
 	}()
 	// Drain greedily: one blocking Recv, then non-blocking TryRecv until the
 	// inbox is empty (capped so a firehose cannot starve the flush). All the
@@ -710,7 +790,7 @@ func (n *Node) handleCmd(v any) (quit bool) {
 			// that are now contiguous.
 			if v, ok := n.pendingVal[n.chosenSeq]; ok {
 				delete(n.pendingVal, n.chosenSeq)
-				n.commitValue(n.chosenSeq, v, n.cfg.ID)
+				n.commitValue(n.chosenSeq, Ballot{}, v, n.cfg.ID)
 			}
 		}
 	case adoptCmd:
@@ -720,10 +800,20 @@ func (n *Node) handleCmd(v any) (quit bool) {
 	case chosenReq:
 		// Snapshots promise durable state, as the record-per-fsync design
 		// delivered by construction.
+		n.replyTo = c.reply
 		n.flushWAL()
+		n.replyTo = nil
 		c.reply.Send(n.chosenState())
+	case syncCmd:
+		n.replyTo = c.done
+		n.flushWAL()
+		n.replyTo = nil
+		c.done.Send(struct{}{})
 	case stopCmd:
+		n.replyTo = c.done
+		n.flushWAL()
 		n.flushBatch()
+		n.replyTo = nil
 		n.stopped = true
 		n.leaseExpiry.Store(0)
 		n.cfg.Endpoint.Close()
@@ -839,7 +929,7 @@ func (n *Node) handleMessage(m *message) {
 	case mCommit:
 		n.observeBallot(m.Ballot)
 		n.bumpLeaderContact(from)
-		n.commitValue(m.Inst, m.Val, from)
+		n.commitValue(m.Inst, m.Ballot, m.Val, from)
 	case mCommitRef:
 		n.observeBallot(m.Ballot)
 		n.bumpLeaderContact(from)
@@ -850,7 +940,7 @@ func (n *Node) handleMessage(m *message) {
 		n.onLearn(m, from)
 	case mLearnReply:
 		for i, v := range m.Vals {
-			n.commitValue(m.FromInst+uint64(i), v, from)
+			n.commitValue(m.FromInst+uint64(i), Ballot{}, v, from)
 		}
 	case mLearnNack:
 		if m.FromInst > n.chosenSeq && n.cfg.OnSnapshotGap != nil {
@@ -1099,7 +1189,7 @@ func (n *Node) onAccepted(m *message, from int) {
 	}
 	n.cfg.Metrics.CommitLatency.Observe(n.cfg.Env.Now() - st.sentAt)
 	n.announceCommit(st.inst, st.val)
-	n.commitValue(st.inst, st.val, n.cfg.ID)
+	n.commitValue(st.inst, n.prepBallot, st.val, n.cfg.ID)
 }
 
 // announceCommit tells every peer but self (the leader commits locally)
@@ -1130,7 +1220,7 @@ func (n *Node) onCommitRef(m *message, from int) {
 		return
 	}
 	if a, ok := n.accepted[m.Inst]; ok && a.Ballot == m.Ballot {
-		n.commitValue(m.Inst, a.Val, from)
+		n.commitValue(m.Inst, m.Ballot, a.Val, from)
 		return
 	}
 	n.cfg.Metrics.LearnReqs.Inc()
@@ -1179,12 +1269,15 @@ func (n *Node) onLearn(m *message, from int) {
 	}
 }
 
-func (n *Node) commitValue(inst uint64, val []byte, from int) {
+// commitValue learns that val was chosen in inst, at ballot b when the
+// caller knows it (zero otherwise).
+func (n *Node) commitValue(inst uint64, b Ballot, val []byte, from int) {
 	if inst < n.chosenSeq {
 		return
 	}
 	if inst > n.chosenSeq {
-		// Gap: stash and ask for the missing prefix.
+		// Gap: stash and ask for the missing prefix. The stash keeps the
+		// value, not the ballot, so it is recorded with its bytes.
 		n.pendingVal[inst] = val
 		n.cfg.Metrics.LearnReqs.Inc()
 		n.send(from, n.out(message{Kind: mLearn, FromInst: n.chosenSeq}))
@@ -1195,7 +1288,7 @@ func (n *Node) commitValue(inst uint64, val []byte, from int) {
 			// Chosen, whether our quorum or a peer's commit taught us.
 			n.open = nil
 		}
-		n.persistChosen(inst, val)
+		n.persistChosen(inst, b, val)
 		n.chosen = append(n.chosen, val)
 		n.chosenSeq++
 		n.cfg.Metrics.Commits.Inc()
@@ -1216,7 +1309,7 @@ func (n *Node) commitValue(inst uint64, val []byte, from int) {
 			break
 		}
 		delete(n.pendingVal, n.chosenSeq)
-		inst, val = n.chosenSeq, next
+		inst, b, val = n.chosenSeq, Ballot{}, next
 	}
 	n.checkActivation()
 	if n.isLeader {
@@ -1267,9 +1360,13 @@ func (n *Node) handleCompact(upTo uint64) {
 	if upTo > n.chosenSeq {
 		upTo = n.chosenSeq
 	}
-	n.chosen = append([][]byte(nil), n.chosen[upTo-n.chosenBase:]...)
+	// In place, so appends after a compaction reuse the array.
+	kept := copy(n.chosen, n.chosen[upTo-n.chosenBase:])
+	clear(n.chosen[kept:])
+	n.chosen = n.chosen[:kept]
 	n.chosenBase = upTo
-	// Rewrite the durable log with the surviving state.
+	// Rewrite the durable log with the surviving state. Chosen values go
+	// with their bytes: their accepted records are not rewritten.
 	var recs [][]byte
 	e := wire.NewEncoder(nil)
 	e.Byte(recPromised)
