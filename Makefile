@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck bench bench-json chaos realbench fuzz check
+.PHONY: all build test race vet fmt staticcheck bench bench-json chaos realbench fuzz loc check
 
 all: build
 
@@ -20,9 +20,10 @@ test:
 # recovery (promote/demote/rebuild churn), consistent-read,
 # conflict-class and overload chaos scenarios, the live-rebalancing
 # migration property, the trace storage, replay scheduler and
-# recorded-synchronization packages, the WAL, whose appenders flush it
-# themselves, and the env channel every RealEnv hand-off goes through,
-# which keeps its queue array across sends. CI runs exactly this target.
+# recorded-synchronization packages, the WAL, whose frontier /healthz
+# reads while an append holds the log's mutex, and the env channel every
+# RealEnv hand-off goes through, which keeps its queue array across
+# sends. CI runs exactly this target.
 race:
 	$(GO) test -race ./internal/env ./internal/transport ./internal/core ./internal/storage
 	$(GO) test -race ./internal/trace ./internal/sched ./internal/rexsync
@@ -52,13 +53,14 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # Acceptance evidence as machine-readable JSON: the commit-path suite
-# (WAL group-commit shape, encode allocs/op, quick Figure 7, and the
-# conflict-class delta-size experiment with its delta_bytes_mean), the
-# shard-scaling suite (aggregate throughput at 1/2/4/8 groups, plus the
-# live-rebalance migration experiment in its `rebalance` field), and the
-# read-scaling suite (linearizable vs session reads on a 90/10 mix),
-# and the overload suite (goodput vs offered load past saturation, with
-# and without admission control; goodput_2x_vs_peak is the headline).
+# (encode allocs/op, quick Figure 7 with the Paxos persist batch sizes,
+# and the conflict-class delta-size experiment with its
+# delta_bytes_mean), the shard-scaling suite (aggregate throughput at
+# 1/2/4/8 groups, plus the live-rebalance migration experiment in its
+# `rebalance` field), the read-scaling suite (linearizable vs session
+# reads on a 90/10 mix), and the overload suite (goodput vs offered
+# load past saturation, with and without admission control;
+# goodput_2x_vs_peak is the headline).
 bench-json:
 	$(GO) run ./cmd/rexbench -exp commitpath -json BENCH_commit_path.json
 	$(GO) run ./cmd/rexbench -exp shards -json BENCH_shard_scaling.json
@@ -120,5 +122,10 @@ fuzz:
 # break the benchmark unseen.
 realbench:
 	cd realbench && $(GO) vet ./... && $(GO) test .
+
+# The size of the program: non-test Go lines outside realbench/ (its own
+# module) and .bench_build/ (the benchmark's build cache).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './realbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 check: build fmt vet staticcheck test race chaos realbench

@@ -107,9 +107,9 @@ func run(args []string, out, errOut io.Writer) int {
 		{name: "ablate-partialorder", fig: func() { bench.PrintPartialOrderAblation(out, *threads) }},
 		{name: "ablate-delta", fig: func() { bench.PrintDeltaAblation(out, *threads) }},
 		{name: "commitpath", suite: func() (any, error) {
-			res, err := bench.CommitPath()
+			res := bench.CommitPath()
 			bench.PrintCommitPath(out, res)
-			return res, err
+			return res, nil
 		}},
 		{name: "shards", suite: func() (any, error) {
 			res, err := bench.RunShardScaling(pick(*quick, bench.DefaultShardScaling, bench.QuickShardScaling), logf)

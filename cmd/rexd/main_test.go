@@ -29,7 +29,7 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 	walObs := storage.NewLogMetrics()
 	walObs.Register(reg)
 	wal.SetMetrics(walObs)
-	if err := wal.Append([]byte("rec")); err != nil {
+	if err := wal.AppendBatch([][]byte{[]byte("rec")}); err != nil {
 		t.Fatal(err)
 	}
 	reps := map[int]healthSource{0: fakeHealth{Role: core.RolePrimary, Voter: true}}

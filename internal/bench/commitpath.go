@@ -3,25 +3,21 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"rex/internal/apps"
-	"rex/internal/storage"
 	"rex/internal/trace"
 	"rex/internal/wire"
 )
 
 // CommitPathResult is the machine-readable evidence for the commit-path
-// acceptance criteria: group commit amortizes fsyncs (fsyncs/append well
-// below 1, mean batch above 1), the pooled delta encoder cuts allocs/op
-// against a cold encoder, and the quick Figure 7 throughput is intact.
-// `make bench-json` serializes it as BENCH_commit_path.json.
+// acceptance criteria: the pooled delta encoder cuts allocs/op against a
+// cold encoder, the quick Figure 7 throughput is intact (its rows carry
+// the Paxos persist batch sizes, records per WAL append), and conflict
+// classes shrink the deltas. `make bench-json` serializes it as
+// BENCH_commit_path.json.
 type CommitPathResult struct {
-	WAL      WALBenchResult    `json:"wal"`
 	Encode   EncodeBenchResult `json:"encode"`
 	Fig7     []Fig7Point       `json:"fig7_quick"`
 	Conflict []ConflictPoint   `json:"conflict_classes"`
@@ -43,20 +39,6 @@ type ConflictPoint struct {
 	FullDeltaEventsMean   float64 `json:"full_delta_events_mean"`
 	// DeltaBytesRatio = full / elided: the trace-size win from elision.
 	DeltaBytesRatio float64 `json:"delta_bytes_full_over_elided"`
-}
-
-// WALBenchResult measures the FileLog under concurrent appenders on the
-// real filesystem.
-type WALBenchResult struct {
-	Writers         int     `json:"writers"`
-	AppendsPerGor   int     `json:"appends_per_writer"`
-	RecordBytes     int     `json:"record_bytes"`
-	Appends         uint64  `json:"appends"`
-	Fsyncs          uint64  `json:"fsyncs"`
-	FsyncsPerAppend float64 `json:"fsyncs_per_append"`
-	BatchMean       float64 `json:"batch_records_mean"`
-	BatchMax        uint64  `json:"batch_records_max"`
-	NsPerAppend     float64 `json:"ns_per_append"`
 }
 
 // EncodeBenchResult compares the pooled EncodeBytesHint path against a
@@ -86,62 +68,6 @@ type Fig7Point struct {
 	PersistBatchMax    uint64  `json:"persist_batch_records_max"`
 }
 
-// walBench drives a FileLog with writers concurrent appenders issuing
-// sequential durable appends each, the pattern the Paxos node produces
-// under load, and reads the group-commit shape off the log's own metrics.
-func walBench(writers, appendsPer, recordBytes int) (WALBenchResult, error) {
-	r := WALBenchResult{Writers: writers, AppendsPerGor: appendsPer, RecordBytes: recordBytes}
-	dir, err := os.MkdirTemp("", "rex-walbench")
-	if err != nil {
-		return r, err
-	}
-	defer os.RemoveAll(dir)
-	l, err := storage.OpenFileLog(filepath.Join(dir, "wal"), true)
-	if err != nil {
-		return r, err
-	}
-	defer l.Close()
-	m := storage.NewLogMetrics()
-	l.SetMetrics(m)
-
-	rec := make([]byte, recordBytes)
-	for i := range rec {
-		rec[i] = byte(i)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < appendsPer; i++ {
-				if err := l.Append(rec); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return r, err
-		}
-	}
-	batch := m.BatchRecords.Snapshot()
-	r.Appends = m.Appends.Value()
-	r.Fsyncs = m.Fsyncs.Value()
-	if r.Appends > 0 {
-		r.FsyncsPerAppend = float64(r.Fsyncs) / float64(r.Appends)
-		r.NsPerAppend = float64(elapsed.Nanoseconds()) / float64(r.Appends)
-	}
-	r.BatchMean = batch.Mean()
-	r.BatchMax = batch.Max
-	return r, nil
-}
-
 // commitPathDelta builds a delta shaped like a busy primary's proposal:
 // two-event, one-edge request traces spread over a few threads.
 func commitPathDelta(n int) *trace.Delta {
@@ -154,8 +80,8 @@ func commitPathDelta(n int) *trace.Delta {
 	return d
 }
 
-// encodeBench measures the cold baseline (a fresh encoder per delta, the
-// pre-group-commit behavior) against the pooled EncodeBytesHint hot path.
+// encodeBench measures the cold baseline (a fresh encoder per delta)
+// against the pooled EncodeBytesHint hot path.
 func encodeBench(events int) EncodeBenchResult {
 	d := commitPathDelta(events / 2)
 	hint := len(d.EncodeBytes())
@@ -215,17 +141,12 @@ func conflictBench(threads int) ConflictPoint {
 	return p
 }
 
-// CommitPath runs the commit-path evidence suite: the WAL group-commit
-// microbench, the encode allocation microbench, a quick Figure 7
-// panel (lock server) with the primary's commit-path metrics attached,
-// and the conflict-class delta-size experiment.
-func CommitPath() (CommitPathResult, error) {
+// CommitPath runs the commit-path evidence suite: the encode allocation
+// microbench, a quick Figure 7 panel (lock server) with the primary's
+// commit-path metrics attached, and the conflict-class delta-size
+// experiment.
+func CommitPath() CommitPathResult {
 	var res CommitPathResult
-	wal, err := walBench(8, 200, 256)
-	if err != nil {
-		return res, err
-	}
-	res.WAL = wal
 	res.Encode = encodeBench(2000)
 	for _, row := range Fig7(apps.LockServer(), QuickFig7()) {
 		pc := row.Metrics.Histogram("rex_propose_commit_seconds")
@@ -244,22 +165,12 @@ func CommitPath() (CommitPathResult, error) {
 		})
 	}
 	res.Conflict = append(res.Conflict, conflictBench(16))
-	return res, nil
+	return res
 }
 
 // PrintCommitPath renders the suite as tables.
 func PrintCommitPath(w io.Writer, r CommitPathResult) {
 	t := &Table{
-		Title: "Commit path: WAL group commit under concurrent appenders",
-		Cols:  []string{"writers", "appends", "fsyncs", "fsyncs/append", "batch mean", "batch max", "ns/append"},
-	}
-	t.AddRow(fmt.Sprint(r.WAL.Writers), fmt.Sprint(r.WAL.Appends), fmt.Sprint(r.WAL.Fsyncs),
-		f2(r.WAL.FsyncsPerAppend), f2(r.WAL.BatchMean), fmt.Sprint(r.WAL.BatchMax), f0(r.WAL.NsPerAppend))
-	t.Notes = append(t.Notes,
-		"acceptance: fsyncs/append well below 1 and batch mean above 1 under concurrency.")
-	t.Fprint(w)
-
-	t = &Table{
 		Title: "Commit path: delta encoding, cold encoder vs pooled EncodeBytesHint",
 		Cols:  []string{"path", "ns/op", "allocs/op", "B/op"},
 	}

@@ -180,9 +180,9 @@ func (j *journal) ReadCheckpoint(r io.Reader) error {
 // causal edge from the slow request's release. A secondary receives the
 // fast request while its worker 1 is still in the slow step, so a
 // replayer that skips causal edges appends the fast request first, every
-// pair. With buggy set, replay does exactly that
-// (Options.UnsafeReplayNoEdgeWaits) and the runtime's own divergence
-// checks are disabled, leaving detection entirely to the checker.
+// pair. With buggy set, replay does exactly that and the runtime's own
+// divergence checks are disabled (core.Config.UnsafeBrokenReplay), leaving
+// detection entirely to the checker.
 func runJournalLoad(t *testing.T, seed int64, buggy bool) []string {
 	t.Helper()
 	e := sim.New(4)
@@ -191,14 +191,12 @@ func runJournalLoad(t *testing.T, seed int64, buggy bool) []string {
 		c := cluster.New(e, newJournal(), cluster.Options{
 			Replicas: 3,
 			Template: core.Config{
-				Workers:                 2,
-				HeartbeatEvery:          20 * time.Millisecond,
-				ElectionTimeout:         100 * time.Millisecond,
-				StatusEvery:             20 * time.Millisecond,
-				Seed:                    seed,
-				DisableVersionChecks:    buggy,
-				DisableResultChecks:     buggy,
-				UnsafeReplayNoEdgeWaits: buggy,
+				Workers:            2,
+				HeartbeatEvery:     20 * time.Millisecond,
+				ElectionTimeout:    100 * time.Millisecond,
+				StatusEvery:        20 * time.Millisecond,
+				Seed:               seed,
+				UnsafeBrokenReplay: buggy,
 			},
 		})
 		if err := c.Start(); err != nil {

@@ -119,9 +119,3 @@ func newReplicaMetrics(reg *obs.Registry) *replicaMetrics {
 func (r *Replica) Metrics() obs.Snapshot {
 	return r.obs.reg.Snapshot()
 }
-
-// MetricsRegistry exposes the replica's registry so callers (cmd/rexd's
-// -metrics endpoint) can serve a text dump or co-register more series.
-func (r *Replica) MetricsRegistry() *obs.Registry {
-	return r.obs.reg
-}

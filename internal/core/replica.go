@@ -150,10 +150,6 @@ type Config struct {
 	// thinks. 0 selects 4x MaxOutstanding.
 	MaxAdmissionWaiters int
 
-	// DisableVersionChecks and DisableResultChecks turn off the §5.1
-	// validity checks (used by ablation benchmarks).
-	DisableVersionChecks bool
-	DisableResultChecks  bool
 	// DisablePruning selects the §4.2 edge-pruning ablation.
 	DisablePruning bool
 	// DisableConflictElision keeps lock events on conflict-class-owned
@@ -162,10 +158,11 @@ type Config struct {
 	// every replica of a group: the elision decision is part of the
 	// trace's meaning. Used by the delta-size ablation benchmark.
 	DisableConflictElision bool
-	// UnsafeReplayNoEdgeWaits injects a deliberate replay bug (events
-	// released before their causal predecessors) so the chaos checker can
-	// prove it detects divergence. Never set outside tests.
-	UnsafeReplayNoEdgeWaits bool
+	// UnsafeBrokenReplay injects a deliberate replay bug: events are
+	// released before their causal predecessors, and the §5.1 version and
+	// result checks that would report the divergence are off, so the chaos
+	// checker must catch it on its own. Never set outside tests.
+	UnsafeBrokenReplay bool
 
 	Seed int64
 	Logf func(format string, args ...any)

@@ -396,10 +396,10 @@ func (r *Replica) rebuild() error {
 		}
 
 		rt := sched.NewRuntime(r.e, threads, sched.ModeNative)
-		rt.CheckVersions = !r.cfg.DisableVersionChecks
+		rt.CheckVersions = !r.cfg.UnsafeBrokenReplay
 		rt.DisablePruning = r.cfg.DisablePruning
 		rt.DisableConflictElision = r.cfg.DisableConflictElision
-		rt.UnsafeSkipEdgeWaits = r.cfg.UnsafeReplayNoEdgeWaits
+		rt.UnsafeSkipEdgeWaits = r.cfg.UnsafeBrokenReplay
 		rt.Obs = r.obs.replay
 		host := &TimerHost{}
 		sm := r.cfg.Factory(rt, host)

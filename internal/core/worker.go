@@ -175,7 +175,7 @@ func (r *Replica) replayStep(inc *incarnation, ctx *Ctx) bool {
 		})
 		return false
 	}
-	if !r.cfg.DisableResultChecks && ev2.Arg != hashResponse(resp) {
+	if !r.cfg.UnsafeBrokenReplay && ev2.Arg != hashResponse(resp) {
 		r.fault(&sched.DivergenceError{
 			Thread: w.ID(), Clock: w.Clock(), Expected: ev2,
 			GotKind: trace.KindReqEnd, GotRes: uint32(idx), GotArg: hashResponse(resp),

@@ -16,7 +16,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -550,14 +549,4 @@ func formatSeconds(d time.Duration) string {
 		s = "0"
 	}
 	return s
-}
-
-// SortedNames returns the registered metric names, sorted.
-func (r *Registry) SortedNames() []string {
-	r = r.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]string(nil), r.names...)
-	sort.Strings(out)
-	return out
 }

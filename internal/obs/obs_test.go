@@ -246,8 +246,8 @@ func TestSizeHistogram(t *testing.T) {
 	}
 }
 
-// BenchmarkSizeHistogramObserve guards the group-commit hot path: one
-// batch-size observation per flush.
+// BenchmarkSizeHistogramObserve guards the commit hot path: one
+// batch-size observation per Paxos persist flush.
 func BenchmarkSizeHistogramObserve(b *testing.B) {
 	h := NewSizeHistogram()
 	b.ReportAllocs()

@@ -120,7 +120,7 @@ type SizeSnapshot struct {
 	P50     uint64
 	P95     uint64
 	P99     uint64
-	Buckets [NumSizeBuckets]uint64 // parallel to SizeBucketBounds(), last = overflow
+	Buckets [NumSizeBuckets]uint64 // parallel to sizeBounds, last = overflow
 }
 
 // Mean returns the mean observation, or 0 when empty.
@@ -146,12 +146,6 @@ func (h *SizeHistogram) Snapshot() SizeSnapshot {
 		s.Buckets[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// SizeBucketBounds returns the fixed bucket upper bounds (excluding the
-// overflow bucket).
-func SizeBucketBounds() []uint64 {
-	return append([]uint64(nil), sizeBounds...)
 }
 
 func writeSizeHistText(w io.Writer, name string, s SizeSnapshot) error {

@@ -124,22 +124,6 @@ func (m Membership) Members() []int {
 // Quorum returns the majority size over the voters.
 func (m Membership) Quorum() int { return len(m.Voters)/2 + 1 }
 
-// MaxID returns the largest member id, or -1 for an empty membership.
-func (m Membership) MaxID() int {
-	max := -1
-	for _, v := range m.Voters {
-		if v > max {
-			max = v
-		}
-	}
-	for _, v := range m.Learners {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Validate checks structural invariants: at least one voter, no duplicate
 // ids, no id both voter and learner, non-negative ids, Alpha ≥ 1.
 func (m Membership) Validate() error {

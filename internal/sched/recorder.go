@@ -160,6 +160,3 @@ func (r *Recorder) CollectInto(d *trace.Delta) {
 	d.Marks, r.marks = r.marks, d.Marks[:0]
 	r.reqMu.Unlock()
 }
-
-// Collected returns the collection frontier (clocks already drained).
-func (r *Recorder) Collected() trace.Cut { return r.collected.Clone() }

@@ -164,9 +164,6 @@ func (rt *Runtime) Replayer() *Replayer { return rt.rep }
 // reset their pruning clocks when they observe a new epoch.
 func (rt *Runtime) Epoch() uint64 { return rt.epoch }
 
-// BaseVC returns the vector-clock floor of the current epoch.
-func (rt *Runtime) BaseVC() vclock.VC { return rt.baseVC }
-
 // RegisterResource allocates a resource id. Applications must create their
 // resources (locks, condition variables, semaphores) in a deterministic
 // order — normally at state-machine construction — so ids agree across

@@ -18,16 +18,14 @@ import (
 	"path"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"rex/internal/env"
 	"rex/internal/obs"
 )
 
-// Log is an append-only record log. Append must be durable before it
-// returns (to the level the implementation promises).
+// Log is an append-only record log.
 type Log interface {
-	// Append adds one record.
-	Append(rec []byte) error
 	// AppendBatch adds recs as one atomic unit of work: either every
 	// record is durable when it returns or none is acknowledged. A batch
 	// costs at most one fsync regardless of length.
@@ -54,35 +52,26 @@ type SnapshotStore interface {
 // so the commit path never nil-checks.
 type LogMetrics struct {
 	Appends *obs.Counter // records acknowledged durable
-	Batches *obs.Counter // flushes (one buffered write each)
-	Fsyncs  *obs.Counter // fsyncs issued by the flushes
+	Fsyncs  *obs.Counter // fsyncs issued, at most one per AppendBatch
 
-	// BatchRecords is the group-commit batch-size distribution: records
-	// coalesced per flush. Fsyncs/Appends well below 1 with BatchRecords
-	// means group commit is amortizing the disk.
-	BatchRecords *obs.SizeHistogram
-	// AppendWait is the caller-observed Append latency: enqueue to
-	// durable acknowledgement, including the wait for the shared fsync.
+	// AppendWait is the caller-observed AppendBatch latency: call to
+	// durable acknowledgement, including the wait for the log's mutex.
 	AppendWait *obs.Histogram
 }
 
 // NewLogMetrics allocates all series.
 func NewLogMetrics() *LogMetrics {
 	return &LogMetrics{
-		Appends:      obs.NewCounter(),
-		Batches:      obs.NewCounter(),
-		Fsyncs:       obs.NewCounter(),
-		BatchRecords: obs.NewSizeHistogram(),
-		AppendWait:   obs.NewHistogram(),
+		Appends:    obs.NewCounter(),
+		Fsyncs:     obs.NewCounter(),
+		AppendWait: obs.NewHistogram(),
 	}
 }
 
 // Register exports the series into reg under rex_wal_* names.
 func (m *LogMetrics) Register(reg *obs.Registry) {
 	reg.RegisterCounter("rex_wal_appends_total", m.Appends)
-	reg.RegisterCounter("rex_wal_batches_total", m.Batches)
 	reg.RegisterCounter("rex_wal_fsyncs_total", m.Fsyncs)
-	reg.RegisterSizeHistogram("rex_wal_batch_records", m.BatchRecords)
 	reg.RegisterHistogram("rex_wal_append_wait_seconds", m.AppendWait)
 }
 
@@ -90,33 +79,24 @@ func (m *LogMetrics) Register(reg *obs.Registry) {
 // [len uint32][crc uint32][payload]; recovery stops at the first torn or
 // corrupt frame, which is the expected state after a crash mid-append.
 //
-// Appends are group-committed by the appenders themselves: a caller that
-// finds no flush in progress takes everything queued, writes it with one
-// write and (when syncEach is set) one fsync, with l.mu released for the
-// I/O. Callers that arrive meanwhile queue their records and wait; when
-// the flush ends, one of them flushes everything that queued up behind
-// it. N concurrent appends therefore cost about one disk round-trip, not
-// N, a lone appender pays no goroutine hand-off, and each Append still
-// returns only after its record is durable. All blocking goes through the
-// log's env.Env, so the simulator can run it.
+// The log has one writer: a replica's Paxos event loop, which turns each
+// inbox drain into one AppendBatch. AppendBatch frames its records into a
+// reused buffer and retires them with one write and (when syncEach is
+// set) one fsync, all under the log's mutex, so calls from several
+// goroutines are serialized, not coalesced. The mutex is the log's env.Env
+// mutex, so the simulator can run it.
 type FileLog struct {
 	e    env.Env
-	mu   env.Mutex
-	done env.Cond // a flush ended: durable frontier advanced, or ioErr set
+	mu   env.Mutex // held across every call's I/O
 	disk Disk
 	name string
 	f    File
 	sync bool
 	obs  *LogMetrics
 
-	queue    [][]byte // records accepted but not yet written
-	enq      uint64   // records ever enqueued
-	dur      uint64   // records durable (written, and fsynced when sync)
-	flushing bool     // a caller is writing a batch with l.mu released
-	draining bool     // a drainLocked caller waits for the file: start no flush
-	buf      []byte   // frame buffer, owned by the flushing caller
-	ioErr    error    // sticky flush failure; fails all later calls
-	closing  bool     // Close in progress: reject new appends
+	dur   atomic.Uint64 // records durable (written, and fsynced when sync)
+	buf   []byte        // frame buffer, reused under mu
+	ioErr error         // sticky write or fsync failure; fails all later calls
 }
 
 // ErrClosed reports use of a closed log.
@@ -153,14 +133,14 @@ func scanFrames(data []byte, fn func(rec []byte)) int {
 
 // OpenFileLog opens (creating if needed) the log file at path on the
 // operating system's disk, under the real environment. If syncEach is
-// true, every Append (or AppendBatch) fsyncs before acknowledging.
+// true, every AppendBatch fsyncs before acknowledging.
 func OpenFileLog(path string, syncEach bool) (*FileLog, error) {
 	return OpenLog(env.NewReal(), OSDisk(filepath.Dir(path)), filepath.Base(path), syncEach)
 }
 
 // OpenLog opens (creating if needed) the log file name on d, blocking
-// through e. If syncEach is true, every Append (or AppendBatch) fsyncs
-// before acknowledging.
+// through e. If syncEach is true, every AppendBatch fsyncs before
+// acknowledging.
 //
 // Recovery discipline: the file is scanned on open and any torn or corrupt
 // tail is truncated away (the bytes are preserved in a ".quarantine"
@@ -174,7 +154,6 @@ func OpenLog(e env.Env, d Disk, name string, syncEach bool) (*FileLog, error) {
 		return nil, err
 	}
 	l := &FileLog{e: e, mu: e.NewMutex(), disk: d, name: name, f: f, sync: syncEach, obs: NewLogMetrics()}
-	l.done = e.NewCond(l.mu)
 	if err := l.recover(created); err != nil {
 		f.Close()
 		return nil, err
@@ -186,7 +165,7 @@ func OpenLog(e env.Env, d Disk, name string, syncEach bool) (*FileLog, error) {
 func (l *FileLog) recover(created bool) error {
 	if created {
 		// A file that exists only in the page cache's view of its
-		// directory can vanish on power loss even though every Append to
+		// directory can vanish on power loss even though every append to
 		// it "succeeded" — make the directory entry durable first.
 		return l.disk.SyncDir(path.Dir(l.name))
 	}
@@ -221,122 +200,55 @@ func (l *FileLog) SetMetrics(m *LogMetrics) {
 }
 
 // DurableRecords returns how many appended records are durable so far —
-// the WAL's durable frontier, exposed on rexd's /healthz.
-func (l *FileLog) DurableRecords() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dur
+// the WAL's durable frontier, exposed on rexd's /healthz. It reads an
+// atomic, so it never waits behind an append's fsync.
+func (l *FileLog) DurableRecords() uint64 { return l.dur.Load() }
+
+// usableLocked returns why the log cannot be used, if it cannot: it is
+// closed, or an earlier write or fsync failed. Callers must hold l.mu.
+func (l *FileLog) usableLocked() error {
+	if l.f == nil {
+		return ErrClosed
+	}
+	return l.ioErr
 }
 
-// Append implements Log: the call returns once the flush covering the
-// record is durable.
-func (l *FileLog) Append(rec []byte) error {
-	return l.AppendBatch([][]byte{rec})
-}
-
-// AppendBatch implements Log.
+// AppendBatch implements Log with one write and, when the log syncs, one
+// fsync. A failure is sticky: the batch and every later call fail with it.
 func (l *FileLog) AppendBatch(recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	start := l.e.Now()
 	l.mu.Lock()
-	if l.f == nil || l.closing {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if l.ioErr != nil {
-		err := l.ioErr
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if err := l.usableLocked(); err != nil {
 		return err
 	}
-	l.queue = append(l.queue, recs...)
-	l.enq += uint64(len(recs))
-	err := l.flushLocked(l.enq)
-	m := l.obs
-	l.mu.Unlock()
+	l.buf = l.buf[:0]
+	for _, rec := range recs {
+		l.buf = appendFrame(l.buf, rec)
+	}
+	_, err := l.f.Write(l.buf)
+	if err == nil && l.sync {
+		l.obs.Fsyncs.Inc()
+		err = l.f.Sync()
+	}
 	if err != nil {
+		l.ioErr = err
 		return err
 	}
-	m.Appends.Add(uint64(len(recs)))
-	m.AppendWait.Observe(l.e.Now() - start)
+	l.dur.Add(uint64(len(recs)))
+	l.obs.Appends.Add(uint64(len(recs)))
+	l.obs.AppendWait.Observe(l.e.Now() - start)
 	return nil
 }
 
-// flushLocked returns once the first upto records ever enqueued are
-// durable, or the log has failed. Until then it waits out the flush (or
-// drain) in progress, or flushes the queue itself. Callers must hold l.mu.
-func (l *FileLog) flushLocked(upto uint64) error {
-	for l.dur < upto && l.ioErr == nil {
-		if l.flushing || l.draining {
-			l.done.Wait()
-		} else {
-			l.flushQueueLocked()
-		}
-	}
-	return l.ioErr
-}
-
-// drainLocked returns once every record enqueued before the call is
-// durable and no flush is in progress, so the caller, holding l.mu, has
-// the file to itself. Records queued meanwhile stay queued for the next
-// flush. Callers must hold l.mu.
-func (l *FileLog) drainLocked() error {
-	err := l.flushLocked(l.enq)
-	l.draining = true // appenders stand aside until the caller is done
-	for l.flushing {
-		l.done.Wait()
-	}
-	l.draining = false
-	l.done.Broadcast() // they wait for l.mu, which the caller holds
-	if err == nil {
-		err = l.ioErr
-	}
-	return err
-}
-
-// flushQueueLocked frames everything queued into one buffer and retires it
-// with a single write (+ fsync when the log is in sync mode), with l.mu
-// released for the I/O. Callers must hold l.mu, with no flush in progress
-// and a non-empty queue.
-func (l *FileLog) flushQueueLocked() {
-	batch := l.queue
-	l.queue = nil
-	l.flushing = true
-	f, m, buf := l.f, l.obs, l.buf[:0]
-	l.mu.Unlock()
-
-	for _, rec := range batch {
-		buf = appendFrame(buf, rec)
-	}
-	_, err := f.Write(buf)
-	if err == nil && l.sync {
-		m.Fsyncs.Inc()
-		err = f.Sync()
-	}
-	m.Batches.Inc()
-	m.BatchRecords.Observe(uint64(len(batch)))
-
-	l.mu.Lock()
-	l.buf = buf
-	l.flushing = false
-	if err != nil {
-		l.ioErr = err
-	} else {
-		l.dur += uint64(len(batch))
-	}
-	l.done.Broadcast()
-}
-
-// Records implements Log. It flushes the queue first so every
-// acknowledged record is visible.
+// Records implements Log.
 func (l *FileLog) Records() ([][]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil, ErrClosed
-	}
-	if err := l.drainLocked(); err != nil {
+	if err := l.usableLocked(); err != nil {
 		return nil, err
 	}
 	data, err := l.disk.ReadFile(l.name)
@@ -349,17 +261,12 @@ func (l *FileLog) Records() ([][]byte, error) {
 }
 
 // Rewrite implements Log: writes a fresh log beside the old one and renames
-// it into place, so compaction is crash-atomic. The queue is flushed
-// first; no flush can be in progress for the duration (the lock is held
-// and every enqueued record is durable), so swapping the file handle and
-// borrowing the frame buffer are safe.
+// it into place, so compaction is crash-atomic. It holds l.mu throughout,
+// so no append writes to the file being replaced.
 func (l *FileLog) Rewrite(recs [][]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return ErrClosed
-	}
-	if err := l.drainLocked(); err != nil {
+	if err := l.usableLocked(); err != nil {
 		return err
 	}
 	tmp := l.name + ".tmp"
@@ -396,20 +303,19 @@ func (l *FileLog) Rewrite(recs [][]byte) error {
 	return err
 }
 
-// Close implements Log. Records already queued are flushed durably before
-// the file is closed; new appends are rejected with ErrClosed.
+// Close implements Log. The log buffers nothing, so every acknowledged
+// record is already written; later calls fail with ErrClosed. Close
+// reports a sticky I/O error.
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	l.closing = true
-	ioErr := l.drainLocked()
 	err := l.f.Close()
 	l.f = nil
-	if ioErr != nil && err == nil {
-		err = ioErr
+	if err == nil {
+		err = l.ioErr
 	}
 	return err
 }

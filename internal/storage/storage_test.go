@@ -21,7 +21,7 @@ func testLog(t *testing.T, open func(t *testing.T) Log) {
 	defer l.Close()
 	recs := [][]byte{[]byte("a"), []byte("bb"), {}, []byte("dddd")}
 	for _, r := range recs {
-		if err := l.Append(r); err != nil {
+		if err := l.AppendBatch([][]byte{r}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -44,7 +44,7 @@ func testLog(t *testing.T, open func(t *testing.T) Log) {
 	if len(got) != 1 || string(got[0]) != "only" {
 		t.Fatalf("after rewrite: %q", got)
 	}
-	if err := l.Append([]byte("more")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("more")}); err != nil {
 		t.Fatalf("Append after rewrite: %v", err)
 	}
 	got, _ = l.Records()
@@ -83,8 +83,8 @@ func TestFileLogReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("one"))
-	l.Append([]byte("two"))
+	l.AppendBatch([][]byte{[]byte("one")})
+	l.AppendBatch([][]byte{[]byte("two")})
 	l.Close()
 	l2, err := OpenFileLog(path, false)
 	if err != nil {
@@ -95,7 +95,7 @@ func TestFileLogReopen(t *testing.T) {
 	if err != nil || len(got) != 2 || string(got[1]) != "two" {
 		t.Fatalf("reopen: %v %q", err, got)
 	}
-	l2.Append([]byte("three"))
+	l2.AppendBatch([][]byte{[]byte("three")})
 	got, _ = l2.Records()
 	if len(got) != 3 {
 		t.Fatalf("append after reopen: %q", got)
@@ -105,8 +105,8 @@ func TestFileLogReopen(t *testing.T) {
 func TestFileLogTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, _ := OpenFileLog(path, false)
-	l.Append([]byte("good"))
-	l.Append([]byte("alsogood"))
+	l.AppendBatch([][]byte{[]byte("good")})
+	l.AppendBatch([][]byte{[]byte("alsogood")})
 	l.Close()
 	// Simulate a crash mid-append: truncate the file inside the last frame.
 	info, _ := os.Stat(path)
@@ -128,8 +128,8 @@ func TestFileLogTornTail(t *testing.T) {
 func TestFileLogCorruptTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, _ := OpenFileLog(path, false)
-	l.Append([]byte("good"))
-	l.Append([]byte("soon-corrupt"))
+	l.AppendBatch([][]byte{[]byte("good")})
+	l.AppendBatch([][]byte{[]byte("soon-corrupt")})
 	l.Close()
 	data, _ := os.ReadFile(path)
 	data[len(data)-1] ^= 0xff
@@ -186,7 +186,7 @@ func TestQuickFileLogRoundTrip(t *testing.T) {
 			return false
 		}
 		for _, r := range recs {
-			if err := l.Append(r); err != nil {
+			if err := l.AppendBatch([][]byte{r}); err != nil {
 				return false
 			}
 		}
@@ -326,10 +326,10 @@ func TestRewriteSyncOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		if err := l.Append([]byte("old-1")); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte("old-1")}); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Append([]byte("old-2")); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte("old-2")}); err != nil {
 			t.Fatal(err)
 		}
 		*events = nil // drop the directory sync of the log's creation
@@ -381,7 +381,7 @@ func TestLogAppendBatch(t *testing.T) {
 			if err := l.AppendBatch(nil); err != nil {
 				t.Fatalf("empty AppendBatch: %v", err)
 			}
-			if err := l.Append([]byte("solo")); err != nil {
+			if err := l.AppendBatch([][]byte{[]byte("solo")}); err != nil {
 				t.Fatal(err)
 			}
 			batch := [][]byte{[]byte("b1"), {}, []byte("b3-longer")}
@@ -405,47 +405,9 @@ func TestLogAppendBatch(t *testing.T) {
 	}
 }
 
-// TestFileLogGroupCommit proves concurrent appenders share flushes: with a
-// slow fsync, N appends must coalesce into far fewer fsyncs, and at least
-// one committer batch must carry more than one record.
-func TestFileLogGroupCommit(t *testing.T) {
-	l := openSlowLog(t, t.TempDir())
-	defer l.Close()
-	const appenders, perAppender = 8, 25
-	var wg sync.WaitGroup
-	for a := 0; a < appenders; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for i := 0; i < perAppender; i++ {
-				if err := l.Append([]byte{byte(a), byte(i)}); err != nil {
-					t.Errorf("Append: %v", err)
-					return
-				}
-			}
-		}(a)
-	}
-	wg.Wait()
-	recs, err := l.Records()
-	if err != nil || len(recs) != appenders*perAppender {
-		t.Fatalf("Records: %d, %v; want %d", len(recs), err, appenders*perAppender)
-	}
-	appends, fsyncs := l.obs.Appends.Value(), l.obs.Fsyncs.Value()
-	if appends != appenders*perAppender {
-		t.Fatalf("Appends counter = %d, want %d", appends, appenders*perAppender)
-	}
-	if fsyncs >= appends {
-		t.Fatalf("no group commit: %d fsyncs for %d appends", fsyncs, appends)
-	}
-	if max := l.obs.BatchRecords.Max(); max < 2 {
-		t.Fatalf("max batch size = %d, want >= 2", max)
-	}
-	t.Logf("group commit: %d appends, %d fsyncs (%.2f appends/fsync), max batch %d",
-		appends, fsyncs, float64(appends)/float64(fsyncs), l.obs.BatchRecords.Max())
-}
-
 // openSlowLog opens a syncing log in dir whose every fsync is widened, so
-// flushes overlap the calls that race them.
+// each append holds the log's mutex long enough for the calls racing it to
+// queue behind it.
 func openSlowLog(t *testing.T, dir string) *FileLog {
 	slow := hookDisk{Disk: OSDisk(dir), hook: func(string, string) error {
 		time.Sleep(200 * time.Microsecond)
@@ -458,9 +420,9 @@ func openSlowLog(t *testing.T, dir string) *FileLog {
 	return l
 }
 
-// TestFileLogCloseDrainsConcurrentAppends: Close waits out the flush in
-// progress and the records queued behind it. Every append racing Close
-// either succeeds, and is then on disk, or fails with ErrClosed.
+// TestFileLogCloseDrainsConcurrentAppends: Close waits out the append in
+// progress, and the appends serialized behind it either ran before Close or
+// fail with ErrClosed after it. Every acknowledged record is on disk.
 func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	l := openSlowLog(t, dir)
@@ -476,7 +438,7 @@ func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
 			defer wg.Done()
 			for i := 0; ; i++ {
 				rec := []byte{byte(a), byte(i), byte(i >> 8)}
-				err := l.Append(rec)
+				err := l.AppendBatch([][]byte{rec})
 				if err == ErrClosed {
 					return
 				}
@@ -518,10 +480,9 @@ func TestFileLogCloseDrainsConcurrentAppends(t *testing.T) {
 	}
 }
 
-// TestFileLogRewriteDuringAppends: Rewrite swaps the file only once no
-// flush is in progress, so appends racing it never write to the file
-// being replaced, and every record appended after the last Rewrite is
-// in the log.
+// TestFileLogRewriteDuringAppends: Rewrite and appends are serialized, so
+// appends racing it never write to the file being replaced, and every
+// record appended after the last Rewrite is in the log.
 func TestFileLogRewriteDuringAppends(t *testing.T) {
 	l := openSlowLog(t, t.TempDir())
 	defer l.Close()
@@ -537,7 +498,7 @@ func TestFileLogRewriteDuringAppends(t *testing.T) {
 					return
 				default:
 				}
-				if err := l.Append([]byte{byte(a), byte(i)}); err != nil {
+				if err := l.AppendBatch([][]byte{{byte(a), byte(i)}}); err != nil {
 					t.Errorf("Append racing Rewrite: %v", err)
 					return
 				}
@@ -556,13 +517,57 @@ func TestFileLogRewriteDuringAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.Append([]byte{9, byte(i)}); err != nil {
+		if err := l.AppendBatch([][]byte{{9, byte(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	recs, err := l.Records()
 	if err != nil || len(recs) != 6 || string(recs[0]) != "compacted" {
 		t.Fatalf("Records after Rewrite: %d records, %v", len(recs), err)
+	}
+}
+
+// TestFileLogDurableRecordsDuringFsync: DurableRecords, which rexd's
+// /healthz reads, returns while an append holds the log's mutex across an
+// fsync that has not finished, and counts the batch once it has.
+func TestFileLogDurableRecordsDuringFsync(t *testing.T) {
+	inSync, release := make(chan struct{}), make(chan struct{})
+	var hold bool
+	d := hookDisk{Disk: NewMemDisk(), hook: func(kind, _ string) error {
+		if kind == "file" && hold {
+			inSync <- struct{}{}
+			<-release
+		}
+		return nil
+	}}
+	l, err := OpenLog(env.NewReal(), d, "wal", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.AppendBatch([][]byte{[]byte("a")}); err != nil {
+		t.Fatal(err)
+	}
+	hold = true
+	appended := make(chan error)
+	go func() { appended <- l.AppendBatch([][]byte{[]byte("b"), []byte("c")}) }()
+	<-inSync
+	frontier := make(chan uint64, 1)
+	go func() { frontier <- l.DurableRecords() }()
+	select {
+	case n := <-frontier:
+		if n != 1 {
+			t.Errorf("DurableRecords during the fsync = %d, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("DurableRecords waited behind an fsync in progress")
+	}
+	close(release)
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if n := l.DurableRecords(); n != 3 {
+		t.Fatalf("DurableRecords after the fsync = %d, want 3", n)
 	}
 }
 
@@ -594,7 +599,7 @@ func TestFileLogCreateDirSync(t *testing.T) {
 		if !fileExistedAtSync {
 			t.Fatal("directory fsynced before the log file existed")
 		}
-		if err := l.Append([]byte("rec")); err != nil {
+		if err := l.AppendBatch([][]byte{[]byte("rec")}); err != nil {
 			t.Fatal(err)
 		}
 		l.Close()
@@ -621,8 +626,8 @@ func TestFileLogQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("keep-1"))
-	l.Append([]byte("keep-2"))
+	l.AppendBatch([][]byte{[]byte("keep-1")})
+	l.AppendBatch([][]byte{[]byte("keep-2")})
 	l.Close()
 	// Crash mid-append: half a frame of garbage lands at the tail.
 	torn := []byte{9, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'p', 'a', 'r'}
@@ -641,7 +646,7 @@ func TestFileLogQuarantine(t *testing.T) {
 	if !bytes.Equal(q, torn) {
 		t.Fatalf("quarantine = %x, want the torn bytes %x", q, torn)
 	}
-	if err := l2.Append([]byte("post-crash")); err != nil {
+	if err := l2.AppendBatch([][]byte{[]byte("post-crash")}); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
@@ -669,11 +674,11 @@ func TestFileLogQuarantine(t *testing.T) {
 // TestFileLogCrashRecoveryProperty drives random append/crash schedules
 // over both disks: every record acknowledged before the crash must be
 // recovered, nothing at or beyond the tear may be, and records appended
-// after reopen must be durable across a further reopen. Appends go
-// through both Append and AppendBatch, with a fraction issued
-// concurrently. On the in-memory disk the crash can also be a power loss:
-// after appends acknowledged without fsync, or between a flush's write
-// and its fsync, and with the unsynced tail torn anywhere.
+// after reopen must be durable across a further reopen. Appends carry one
+// record or several, with a fraction issued concurrently. On the in-memory
+// disk the crash can also be a power loss: after appends acknowledged
+// without fsync, or between an append's write and its fsync, and with the
+// unsynced tail torn anywhere.
 func TestFileLogCrashRecoveryProperty(t *testing.T) {
 	eachDisk(t, func(t *testing.T, base Disk) {
 		rng := rand.New(rand.NewSource(0x5eed))
@@ -715,7 +720,7 @@ func TestFileLogCrashRecoveryProperty(t *testing.T) {
 					switch rng.Intn(3) {
 					case 0: // single append
 						rec := mkRec()
-						if err := l.Append(rec); err != nil {
+						if err := l.AppendBatch([][]byte{rec}); err != nil {
 							t.Fatalf("iter %d: Append: %v", iter, err)
 						}
 						acked = append(acked, rec)
@@ -739,7 +744,7 @@ func TestFileLogCrashRecoveryProperty(t *testing.T) {
 							wg.Add(1)
 							go func(rec []byte) {
 								defer wg.Done()
-								if err := l.Append(rec); err != nil {
+								if err := l.AppendBatch([][]byte{rec}); err != nil {
 									t.Errorf("iter %d: concurrent Append: %v", iter, err)
 								}
 							}(rec)
@@ -791,7 +796,7 @@ func TestFileLogCrashRecoveryProperty(t *testing.T) {
 						}
 						acked = kept
 					}
-				case 2: // clean crash: queue was drained by Close, no tear
+				case 2: // clean crash: Close, no tear
 					l.Close()
 				case 3: // power loss after appends acknowledged without fsync
 					l.Close()
@@ -801,7 +806,7 @@ func TestFileLogCrashRecoveryProperty(t *testing.T) {
 					for i := range unsynced {
 						unsynced[i] = mkRec()
 						tail += 8 + len(unsynced[i])
-						if err := l.Append(unsynced[i]); err != nil {
+						if err := l.AppendBatch([][]byte{unsynced[i]}); err != nil {
 							t.Fatalf("iter %d: unsynced Append: %v", iter, err)
 						}
 					}
@@ -816,10 +821,10 @@ func TestFileLogCrashRecoveryProperty(t *testing.T) {
 						torn -= 8 + len(rec)
 						acked = append(acked, rec)
 					}
-				case 4: // power loss between a flush's write and its fsync
+				case 4: // power loss between an append's write and its fsync
 					rec := mkRec()
 					crashNextSync = func() { mem.Crash(rng.Intn(8 + len(rec))) }
-					if err := l.Append(rec); err == nil {
+					if err := l.AppendBatch([][]byte{rec}); err == nil {
 						t.Fatalf("iter %d: append acknowledged across a power loss", iter)
 					}
 				}
@@ -889,7 +894,7 @@ func TestMemDiskFailWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append([]byte("ok")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("ok")}); err != nil {
 		t.Fatal(err)
 	}
 	d.FailWrites("wal", 2)
@@ -899,8 +904,8 @@ func TestMemDiskFailWrites(t *testing.T) {
 		}
 	}
 	d.FailWrites("wal", 0)
-	if err := l.Append([]byte("after")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("append after a failed flush = %v, want the sticky ErrInjected", err)
+	if err := l.AppendBatch([][]byte{[]byte("after")}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append after a failed write = %v, want the sticky ErrInjected", err)
 	}
 	d.Crash(0) // the process dies; its handle goes with it
 	l, err = OpenLog(env.NewReal(), d, "wal", true)
@@ -908,7 +913,7 @@ func TestMemDiskFailWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append([]byte("again")); err != nil {
+	if err := l.AppendBatch([][]byte{[]byte("again")}); err != nil {
 		t.Fatalf("append after disarm and reopen: %v", err)
 	}
 	recs, err := l.Records()

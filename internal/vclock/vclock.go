@@ -44,9 +44,6 @@ func (v VC) Join(o VC) {
 	}
 }
 
-// CopyFrom overwrites v with o. Both must have the same length.
-func (v VC) CopyFrom(o VC) { copy(v, o) }
-
 // Covers reports whether v already knows about event (t, clock) — i.e. the
 // event happens before the owner's next event via recorded edges and
 // program order, so an explicit edge from it would be redundant.
