@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt staticcheck bench bench-json chaos realbench fuzz loc check
+.PHONY: all build test race vet fmt staticcheck bench bench-json bench-check chaos realbench fuzz loc check
 
 all: build
 
@@ -66,6 +66,23 @@ bench-json:
 	$(GO) run ./cmd/rexbench -exp shards -json BENCH_shard_scaling.json
 	$(GO) run ./cmd/rexbench -exp reads -json BENCH_read_scaling.json
 	$(GO) run ./cmd/rexbench -exp overload -json BENCH_overload.json
+
+# The bench-json files, regenerated into a temporary directory and
+# compared byte for byte with the committed copies. The simulator is
+# deterministic and the JSON holds no wall-clock figure, so any
+# difference is a change in behaviour: regenerate with `make bench-json`
+# and say why in the commit. CI runs this target.
+BENCH_SUITES = commitpath:BENCH_commit_path.json shards:BENCH_shard_scaling.json \
+	reads:BENCH_read_scaling.json overload:BENCH_overload.json
+bench-check:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/rexbench" ./cmd/rexbench; \
+	for s in $(BENCH_SUITES); do \
+		exp=$${s%%:*}; f=$${s##*:}; \
+		echo "bench-check $$exp -> $$f"; \
+		"$$d/rexbench" -exp "$$exp" -json "$$d/$$f" >/dev/null; \
+		cmp "$$d/$$f" "$$f"; \
+	done
 
 # A short chaos sweep over every preset: each must come back OK. Every
 # sweep here is pinned by TestGoldenSweeps and replays bit for bit. A failing sweep prints the

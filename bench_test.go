@@ -135,12 +135,12 @@ func BenchmarkFig10Failover(b *testing.B) {
 // --- §6.3 / §4.2 measurements and ablations ---
 
 func BenchmarkTraceSizeProfile(b *testing.B) {
-	var s bench.TraceStatsResult
+	var s bench.RunResult
 	for i := 0; i < b.N; i++ {
 		s = bench.TraceStats(apps.LockServer(), 8)
 	}
 	b.ReportMetric(s.BytesPerEvent, "bytes/event")
-	b.ReportMetric(s.SyncOverhead*100, "sync_pct_of_log")
+	b.ReportMetric(s.SyncShare*100, "sync_pct_of_log")
 }
 
 func BenchmarkAblatePruning(b *testing.B) {

@@ -172,23 +172,40 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 	for _, e := range chosen {
-		if e.fig != nil {
-			e.fig()
-			continue
-		}
-		res, err := e.suite()
-		if err == nil && *jsonOut != "" {
-			err = writeJSON(*jsonOut, res)
-		}
-		if err != nil {
+		if err := e.run(out, *jsonOut); err != nil {
 			fmt.Fprintf(errOut, "%s: %v\n", e.name, err)
 			return 1
 		}
-		if *jsonOut != "" {
-			fmt.Fprintf(out, "wrote %s\n", *jsonOut)
-		}
 	}
 	return 0
+}
+
+// run runs the experiment and writes a suite's result to jsonOut when
+// set. A run whose replicas fail the end-of-run check
+// (bench.CheckFailure) is an error, so no number of it is reported.
+func (e experiment) run(out io.Writer, jsonOut string) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			f, ok := v.(*bench.CheckFailure)
+			if !ok {
+				panic(v)
+			}
+			err = f
+		}
+	}()
+	if e.fig != nil {
+		e.fig()
+		return nil
+	}
+	res, err := e.suite()
+	if err != nil || jsonOut == "" {
+		return err
+	}
+	if err := writeJSON(jsonOut, res); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "wrote %s\n", jsonOut)
+	return nil
 }
 
 func writeJSON(path string, res any) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,5 +68,20 @@ func TestRebalanceWritesJSON(t *testing.T) {
 	}
 	if res.Keys == 0 || res.MoveSeconds <= 0 {
 		t.Errorf("rebalance result looks empty: %+v", res)
+	}
+}
+
+// TestCheckFailureIsAnError: a run whose replicas fail the end-of-run
+// check panics with a bench.CheckFailure, which the experiment turns into
+// an error naming the point; run prints it under the experiment's name
+// and exits 1.
+func TestCheckFailureIsAnError(t *testing.T) {
+	e := experiment{name: "fig7", fig: func() {
+		panic(&bench.CheckFailure{Point: "lockserver on Rex, 4 threads", Violations: []string{"state divergence"}})
+	}}
+	err := e.run(io.Discard, "")
+	want := "lockserver on Rex, 4 threads: replica check failed: state divergence"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }

@@ -34,29 +34,14 @@ func PrintTable1(w io.Writer) {
 	t.Fprint(w)
 }
 
-// TraceStats measures the §6.3 trace-size numbers for one application:
-// bytes per synchronization event and the log-size overhead of the sync
-// events relative to the raw requests.
-type TraceStatsResult struct {
-	BytesPerEvent float64
-	EventsPerReq  float64
-	EdgesPerEvent float64
-	SyncOverhead  float64 // sync-event bytes as a fraction of total log
-}
-
-// TraceStats runs a short Rex measurement and extracts the trace-size
-// profile.
-func TraceStats(app apps.App, threads int) TraceStatsResult {
-	r := RunRex(RunConfig{
+// TraceStats runs a short Rex measurement for the §6.3 trace-size
+// profile of one application: bytes per synchronization event, events
+// per request, edges per event, and the sync events' share of the log.
+func TraceStats(app apps.App, threads int) RunResult {
+	return RunRex(RunConfig{
 		App: app, Threads: threads,
 		Warmup: 150 * time.Millisecond, Measure: 500 * time.Millisecond,
 	})
-	return TraceStatsResult{
-		BytesPerEvent: r.BytesPerEvent,
-		EventsPerReq:  r.EventsPerReq,
-		EdgesPerEvent: r.EdgesPerEvent,
-		SyncOverhead:  r.SyncShare,
-	}
 }
 
 // PrintTraceStats renders the trace-size profile for every application.
@@ -68,7 +53,7 @@ func PrintTraceStats(w io.Writer, threads int) {
 	for _, a := range apps.All() {
 		s := TraceStats(a, threads)
 		t.AddRow(a.Title, f1(s.BytesPerEvent), f1(s.EventsPerReq), f2(s.EdgesPerEvent),
-			fmt.Sprintf("%.0f%%", s.SyncOverhead*100))
+			fmt.Sprintf("%.0f%%", s.SyncShare*100))
 	}
 	t.Notes = append(t.Notes,
 		"paper: each sync event adds ~16 bytes; sync events add 0-70% to the log size.")
@@ -140,96 +125,29 @@ type PartialOrderResult struct {
 func PartialOrderAblation(pollers int) PartialOrderResult {
 	var res PartialOrderResult
 	run := func(totalOrder bool) (time.Duration, time.Duration, int, uint64) {
-		const iters = 40
-		cores := pollers + 2
-		// Record.
-		recEnv := sim.New(cores)
-		var tr *trace.Trace
-		var recTime time.Duration
-		recEnv.Run(func() {
-			rt := sched.NewRuntime(recEnv, pollers+1, sched.ModeNative)
+		tr := trace.New(pollers + 1)
+		// Record. Heterogeneous rates: under a total order, fast pollers
+		// chain behind slow ones during replay.
+		recTime := fig4(pollers, func(rt *sched.Runtime) *rexsync.Lock {
 			rt.TotalOrderTryFail = totalOrder
 			rt.StartRecord(nil, 0)
-			lock := rexsync.NewLock(rt, "fig4")
-			start := recEnv.Now()
-			g := env.NewGroup(recEnv)
-			g.Add(pollers + 1)
-			recEnv.Go("holder", func() {
-				defer g.Done()
-				w := rt.Worker(0)
-				for i := 0; i < iters; i++ {
-					lock.Lock(w)
-					recEnv.Compute(300 * time.Microsecond)
-					lock.Unlock(w)
-					recEnv.Sleep(50 * time.Microsecond)
-				}
-			})
-			for p := 0; p < pollers; p++ {
-				p := p
-				recEnv.Go("poller", func() {
-					defer g.Done()
-					w := rt.Worker(p + 1)
-					// Heterogeneous rates: under a total order, fast
-					// pollers chain behind slow ones during replay.
-					compute := time.Duration(20*(p+1)) * time.Microsecond
-					for i := 0; i < iters; i++ {
-						recEnv.Compute(compute)
-						if lock.TryLock(w) {
-							lock.Unlock(w)
-						}
-					}
-				})
-			}
-			g.Wait()
-			recTime = recEnv.Now() - start
-			d := rt.Recorder().Collect()
-			tr = trace.New(pollers + 1)
-			if err := tr.Apply(d); err != nil {
+			return rexsync.NewLock(rt, "fig4")
+		}, func(p int) int { return p + 1 }, func(rt *sched.Runtime) {
+			if err := tr.Apply(rt.Recorder().Collect()); err != nil {
 				panic(err)
 			}
 		})
-		// Replay.
-		repEnv := sim.New(cores)
-		var repTime time.Duration
+		// Replay, with the pacing perturbed (the speed assignment
+		// reversed): compute is not traced, and real replays diverge from
+		// the recorded schedule anyway. Under the partial order the
+		// pollers stay independent; under the total order the false
+		// tryfail chain propagates the perturbation.
 		var waited uint64
-		repEnv.Run(func() {
-			rt := sched.NewRuntime(repEnv, pollers+1, sched.ModeNative)
+		repTime := fig4(pollers, func(rt *sched.Runtime) *rexsync.Lock {
 			lock := rexsync.NewLock(rt, "fig4")
 			rt.StartReplay(tr, nil)
-			start := repEnv.Now()
-			g := env.NewGroup(repEnv)
-			g.Add(pollers + 1)
-			repEnv.Go("holder", func() {
-				defer g.Done()
-				w := rt.Worker(0)
-				for i := 0; i < iters; i++ {
-					lock.Lock(w)
-					repEnv.Compute(300 * time.Microsecond)
-					lock.Unlock(w)
-					repEnv.Sleep(50 * time.Microsecond)
-				}
-			})
-			for p := 0; p < pollers; p++ {
-				p := p
-				repEnv.Go("poller", func() {
-					defer g.Done()
-					w := rt.Worker(p + 1)
-					// Perturb replay pacing (reverse the speed assignment):
-					// compute is not traced, and real replays diverge from
-					// the recorded schedule anyway. Under the partial order
-					// the pollers stay independent; under the total order
-					// the false tryfail chain propagates the perturbation.
-					compute := time.Duration(20*(pollers-p)) * time.Microsecond
-					for i := 0; i < iters; i++ {
-						repEnv.Compute(compute)
-						if lock.TryLock(w) {
-							lock.Unlock(w)
-						}
-					}
-				})
-			}
-			g.Wait()
-			repTime = repEnv.Now() - start
+			return lock
+		}, func(p int) int { return pollers - p }, func(rt *sched.Runtime) {
 			_, waited = rt.Replayer().Stats()
 		})
 		return recTime, repTime, tr.EdgeCount(), waited
@@ -239,6 +157,52 @@ func PartialOrderAblation(pollers int) PartialOrderResult {
 	rt2, res.TotalTime, res.TotalEdges, res.TotalWaited = run(true)
 	res.RecordTime = (rt1 + rt2) / 2
 	return res
+}
+
+// fig4 runs the Fig. 4 workload once on a fresh simulator and returns the
+// virtual time it took: a holder takes the lock 40 times for 300 µs
+// each, and poller p computes 20×speed(p) µs before each of its 40
+// TryLocks. start readies the runtime (recording or replaying) and
+// returns the lock; done reads the runtime afterwards.
+func fig4(pollers int, start func(*sched.Runtime) *rexsync.Lock, speed func(p int) int, done func(*sched.Runtime)) time.Duration {
+	const iters = 40
+	e := sim.New(pollers + 2)
+	var took time.Duration
+	e.Run(func() {
+		rt := sched.NewRuntime(e, pollers+1, sched.ModeNative)
+		lock := start(rt)
+		t0 := e.Now()
+		g := env.NewGroup(e)
+		g.Add(pollers + 1)
+		e.Go("holder", func() {
+			defer g.Done()
+			w := rt.Worker(0)
+			for i := 0; i < iters; i++ {
+				lock.Lock(w)
+				e.Compute(300 * time.Microsecond)
+				lock.Unlock(w)
+				e.Sleep(50 * time.Microsecond)
+			}
+		})
+		for p := 0; p < pollers; p++ {
+			p := p
+			e.Go("poller", func() {
+				defer g.Done()
+				w := rt.Worker(p + 1)
+				compute := time.Duration(20*speed(p)) * time.Microsecond
+				for i := 0; i < iters; i++ {
+					e.Compute(compute)
+					if lock.TryLock(w) {
+						lock.Unlock(w)
+					}
+				}
+			})
+		}
+		g.Wait()
+		took = e.Now() - t0
+		done(rt)
+	})
+	return took
 }
 
 // PrintPartialOrderAblation renders the Fig. 4 ablation.
@@ -274,12 +238,12 @@ type DeltaAblationResult struct {
 func DeltaAblation(app apps.App, threads int) DeltaAblationResult {
 	const seed = 42
 	var st core.Stats
-	simulate(24, func(r *rig) {
+	simulate(24, fmt.Sprintf("delta ablation, %s, %d threads", app.Name, threads), func(r *rig) {
 		c, p := r.group(app, options(app, threads, 2*threads, seed))
 		r.clients(2*threads, 0, func(i int) op {
 			return appOp(app, seed, i, false, via(c.NewClient(uint64(100+i))))
 		})
-		r.e.Sleep(500 * time.Millisecond)
+		r.Env.Sleep(500 * time.Millisecond)
 		st = c.Replicas[p].Stats()
 	})
 	return DeltaAblationResult{

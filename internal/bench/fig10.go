@@ -66,7 +66,7 @@ type Fig10Sample struct {
 func Fig10(cfg Fig10Config) []Fig10Sample {
 	app := apps.Thumbnail()
 	var samples []Fig10Sample
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, "Figure 10 failover timeline", func(r *rig) {
 		o := options(app, cfg.Threads, cfg.Clients, cfg.Seed)
 		o.Template.HeartbeatEvery = cfg.ElectionTimeout / 8
 		o.Template.ElectionTimeout = cfg.ElectionTimeout
@@ -109,23 +109,23 @@ func Fig10(cfg Fig10Config) []Fig10Sample {
 		for _, step := range script {
 			events[int(step.at/cfg.BucketEvery)+1] = step.what
 		}
-		r.e.Go("script", func() {
+		r.Env.Go("script", func() {
 			for _, step := range script {
-				for r.e.Now() < step.at {
-					if r.stopping() {
+				for r.Env.Now() < step.at {
+					if !r.Running() {
 						return
 					}
-					r.e.Sleep(10 * time.Millisecond)
+					r.Env.Sleep(10 * time.Millisecond)
 				}
 				step.do()
 			}
 		})
 
 		// Sample throughput per bucket.
-		start := r.e.Now()
-		for r.e.Now()-start < cfg.EndAt {
+		start := r.Env.Now()
+		for r.Env.Now()-start < cfg.EndAt {
 			w := r.measureFor(cfg.BucketEvery)
-			at := r.e.Now() - start
+			at := r.Env.Now() - start
 			samples = append(samples, Fig10Sample{
 				At:         at,
 				Throughput: w.rate(w.total()),

@@ -71,7 +71,11 @@ func fig9Point(cfg Fig9Config, app apps.App, updateThreads int, onPrimary bool) 
 		query
 	)
 	row := Fig9Row{UpdateThreads: updateThreads}
-	simulate(cfg.Cores, func(r *rig) {
+	place := "secondary"
+	if onPrimary {
+		place = "primary"
+	}
+	simulate(cfg.Cores, fmt.Sprintf("Figure 9, queries on the %s, %d update threads", place, updateThreads), func(r *rig) {
 		updaters := 24 * updateThreads
 		o := options(app, updateThreads, updaters, cfg.Seed)
 		o.Template.ReadWorkers = cfg.QueryThreads

@@ -199,7 +199,7 @@ func TestDeltaAblation(t *testing.T) {
 func TestTraceStats(t *testing.T) {
 	s := TraceStats(apps.LockServer(), 8)
 	t.Logf("lockserver: bytes/event=%.1f events/req=%.1f edges/event=%.2f sync-share=%.0f%%",
-		s.BytesPerEvent, s.EventsPerReq, s.EdgesPerEvent, s.SyncOverhead*100)
+		s.BytesPerEvent, s.EventsPerReq, s.EdgesPerEvent, s.SyncShare*100)
 	if s.BytesPerEvent <= 0 || s.BytesPerEvent > 64 {
 		t.Errorf("bytes/event = %.1f, expected a small constant (paper: ~16)", s.BytesPerEvent)
 	}

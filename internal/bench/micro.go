@@ -86,14 +86,9 @@ func (s *microSM) WriteCheckpoint(w io.Writer) error {
 
 // ReadCheckpoint implements core.StateMachine.
 func (s *microSM) ReadCheckpoint(r io.Reader) error {
-	buf := make([]byte, 0, 8*len(s.counters))
-	b := make([]byte, 4096)
-	for {
-		n, err := r.Read(b)
-		buf = append(buf, b[:n]...)
-		if err != nil {
-			break
-		}
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return err
 	}
 	d := wire.NewDecoder(buf)
 	for i := range s.counters {

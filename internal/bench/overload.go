@@ -139,18 +139,22 @@ func runOverloadPoint(cfg OverloadConfig, protected bool, offered float64) Overl
 	}
 	pt.Clients = clients
 
-	simulate(cfg.Cores, func(r *rig) {
+	point := fmt.Sprintf("overload, %s, offered %.0f ops/s", pt.Mode, offered)
+	if offered == 0 {
+		point = "overload, saturation probe"
+	}
+	simulate(cfg.Cores, point, func(r *rig) {
 		c, _ := r.group(app, opts)
 		val := value(cfg.ValueBytes)
-		r.counters = replicaCounters(c, "rex_shed_total", "rex_deadline_exceeded_total")
+		r.replicaCounters("rex_shed_total", "rex_deadline_exceeded_total")
 		r.clients(clients, offered, func(i int) op {
 			cl := c.NewClient(uint64(10_000 + i))
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))
 			zipf := rand.NewZipf(rng, 1.2, 1, uint64(cfg.Keys-1))
 			return func() (int, bool, error) {
-				t0 := r.e.Now()
+				t0 := r.Env.Now()
 				_, err := cl.DoTimeout(hashdb.SetReq(key(int(zipf.Uint64())), val), timeout)
-				if err == nil && r.e.Now()-t0 <= timeout {
+				if err == nil && r.Env.Now()-t0 <= timeout {
 					return good, true, nil
 				}
 				return failed, false, nil

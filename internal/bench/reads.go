@@ -105,7 +105,7 @@ func runReadPoint(replicas int, level readpath.Level, cfg ReadScalingConfig) Rea
 		Clients:     cfg.Clients,
 		ReadPercent: cfg.ReadPercent,
 	}
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, fmt.Sprintf("read scaling, %d replicas, %s reads", replicas, name), func(r *rig) {
 		app := apps.HashDB()
 		o := options(app, cfg.Workers, cfg.Clients, cfg.Seed)
 		o.Replicas, o.Template.ReadWorkers = replicas, cfg.ReadWorkers
@@ -116,7 +116,7 @@ func runReadPoint(replicas int, level readpath.Level, cfg ReadScalingConfig) Rea
 			send := via(c.NewClient(uint64(1 + w)))
 			return func(k int) error { return send(hashdb.SetReq(key(k), val)) }
 		})
-		r.counters = replicaCounters(c, "rex_follower_reads_total", "rex_lease_reads_total", "rex_lease_confirm_reads_total")
+		r.replicaCounters("rex_follower_reads_total", "rex_lease_reads_total", "rex_lease_confirm_reads_total")
 		r.clients(cfg.Clients, 0, func(i int) op {
 			cl := c.NewClient(uint64(10_000 + i))
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(i) + 1))

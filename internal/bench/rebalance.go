@@ -131,7 +131,7 @@ func rebalanceLoad(r *rig, cfg RebalanceBenchConfig, mc *cluster.MultiCluster) {
 // runRebalanceBench measures the live-move deployment: steady state, the
 // move itself, and after the flip.
 func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult) (runErr error) {
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, "rebalance, live move", func(r *rig) {
 		m, err := shard.NewShardMap(1, 2, cfg.Nodes, cfg.ReplicasPerGroup)
 		if err != nil {
 			runErr = err
@@ -168,8 +168,8 @@ func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult) (run
 		// Window 2: the live move, from propose until the first 2 ms poll
 		// after finalize.
 		move := r.measure(func() {
-			moved := r.e.NewChan(1)
-			r.e.Go("rebalance-mover", func() {
+			moved := r.Env.NewChan(1)
+			r.Env.Go("rebalance-mover", func() {
 				_, err := cd.Move(rebalanceMoveAt, 1)
 				moved.Send(err)
 			})
@@ -180,7 +180,7 @@ func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult) (run
 					}
 					return
 				}
-				r.e.Sleep(2 * time.Millisecond)
+				r.Env.Sleep(2 * time.Millisecond)
 			}
 		})
 		if runErr != nil {
@@ -208,7 +208,7 @@ func runRebalanceBench(cfg RebalanceBenchConfig, res *RebalanceBenchResult) (run
 // bootstrapped directly into the post-move map shape — the "never
 // migrated" baseline.
 func runRebalanceStatic(cfg RebalanceBenchConfig) (rps float64, runErr error) {
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, "rebalance, static shape", func(r *rig) {
 		m, err := shard.NewShardMap(1, 2, cfg.Nodes, cfg.ReplicasPerGroup)
 		if err != nil {
 			runErr = err

@@ -4,106 +4,90 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 
 	"rex/internal/apps"
 	"rex/internal/cluster"
-	"rex/internal/core"
 	"rex/internal/env"
 	"rex/internal/obs"
 	"rex/internal/shard"
-	"rex/internal/sim"
 )
 
-// Every experiment in this package is one or more measured runs, and
-// every run has the same shape: build a topology on a fresh simulator,
-// prefill it, start a fleet of clients that each loop on one op, and read
-// op counts, latencies and replica counters off measurement windows. rig
-// is that shared driver. An experiment supplies only its topology (one
-// group, G groups, a native host, or the SMR baseline), its per-client
-// op, and what it reads off its windows.
+// Every experiment in this package is one or more measured runs on the
+// shared run harness (cluster.Run): build a topology on a fresh
+// simulator, prefill it, start a fleet of clients that each loop on one
+// op, and read op counts, latencies and replica counters off measurement
+// windows. rig adds those windows to the harness. An experiment supplies
+// only its topology (one group, G groups, a native host, or the SMR
+// baseline), its per-client op, and what it reads off its windows.
 
 // An op issues one request for its client and says how to count it: kind
 // indexes the run's per-kind op counts, and timed adds the op's latency
 // to the open window's histogram. A non-nil error retires the client.
 type op func() (kind int, timed bool, err error)
 
-// rig is one measured run on a fresh simulator.
+// rig is one measured run. Like the harness, it runs on simulator tasks
+// one at a time, so its fields need no lock.
 type rig struct {
-	e        *sim.Env
-	mu       env.Mutex
-	stopped  bool
-	counts   []uint64       // completed ops per kind since the fleet started
-	lat      *obs.Histogram // the open window's latencies; nil between windows
-	fleet    *env.Group
-	teardown []func()
+	*cluster.Run
+	counts []uint64       // completed ops per kind since the fleet started
+	lat    *obs.Histogram // the open window's latencies; nil between windows
 	// counters, when set, reads the replica counters each window reports
 	// as deltas.
 	counters func() map[string]uint64
 }
 
-// simulate runs body as the root task of a fresh simulator with the given
-// core count, then stops the client fleet and tears the topology down.
-func simulate(cores int, body func(r *rig)) {
-	e := sim.New(cores)
-	e.Run(func() {
-		r := &rig{e: e, mu: e.NewMutex(), fleet: env.NewGroup(e)}
-		body(r)
-		r.mu.Lock()
-		r.stopped = true
-		r.mu.Unlock()
-		r.fleet.Wait()
-		for i := len(r.teardown) - 1; i >= 0; i-- {
-			r.teardown[i]()
-		}
-	})
+// CheckFailure is a measured run whose replicas failed the check every
+// run ends in (cluster.Run.End): its numbers are not reported.
+type CheckFailure struct {
+	Point      string
+	Violations []string
 }
 
-// options is the base cluster configuration of every experiment: 2 ms
-// proposals, 20 ms heartbeats and status, 100 ms elections, and room for
-// four outstanding requests per client.
-func options(app apps.App, workers, clients int, seed int64) cluster.Options {
-	return cluster.Options{
-		Template: core.Config{
-			Workers:         workers,
-			Timers:          app.Timers,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			MaxOutstanding:  4 * clients,
-			Seed:            seed,
-		},
+func (f *CheckFailure) Error() string {
+	return fmt.Sprintf("%s: replica check failed: %s", f.Point, strings.Join(f.Violations, "; "))
+}
+
+// simulate runs body as the root task of a fresh simulator with the given
+// core count, then ends the run: the fleet stops, and the replicas are
+// checked. A violation panics with a *CheckFailure naming point.
+func simulate(cores int, point string, body func(r *rig)) {
+	var violations []string
+	cluster.Simulate(cores, func(run *cluster.Run) {
+		r := &rig{Run: run}
+		body(r)
+		violations, _ = r.End(nil)
+	})
+	if len(violations) > 0 {
+		panic(&CheckFailure{Point: point, Violations: violations})
 	}
+}
+
+// options is the base cluster configuration of every experiment: the
+// harness's replica configuration with room for four outstanding
+// requests per client.
+func options(app apps.App, workers, clients int, seed int64) cluster.Options {
+	o := cluster.Options{Template: cluster.SimConfig(workers, app.Timers, seed)}
+	o.Template.MaxOutstanding = 4 * clients
+	return o
 }
 
 // group boots one replica group of app and returns it with its primary.
 func (r *rig) group(app apps.App, o cluster.Options) (*cluster.Cluster, int) {
-	c := cluster.New(r.e, app.Factory, o)
-	if err := c.Start(); err != nil {
-		panic(err)
-	}
-	r.teardown = append(r.teardown, c.Stop)
-	p, err := c.WaitPrimary(5 * time.Second)
+	p, err := r.Start(app.Factory, o)
 	if err != nil {
 		panic(err)
 	}
-	return c, p
+	return r.C, p
 }
 
 // groups boots one replica group of app per group of m.
 func (r *rig) groups(app apps.App, m *shard.ShardMap, o cluster.Options) *cluster.MultiCluster {
-	mc, err := cluster.NewMulti(r.e, app.Factory, m, o)
-	if err == nil {
-		err = mc.Start()
-	}
-	if err != nil {
+	if err := r.StartMulti(app.Factory, m, o); err != nil {
 		panic(err)
 	}
-	r.teardown = append(r.teardown, mc.Stop)
-	if err := mc.WaitAllPrimaries(5 * time.Second); err != nil {
-		panic(err)
-	}
-	return mc
+	return r.MC
 }
 
 // setup sends app's setup requests, capped at max, through send in order.
@@ -124,7 +108,7 @@ func setup(app apps.App, seed int64, max int, send func(req []byte) error) {
 // put newPut(w) returns.
 func (r *rig) prefill(n int, newPut func(w int) func(k int) error) {
 	const workers = 16
-	env.GoEach(r.e, "prefill", workers, func(w int) {
+	env.GoEach(r.Env, "prefill", workers, func(w int) {
 		put := newPut(w)
 		for k := w; k < n; k += workers {
 			if err := put(k); err != nil {
@@ -134,60 +118,29 @@ func (r *rig) prefill(n int, newPut func(w int) func(k int) error) {
 	}).Wait()
 }
 
-// clients starts n clients, client i looping on the op newOp(i) builds
-// until the run ends. rate > 0 paces the fleet open loop at rate ops/s in
-// total: arrivals are held to a schedule rather than to completions, each
-// client's phase staggered so arrivals spread evenly, and a client whose
-// last op ran long fires at once to catch up.
+// clients starts n clients on the harness's fleet, client i looping on
+// the op newOp(i) builds until the run ends; rate > 0 paces the fleet
+// open loop (cluster.Run.Fleet).
 func (r *rig) clients(n int, rate float64, newOp func(i int) op) {
-	begin := r.e.Now()
-	for i := 0; i < n; i++ {
-		i := i
-		r.fleet.Add(1)
-		r.e.Go(fmt.Sprintf("client-%d", i), func() {
-			defer r.fleet.Done()
-			o := newOp(i)
-			var interval time.Duration
-			next := begin
-			if rate > 0 {
-				interval = time.Duration(float64(n) / rate * float64(time.Second))
-				next += time.Duration(float64(i) / rate * float64(time.Second))
+	r.Fleet(n, rate, func(i int) cluster.Step {
+		o := newOp(i)
+		return func(int) (time.Duration, error) {
+			t0 := r.Env.Now()
+			kind, timed, err := o()
+			if err != nil {
+				return 0, err
 			}
-			for {
-				if rate > 0 {
-					if now := r.e.Now(); now < next {
-						r.e.Sleep(next - now)
-					}
-					next += interval
-				}
-				if r.stopping() {
-					return
-				}
-				t0 := r.e.Now()
-				kind, timed, err := o()
-				if err != nil {
-					return
-				}
-				d := r.e.Now() - t0
-				r.mu.Lock()
-				for len(r.counts) <= kind {
-					r.counts = append(r.counts, 0)
-				}
-				r.counts[kind]++
-				if timed && r.lat != nil {
-					r.lat.Observe(d)
-				}
-				r.mu.Unlock()
+			d := r.Env.Now() - t0
+			for len(r.counts) <= kind {
+				r.counts = append(r.counts, 0)
 			}
-		})
-	}
-}
-
-// stopping reports whether the run has ended.
-func (r *rig) stopping() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stopped
+			r.counts[kind]++
+			if timed && r.lat != nil {
+				r.lat.Observe(d)
+			}
+			return 0, nil
+		}
+	})
 }
 
 // window is what one measurement window saw.
@@ -220,18 +173,15 @@ func (w window) ms(q float64) float64 { return float64(w.lat.Quantile(q)) / floa
 // measure opens a window, runs during, which decides how long the window
 // stays open, and returns what the window saw.
 func (r *rig) measure(during func()) window {
-	r.mu.Lock()
 	c0 := append([]uint64(nil), r.counts...)
 	r.lat = obs.NewHistogram()
-	r.mu.Unlock()
-	t0 := r.e.Now()
+	t0 := r.Env.Now()
 	var k0 map[string]uint64
 	if r.counters != nil {
 		k0 = r.counters()
 	}
 	during()
-	r.mu.Lock()
-	w := window{secs: (r.e.Now() - t0).Seconds(), lat: r.lat, counts: make([]uint64, len(r.counts))}
+	w := window{secs: (r.Env.Now() - t0).Seconds(), lat: r.lat, counts: make([]uint64, len(r.counts))}
 	for k, n := range r.counts {
 		w.counts[k] = n
 		if k < len(c0) {
@@ -239,7 +189,6 @@ func (r *rig) measure(during func()) window {
 		}
 	}
 	r.lat = nil
-	r.mu.Unlock()
 	if r.counters != nil {
 		w.counters = r.counters()
 		for name, v := range k0 {
@@ -251,26 +200,22 @@ func (r *rig) measure(during func()) window {
 
 // measureFor returns a window d long.
 func (r *rig) measureFor(d time.Duration) window {
-	return r.measure(func() { r.e.Sleep(d) })
+	return r.measure(func() { r.Env.Sleep(d) })
 }
 
 // steady sleeps through warmup and returns the next measure-long window.
 func (r *rig) steady(warmup, measure time.Duration) window {
-	r.e.Sleep(warmup)
+	r.Env.Sleep(warmup)
 	return r.measureFor(measure)
 }
 
-// replicaCounters sums the named metric counters over c's replicas.
-func replicaCounters(c *cluster.Cluster, names ...string) func() map[string]uint64 {
-	return func() map[string]uint64 {
+// replicaCounters reads the named metric counters, each summed over the
+// run's live replicas, as the window counters.
+func (r *rig) replicaCounters(names ...string) {
+	r.counters = func() map[string]uint64 {
 		sum := make(map[string]uint64, len(names))
-		for i := 0; i < c.Size(); i++ {
-			if rep := c.Replica(i); rep != nil {
-				m := rep.Metrics()
-				for _, n := range names {
-					sum[n] += m.Counter(n)
-				}
-			}
+		for _, n := range names {
+			sum[n] = r.Sum(cluster.Counter(n))
 		}
 		return sum
 	}

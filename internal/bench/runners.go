@@ -71,7 +71,6 @@ func (c RunConfig) withDefaults() RunConfig {
 type RunResult struct {
 	Throughput    float64 // completed requests/sec in the measure window
 	WaitedPerSec  float64 // replay events that blocked, per second (Fig. 7)
-	EventsPerSec  float64 // sync events committed per second
 	BytesPerEvent float64 // committed sync-event bytes per event (§6.3)
 	EdgesPerEvent float64 // causal edges per sync event (§4.2)
 	EventsPerReq  float64
@@ -93,12 +92,11 @@ type RunResult struct {
 func RunNative(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
 	var res RunResult
-	simulate(cfg.Cores, func(r *rig) {
-		host, err := core.NewNativeHost(r.e, cfg.Threads, cfg.App.Timers, cfg.Seed, cfg.App.Factory)
+	simulate(cfg.Cores, fmt.Sprintf("%s native, %d threads", cfg.App.Name, cfg.Threads), func(r *rig) {
+		host, err := core.NewNativeHost(r.Env, cfg.Threads, cfg.App.Timers, cfg.Seed, cfg.App.Factory)
 		if err != nil {
 			panic(err)
 		}
-		r.teardown = append(r.teardown, host.Stop)
 		setup(cfg.App, cfg.Seed, cfg.SetupCap, func(req []byte) error {
 			host.Apply(0, req)
 			return nil
@@ -120,7 +118,7 @@ func RunNative(cfg RunConfig) RunResult {
 func RunRex(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
 	var res RunResult
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, fmt.Sprintf("%s on Rex, %d threads", cfg.App.Name, cfg.Threads), func(r *rig) {
 		o := options(cfg.App, cfg.Threads, cfg.Clients, cfg.Seed)
 		o.Template.DisablePruning = cfg.DisablePruning
 		o.Template.DisableConflictElision = cfg.DisableConflictElision
@@ -143,7 +141,6 @@ func RunRex(cfg RunConfig) RunResult {
 		res.Throughput = w.rate(w.total())
 		res.WaitedPerSec = w.rate(w.counters["waited"])
 		events := float64(w.counters["events"])
-		res.EventsPerSec = w.rate(w.counters["events"])
 		totalBytes := float64(w.counters["bytes"])
 		syncBytes := totalBytes - float64(w.counters["req"])
 		if events > 0 {
@@ -165,9 +162,9 @@ func RunRex(cfg RunConfig) RunResult {
 func RunRSM(cfg RunConfig) RunResult {
 	cfg = cfg.withDefaults()
 	var res RunResult
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, fmt.Sprintf("%s SMR baseline", cfg.App.Name), func(r *rig) {
 		const n = 3
-		e := r.e
+		e := r.Env
 		net := transport.NewNetwork(e, n, 500*time.Microsecond, cfg.Seed)
 		reps := make([]*smr.Replica, n)
 		for i := 0; i < n; i++ {
@@ -196,7 +193,6 @@ func RunRSM(cfg RunConfig) RunResult {
 				}
 				rep.Start()
 				reps[i] = rep
-				r.teardown = append(r.teardown, rep.Stop)
 				done.Send(struct{}{})
 			})
 			done.Recv()

@@ -48,3 +48,29 @@ func TestRexScalesWithThreads(t *testing.T) {
 			eight.Throughput, one.Throughput)
 	}
 }
+
+// TestDivergedRunIsRefused corrupts one replica's state once a measured
+// run's fleet has stopped: the check every run ends in must refuse the
+// run with a CheckFailure that names its point, instead of letting it
+// report a number.
+func TestDivergedRunIsRefused(t *testing.T) {
+	defer func() {
+		f, ok := recover().(*CheckFailure)
+		if !ok || f.Point != "corrupted run" || len(f.Violations) == 0 {
+			t.Fatalf("got %v, want a CheckFailure for the corrupted run", f)
+		}
+		t.Logf("refused: %v", f)
+	}()
+	app := newMicroApp(4, 10, 100*time.Microsecond)
+	simulate(4, "corrupted run", func(r *rig) {
+		c, p := r.group(app, options(app, 2, 4, 1))
+		r.clients(4, 0, func(i int) op {
+			return appOp(app, 1, i, false, via(c.NewClient(uint64(100+i))))
+		})
+		r.Env.Sleep(50 * time.Millisecond)
+		r.Stop()
+		r.Wait()
+		c.Replica((p + 1) % 3).StateMachineForTest().(*microSM).counters[0]++
+	})
+	t.Fatal("a run with diverged replicas passed its check")
+}

@@ -126,7 +126,7 @@ func runShardPoint(ka keyedApp, groups int, cfg ShardScalingConfig) ShardPoint {
 		ReplicasPerGroup: cfg.ReplicasPerGroup,
 		Clients:          cfg.Clients,
 	}
-	simulate(cfg.Cores, func(r *rig) {
+	simulate(cfg.Cores, fmt.Sprintf("shard scaling, %s, %d groups", ka.app.Name, groups), func(r *rig) {
 		m, err := shard.NewShardMap(1, groups, cfg.Nodes, cfg.ReplicasPerGroup)
 		if err != nil {
 			panic(err)

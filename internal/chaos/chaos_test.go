@@ -6,13 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"rex/internal/check"
 	"rex/internal/cluster"
 	"rex/internal/core"
 	"rex/internal/obs"
 	"rex/internal/rexsync"
 	"rex/internal/sched"
-	"rex/internal/sim"
 	"rex/internal/wire"
 )
 
@@ -174,40 +172,27 @@ func (j *journal) ReadCheckpoint(r io.Reader) error {
 }
 
 // runJournalLoad has one client alternate slow and fast appends, each
-// sent once the previous one is answered, and returns any structural
-// violations found after quiescence. On the primary every fast append
-// follows the slow one before it, and its lock acquisition carries a
-// causal edge from the slow request's release. A secondary receives the
-// fast request while its worker 1 is still in the slow step, so a
-// replayer that skips causal edges appends the fast request first, every
-// pair. With buggy set, replay does exactly that and the runtime's own
-// divergence checks are disabled (core.Config.UnsafeBrokenReplay), leaving
-// detection entirely to the checker.
+// sent once the previous one is answered, and returns the violations the
+// check every run ends in (cluster.Run.End) finds. On the primary every
+// fast append follows the slow one before it, and its lock acquisition
+// carries a causal edge from the slow request's release. A secondary
+// receives the fast request while its worker 1 is still in the slow
+// step, so a replayer that skips causal edges appends the fast request
+// first, every pair. With buggy set, replay does exactly that and the
+// runtime's own divergence checks are disabled
+// (core.Config.UnsafeBrokenReplay), leaving detection entirely to the
+// check.
 func runJournalLoad(t *testing.T, seed int64, buggy bool) []string {
 	t.Helper()
-	e := sim.New(4)
 	var violations []string
-	e.Run(func() {
-		c := cluster.New(e, newJournal(), cluster.Options{
-			Replicas: 3,
-			Template: core.Config{
-				Workers:            2,
-				HeartbeatEvery:     20 * time.Millisecond,
-				ElectionTimeout:    100 * time.Millisecond,
-				StatusEvery:        20 * time.Millisecond,
-				Seed:               seed,
-				UnsafeBrokenReplay: buggy,
-			},
-		})
-		if err := c.Start(); err != nil {
+	cluster.Simulate(4, func(r *cluster.Run) {
+		cfg := cluster.SimConfig(2, 0, seed)
+		cfg.UnsafeBrokenReplay = buggy
+		if _, err := r.Start(newJournal(), cluster.Options{Template: cfg}); err != nil {
 			violations = append(violations, err.Error())
 			return
 		}
-		if _, err := c.WaitPrimary(5 * time.Second); err != nil {
-			violations = append(violations, err.Error())
-			return
-		}
-		cl := c.NewClient(10)
+		cl := r.C.NewClient(10)
 		for k := 0; k < 10; k++ {
 			for _, tag := range []string{"s", "f"} {
 				if _, err := cl.DoTimeout([]byte(fmt.Sprintf("%s%d", tag, k)), 5*time.Second); err != nil {
@@ -216,15 +201,7 @@ func runJournalLoad(t *testing.T, seed int64, buggy bool) []string {
 				}
 			}
 		}
-		states, faults, err := c.StableStates(30 * time.Second)
-		if err != nil {
-			violations = append(violations, err.Error())
-			return
-		}
-		for i, ferr := range faults {
-			violations = append(violations, fmt.Sprintf("replica %d faulted: %v", i, ferr))
-		}
-		violations = append(violations, check.StateAgreement(states)...)
+		violations, _ = r.End(nil)
 	})
 	return violations
 }

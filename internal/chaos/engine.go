@@ -8,7 +8,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -19,8 +18,6 @@ import (
 	"rex/internal/env"
 	"rex/internal/obs"
 	"rex/internal/shard"
-	"rex/internal/sim"
-	"rex/internal/storage"
 )
 
 // Scenario is one declarative chaos run: a named preset and its knobs.
@@ -65,25 +62,23 @@ func (res Result) Count(name string) int {
 	return 0
 }
 
-// execution is one run of a Scenario, handed to the preset hooks: the
-// live cluster, the shared history, and the verdict being built. Hooks
-// run on simulator tasks, which the simulator runs one at a time and
-// hands control between over channels, so they share plain variables
-// without locks.
+// execution is one run of a Scenario on the run harness, handed to the
+// preset hooks: the live cluster (C when Groups == 0, MC when Groups >
+// 0), the shared history, and the verdict being built. Hooks run on
+// simulator tasks, which the simulator runs one at a time and hands
+// control between over channels, so they share plain variables without
+// locks.
 type execution struct {
 	Scenario
-	e     *sim.Env
-	c     *cluster.Cluster      // the cluster when Groups == 0
-	mc    *cluster.MultiCluster // the sharded cluster when Groups > 0
-	hist  *check.History        // every recorded client operation
-	begin time.Duration         // start of the load phase
+	*cluster.Run
+	hist  *check.History // every recorded client operation
+	begin time.Duration  // start of the load phase
 
 	spec     appSpec
 	reg      *obs.Registry
 	logf     func(string, ...any)
 	res      *Result
 	sessions []check.SessionEvent
-	stopped  bool
 
 	// The preset's hooks. Its build installs them on each execution
 	// afresh, so state kept in their closures starts from zero every run.
@@ -95,7 +90,7 @@ type execution struct {
 	// nemesis injects the faults in its own task, started just before
 	// the clients.
 	nemesis  func()
-	endsLoad bool   // the load lasts until the nemesis calls stopLoad, not Duration
+	endsLoad bool   // the load lasts until the nemesis calls Stop, not Duration
 	probe    func() // runs once the faults are healed, before the state checks
 	// invariants adds the preset's own checks once the replicas agree.
 	invariants func()
@@ -116,34 +111,25 @@ func (sc Scenario) Run(reg *obs.Registry, logf func(string, ...any)) Result {
 	}
 	sc, err := NewScenario(sc)
 	res := Result{Seed: sc.Seed, App: sc.App}
-	r := &execution{Scenario: sc, e: sim.New(4), reg: reg, logf: logf, res: &res}
+	r := &execution{Scenario: sc, reg: reg, logf: logf, res: &res}
 	if err != nil {
 		r.failf("%v", err)
 	} else {
 		r.spec, _ = specFor(sc.App) // NewScenario checked the app
 		presets[sc.Name].build(r)
-		// No deferred Stop: when the run ends (or a task panics) the
-		// simulator reaps every remaining task itself, and a deferred Stop
-		// can deadlock teardown by waiting on an already-killed loop.
-		r.e.Run(r.run)
+		cluster.Simulate(4, func(run *cluster.Run) {
+			r.Run = run
+			r.run()
+		})
 	}
 	r.verdict()
 	return res
 }
 
 func (r *execution) run() {
-	opts := cluster.Options{
-		Template: core.Config{
-			Workers:         2,
-			Timers:          r.spec.timers,
-			HeartbeatEvery:  20 * time.Millisecond,
-			ElectionTimeout: 100 * time.Millisecond,
-			StatusEvery:     20 * time.Millisecond,
-			CheckpointEvery: 200 * time.Millisecond,
-			Seed:            r.Seed,
-			Logf:            r.logf,
-		},
-	}
+	opts := cluster.Options{Template: cluster.SimConfig(2, r.spec.timers, r.Seed)}
+	opts.Template.CheckpointEvery = 200 * time.Millisecond
+	opts.Template.Logf = r.logf
 	if r.options != nil {
 		r.options(&opts)
 	}
@@ -152,26 +138,27 @@ func (r *execution) run() {
 		return
 	}
 
-	r.hist = check.NewHistory(r.e.Now)
-	r.begin = r.e.Now()
-	nemesis := env.GoEach(r.e, r.Name+"-nemesis", 1, func(int) {
+	r.hist = check.NewHistory(r.Env.Now)
+	r.begin = r.Env.Now()
+	if !r.endsLoad {
+		r.Until = r.begin + r.Duration
+	}
+	nemesis := env.GoEach(r.Env, r.Name+"-nemesis", 1, func(int) {
 		if r.nemesis != nil {
 			r.nemesis()
 		}
 	})
-	clients := env.GoEach(r.e, r.Name+"-client", r.Clients, r.clientLoop)
-	clients.Wait()
+	r.Fleet(r.Clients, 0, func(ci int) cluster.Step {
+		step := r.load(ci, rand.New(rand.NewSource(r.Seed+int64(ci)*7919)))
+		return func(seq int) (time.Duration, error) { return step(seq), nil }
+	})
+	r.Wait()
 	nemesis.Wait()
 
-	// Fault phase over: heal, restart, quiesce, and check structure.
-	if err := r.recover(); err != nil {
-		r.failf("recovery: %v", err)
-		return
-	}
-	if r.probe != nil {
-		r.probe()
-	}
-	if !r.checkStates("") {
+	// Fault phase over: heal, restart, probe, quiesce, and check structure.
+	violations, settled := r.End(r.probe)
+	r.res.Violations = append(r.res.Violations, violations...)
+	if !settled {
 		return
 	}
 	if r.invariants != nil {
@@ -182,60 +169,23 @@ func (r *execution) run() {
 	}
 }
 
-// start builds the cluster, starts it, and waits for every primary.
+// start starts the cluster, or with Groups a sharded deployment of one
+// group per node, and waits for every primary.
 func (r *execution) start(opts cluster.Options) error {
 	if r.Groups == 0 {
-		r.c = cluster.New(r.e, r.spec.factory, opts)
-		if err := r.c.Start(); err != nil {
-			return fmt.Errorf("cluster start: %w", err)
-		}
-		_, err := r.c.WaitPrimary(5 * time.Second)
+		_, err := r.Start(r.spec.factory, opts)
 		return err
 	}
 	m, err := shard.NewShardMap(1, r.Groups, r.Groups, 3)
 	if err != nil {
 		return err
 	}
-	if r.mc, err = cluster.NewMulti(r.e, r.spec.factory, m, opts); err != nil {
-		return err
-	}
-	if err := r.mc.Start(); err != nil {
-		return fmt.Errorf("multi-cluster start: %w", err)
-	}
-	return r.mc.WaitAllPrimaries(5 * time.Second)
+	return r.StartMulti(r.spec.factory, m, opts)
 }
-
-// groups lists the replica groups under test.
-func (r *execution) groups() []*cluster.Cluster {
-	if r.mc != nil {
-		return r.mc.Groups
-	}
-	return []*cluster.Cluster{r.c}
-}
-
-func (r *execution) clientLoop(ci int) {
-	rng := rand.New(rand.NewSource(r.Seed + int64(ci)*7919))
-	step := r.load(ci, rng)
-	for seq := 0; seq == 0 || r.loading(); seq++ {
-		if d := step(seq); d > 0 {
-			r.e.Sleep(d)
-		}
-	}
-}
-
-func (r *execution) loading() bool {
-	if r.endsLoad {
-		return !r.stopped
-	}
-	return r.e.Now() < r.begin+r.Duration
-}
-
-// stopLoad ends an endsLoad scenario's load phase.
-func (r *execution) stopLoad() { r.stopped = true }
 
 // client returns client ci of the single cluster, recording into Hist.
 func (r *execution) client(ci int) *cluster.Client {
-	cl := r.c.NewClient(uint64(100 + ci))
+	cl := r.C.NewClient(uint64(100 + ci))
 	cl.Recorder = r.hist
 	return cl
 }
@@ -277,107 +227,11 @@ func (r *execution) count(name string, n int) {
 	r.res.Counts = append(r.res.Counts, Count{name, n})
 }
 
-// sum adds f over every live replica of every group.
-func (r *execution) sum(f func(*core.Replica) uint64) int {
-	var n uint64
-	for _, c := range r.groups() {
-		for i := 0; i < c.Size(); i++ {
-			if rp := c.Replica(i); rp != nil {
-				n += f(rp)
-			}
-		}
-	}
-	return int(n)
-}
-
-// counter reads one replica metrics counter, for sum.
-func counter(name string) func(*core.Replica) uint64 {
-	return func(rp *core.Replica) uint64 { return rp.Metrics().Counter(name) }
-}
-
-// recover ends the fault phase: disarm pending disk write failures, heal
-// the network, and restart every member that is down.
-func (r *execution) recover() error {
-	if r.mc != nil {
-		r.mc.Net.Heal()
-	} else {
-		r.c.Net.Heal()
-	}
-	for _, c := range r.groups() {
-		for _, d := range c.Disks {
-			d.FailWrites("", 0)
-		}
-		if err := r.restartDown(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// restartDown restarts every member of c that is down: crashed, or
-// crash-stopped by an injected WAL error. Any other fault stays for the
-// state checks to report, and a replica that left the membership stays
-// out (restarting its old identity would only be refused again).
-func (r *execution) restartDown(c *cluster.Cluster) error {
-	for i := 0; i < c.Size(); i++ {
-		if rp := c.Replica(i); rp != nil && errors.Is(rp.FaultError(), storage.ErrInjected) {
-			c.Crash(i) // reap the crash-stopped process
-		}
-		if c.Replica(i) == nil && isMember(c, i) {
-			r.log("chaos: restart replica %d", i)
-			if err := c.Restart(i); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// isMember reports whether replica i is in the membership the current
-// primary knows (true when there is no primary to ask).
-func isMember(c *cluster.Cluster, i int) bool {
-	if p := c.Primary(); p >= 0 {
-		if rp := c.Replica(p); rp != nil {
-			return rp.Membership().IsMember(i)
-		}
-	}
-	return true
-}
-
-// checkStates waits for every group to quiesce, then checks state
-// agreement and the prefix property, prefixing violations with label.
-// It reports false if a group never settled.
-func (r *execution) checkStates(label string) bool {
-	settled := true
-	for g, c := range r.groups() {
-		tag := label
-		if r.mc != nil {
-			tag = fmt.Sprintf("group %d: %s", g, label)
-		}
-		states, faulted, err := c.StableStates(30 * time.Second)
-		if err != nil {
-			r.failf("%s%v", tag, err)
-			settled = false
-			continue
-		}
-		for i, ferr := range faulted {
-			r.failf("%sreplica %d faulted after recovery: %v", tag, i, ferr)
-		}
-		for _, v := range check.StateAgreement(states) {
-			r.failf("%s%s", tag, v)
-		}
-		for _, v := range check.CheckPrefix(chosenLogs(c)) {
-			r.failf("%s%s", tag, v)
-		}
-	}
-	return settled
-}
-
 // replayDeterminism crashes and restarts one secondary per group;
 // rebuilt from its WAL and snapshot, it must land in the same state as
-// the others.
+// the others when the run's End checks it again.
 func (r *execution) replayDeterminism() {
-	for _, c := range r.groups() {
+	for _, c := range r.Clusters() {
 		p := c.Primary()
 		for i := 0; i < c.Size(); i++ {
 			if rp := c.Replica(i); i != p && rp != nil && rp.Role() != core.RoleRemoved {
@@ -390,7 +244,10 @@ func (r *execution) replayDeterminism() {
 			}
 		}
 	}
-	r.checkStates("replay determinism: ")
+	violations, _ := r.End(nil)
+	for _, v := range violations {
+		r.failf("replay determinism: %s", v)
+	}
 }
 
 // verdict checks the recorded history and session events and settles
@@ -417,27 +274,13 @@ func (r *execution) verdict() {
 	}
 }
 
-// chosenLogs snapshots every live replica's chosen instance sequence.
-func chosenLogs(c *cluster.Cluster) []check.ChosenLog {
-	var logs []check.ChosenLog
-	for i := 0; i < c.Size(); i++ {
-		r := c.Replica(i)
-		if r == nil {
-			continue
-		}
-		base, vals := r.ChosenLog()
-		logs = append(logs, check.ChosenLog{Replica: i, Base: base, Vals: vals})
-	}
-	return logs
-}
-
 // runSchedule executes every step at its offset from now. It returns
 // after the last step fires.
 func (r *execution) runSchedule(s Schedule) {
-	start := r.e.Now()
+	start := r.Env.Now()
 	for _, st := range s.Steps {
-		if wake := start + st.At; wake > r.e.Now() {
-			r.e.Sleep(wake - r.e.Now())
+		if wake := start + st.At; wake > r.Env.Now() {
+			r.Env.Sleep(wake - r.Env.Now())
 		}
 		r.apply(st)
 	}
@@ -445,13 +288,13 @@ func (r *execution) runSchedule(s Schedule) {
 
 // isDown reports whether replica i is crashed or crash-stopped.
 func (r *execution) isDown(i int) bool {
-	rp := r.c.Replica(i)
+	rp := r.C.Replica(i)
 	return rp == nil || rp.Role() == core.RoleFaulted
 }
 
 func (r *execution) downCount() int {
 	n := 0
-	for i := 0; i < r.c.Size(); i++ {
+	for i := 0; i < r.C.Size(); i++ {
 		if r.isDown(i) {
 			n++
 		}
@@ -464,7 +307,7 @@ func (r *execution) downCount() int {
 // chaos_fault_skipped), so the generator never has to reason about
 // global liveness.
 func (r *execution) apply(st Step) {
-	c := r.c
+	c := r.C
 	n := c.Size()
 	i, j := st.I%n, st.J%n
 	skip := func() { r.reg.CounterOf("chaos_fault_skipped").Inc() }
@@ -485,7 +328,7 @@ func (r *execution) apply(st Step) {
 		c.Crash(i)
 	case KindRestartAll:
 		note("restart down replicas")
-		if err := r.restartDown(c); err != nil {
+		if err := c.RestartDown(); err != nil {
 			r.log("chaos: restart failed: %v", err)
 		}
 	case KindPartition:

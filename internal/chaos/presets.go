@@ -159,7 +159,7 @@ const reconfigWait = 30 * time.Second
 func reconfigPreset(r *execution) {
 	r.load = r.appLoad
 	r.nemesis = func() {
-		c := r.c
+		c := r.C
 		rng := rand.New(rand.NewSource(r.Seed ^ 0x7ec0f19))
 		cut := func(i int) {
 			r.note("partition", "partition {%d} | rest", i)
@@ -193,19 +193,19 @@ func reconfigPreset(r *execution) {
 
 		// A plain partition first, so the membership machinery below
 		// runs against a cluster that has already had to fail over.
-		r.e.Sleep(ms(rng, 100, 300))
+		r.Env.Sleep(ms(rng, 100, 300))
 		cut(rng.Intn(3))
-		r.e.Sleep(ms(rng, 40, 120))
+		r.Env.Sleep(ms(rng, 40, 120))
 		heal()
 
 		// Replace a secondary; half the time crash it first so the
 		// replacement repairs an actual dead node.
-		r.e.Sleep(ms(rng, 50, 150))
+		r.Env.Sleep(ms(rng, 50, 150))
 		if old := pickSecondary(); old >= 0 {
 			if rng.Intn(2) == 0 {
 				r.note("crash_replica", "crash replica %d before replacing it", old)
 				c.Crash(old)
-				r.e.Sleep(ms(rng, 30, 80))
+				r.Env.Sleep(ms(rng, 30, 80))
 			}
 			r.note("reconfig_replace", "replace replica %d", old)
 			if nid, err := c.ReplaceNode(old); err != nil {
@@ -222,22 +222,22 @@ func reconfigPreset(r *execution) {
 
 		// Add a learner, partition a random member during its catch-up,
 		// then wait for promotion after healing.
-		r.e.Sleep(ms(rng, 50, 150))
+		r.Env.Sleep(ms(rng, 50, 150))
 		r.note("reconfig_add", "add a node")
 		added, err := c.AddNode()
 		if err != nil {
 			r.failf("add: %v", err)
 			return
 		}
-		r.e.Sleep(ms(rng, 10, 60))
+		r.Env.Sleep(ms(rng, 10, 60))
 		cut(rng.Intn(c.Size()))
-		r.e.Sleep(ms(rng, 40, 120))
+		r.Env.Sleep(ms(rng, 40, 120))
 		heal()
 		if err := c.WaitVoter(added, reconfigWait); err != nil {
 			r.failf("joiner %d never promoted: %v", added, err)
 		}
 		// Shrink back to three voters.
-		r.e.Sleep(ms(rng, 50, 150))
+		r.Env.Sleep(ms(rng, 50, 150))
 		if victim := pickSecondary(); victim >= 0 {
 			r.note("reconfig_remove", "remove replica %d", victim)
 			if err := c.RemoveNode(victim); err != nil {
@@ -267,18 +267,18 @@ func recoveryPreset(r *execution) {
 	}
 	r.load = r.appLoad
 	r.nemesis = func() {
-		c := r.c
+		c := r.C
 		rng := rand.New(rand.NewSource(r.Seed ^ 0x5ec0fe5))
 		crashRound := 2 + rng.Intn(3) // bounce a secondary once, mid-churn
-		for round := 0; r.e.Now() < r.begin+r.Duration; round++ {
-			r.e.Sleep(ms(rng, 180, 320))
+		for round := 0; r.Env.Now() < r.begin+r.Duration; round++ {
+			r.Env.Sleep(ms(rng, 180, 320))
 			p := c.Primary()
 			if p < 0 {
 				continue
 			}
 			r.note("isolate_primary", "round %d: isolate primary %d", round, p)
 			c.Net.Isolate(p, true)
-			r.e.Sleep(ms(rng, 150, 260))
+			r.Env.Sleep(ms(rng, 150, 260))
 			c.Net.Isolate(p, false)
 			r.note("heal", "round %d: heal primary %d", round, p)
 			if round != crashRound {
@@ -290,7 +290,7 @@ func recoveryPreset(r *execution) {
 			}
 			r.note("crash_replica", "round %d: crash secondary %d", round, victim)
 			c.Crash(victim)
-			r.e.Sleep(ms(rng, 500, 800))
+			r.Env.Sleep(ms(rng, 500, 800))
 			if err := c.Restart(victim); err != nil {
 				r.failf("round %d restart %d: %v", round, victim, err)
 				return
@@ -299,7 +299,7 @@ func recoveryPreset(r *execution) {
 		}
 	}
 	r.invariants = func() {
-		resyncs := r.sum(counter("rex_resync_total"))
+		resyncs := int(r.Sum(cluster.Counter("rex_resync_total")))
 		r.require(resyncs > 0, "no rex_resync_total increment: the scenario never exercised the resync path")
 		r.count("resyncs", resyncs)
 	}
@@ -309,11 +309,11 @@ func recoveryPreset(r *execution) {
 // gapMin..gapMax ms pause) for 280..450 ms, forcing a failover, and
 // counts the primary changes it observes into *failovers.
 func isolatePrimaries(r *execution, xor int64, gapMin, gapMax int, failovers *int) {
-	c := r.c
+	c := r.C
 	rng := rand.New(rand.NewSource(r.Seed ^ xor))
 	last := c.Primary()
-	for r.e.Now() < r.begin+r.Duration {
-		r.e.Sleep(ms(rng, gapMin, gapMax))
+	for r.Env.Now() < r.begin+r.Duration {
+		r.Env.Sleep(ms(rng, gapMin, gapMax))
 		p := c.Primary()
 		if p < 0 {
 			continue
@@ -324,7 +324,7 @@ func isolatePrimaries(r *execution, xor int64, gapMin, gapMax int, failovers *in
 		}
 		r.note("isolate_primary", "isolate primary %d", p)
 		c.Net.Isolate(p, true)
-		r.e.Sleep(ms(rng, 280, 450))
+		r.Env.Sleep(ms(rng, 280, 450))
 		c.Net.Isolate(p, false)
 		r.note("heal", "heal old primary %d", p)
 	}
@@ -385,8 +385,8 @@ func readsPreset(r *execution) {
 	}
 	r.nemesis = func() { isolatePrimaries(r, 0x6ead5, 200, 350, &failovers) }
 	r.invariants = func() {
-		lease := r.sum(counter("rex_lease_reads_total"))
-		follower := r.sum(counter("rex_follower_reads_total"))
+		lease := int(r.Sum(cluster.Counter("rex_lease_reads_total")))
+		follower := int(r.Sum(cluster.Counter("rex_follower_reads_total")))
 		r.require(failovers > 0, "no failover observed: the nemesis never deposed a primary")
 		r.require(lease > 0, "no rex_lease_reads_total increment: no linearizable read was served off the lease")
 		r.require(follower > 0, "no rex_follower_reads_total increment: no read was served by a secondary")
@@ -435,11 +435,11 @@ func conflictsPreset(r *execution) {
 		}
 	}
 	r.nemesis = func() {
-		sweeper := env.GoEach(r.e, "conflicts-sweeper", 1, func(int) {
-			cl := r.c.NewClient(99)
+		sweeper := env.GoEach(r.Env, "conflicts-sweeper", 1, func(int) {
+			cl := r.C.NewClient(99)
 			rng := rand.New(rand.NewSource(r.Seed ^ 0x5eeb))
-			for r.e.Now() < r.begin+r.Duration {
-				r.e.Sleep(ms(rng, 60, 140))
+			for r.Env.Now() < r.begin+r.Duration {
+				r.Env.Sleep(ms(rng, 60, 140))
 				if _, err := cl.DoTimeout(hashdb.SweepReq(), 3*time.Second); err != nil {
 					r.timeout()
 				} else {
@@ -451,7 +451,7 @@ func conflictsPreset(r *execution) {
 		sweeper.Wait()
 	}
 	r.invariants = func() {
-		elided := r.sum(func(rp *core.Replica) uint64 { return rp.Stats().ElidedOps })
+		elided := int(r.Sum(func(rp *core.Replica) uint64 { return rp.Stats().ElidedOps }))
 		r.require(failovers > 0, "no failover observed: the nemesis never deposed a primary")
 		r.require(elided > 0, "no lock operations elided: conflict-class elision never engaged")
 		r.require(sweeps > 0, "no sweep completed: the catch-all barrier path was never exercised")
@@ -509,7 +509,7 @@ func overloadPreset(r *execution) {
 		// spaces — a recorded read returning an unrecorded client's value
 		// would look like a lost write — while admission pressure stays
 		// global.
-		cl := r.c.NewClient(uint64(100 + ci))
+		cl := r.C.NewClient(uint64(100 + ci))
 		clients[ci] = cl
 		prefix := "bulk"
 		if ci < overloadRecorded {
@@ -534,59 +534,59 @@ func overloadPreset(r *execution) {
 		}
 	}
 	r.nemesis = func() {
-		c := r.c
+		c := r.C
 		stormEnd := r.begin + r.Duration
 		// The monitor is the only writer of the peaks, read after its Wait.
-		monitor = env.GoEach(r.e, "overload-monitor", 1, func(int) {
-			for r.e.Now() < stormEnd+200*time.Millisecond {
+		monitor = env.GoEach(r.Env, "overload-monitor", 1, func(int) {
+			for r.Env.Now() < stormEnd+200*time.Millisecond {
 				if p := c.Primary(); p >= 0 {
 					if rp := c.Replica(p); rp != nil {
 						maxOut = max(maxOut, rp.Stats().Outstanding)
 						maxWait = max(maxWait, int(rp.Metrics().Gauges["rex_admission_waiters"]))
 					}
 				}
-				r.e.Sleep(5 * time.Millisecond)
+				r.Env.Sleep(5 * time.Millisecond)
 			}
 		})
 		// Mid-storm, kill the primary outright: the new one must shed on
 		// its own. A restarted replica's registry starts from zero, so its
 		// counters are banked first.
-		r.e.Sleep(r.Duration / 3)
+		r.Env.Sleep(r.Duration / 3)
 		p := c.Primary()
 		if p < 0 {
 			return
 		}
 		if rp := c.Replica(p); rp != nil {
-			sheds += int(counter("rex_shed_total")(rp))
-			deadline += int(counter("rex_deadline_exceeded_total")(rp))
+			sheds += int(rp.Metrics().Counter("rex_shed_total"))
+			deadline += int(rp.Metrics().Counter("rex_deadline_exceeded_total"))
 		}
 		r.note("crash_primary", "crash primary %d mid-storm", p)
 		c.Crash(p)
-		r.e.Sleep(400 * time.Millisecond)
+		r.Env.Sleep(400 * time.Millisecond)
 		r.note("restart", "restart old primary %d", p)
 		if err := c.Restart(p); err != nil {
 			r.log("chaos: restart %d: %v", p, err)
 		}
-		for r.e.Now() < stormEnd {
+		for r.Env.Now() < stormEnd {
 			if np := c.Primary(); np >= 0 && np != p {
 				failovers++
 				return
 			}
-			r.e.Sleep(10 * time.Millisecond)
+			r.Env.Sleep(10 * time.Millisecond)
 		}
 	}
 	r.probe = func() {
-		sheds += r.sum(counter("rex_shed_total"))
-		deadline += r.sum(counter("rex_deadline_exceeded_total"))
-		probe := env.GoEach(r.e, "overload-probe", overloadProbes, func(ci int) {
-			cl := r.c.NewClient(uint64(900 + ci))
+		sheds += int(r.Sum(cluster.Counter("rex_shed_total")))
+		deadline += int(r.Sum(cluster.Counter("rex_deadline_exceeded_total")))
+		probe := env.GoEach(r.Env, "overload-probe", overloadProbes, func(ci int) {
+			cl := r.C.NewClient(uint64(900 + ci))
 			cl.Recorder = r.hist
 			key := fmt.Sprintf("probe-%d", ci)
 			for seq := 0; seq < overloadProbeOps/overloadProbes; seq++ {
 				if _, err := cl.DoTimeout(hashdb.SetReq(key, []byte(strconv.Itoa(seq))), 3*time.Second); err == nil {
 					recovered++
 				}
-				r.e.Sleep(5 * time.Millisecond)
+				r.Env.Sleep(5 * time.Millisecond)
 			}
 		})
 		probe.Wait()
@@ -630,13 +630,13 @@ func shardsPreset(r *execution) {
 		// under one id: each task issues one operation at a time.
 		gcs := make([]*cluster.Client, r.Groups)
 		for g := range gcs {
-			gcs[g] = r.mc.Groups[g].NewClient(uint64(100 + ci))
+			gcs[g] = r.MC.Groups[g].NewClient(uint64(100 + ci))
 			gcs[g].Recorder = r.hist
 		}
 		return func(seq int) time.Duration {
 			k := fmt.Sprintf("k%d", rng.Intn(keys))
 			body := hashdbOp(rng, k, fmt.Sprintf("c%d-n%d", ci, seq))
-			g := r.mc.Map.GroupFor([]byte(k))
+			g := r.MC.Map.GroupFor([]byte(k))
 			if _, err := gcs[g].DoTimeout(body, 2*time.Second); err != nil {
 				r.timeout()
 				return 0
@@ -646,19 +646,19 @@ func shardsPreset(r *execution) {
 		}
 	}
 	r.nemesis = func() {
-		defer r.stopLoad()
+		defer r.Stop()
 		measure := func() []int {
 			before := append([]int(nil), done...)
-			r.e.Sleep(phase)
+			r.Env.Sleep(phase)
 			for g := range before {
 				before[g] = done[g] - before[g]
 			}
 			return before
 		}
-		r.e.Sleep(phase)
+		r.Env.Sleep(phase)
 		pre := measure()
 		victim := int(uint64(r.Seed) % uint64(r.Groups))
-		p, err := r.mc.CrashGroupPrimary(victim)
+		p, err := r.MC.CrashGroupPrimary(victim)
 		if err != nil {
 			r.failf("%v", err)
 			return
@@ -679,7 +679,7 @@ func shardsPreset(r *execution) {
 				g, victim, float64(pre[g])/phase.Seconds(), float64(post[g])/phase.Seconds()))
 			worst = min(worst, 100*post[g]/pre[g])
 		}
-		if _, err := r.mc.Groups[victim].WaitPrimary(5 * time.Second); err != nil {
+		if _, err := r.MC.Groups[victim].WaitPrimary(5 * time.Second); err != nil {
 			r.failf("group %d after kill: %v", victim, err)
 		}
 		r.count("killed_group", victim)
@@ -714,7 +714,7 @@ func rebalancePreset(r *execution) {
 	r.load = func(ci int, rng *rand.Rand) func(int) time.Duration {
 		// One enveloped router per task: it follows map changes on its own.
 		// Routers use groups+1 ids, so idBases are spaced by 64.
-		rt := r.mc.NewRouter(uint64(100 + 64*ci))
+		rt := r.MC.NewRouter(uint64(100 + 64*ci))
 		rt.Recorder = r.hist
 		sessKey := fmt.Sprintf("sess-%d", ci)
 		var sessVer uint64
@@ -744,25 +744,25 @@ func rebalancePreset(r *execution) {
 		}
 	}
 	r.nemesis = func() {
-		defer r.stopLoad()
-		r.e.Sleep(300 * time.Millisecond) // warm-up load before the churn
+		defer r.Stop()
+		r.Env.Sleep(300 * time.Millisecond) // warm-up load before the churn
 
 		// The killer crashes a random group's primary, lets the group
 		// fail over, then restarts the replica so quorums never shrink
 		// for long.
 		churn := true
-		killer := env.GoEach(r.e, "rebalance-chaos-killer", 1, func(int) {
+		killer := env.GoEach(r.Env, "rebalance-chaos-killer", 1, func(int) {
 			rng := rand.New(rand.NewSource(r.Seed*31 + 5))
 			for churn {
-				r.e.Sleep(rebalanceKillEvery)
+				r.Env.Sleep(rebalanceKillEvery)
 				g := rng.Intn(r.Groups)
-				p, err := r.mc.CrashGroupPrimary(g)
+				p, err := r.MC.CrashGroupPrimary(g)
 				if err != nil {
 					continue
 				}
 				r.note("crash_primary", "crash group %d primary (replica %d)", g, p)
-				r.e.Sleep(300 * time.Millisecond)
-				if err := r.mc.Groups[g].Restart(p); err != nil {
+				r.Env.Sleep(300 * time.Millisecond)
+				if err := r.MC.Groups[g].Restart(p); err != nil {
 					r.failf("restart group %d replica %d: %v", g, p, err)
 					return
 				}
@@ -772,7 +772,7 @@ func rebalancePreset(r *execution) {
 		// The plan: random split/merge/move rounds until at least one of
 		// each kind completed; a merge with no same-owner adjacent pair
 		// splits instead so one exists next round.
-		cd := r.mc.NewCoordinator(9000, r.reg)
+		cd := r.MC.NewCoordinator(9000, r.reg)
 		cd.Logf = r.logf
 		rng := rand.New(rand.NewSource(r.Seed*17 + 3))
 		var splits, merges, moves int
@@ -825,7 +825,7 @@ func rebalancePreset(r *execution) {
 				_, err := cd.Move(at, dest)
 				attempt(fmt.Sprintf("move %#x -> group %d", at, dest), err, &moves)
 			}
-			r.e.Sleep(ms(rng, 50, 150))
+			r.Env.Sleep(ms(rng, 50, 150))
 		}
 		churn = false
 		killer.Wait()
@@ -837,7 +837,7 @@ func rebalancePreset(r *execution) {
 			version = int(fm.Version)
 			r.log("final map:\n%s", fm)
 		}
-		r.e.Sleep(300 * time.Millisecond) // drain the load
+		r.Env.Sleep(300 * time.Millisecond) // drain the load
 		r.count("splits", splits)
 		r.count("merges", merges)
 		r.count("moves", moves)

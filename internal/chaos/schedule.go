@@ -35,27 +35,14 @@ const (
 	numKinds int = iota
 )
 
+// kindNames names the kinds for logs and metric names.
+var kindNames = [numKinds]string{"crash_replica", "crash_primary", "restart_all", "partition",
+	"partition_asym", "heal", "loss_burst", "delay_burst", "wal_fault"}
+
 // String names the kind for logs and metric names.
 func (k Kind) String() string {
-	switch k {
-	case KindCrashReplica:
-		return "crash_replica"
-	case KindCrashPrimary:
-		return "crash_primary"
-	case KindRestartAll:
-		return "restart_all"
-	case KindPartition:
-		return "partition"
-	case KindPartitionAsym:
-		return "partition_asym"
-	case KindHeal:
-		return "heal"
-	case KindLossBurst:
-		return "loss_burst"
-	case KindDelayBurst:
-		return "delay_burst"
-	case KindWALFault:
-		return "wal_fault"
+	if k >= 0 && int(k) < numKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("kind_%d", int(k))
 }
@@ -73,9 +60,7 @@ type Step struct {
 // String renders the step for verdict output.
 func (st Step) String() string {
 	switch st.Kind {
-	case KindCrashReplica:
-		return fmt.Sprintf("%v %s(%d)", st.At, st.Kind, st.I)
-	case KindPartition:
+	case KindCrashReplica, KindPartition:
 		return fmt.Sprintf("%v %s(%d)", st.At, st.Kind, st.I)
 	case KindPartitionAsym:
 		return fmt.Sprintf("%v %s(%d->%d)", st.At, st.Kind, st.I, st.J)

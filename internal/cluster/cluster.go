@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"time"
 
+	"rex/internal/check"
 	"rex/internal/client"
 	"rex/internal/core"
 	"rex/internal/env"
@@ -181,49 +182,34 @@ func (c *Cluster) config(i int) (core.Config, error) {
 // environment models machines), so its execution and replay compute on its
 // own simulated server.
 func (c *Cluster) startReplica(i int) error {
-	build := func() (*core.Replica, error) {
-		cfg, err := c.config(i)
-		if err != nil {
-			return nil, err
+	var err error
+	boot := func() {
+		var cfg core.Config
+		var r *core.Replica
+		if cfg, err = c.config(i); err == nil {
+			r, err = core.NewReplica(cfg)
 		}
-		r, err := core.NewReplica(cfg)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			err = r.Start()
 		}
-		if err := r.Start(); err != nil {
-			return nil, err
+		if err == nil {
+			c.mu.Lock()
+			c.Replicas[i] = r
+			c.mu.Unlock()
 		}
-		return r, nil
-	}
-	install := func(r *core.Replica) {
-		c.mu.Lock()
-		c.Replicas[i] = r
-		c.mu.Unlock()
 	}
 	me, ok := c.Env.(machineEnv)
 	if !ok || c.machines[i] < 0 {
-		r, err := build()
-		if err != nil {
-			return err
-		}
-		install(r)
-		return nil
+		boot()
+		return err
 	}
 	done := c.Env.NewChan(1)
 	me.GoOn(c.machines[i], fmt.Sprintf("replica-%d-boot", i), func() {
-		r, err := build()
-		if err != nil {
-			done.Send(err)
-			return
-		}
-		install(r)
+		boot()
 		done.Send(nil)
 	})
-	v, _ := done.Recv()
-	if err, ok := v.(error); ok && err != nil {
-		return err
-	}
-	return nil
+	done.Recv()
+	return err
 }
 
 // Start brings every replica up.
@@ -411,13 +397,11 @@ func (c *Cluster) WaitConverged(timeout time.Duration) (string, error) {
 	for _, ferr := range faults {
 		return "", fmt.Errorf("cluster: replica faulted: %w", ferr)
 	}
-	var state string
-	for _, state = range states { // any one: all must match it
+	if len(check.StateAgreement(states)) > 0 {
+		return "", errors.New("cluster: replicas did not converge")
 	}
-	for _, s := range states {
-		if s != state {
-			return "", errors.New("cluster: replicas did not converge")
-		}
+	var state string
+	for _, state = range states { // all agree: any one
 	}
 	return state, nil
 }
@@ -479,6 +463,62 @@ func (c *Cluster) StableStates(timeout time.Duration) (states map[int]string, fa
 		c.Env.Sleep(20 * time.Millisecond)
 	}
 	return nil, nil, errors.New("cluster: replica states did not stabilize in time")
+}
+
+// Check is the structural check every simulated run ends in: once c's
+// live replicas settle (StableStates), a replica that faulted, replicas
+// that disagree on the application state (check.StateAgreement) and
+// chosen logs that are not prefixes of one another (check.CheckPrefix)
+// are each a violation. settled is false when the replicas never settled.
+func (c *Cluster) Check() (violations []string, settled bool) {
+	states, faulted, err := c.StableStates(30 * time.Second)
+	if err != nil {
+		return []string{err.Error()}, false
+	}
+	for i, ferr := range faulted {
+		violations = append(violations, fmt.Sprintf("replica %d faulted after recovery: %v", i, ferr))
+	}
+	violations = append(violations, check.StateAgreement(states)...)
+	var logs []check.ChosenLog
+	for i, r := range c.live() {
+		if r != nil {
+			base, vals := r.ChosenLog()
+			logs = append(logs, check.ChosenLog{Replica: i, Base: base, Vals: vals})
+		}
+	}
+	return append(violations, check.CheckPrefix(logs)...), true
+}
+
+// RestartDown restarts every member of c that is down: crashed, or
+// crash-stopped by an injected WAL error. Any other fault stays for Check
+// to report, and a replica that left the membership stays out (restarting
+// its old identity would only be refused again).
+func (c *Cluster) RestartDown() error {
+	for i := 0; i < c.Size(); i++ {
+		if r := c.Replica(i); r != nil && errors.Is(r.FaultError(), storage.ErrInjected) {
+			c.Crash(i) // reap the crash-stopped process
+		}
+		if c.Replica(i) == nil && c.isMember(i) {
+			if logf := c.Opts.Template.Logf; logf != nil {
+				logf("cluster: restart replica %d", i)
+			}
+			if err := c.Restart(i); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// isMember reports whether replica i is in the membership the current
+// primary knows (true when there is no primary to ask).
+func (c *Cluster) isMember(i int) bool {
+	if p := c.Primary(); p >= 0 {
+		if r := c.Replica(p); r != nil {
+			return r.Membership().IsMember(i)
+		}
+	}
+	return true
 }
 
 // Client is the shared client loop (internal/client) over a cluster's

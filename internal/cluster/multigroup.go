@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
-	"time"
 
 	"rex/internal/core"
 	"rex/internal/env"
@@ -31,7 +29,7 @@ type MultiCluster struct {
 	Live bool
 }
 
-// NewMulti builds (but does not start) a multi-group cluster over m.
+// NewMulti builds a multi-group cluster over m; Run.StartMulti starts it.
 // opts applies per group; Replicas is taken from the map, every replica's
 // config is derived from opts.Template by shard.ReplicaConfig (the
 // derivation sharded processes use: group id, per-group seed, replica 0's
@@ -83,43 +81,8 @@ func NewMulti(e env.Env, factory core.Factory, m *shard.ShardMap, opts Options) 
 	return mc, nil
 }
 
-// Start brings every group up.
-func (mc *MultiCluster) Start() error {
-	for g, c := range mc.Groups {
-		if err := c.Start(); err != nil {
-			return fmt.Errorf("cluster: start group %d: %w", g, err)
-		}
-	}
-	return nil
-}
-
-// Stop shuts every group down, then the node muxes.
-func (mc *MultiCluster) Stop() {
-	for _, c := range mc.Groups {
-		c.Stop()
-	}
-	for _, nm := range mc.Muxes {
-		nm.Close()
-	}
-}
-
 // Primary returns group g's current primary index within the group, or -1.
 func (mc *MultiCluster) Primary(g int) int { return mc.Groups[g].Primary() }
-
-// WaitAllPrimaries polls until every group has a primary, under one
-// shared deadline.
-func (mc *MultiCluster) WaitAllPrimaries(timeout time.Duration) error {
-	deadline := mc.Env.Now() + timeout
-	for g, c := range mc.Groups {
-		for c.Primary() < 0 {
-			if mc.Env.Now() >= deadline {
-				return fmt.Errorf("cluster: group %d has no primary in time", g)
-			}
-			mc.Env.Sleep(2 * time.Millisecond)
-		}
-	}
-	return nil
-}
 
 // CrashGroupPrimary crashes group g's current primary and returns its
 // in-group index. Other groups — including ones hosting replicas on the

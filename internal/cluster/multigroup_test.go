@@ -12,7 +12,6 @@ import (
 	"rex/internal/core"
 	"rex/internal/readpath"
 	"rex/internal/shard"
-	"rex/internal/sim"
 )
 
 // TestMultiClusterShardedFailover is the sharding end-to-end test (run
@@ -21,20 +20,19 @@ import (
 // must keep serving without interruption while group 0 fails over, and
 // every key must read back from its owning group afterwards.
 func TestMultiClusterShardedFailover(t *testing.T) {
-	e := sim.New(2)
 	var failure string
 	fail := func(format string, args ...any) {
 		if failure == "" {
 			failure = fmt.Sprintf(format, args...)
 		}
 	}
-	e.Run(func() {
+	cluster.Simulate(2, func(r *cluster.Run) {
 		m, err := shard.NewShardMap(1, 4, 4, 3)
 		if err != nil {
 			fail("map: %v", err)
 			return
 		}
-		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
+		if err := r.StartMulti(hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
 			Template: core.Config{
 				Workers:         2,
 				Timers:          hashdb.Timers(),
@@ -42,20 +40,11 @@ func TestMultiClusterShardedFailover(t *testing.T) {
 				ElectionTimeout: 100 * time.Millisecond,
 				Seed:            7,
 			},
-		})
-		if err != nil {
-			fail("new multi: %v", err)
-			return
-		}
-		if err := mc.Start(); err != nil {
-			fail("start: %v", err)
-			return
-		}
-		defer mc.Stop()
-		if err := mc.WaitAllPrimaries(10 * time.Second); err != nil {
+		}); err != nil {
 			fail("%v", err)
 			return
 		}
+		mc := r.MC
 
 		router := mc.NewRouter(100)
 		const keys = 64
@@ -123,11 +112,10 @@ func TestMultiClusterShardedFailover(t *testing.T) {
 // the map's placement: with no faults, each group elects its preferred
 // primary (replica 0), whose node rotates across the cluster.
 func TestMultiClusterRotatesPrimaries(t *testing.T) {
-	e := sim.New(2)
 	var failure string
-	e.Run(func() {
+	cluster.Simulate(2, func(r *cluster.Run) {
 		m, _ := shard.NewShardMap(1, 4, 4, 3)
-		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
+		if err := r.StartMulti(hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
 			Template: core.Config{
 				Workers:         2,
 				Timers:          hashdb.Timers(),
@@ -135,20 +123,11 @@ func TestMultiClusterRotatesPrimaries(t *testing.T) {
 				ElectionTimeout: 100 * time.Millisecond,
 				Seed:            11,
 			},
-		})
-		if err != nil {
+		}); err != nil {
 			failure = err.Error()
 			return
 		}
-		if err := mc.Start(); err != nil {
-			failure = err.Error()
-			return
-		}
-		defer mc.Stop()
-		if err := mc.WaitAllPrimaries(10 * time.Second); err != nil {
-			failure = err.Error()
-			return
-		}
+		mc := r.MC
 		nodes := make(map[int]bool)
 		for g := 0; g < 4; g++ {
 			p := mc.Primary(g)
@@ -172,16 +151,15 @@ func TestMultiClusterRotatesPrimaries(t *testing.T) {
 // the session tokens it mints, and a secondary refuses a token minted by
 // another group.
 func TestMultiClusterStampsGroupInSessionTokens(t *testing.T) {
-	e := sim.New(2)
 	var failure string
 	fail := func(format string, args ...any) {
 		if failure == "" {
 			failure = fmt.Sprintf(format, args...)
 		}
 	}
-	e.Run(func() {
+	cluster.Simulate(2, func(r *cluster.Run) {
 		m, _ := shard.NewShardMap(1, 2, 3, 3)
-		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
+		if err := r.StartMulti(hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
 			Template: core.Config{
 				Workers:         2,
 				Timers:          hashdb.Timers(),
@@ -190,20 +168,11 @@ func TestMultiClusterStampsGroupInSessionTokens(t *testing.T) {
 				ElectionTimeout: 100 * time.Millisecond,
 				Seed:            5,
 			},
-		})
-		if err != nil {
-			fail("new multi: %v", err)
-			return
-		}
-		if err := mc.Start(); err != nil {
-			fail("start: %v", err)
-			return
-		}
-		defer mc.Stop()
-		if err := mc.WaitAllPrimaries(10 * time.Second); err != nil {
+		}); err != nil {
 			fail("%v", err)
 			return
 		}
+		mc := r.MC
 		toks := make([]readpath.Token, m.Groups())
 		for g := range toks {
 			p := mc.Groups[g].Replica(mc.Primary(g))
@@ -223,7 +192,7 @@ func TestMultiClusterStampsGroupInSessionTokens(t *testing.T) {
 			fail("group 0 secondary refused its own group's token: %v", err)
 			return
 		}
-		_, _, err = sec.QueryLevel(readpath.Session, toks[1], hashdb.GetReq("k"))
+		_, _, err := sec.QueryLevel(readpath.Session, toks[1], hashdb.GetReq("k"))
 		if err == nil || !strings.Contains(err.Error(), "group 1 presented to group 0") {
 			fail("group 0 secondary served a group-1 token: err = %v", err)
 		}

@@ -15,7 +15,6 @@ import (
 	"rex/internal/obs"
 	"rex/internal/readpath"
 	"rex/internal/shard"
-	"rex/internal/sim"
 	"rex/internal/wire"
 )
 
@@ -29,7 +28,6 @@ import (
 // session event sequence must satisfy read-your-writes and monotonic
 // reads — i.e. session guarantees survive the ownership flips.
 func TestMigrationWindowProperty(t *testing.T) {
-	e := sim.New(4)
 	var failure string
 	fail := func(format string, args ...any) {
 		if failure == "" {
@@ -53,13 +51,14 @@ func TestMigrationWindowProperty(t *testing.T) {
 	tracks := make([]map[string]*keyState, clients)
 	events := make([][]check.SessionEvent, clients)
 
-	e.Run(func() {
+	cluster.Simulate(4, func(r *cluster.Run) {
+		e := r.Env
 		m, err := shard.NewShardMap(1, 2, 3, 3)
 		if err != nil {
 			fail("map: %v", err)
 			return
 		}
-		mc, err := cluster.NewMulti(e, hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
+		if err := r.StartMulti(hashdb.New(hashdb.DefaultOptions()), m, cluster.Options{
 			Template: core.Config{
 				Workers:         2,
 				ReadWorkers:     2,
@@ -70,19 +69,11 @@ func TestMigrationWindowProperty(t *testing.T) {
 				Seed:            21,
 			},
 			LiveRebalance: true,
-		})
-		if err != nil {
-			fail("new multi: %v", err)
-			return
-		}
-		if err := mc.Start(); err != nil {
-			fail("start: %v", err)
-			return
-		}
-		if err := mc.WaitAllPrimaries(10 * time.Second); err != nil {
+		}); err != nil {
 			fail("%v", err)
 			return
 		}
+		mc := r.MC
 
 		mu := e.NewMutex()
 		stop := false
@@ -209,16 +200,9 @@ func TestMigrationWindowProperty(t *testing.T) {
 		mu.Unlock()
 		load.Wait()
 
-		for g := range mc.Groups {
-			states, faults, err := mc.Groups[g].StableStates(30 * time.Second)
-			if err != nil {
-				fail("group %d stable states: %v (faults: %v)", g, err, faults)
-				return
-			}
-			for _, v := range check.StateAgreement(states) {
-				fail("group %d: %s", g, v)
-				return
-			}
+		if v, _ := r.End(nil); len(v) > 0 {
+			fail("%s", v[0])
+			return
 		}
 
 		// Every tracked key reads back at a version in the window between
