@@ -98,7 +98,8 @@ chaos:
 	$(GO) run ./cmd/rexchaos -scenario rebalance -scenarios 2 -seed 1 -groups 3
 
 # Every decoder fuzz target (input reachable from a socket, the WAL, a
-# snapshot file or a peer's checkpoint push), FUZZTIME each: go test fuzzes one target per run. Their
+# snapshot file or a peer's checkpoint push), and the chunked trace store
+# against its model, FUZZTIME each: go test fuzzes one target per run. Their
 # seed corpora already run in `make test`. go test minimizes every input
 # that adds coverage, by default for up to 60 s with a search quadratic
 # in the input's length; one long input then kept both workers busy for
@@ -115,6 +116,7 @@ FUZZ_TARGETS = \
 	./internal/reconfig:FuzzDecodeSchedule \
 	./internal/shard:FuzzDecodeShardMap \
 	./internal/trace:FuzzDecodeDelta \
+	./internal/trace:FuzzChunkedStore \
 	./internal/readpath:FuzzTokenRoundTrip \
 	./internal/readpath:FuzzTokenDecode \
 	./internal/readpath:FuzzTokenMerge \

@@ -85,7 +85,10 @@ func Fig10(cfg Fig10Config) []Fig10Sample {
 			})
 		})
 
-		// Scripted control plane; each step labels the bucket after it.
+		// Scripted control plane; each step labels the bucket it falls in.
+		// Script and samples share one clock, started here: the first
+		// primary's election makes setup take a variable while.
+		start := r.Env.Now()
 		checkpoint := func() {
 			if pr := c.Primary(); pr >= 0 {
 				c.Replicas[pr].Checkpoint()
@@ -111,7 +114,7 @@ func Fig10(cfg Fig10Config) []Fig10Sample {
 		}
 		r.Env.Go("script", func() {
 			for _, step := range script {
-				for r.Env.Now() < step.at {
+				for r.Env.Now()-start < step.at {
 					if !r.Running() {
 						return
 					}
@@ -122,7 +125,6 @@ func Fig10(cfg Fig10Config) []Fig10Sample {
 		})
 
 		// Sample throughput per bucket.
-		start := r.Env.Now()
 		for r.Env.Now()-start < cfg.EndAt {
 			w := r.measureFor(cfg.BucketEvery)
 			at := r.Env.Now() - start

@@ -79,10 +79,10 @@ func TestGoldenSweeps(t *testing.T) {
 			{1015, 0, 1015, 19},
 		}},
 		{Scenario{Name: "overload"}, []goldenCounts{
-			{1485, 21, 1481, 36},
-			{1536, 21, 1534, 36},
-			{1428, 12, 1425, 36},
-			{1274, 7, 1273, 36},
+			{1551, 21, 1547, 36},
+			{1509, 21, 1508, 36},
+			{1436, 9, 1435, 36},
+			{1382, 7, 1382, 36},
 		}},
 	}
 	for _, sw := range sweeps {

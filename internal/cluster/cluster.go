@@ -411,17 +411,19 @@ func (c *Cluster) WaitConverged(timeout time.Duration) (string, error) {
 // not require the states to agree: the chaos checker compares them
 // itself, so a divergence becomes a reported violation instead of a
 // timeout here. Replicas that crashed on a storage fault are returned in
-// faults rather than treated as an error.
+// faults rather than treated as an error. Serializing is the expensive
+// part, so a 20 ms poll serializes only once the replicas have quiesced,
+// and two such polls in a row that serialize the same states end the wait.
 func (c *Cluster) StableStates(timeout time.Duration) (states map[int]string, faults map[int]error, err error) {
 	deadline := c.Env.Now() + timeout
-	var last string
-	stable := 0
-	for c.Env.Now() < deadline {
+	last := ""
+	for ; c.Env.Now() < deadline; c.Env.Sleep(20 * time.Millisecond) {
+		if !c.quiesced() {
+			last = ""
+			continue
+		}
 		cur := make(map[int]string)
 		curFaults := make(map[int]error)
-		quiesced := true
-		seq := uint64(0)
-		haveSeq := false
 		for i, r := range c.live() {
 			if r == nil || r.Role() == core.RoleRemoved {
 				continue // removed nodes froze mid-stream; like a crash
@@ -430,39 +432,40 @@ func (c *Cluster) StableStates(timeout time.Duration) (states map[int]string, fa
 				curFaults[i] = r.FaultError()
 				continue
 			}
-			// Quiescence means no live replica is still catching up: all
-			// share one chosen sequence and have applied everything in it.
-			// Without this, a frozen-but-lagging replica (e.g. one still
-			// bridging a compaction gap) reads as a stable divergence.
-			base, vals := r.ChosenLog()
-			s := base + uint64(len(vals))
-			if r.Stats().Applied < s {
-				quiesced = false
-			}
-			if haveSeq && s != seq {
-				quiesced = false
-			}
-			seq, haveSeq = s, true
 			var buf bytes.Buffer
 			if err := r.StateMachineForTest().WriteCheckpoint(&buf); err != nil {
 				return nil, nil, err
 			}
 			cur[i] = buf.String()
 		}
-		// Compare the whole snapshot (states and fault set) for stability.
 		key := fmt.Sprintf("%v|%v", cur, curFaults)
-		if quiesced && key == last {
-			stable++
-			if stable >= 3 {
-				return cur, curFaults, nil
-			}
-		} else {
-			stable = 0
-			last = key
+		if key == last {
+			return cur, curFaults, nil
 		}
-		c.Env.Sleep(20 * time.Millisecond)
+		last = key
 	}
 	return nil, nil, errors.New("cluster: replica states did not stabilize in time")
+}
+
+// quiesced reports whether no live replica is still catching up: all
+// share one chosen sequence and have applied everything in it. Without
+// this, a frozen-but-lagging replica (e.g. one still bridging a
+// compaction gap) reads as a stable divergence.
+func (c *Cluster) quiesced() bool {
+	seq := uint64(0)
+	haveSeq := false
+	for _, r := range c.live() {
+		if r == nil || r.Role() == core.RoleRemoved || r.Role() == core.RoleFaulted {
+			continue
+		}
+		base, vals := r.ChosenLog()
+		s := base + uint64(len(vals))
+		if r.Stats().Applied < s || haveSeq && s != seq {
+			return false
+		}
+		seq, haveSeq = s, true
+	}
+	return true
 }
 
 // Check is the structural check every simulated run ends in: once c's

@@ -19,7 +19,7 @@ var errNotPrimaryNow = errors.New("rex: not primary")
 // resetting by hand. Guarded by Replica.mu.
 type primaryState struct {
 	tr            *trace.Trace // committed trace
-	lcc           trace.Cut    // its last consistent cut; releases responses
+	lcc           trace.Cut    // its last consistent cut; releases responses; never written in place
 	pendingRebase trace.Cut    // promotion cut, until the first delta carries it (§3.2)
 
 	pending     map[uint64]*pendingReq // admitted requests by trace index
@@ -192,11 +192,15 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 	}
 	waiting, lagWaited := false, false
 	var prim *primaryState
+	var timer env.Timer // the deadline's wake-up while waiting
 	leaveWait := func() {
 		if waiting {
 			waiting = false
 			r.admWaiters--
 			r.obs.admissionWaiters.Set(int64(r.admWaiters))
+			if timer != nil {
+				timer.Stop()
+			}
 		}
 	}
 	for {
@@ -251,7 +255,7 @@ func (r *Replica) SubmitTokenDeadline(client, seq uint64, body []byte, budget ti
 			r.admWaiters++
 			r.obs.admissionWaiters.Set(int64(r.admWaiters))
 			if deadline > 0 {
-				r.spawnCondWatchdog(deadline)
+				timer = r.condTimer(deadline)
 			}
 		}
 		if lagging && !lagWaited {
@@ -321,11 +325,12 @@ func (r *Replica) awaitReply(p *pendingReq) ([]byte, readpath.Token, error) {
 // frontier. Tokens must never include speculative state: on the primary
 // that is the last consistent cut of the committed trace (prim.lcc), on a
 // secondary the replayed-and-executed cut — both only ever cover
-// consensus-committed effects, so a token survives any failover.
+// consensus-committed effects, so a token survives any failover. The
+// primary's token shares lcc, which fold replaces rather than writes.
 func (r *Replica) tokenLocked() readpath.Token {
 	tok := readpath.Token{Group: r.cfg.Group, Epoch: r.member.Epoch, Applied: r.applied}
 	if r.prim != nil {
-		tok.Cut = r.prim.lcc.Clone()
+		tok.Cut = r.prim.lcc
 	} else if rep := r.replayerOfLocked(); rep != nil {
 		tok.Cut = rep.Executed()
 	}
@@ -430,9 +435,7 @@ func (r *Replica) nextWork(inc *incarnation, ti int) (w reqWork, ok bool) {
 		}
 		if inc.classifier == nil {
 			if len(p.workQ) > 0 {
-				w = p.workQ[0]
-				p.workQ = p.workQ[1:]
-				return w, true
+				return popWork(&p.workQ), true
 			}
 		} else if w, ok := p.nextClassWork(ti); ok {
 			if w.class == ConflictAll && len(p.barrierQ) == 0 {
@@ -464,8 +467,7 @@ func (p *primaryState) nextClassWork(ti int) (reqWork, bool) {
 		if ti != 0 || p.classDispatched > 0 {
 			return reqWork{}, false
 		}
-		w := p.barrierQ[0]
-		p.barrierQ = p.barrierQ[1:]
+		w := popWork(&p.barrierQ)
 		for t, end := range p.classLastEnd {
 			if t != ti && end != (trace.EventID{}) {
 				w.in = append(w.in, end)
@@ -474,18 +476,26 @@ func (p *primaryState) nextClassWork(ti int) (reqWork, bool) {
 		p.classDispatched++
 		return w, true
 	}
-	q := p.classQ[ti]
-	if len(q) == 0 {
+	if len(p.classQ[ti]) == 0 {
 		return reqWork{}, false
 	}
-	w := q[0]
-	p.classQ[ti] = q[1:]
+	w := popWork(&p.classQ[ti])
 	if a := p.classAfter[ti]; a != (trace.EventID{}) {
 		w.in = append(w.in, a)
 		p.classAfter[ti] = trace.EventID{}
 	}
 	p.classDispatched++
 	return w, true
+}
+
+// popWork removes and returns the head of a non-empty queue, moving the
+// rest down so that the queue keeps reusing its array.
+func popWork(q *[]reqWork) reqWork {
+	w := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = reqWork{}
+	*q = (*q)[:n]
+	return w
 }
 
 // pauseGate is the checkpoint barrier for timer threads: it joins a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"rex/internal/env"
 	"rex/internal/overload"
 	"rex/internal/readpath"
 	"rex/internal/reconfig"
@@ -217,7 +218,7 @@ func (r *Replica) drainObservedWrites(deadline time.Duration) error {
 	for idx := range p.pending {
 		observed = append(observed, idx)
 	}
-	r.spawnCondWatchdog(deadline)
+	defer r.condTimer(deadline).Stop()
 	for {
 		if r.stopped || r.faultErr != nil {
 			return ErrStopped
@@ -243,14 +244,12 @@ func (r *Replica) drainObservedWrites(deadline time.Duration) error {
 	}
 }
 
-// spawnCondWatchdog broadcasts r.cond once deadline passes, so a
-// cond-based wait can time out (env.Cond has no timed wait). Spurious
-// wake-ups are harmless — every waiter re-checks its predicate.
-func (r *Replica) spawnCondWatchdog(deadline time.Duration) {
-	r.e.Go(fmt.Sprintf("rex-%d-read-watchdog", r.cfg.ID), func() {
-		if d := deadline - r.e.Now(); d > 0 {
-			r.e.Sleep(d)
-		}
+// condTimer broadcasts r.cond once deadline passes, so a cond-based wait
+// can time out (env.Cond has no timed wait). The waiter stops it when its
+// wait ends. Spurious wake-ups are harmless — every waiter re-checks its
+// predicate.
+func (r *Replica) condTimer(deadline time.Duration) env.Timer {
+	return r.e.AfterFunc(deadline-r.e.Now(), func() {
 		r.mu.Lock()
 		r.cond.Broadcast()
 		r.mu.Unlock()
@@ -283,17 +282,12 @@ func (r *Replica) readBarrier(deadline time.Duration) error {
 	p.pendingBarriers[id] = ch
 	r.mu.Unlock()
 
-	// A deposed node's Propose is dropped silently; the watchdog turns
-	// that into a timeout the client can retry.
+	// A deposed node's Propose is dropped silently; the timer turns that
+	// into a timeout the client can retry.
 	r.node.Propose(reconfig.BarrierValue(id))
-	r.e.Go(fmt.Sprintf("rex-%d-barrier-watchdog", r.cfg.ID), func() {
-		if d := deadline - r.e.Now(); d > 0 {
-			r.e.Sleep(d)
-		}
-		ch.TrySend(false)
-	})
-
+	tm := r.e.AfterFunc(deadline-r.e.Now(), func() { ch.TrySend(false) })
 	v, ok := ch.Recv()
+	tm.Stop()
 	r.mu.Lock()
 	delete(p.pendingBarriers, id)
 	r.mu.Unlock()

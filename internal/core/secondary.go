@@ -113,7 +113,7 @@ func (r *Replica) statusLoop() {
 		applied := r.applied
 		rep := r.replayerLocked()
 		r.mu.Unlock()
-		r.broadcastCtrl((&ctrlMsg{Kind: ctrlStatus, Applied: applied, Backlog: replayBacklogOf(rep)}).encode())
+		r.broadcastCtrl((&ctrlMsg{Kind: ctrlStatus, Applied: applied, Backlog: rep.Backlog()}).encode())
 	}
 }
 
@@ -136,28 +136,11 @@ func (r *Replica) replayerOfLocked() *sched.Replayer {
 	return r.inc.rt.Replayer()
 }
 
-// replayBacklogOf sums rep's replay backlog (committed-but-unexecuted
-// events across threads), 0 for a nil replayer.
-func replayBacklogOf(rep *sched.Replayer) uint64 {
-	if rep == nil {
-		return 0
-	}
-	var backlog uint64
-	limit := rep.Limit()
-	executed := rep.Executed()
-	for t := range limit {
-		if d := limit[t] - executed[t]; d > 0 {
-			backlog += uint64(d)
-		}
-	}
-	return backlog
-}
-
 // replayBacklog reports this replica's own replay backlog in events;
 // the read path sheds weak follower reads past the lag limit.
 func (r *Replica) replayBacklog() uint64 {
 	r.mu.Lock()
 	rep := r.replayerLocked()
 	r.mu.Unlock()
-	return replayBacklogOf(rep)
+	return rep.Backlog()
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzTokenRoundTrip checks that any structurally valid token survives
-// Encode/Decode unchanged.
+// Encode/Decode unchanged, that Size is the encoded length, and that a
+// decode into reused storage overwrites every entry it keeps.
 func FuzzTokenRoundTrip(f *testing.F) {
 	f.Add(uint32(0), uint64(0), uint64(0), []byte(nil))
 	f.Add(uint32(3), uint64(7), uint64(900), []byte{1, 2, 3, 4})
@@ -22,7 +23,11 @@ func FuzzTokenRoundTrip(f *testing.F) {
 				tok.Cut[i] = int32(b) << (uint(i) % 20)
 			}
 		}
-		got, err := DecodeTokenBytes(tok.EncodeBytes())
+		enc := tok.EncodeBytes()
+		if len(enc) != tok.Size() {
+			t.Fatalf("Size = %d, encoding has %d bytes", tok.Size(), len(enc))
+		}
+		got, err := DecodeTokenBytes(enc, trace.Cut{-1, -1, -1, -1})
 		if err != nil {
 			t.Fatalf("decode of freshly encoded token failed: %v", err)
 		}
@@ -51,11 +56,11 @@ func FuzzTokenDecode(f *testing.F) {
 	f.Add((Token{Epoch: 2, Applied: 9}).EncodeBytes())                  // valid
 	f.Add([]byte{0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // giant cut length
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tok, err := DecodeTokenBytes(data)
+		tok, err := DecodeTokenBytes(data, nil)
 		if err != nil {
 			return
 		}
-		again, err := DecodeTokenBytes(tok.EncodeBytes())
+		again, err := DecodeTokenBytes(tok.EncodeBytes(), nil)
 		if err != nil {
 			t.Fatalf("re-decode of accepted token failed: %v", err)
 		}
@@ -109,6 +114,6 @@ func FuzzTokenDecodePrefix(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := wire.NewDecoder(data)
-		_, _ = DecodeToken(d)
+		_, _ = DecodeToken(d, nil)
 	})
 }

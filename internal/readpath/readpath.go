@@ -120,6 +120,10 @@ func (t Token) Covers(o Token) bool {
 // fresh session adopts the group of the first token it sees. That holds
 // only when o's epoch is not older: an empty token of a newer epoch still
 // supersedes an older epoch's.
+//
+// A token is a value nobody writes, so the result shares its cut with t
+// or o whenever one of them covers the other; only incomparable cuts get
+// a fresh one.
 func (t Token) Merge(o Token) Token {
 	if t.Zero() && t.Epoch <= o.Epoch {
 		return o
@@ -138,7 +142,7 @@ func (t Token) Merge(o Token) Token {
 		if out.Cut.AtLeast(o.Cut) {
 			// keep ours
 		} else if o.Cut.AtLeast(out.Cut) {
-			out.Cut = o.Cut.Clone()
+			out.Cut = o.Cut
 		} else {
 			// Incomparable within one epoch (tokens minted by replicas at
 			// different replay progress): take the pointwise max so neither
@@ -171,9 +175,19 @@ func (t Token) Encode(e *wire.Encoder) {
 	}
 }
 
+// Size returns the length of the token's wire form.
+func (t Token) Size() int {
+	n := wire.UvarintLen(uint64(t.Group)) + wire.UvarintLen(t.Epoch) +
+		wire.UvarintLen(t.Applied) + wire.UvarintLen(uint64(len(t.Cut)))
+	for _, v := range t.Cut {
+		n += wire.UvarintLen(uint64(v))
+	}
+	return n
+}
+
 // EncodeBytes returns the token's wire form as a fresh slice.
 func (t Token) EncodeBytes() []byte {
-	e := wire.NewEncoder(nil)
+	e := wire.NewEncoder(make([]byte, 0, t.Size()))
 	t.Encode(e)
 	return e.Bytes()
 }
@@ -182,8 +196,10 @@ func (t Token) EncodeBytes() []byte {
 // corrupt frame cannot ask for a giant allocation.
 const maxTokenThreads = 1 << 16
 
-// DecodeToken reads a token written by Encode.
-func DecodeToken(d *wire.Decoder) (Token, error) {
+// DecodeToken reads a token written by Encode, decoding its cut into
+// dst's storage, grown only when too short (nil allocates): a reader that
+// passes back the cut it last decoded allocates nothing.
+func DecodeToken(d *wire.Decoder, dst trace.Cut) (Token, error) {
 	var t Token
 	t.Group = int(d.Uvarint())
 	t.Epoch = d.Uvarint()
@@ -196,7 +212,10 @@ func DecodeToken(d *wire.Decoder) (Token, error) {
 		return Token{}, wire.ErrCorrupt
 	}
 	if n > 0 {
-		t.Cut = make(trace.Cut, n)
+		if uint64(cap(dst)) < n {
+			dst = make(trace.Cut, n)
+		}
+		t.Cut = dst[:n]
 		for i := range t.Cut {
 			t.Cut[i] = int32(d.Uvarint())
 		}
@@ -207,25 +226,34 @@ func DecodeToken(d *wire.Decoder) (Token, error) {
 	return t, nil
 }
 
-// DecodeTokenBytes decodes a token from b. An empty b is the zero token.
-func DecodeTokenBytes(b []byte) (Token, error) {
+// DecodeTokenBytes decodes a token from b, its cut into dst's storage as
+// DecodeToken does. An empty b is the zero token.
+func DecodeTokenBytes(b []byte, dst trace.Cut) (Token, error) {
 	if len(b) == 0 {
 		return Token{}, nil
 	}
-	return DecodeToken(wire.NewDecoder(b))
+	return DecodeToken(wire.NewDecoder(b), dst)
 }
 
 // SessionState accumulates tokens across a client's requests. It is not
-// concurrency-safe; Rex clients are single-session by design.
+// concurrency-safe; Rex clients are single-session by design. The session
+// owns its token's cut and copies every observed frontier into it, so an
+// observed token may share storage with its sender, and observing one
+// allocates nothing once the cut has grown.
 type SessionState struct {
 	tok Token
 }
 
-// Token returns the session's current frontier.
+// Token returns the session's current frontier. Its cut is the session's
+// storage: it stays valid until the next Observe or Reset.
 func (s *SessionState) Token() Token { return s.tok }
 
 // Observe folds a response token into the session.
-func (s *SessionState) Observe(t Token) { s.tok = s.tok.Merge(t) }
+func (s *SessionState) Observe(t Token) {
+	own := s.tok.Cut
+	s.tok = s.tok.Merge(t)
+	s.tok.Cut = append(own[:0], s.tok.Cut...)
+}
 
 // Reset clears the session (e.g. after switching groups).
 func (s *SessionState) Reset() { s.tok = Token{} }

@@ -51,7 +51,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	for _, tok := range toks {
 		e := wire.NewEncoder(nil)
 		tok.Encode(e)
-		got, err := DecodeToken(wire.NewDecoder(e.Bytes()))
+		got, err := DecodeToken(wire.NewDecoder(e.Bytes()), nil)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -60,13 +60,13 @@ func TestTokenRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty bytes decode to the zero token.
-	z, err := DecodeTokenBytes(nil)
+	z, err := DecodeTokenBytes(nil, nil)
 	if err != nil || !z.Zero() {
 		t.Fatalf("DecodeTokenBytes(nil) = %+v, %v", z, err)
 	}
 	// Truncated bytes error rather than panic.
 	full := toks[1].EncodeBytes()
-	if _, err := DecodeTokenBytes(full[:len(full)-1]); err == nil {
+	if _, err := DecodeTokenBytes(full[:len(full)-1], nil); err == nil {
 		t.Fatal("truncated token should fail to decode")
 	}
 }

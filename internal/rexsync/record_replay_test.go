@@ -132,8 +132,8 @@ func replayRun(t *testing.T, cores, nWorkers int, tr *trace.Trace, scripts []scr
 		wl := newWorld(rt)
 		runScripts(e, rt, wl, scripts)
 		if !rt.Replayer().CaughtUp() {
-			t.Errorf("replay did not consume the full trace: executed=%v limit=%v",
-				rt.Replayer().Executed(), rt.Replayer().Limit())
+			t.Errorf("replay did not consume the full trace: executed=%v backlog=%d",
+				rt.Replayer().Executed(), rt.Replayer().Backlog())
 		}
 		snap = wl.snapshot()
 	})

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rex/internal/env"
@@ -33,6 +34,7 @@ type Replayer struct {
 
 	tr       *trace.Trace
 	limit    trace.Cut // last consistent cut of the applied deltas
+	next     trace.Cut // Extend computes the next limit here, then swaps
 	executed trace.Cut
 	aborted  bool
 	marks    []trace.Mark // pending checkpoint marks, oldest first
@@ -47,9 +49,12 @@ type Replayer struct {
 	// replayer (set via Runtime.UnsafeSkipEdgeWaits; never in production).
 	skipEdgeWaits bool
 
-	e    env.Env
-	ob   *ReplayObs // nil disables metric collection
-	lagQ []lagMark  // commit-time watermarks pending execution, oldest first
+	e  env.Env
+	ob *ReplayObs // nil disables metric collection
+	// lagQ holds the commit-time watermarks pending execution, oldest
+	// first. Its storage past len is retired marks whose cuts the next
+	// ones reuse.
+	lagQ []lagMark
 }
 
 // lagMark remembers when a committed delta's release frontier was reached,
@@ -131,7 +136,7 @@ func (r *Replayer) Extend(d *trace.Delta) error {
 		}
 		return err
 	}
-	limit, err := r.tr.ConsistentCut(r.limit)
+	limit, err := r.tr.ConsistentCutInto(r.next, r.limit)
 	if err != nil {
 		r.abortLocked()
 		return err
@@ -141,10 +146,13 @@ func (r *Replayer) Extend(d *trace.Delta) error {
 			r.release[t].Broadcast()
 		}
 	}
-	r.limit = limit
+	r.limit, r.next = limit, r.limit
 	if r.ob != nil && !r.executed.AtLeast(r.limit) {
-		if len(r.lagQ) < maxLagQ {
-			r.lagQ = append(r.lagQ, lagMark{cut: r.limit.Clone(), at: r.e.Now()})
+		if n := len(r.lagQ); n < maxLagQ {
+			r.lagQ = slices.Grow(r.lagQ, 1)[:n+1]
+			m := &r.lagQ[n]
+			m.cut = append(m.cut[:0], r.limit...)
+			m.at = r.e.Now()
 		} else if r.ob.LagDropped != nil {
 			r.ob.LagDropped.Inc()
 		}
@@ -249,15 +257,30 @@ func (r *Replayer) Commit(t int32) {
 	r.executed[t]++
 	r.tr.PruneTo(int(t), r.executed[t])
 	r.replayedEvents++
-	for len(r.lagQ) > 0 && r.executed.AtLeast(r.lagQ[0].cut) {
-		r.ob.CommitLag.Observe(r.e.Now() - r.lagQ[0].at)
-		r.lagQ = r.lagQ[1:]
+	if len(r.lagQ) > 0 && r.executed.AtLeast(r.lagQ[0].cut) {
+		r.retireLagLocked()
 	}
 	r.perThread[t].Broadcast()
 	if r.progressWaiters > 0 {
 		r.progress.Broadcast()
 	}
 	r.mu.Unlock()
+}
+
+// retireLagLocked observes the lag of every pending watermark replay has
+// reached and retires them, moving the pending ones to the front and the
+// retired ones, whose cut storage the next marks reuse, past the end.
+func (r *Replayer) retireLagLocked() {
+	q := r.lagQ
+	n := 0
+	for n < len(q) && r.executed.AtLeast(q[n].cut) {
+		r.ob.CommitLag.Observe(r.e.Now() - q[n].at)
+		n++
+	}
+	for i := 0; i+n < len(q); i++ {
+		q[i], q[i+n] = q[i+n], q[i]
+	}
+	r.lagQ = q[:len(q)-n]
 }
 
 // Executed returns the per-thread executed watermarks.
@@ -267,12 +290,21 @@ func (r *Replayer) Executed() trace.Cut {
 	return r.executed.Clone()
 }
 
-// Limit returns the current release frontier (the last consistent cut of
-// the committed trace).
-func (r *Replayer) Limit() trace.Cut {
+// Backlog returns the released events not yet executed, summed over the
+// threads; 0 for a nil replayer.
+func (r *Replayer) Backlog() uint64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.limit.Clone()
+	var n uint64
+	for t, l := range r.limit {
+		if d := l - r.executed[t]; d > 0 {
+			n += uint64(d)
+		}
+	}
+	return n
 }
 
 // CaughtUp reports whether every released event has executed.
@@ -301,9 +333,9 @@ func (r *Replayer) WaitCaughtUp() bool {
 // session token — or until timeout elapses or the replayer aborts. It
 // reports whether the frontier was reached.
 //
-// env.Cond has no timed wait, so the deadline is enforced by a watchdog
-// task spawned only on the slow path: it sleeps the full timeout and
-// broadcasts progress so the wait loop re-checks the clock.
+// env.Cond has no timed wait, so on the slow path a timer broadcasts
+// progress at the deadline for the wait loop to re-check the clock; it is
+// stopped when the wait ends.
 func (r *Replayer) WaitExecutedAtLeast(cut trace.Cut, timeout time.Duration) bool {
 	// Normalize: a token minted before a resync/rebuild can carry a cut
 	// sized for a different thread count. Trailing zeros are trivially
@@ -316,18 +348,17 @@ func (r *Replayer) WaitExecutedAtLeast(cut trace.Cut, timeout time.Duration) boo
 		return false
 	}
 	if r.executed.AtLeast(cut) {
-		return true // fast path: no watchdog, no waiting
+		return true // fast path: no timer, no waiting
 	}
 	if r.aborted || timeout <= 0 {
 		return false
 	}
 	deadline := r.e.Now() + timeout
-	r.e.Go("replay-wait-watchdog", func() {
-		r.e.Sleep(timeout)
+	defer r.e.AfterFunc(timeout, func() {
 		r.mu.Lock()
 		r.progress.Broadcast()
 		r.mu.Unlock()
-	})
+	}).Stop()
 	for !r.executed.AtLeast(cut) {
 		if r.aborted || r.e.Now() >= deadline {
 			return false

@@ -161,8 +161,8 @@ func TestReplayerGatesBeyondLimit(t *testing.T) {
 		d0.Threads[1].Append(trace.Event{Kind: trace.KindLockAcq, Res: 1}, []trace.EventID{{Thread: 0, Clock: 1}})
 		tr := committedTrace(d0)
 		rep := mustReplayer(t, e, tr, nil)
-		if limit := rep.Limit(); limit[1] != 0 {
-			t.Fatalf("limit = %v, want thread 1 gated at 0", limit)
+		if n := rep.Backlog(); n != 0 {
+			t.Fatalf("backlog = %d, want thread 1 gated at 0", n)
 		}
 		got := false
 		e.Go("t1", func() {

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"rex/internal/alloctest"
 	"rex/internal/readpath"
+	"rex/internal/trace"
 )
 
 // TestClientSuccessPathAllocs pins the TCP client's allocations per
@@ -22,7 +24,7 @@ func TestClientSuccessPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	ok := tokenResp(readpath.Token{}, []byte{1})
+	ok := tokenResp(nil, readpath.Token{}, []byte{1})
 	go func() {
 		c, err := ln.Accept()
 		if err != nil {
@@ -56,5 +58,34 @@ func TestClientSuccessPathAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(1000, c.call); got > c.max {
 			t.Errorf("%s: %v allocations per call, want at most %v", c.name, got, c.max)
 		}
+	}
+}
+
+// TestTokenReplyReusesStorage pins both ends of a token-carrying answer
+// once warm: the server encodes it into its connection's reply buffer,
+// the client decodes the token into its transport's scratch and observes
+// it into the session's own cut. None of it allocates.
+func TestTokenReplyReusesStorage(t *testing.T) {
+	tok := readpath.Token{Group: 1, Epoch: 3, Applied: 9000, Cut: trace.Cut{700, 650, 0, 12, 9}}
+	resp := []byte("ok")
+	var sc connScratch
+	tr := &tcpTransport{}
+	var sess readpath.SessionState
+	roundTrip := func() {
+		sc.reply = tokenResp(sc.reply[:0], tok, resp)
+		got, out, err := tr.decodeTokenResp(sc.reply)
+		if err != nil || string(got) != "ok" {
+			t.Fatalf("decodeTokenResp = %q, %v", got, err)
+		}
+		sess.Observe(out)
+		tok.Applied++
+		tok.Cut[0]++
+	}
+	roundTrip()
+	if got := alloctest.MinBytes(0, roundTrip); got != 0 {
+		t.Errorf("token reply round trip allocated %d bytes, want 0", got)
+	}
+	if got := sess.Token(); got.Applied != tok.Applied-1 || got.Cut[0] != tok.Cut[0]-1 {
+		t.Errorf("session token %+v is not the last one observed", got)
 	}
 }

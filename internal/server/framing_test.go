@@ -160,7 +160,7 @@ func TestClientRequestOneWrite(t *testing.T) {
 	client, srv := net.Pipe()
 	defer client.Close()
 	defer srv.Close()
-	ok := tokenResp(readpath.Token{}, []byte{1})
+	ok := tokenResp(nil, readpath.Token{}, []byte{1})
 	go func() {
 		fc := newFrameConn(srv)
 		for {

@@ -66,6 +66,7 @@ import (
 	"rex/internal/rebalance"
 	"rex/internal/reconfig"
 	"rex/internal/shard"
+	"rex/internal/trace"
 	"rex/internal/wire"
 )
 
@@ -272,6 +273,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	fc := newFrameConn(conn)
+	var sc connScratch
 	for {
 		frame, err := fc.readFrame(time.Time{})
 		if err != nil {
@@ -282,10 +284,11 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		status, body := s.handle(frame)
+		status, body := s.handle(frame, &sc)
 		if err := fc.writeReply(status, body); err != nil {
 			return
 		}
+		sc.reply = reuse(sc.reply)
 	}
 }
 
@@ -326,7 +329,17 @@ func decodeRequest(frame []byte) (wireRequest, error) {
 	return req, nil
 }
 
-func (s *Server) handle(frame []byte) (byte, []byte) {
+// connScratch is the storage serving one connection reuses from request
+// to request: a request's session token decodes into tokCut and a
+// token-carrying answer is encoded into reply. Each answer is written
+// before the next request reuses them.
+type connScratch struct {
+	tokCut trace.Cut
+	reply  []byte
+}
+
+// handle serves one request frame, using sc's storage for session tokens.
+func (s *Server) handle(frame []byte, sc *connScratch) (byte, []byte) {
 	req, err := decodeRequest(frame)
 	if err != nil {
 		return StatusError, []byte(err.Error())
@@ -370,7 +383,8 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		if err != nil {
 			return errStatus(err)
 		}
-		return StatusOK, tokenResp(tok, resp)
+		sc.reply = tokenResp(sc.reply[:0], tok, resp)
+		return StatusOK, sc.reply
 	case KindQuery:
 		resp, err := rep.Query(body)
 		if err != nil {
@@ -385,15 +399,19 @@ func (s *Server) handle(frame []byte) (byte, []byte) {
 		if d2.Err() != nil {
 			return StatusFailed, []byte("malformed leveled query")
 		}
-		tok, err := readpath.DecodeTokenBytes(tokB)
+		tok, err := readpath.DecodeTokenBytes(tokB, sc.tokCut)
 		if err != nil {
 			return StatusFailed, []byte(fmt.Sprintf("corrupt session token: %v", err))
+		}
+		if tok.Cut != nil {
+			sc.tokCut = tok.Cut
 		}
 		resp, out, err := rep.QueryLevel(level, tok, q)
 		if err != nil {
 			return errStatus(err)
 		}
-		return StatusOK, tokenResp(out, resp)
+		sc.reply = tokenResp(sc.reply[:0], out, resp)
+		return StatusOK, sc.reply
 	case KindStatus:
 		st := rep.Stats()
 		e := wire.NewEncoder(nil)
@@ -718,6 +736,10 @@ type tcpTransport struct {
 	group int
 	conns map[int]*frameConn
 	wbuf  []byte // request assembly buffer, reused across calls
+	// tokCut is the storage answers' session tokens decode into: a
+	// returned token is valid until the next call, and the loop observes
+	// it into its session before then.
+	tokCut trace.Cut
 }
 
 // epoch anchors the TCP clients' loop clock.
@@ -741,19 +763,31 @@ func (t *tcpTransport) Submit(i int, id, seq uint64, body []byte, budget time.Du
 	if err != nil {
 		return nil, readpath.Token{}, err
 	}
-	return decodeTokenResp(resp)
+	return t.decodeTokenResp(resp)
 }
 
 func (t *tcpTransport) QueryLevel(i int, level readpath.Level, tok readpath.Token, q []byte, budget time.Duration) ([]byte, readpath.Token, error) {
-	e := wire.NewEncoder(nil)
+	n := tok.Size()
+	e := wire.NewEncoder(make([]byte, 0, 1+wire.UvarintLen(uint64(n))+n+wire.UvarintLen(uint64(len(q)))+len(q)))
 	e.Byte(byte(level))
-	e.BytesVal(tok.EncodeBytes())
+	e.Uvarint(uint64(n))
+	tok.Encode(e)
 	e.BytesVal(q)
 	resp, err := t.call(i, KindQueryLevel, 0, 0, e.Bytes(), budget)
 	if err != nil {
 		return nil, tok, err
 	}
-	return decodeTokenResp(resp)
+	return t.decodeTokenResp(resp)
+}
+
+// decodeTokenResp decodes a token-carrying answer into the transport's
+// token scratch.
+func (t *tcpTransport) decodeTokenResp(b []byte) ([]byte, readpath.Token, error) {
+	resp, tok, err := decodeTokenResp(b, t.tokCut)
+	if tok.Cut != nil {
+		t.tokCut = tok.Cut
+	}
+	return resp, tok, err
 }
 
 func (t *tcpTransport) Query(i int, q []byte, budget time.Duration) ([]byte, error) {
@@ -875,24 +909,26 @@ func statusErr(status byte, body []byte) error {
 	return errors.New(string(body))
 }
 
-// tokenResp encodes a token-carrying OK body: the session token covering
-// the answer, then the response.
-func tokenResp(tok readpath.Token, resp []byte) []byte {
-	e := wire.NewEncoder(nil)
-	e.BytesVal(tok.EncodeBytes())
+// tokenResp appends a token-carrying OK body to dst: the session token
+// covering the answer, then the response.
+func tokenResp(dst []byte, tok readpath.Token, resp []byte) []byte {
+	e := wire.NewEncoder(dst)
+	e.Uvarint(uint64(tok.Size()))
+	tok.Encode(e)
 	e.BytesVal(resp)
 	return e.Bytes()
 }
 
-// decodeTokenResp splits a token-carrying OK body into response and token.
-func decodeTokenResp(b []byte) ([]byte, readpath.Token, error) {
+// decodeTokenResp splits a token-carrying OK body into response and token,
+// decoding the token's cut into cut's storage (see readpath.DecodeToken).
+func decodeTokenResp(b []byte, cut trace.Cut) ([]byte, readpath.Token, error) {
 	d := wire.NewDecoder(b)
 	tokB := d.BytesVal()
 	resp := d.BytesVal()
 	if d.Err() != nil {
 		return nil, readpath.Token{}, fmt.Errorf("server: malformed token response: %w", d.Err())
 	}
-	tok, err := readpath.DecodeTokenBytes(tokB)
+	tok, err := readpath.DecodeTokenBytes(tokB, cut)
 	if err != nil {
 		return nil, readpath.Token{}, err
 	}

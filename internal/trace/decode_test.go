@@ -82,65 +82,3 @@ func FuzzDecodeDelta(f *testing.F) {
 		}
 	})
 }
-
-// putThreads is the worker count of the put-shaped deltas below.
-const putThreads = 4
-
-// putDeltas encodes n consecutive committed deltas continuing tr's
-// frontier, each shaped like an lsmkv put on a realbench primary: one
-// request with a 64-byte body and 22 events on one worker thread
-// (req-begin, ten lock acquire/release pairs, req-end), two of the
-// acquires carrying an edge from the previous put's thread (about 0.09
-// edges per event).
-func putDeltas(tr *Trace, n int) [][]byte {
-	base, reqBase := tr.Cut(), tr.ReqEnd()
-	body := bytes.Repeat([]byte("v"), 64)
-	vals := make([][]byte, n)
-	for i := range vals {
-		d := &Delta{Base: base.Clone(), ReqBase: reqBase, Threads: make([]ThreadLog, putThreads)}
-		t := int(reqBase) % putThreads
-		prev := (t + putThreads - 1) % putThreads
-		l := &d.Threads[t]
-		l.Append(Event{Kind: KindReqBegin, Res: uint32(reqBase)}, nil)
-		for k := 0; k < 10; k++ {
-			var in []EventID
-			if k < 2 && base[prev] > 0 {
-				in = []EventID{{Thread: int32(prev), Clock: base[prev]}}
-			}
-			l.Append(Event{Kind: KindLockAcq, Res: uint32(k), Arg: reqBase*2 + uint64(k)}, in)
-			l.Append(Event{Kind: KindLockRel, Res: uint32(k), Arg: reqBase*2 + uint64(k) + 1}, nil)
-		}
-		l.Append(Event{Kind: KindReqEnd, Res: uint32(reqBase), Arg: reqBase * 0x9e3779b97f4a7c15}, nil)
-		d.Reqs = []Req{{Client: reqBase % 64, Seq: reqBase, Class: uint32(1 + reqBase%16), Body: body}}
-		vals[i] = d.EncodeBytes()
-		base[t] += int32(len(l.Events))
-		reqBase++
-	}
-	return vals
-}
-
-// BenchmarkApplyCommittedDelta measures what every replica does per
-// committed instance: decode the delta into a reused scratch and apply it
-// to a warm trace. The trace is garbage collected every 4096 deltas, as a
-// checkpoint would; encoding the deltas is not timed.
-func BenchmarkApplyCommittedDelta(b *testing.B) {
-	tr := New(putThreads)
-	var d Delta
-	b.ReportAllocs()
-	b.ResetTimer()
-	for done := 0; done < b.N; {
-		b.StopTimer()
-		vals := putDeltas(tr, min(b.N-done, 4096))
-		b.StartTimer()
-		for _, v := range vals {
-			if err := d.DecodeFrom(v); err != nil {
-				b.Fatal(err)
-			}
-			if err := tr.Apply(&d); err != nil {
-				b.Fatal(err)
-			}
-		}
-		tr.Forget(tr.Cut(), tr.ReqEnd())
-		done += len(vals)
-	}
-}

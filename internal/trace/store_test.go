@@ -226,7 +226,8 @@ func (s *storeRun) randomDelta(rebase trace.Cut) *trace.Delta {
 	return d
 }
 
-func (s *storeRun) apply() {
+// apply applies a random delta, reporting whether it rebased.
+func (s *storeRun) apply() bool {
 	var rebase trace.Cut
 	if s.rng.Intn(4) == 0 {
 		rebase = s.cutWithin(2 * trace.ChunkLen)
@@ -247,6 +248,7 @@ func (s *storeRun) apply() {
 		}
 	}
 	s.m.reqs = append(s.m.reqs, d.Reqs...)
+	return rebase != nil
 }
 
 // applyBadRebase applies a delta whose rebase cut lies outside the
@@ -426,44 +428,97 @@ func (s *storeRun) check(step int) {
 // a plain-slice model; a pruned event stays a request boundary until
 // Forget collects it. Threads grow across several chunks and cuts land on and next to
 // chunk boundaries. In slices taken as a replay worker would must never
-// change unless a truncation discarded their event.
+// change unless a truncation discarded their event. The last, long run
+// checks that this holds while dropped chunks are reused.
 func TestQuickChunkedStoreMatchesModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		e := sim.New(1)
-		e.Run(func() {
-			const threads = 3
-			s := &storeRun{t: t, rng: rand.New(rand.NewSource(seed)), tr: trace.New(threads), m: newModel(threads)}
-			rep, err := sched.NewReplayer(e, s.tr, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.rep = rep
-			maxChunks := 0
-			for step := 0; step < 300; step++ {
-				switch r := s.rng.Intn(20); {
-				case r < 11:
-					s.apply()
-				case r < 13:
-					s.truncate()
-				case r < 16:
-					s.forget()
-				case r < 17:
-					s.applyBadRebase()
-				case r < 18:
-					s.prune()
-				default:
-					s.hold()
-				}
-				s.check(step)
-				for th, c := range s.m.frontier() {
-					if b := s.m.base[th]; c > b {
-						maxChunks = max(maxChunks, int((c-1)/trace.ChunkLen-b/trace.ChunkLen)+1)
-					}
-				}
-			}
-			if maxChunks < 3 {
-				t.Fatalf("seed %d: no thread's retained events ever spanned 3 chunks (max %d)", seed, maxChunks)
-			}
-		})
+		st := runStore(t, seed, opsFrom(seed, 300))
+		if st.maxChunks < 3 {
+			t.Fatalf("seed %d: no thread's retained events ever spanned 3 chunks (max %d)", seed, st.maxChunks)
+		}
 	}
+	st := runStore(t, 7, opsFrom(7, 3000))
+	if st.reused < 20 || st.truncations < 100 {
+		t.Fatalf("long run reused %d spare chunks across %d truncations, want at least 20 and 100", st.reused, st.truncations)
+	}
+}
+
+// FuzzChunkedStore drives the chunked store with fuzzed operation
+// sequences (apply, rebase, truncate, forget, prune, hold) against the
+// model, as TestQuickChunkedStoreMatchesModel does with random ones.
+func FuzzChunkedStore(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 0, 0, 0, 0, 11, 13, 17, 18, 0, 0, 11, 13})
+	f.Add(int64(2), opsFrom(2, 64))
+	f.Add(int64(3), []byte{0, 18, 0, 17, 11, 0, 18, 16, 13, 0, 0, 0, 17, 17, 11})
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64] // keeps an execution, which checks every step, in milliseconds
+		}
+		runStore(t, seed, ops)
+	})
+}
+
+// opsFrom draws n operation codes for runStore from seed.
+func opsFrom(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(-seed))
+	ops := make([]byte, n)
+	for i := range ops {
+		ops[i] = byte(rng.Intn(20))
+	}
+	return ops
+}
+
+// storeStats is what one runStore saw.
+type storeStats struct {
+	maxChunks   int // most chunks one thread's retained events spanned
+	reused      int // applies that took a chunk from a spare list
+	truncations int // successful TruncateTo calls and rebasing applies
+}
+
+// runStore checks the store against the model after each operation in
+// ops, op%20 choosing it: apply (0–10), truncate (11–12), forget (13–15),
+// a refused rebase (16), prune (17) or hold (18–19). Parameters come from
+// seed.
+func runStore(t *testing.T, seed int64, ops []byte) storeStats {
+	var st storeStats
+	e := sim.New(1)
+	e.Run(func() {
+		const threads = 3
+		s := &storeRun{t: t, rng: rand.New(rand.NewSource(seed)), tr: trace.New(threads), m: newModel(threads)}
+		rep, err := sched.NewReplayer(e, s.tr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.rep = rep
+		for step, op := range ops {
+			switch r := op % 20; {
+			case r < 11:
+				spare := s.tr.SpareChunks()
+				if s.apply() {
+					st.truncations++
+				}
+				if s.tr.SpareChunks() < spare {
+					st.reused++
+				}
+			case r < 13:
+				s.truncate()
+				st.truncations++
+			case r < 16:
+				s.forget()
+			case r < 17:
+				s.applyBadRebase()
+			case r < 18:
+				s.prune()
+			default:
+				s.hold()
+			}
+			s.check(step)
+			for th, c := range s.m.frontier() {
+				if b := s.m.base[th]; c > b {
+					st.maxChunks = max(st.maxChunks, int((c-1)/trace.ChunkLen-b/trace.ChunkLen)+1)
+				}
+			}
+		}
+	})
+	return st
 }

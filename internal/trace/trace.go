@@ -207,6 +207,7 @@ type Trace struct {
 	reqs    reqTable
 	stash   map[uint64]Req
 	Marks   []Mark
+	ended   reqSet // endedIn's result, reused
 }
 
 // New returns an empty trace over n logical threads.
@@ -269,12 +270,12 @@ func (tr *Trace) LiveReqs(cut Cut) []IndexedReq {
 	done := tr.endedIn(cut)
 	var live []IndexedReq
 	for idx, req := range tr.stash {
-		if !done[idx] {
+		if !done.has(idx) {
 			live = append(live, IndexedReq{Idx: idx, Req: req})
 		}
 	}
 	for idx := tr.reqs.base; idx < tr.reqs.end; idx++ {
-		if !done[idx] {
+		if !done.has(idx) {
 			live = append(live, IndexedReq{Idx: idx, Req: tr.reqs.get(idx)})
 		}
 	}
@@ -296,31 +297,55 @@ func (tr *Trace) LiveLowWater(cut Cut) uint64 {
 	done := tr.endedIn(cut)
 	low := tr.reqs.end
 	for idx := range tr.stash {
-		if !done[idx] && idx < low {
+		if !done.has(idx) && idx < low {
 			low = idx
 		}
 	}
 	for idx := tr.reqs.base; idx < low; idx++ {
-		if !done[idx] {
+		if !done.has(idx) {
 			low = idx
 		}
 	}
 	return low
 }
 
-// endedIn returns the request indexes whose req-end event is inside cut.
-func (tr *Trace) endedIn(cut Cut) map[uint64]bool {
-	done := make(map[uint64]bool)
+// reqSet is a set of request indexes in [lo, lo+64·len(bits)), one bit
+// each: the indexes a trace still holds are dense.
+type reqSet struct {
+	lo   uint64
+	bits []uint64
+}
+
+func (s *reqSet) has(idx uint64) bool {
+	i := idx - s.lo
+	return idx >= s.lo && i>>6 < uint64(len(s.bits)) && s.bits[i>>6]&(1<<(i&63)) != 0
+}
+
+// endedIn returns the held request indexes (the stash's and the table's)
+// whose req-end event is inside cut. The set is the trace's scratch,
+// valid until the next call.
+func (tr *Trace) endedIn(cut Cut) *reqSet {
+	s := &tr.ended
+	s.lo = tr.reqs.base
+	for idx := range tr.stash {
+		s.lo = min(s.lo, idx)
+	}
+	n := int((tr.reqs.end - s.lo + 63) >> 6)
+	if cap(s.bits) < n {
+		s.bits = make([]uint64, n)
+	}
+	s.bits = s.bits[:n]
+	clear(s.bits)
 	for t := range tr.threads {
 		if t < len(cut) {
 			tr.threads[t].eachReq(cut[t], func(kind Kind, res uint32) {
-				if kind == KindReqEnd {
-					done[uint64(res)] = true
+				if i := uint64(res) - s.lo; kind == KindReqEnd && uint64(res) >= s.lo && i>>6 < uint64(n) {
+					s.bits[i>>6] |= 1 << (i & 63)
 				}
 			})
 		}
 	}
-	return done
+	return s
 }
 
 // OpenRequests counts the requests whose req-begin is in the trace and
@@ -380,9 +405,18 @@ func (tr *Trace) NumThreads() int { return len(tr.threads) }
 
 // Cut returns the trace's current frontier (all events).
 func (tr *Trace) Cut() Cut {
-	c := make(Cut, len(tr.threads))
+	return tr.frontierInto(nil)
+}
+
+// frontierInto writes the trace's frontier into dst's storage, or into a
+// fresh cut when dst is too short.
+func (tr *Trace) frontierInto(dst Cut) Cut {
+	c := dst[:0]
+	if c == nil || cap(c) < len(tr.threads) {
+		c = make(Cut, 0, len(tr.threads))
+	}
 	for i := range tr.threads {
-		c[i] = tr.threads[i].end
+		c = append(c, tr.threads[i].end)
 	}
 	return c
 }
@@ -465,7 +499,15 @@ func (tr *Trace) EdgeCount() int {
 // promote/demote cycles — ConsistentCut returns ErrCutBeyondTrace so the
 // caller can re-sync from a checkpoint instead of crashing.
 func (tr *Trace) ConsistentCut(base Cut) (Cut, error) {
-	cut := tr.Cut()
+	return tr.ConsistentCutInto(nil, base)
+}
+
+// ConsistentCutInto is ConsistentCut writing the cut into dst's storage,
+// which it grows only when dst is too short: a caller that keeps two cuts
+// and swaps them advances its last consistent cut without allocating. dst
+// must not share storage with base.
+func (tr *Trace) ConsistentCutInto(dst, base Cut) (Cut, error) {
+	cut := tr.frontierInto(dst)
 	for i := range base {
 		if i < len(cut) && cut[i] < base[i] {
 			return nil, fmt.Errorf("%w: base cut %v beyond trace frontier %v", ErrCutBeyondTrace, base, cut)

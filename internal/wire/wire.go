@@ -14,6 +14,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -83,6 +84,9 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // Uvarint appends v in unsigned varint encoding.
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+
+// UvarintLen returns the length of v's unsigned varint encoding.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Varint appends v in zig-zag signed varint encoding.
 func (e *Encoder) Varint(v int64) { e.buf = binary.AppendVarint(e.buf, v) }
